@@ -36,12 +36,7 @@ from .coverage import (
     snr_coverage_curve,
 )
 from .geometry import OrbitGeometry, VisibilityWindow, orbital_speed, visible_arc_length, visible_time
-from .montecarlo import (
-    McConfig,
-    empirical_max_sir_coverage,
-    empirical_sir_coverage,
-    empirical_snr_sinr_coverage,
-)
+from .montecarlo import McConfig, _single_orbit_curves, empirical_max_sir_coverage
 from .validation import DEFAULT_SEED, render_report, run_all
 
 __all__ = [
@@ -240,12 +235,11 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[Result
     simulated: dict[str, list[ResultRow]] = {}
     if mc is not None:
         if single:
-            _, unconditional = empirical_sir_coverage(constellation, cfg.thresholds_db, mc)
+            budgets = () if cfg.budget is None else (cfg.budget,)
+            (_, unconditional), per_budget = _single_orbit_curves(constellation, budgets, cfg.thresholds_db, mc)
             simulated["SIR"] = _curve_rows(cfg, unconditional, "SIR-MC", mc.seed)
             if cfg.budget is not None:
-                _, snr_u, _, sinr_u = empirical_snr_sinr_coverage(
-                    constellation, cfg.budget, cfg.thresholds_db, mc
-                )
+                _, snr_u, _, sinr_u = per_budget[0]
                 simulated["SNR"] = _curve_rows(cfg, snr_u, "SNR-MC", mc.seed)
                 simulated["SINR"] = _curve_rows(cfg, sinr_u, "SINR-MC", mc.seed)
         else:
@@ -364,6 +358,15 @@ def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None, jobs: int
     if sweep is None:
         raise ConfigError("sweep", "the sweep verb needs a sweep section")
     variants = [_sweep_variant(cfg, sweep.parameter, v, i) for i, v in enumerate(sweep.values)]
+    # ids print values with {:g}, so values that agree to 6 digits collide
+    first_position: dict[str, int] = {}
+    for position, variant in enumerate(variants):
+        first = first_position.setdefault(variant.scenario_id, position)
+        if first != position:
+            raise ConfigError(
+                f"sweep.values[{position}]",
+                f"gives the same scenario id {variant.scenario_id!r} as sweep.values[{first}]",
+            )
     rows: list[ResultRow] = []
     notices: list[str] = []
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:

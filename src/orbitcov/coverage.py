@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geometry import (
+    KM_IN_M,
     EarthConstants,
     OrbitGeometry,
     VisibilityWindow,
@@ -53,8 +54,6 @@ __all__ = [
     "snr_coverage_curve",
     "max_sir_coverage_curve",
 ]
-
-KM_IN_M = 1000.0
 
 CURVE_KINDS = frozenset(
     {

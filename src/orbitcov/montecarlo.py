@@ -1,14 +1,20 @@
 """Monte-Carlo estimators that shadow every analytic quantity.
 
-Each estimator simulates the actual point process: Poisson-many
-satellites uniform on each orbit circle, independent unit-mean gamma
-fading powers, the user served by the nearest visible satellite. The
-batch kernels never build 3-D positions; for a point at orbit angle psi
-the height above the user's horizon plane is z = -R sin(theta) cos(psi)
-and the law of cosines gives the distance directly, so a trial is a few
-vectorized passes over a flat array of satellites. `sample_orbit` keeps
-the explicit 3-D construction (with the elevation-angle visibility
-test) for inspection and as an independent check of that shortcut.
+Each estimator simulates the actual point process: Poisson satellites at
+density lambda along each orbit circle, independent unit-mean gamma
+fading powers, the user served by the nearest visible satellite. A point
+at orbit angle psi sits at height z = -R sin(theta) cos(psi) above the
+user's horizon plane, and it is visible when z clears the cap base, that
+is for psi in the window (pi - beta, pi + beta) with
+beta = arccos(cap_base / (R sin(theta))). By the Poisson restriction
+theorem the satellites inside that window are themselves Poisson with
+density lambda, so the batch kernels draw only the window: a
+Poisson(2 R beta lambda) count per trial and uniform angles in it. They
+never build 3-D positions; the law of cosines turns z into the distance,
+so a trial is a few vectorized passes over a flat array of satellites.
+`sample_orbit` keeps the explicit 3-D construction of the whole circle
+(with the elevation-angle visibility test) for inspection and as an
+independent check of that shortcut.
 
 Reproducibility contract: a run is determined by (seed, trials, batch).
 Each batch consumes its own child stream of the seed, so results do not
@@ -24,6 +30,7 @@ import numpy as np
 
 from .coverage import ConstellationSpec, CoverageCurve, LinkBudget, db_to_linear
 from .geometry import (
+    KM_IN_M,
     TWO_PI,
     OrbitGeometry,
     VisibilityWindow,
@@ -41,8 +48,6 @@ __all__ = [
     "empirical_snr_sinr_coverage",
     "empirical_max_sir_coverage",
 ]
-
-KM_IN_M = 1000.0
 
 # trials that survive conditioning below this are too few for any
 # statement at the package's tolerances
@@ -135,23 +140,44 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _nearest_batch(
+def _window_half_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
+    """Half-width beta of the orbit-angle window (pi - beta, pi + beta)
+    in which the height z = -R sin(theta) cos(psi) clears the cap base.
+
+    Zero when R sin(theta) <= cap_base: the orbit never rises above the
+    cap (theta = 0, theta = pi and every theta outside the band).
+    """
+    reach = orbit.radius_km * math.sin(orbit.theta_rad)
+    if reach <= window.cap_base_km:
+        return 0.0
+    return math.acos(window.cap_base_km / reach)
+
+
+def _visible_batch(
     orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, n: int
-) -> np.ndarray:
-    """Nearest visible-satellite distance (km) per trial, inf when none."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the visible window of n trials.
+
+    Returns per-trial satellite counts, their segment starts in the flat
+    arrays, per-satellite distances (km; inf for a satellite rounding
+    put on or below the cap base) and the nearest visible distance per
+    trial (inf when none).
+    """
     R = orbit.radius_km
     re = orbit.earth.radius_km
-    counts = gen.poisson(TWO_PI * R * density, n)
+    beta = _window_half_angle(orbit, window)
+    counts = gen.poisson(2.0 * R * beta * density, n)
     total = int(counts.sum())
-    psi = gen.uniform(0.0, TWO_PI, total)
+    psi = gen.uniform(math.pi - beta, math.pi + beta, total)
     z = -R * math.sin(orbit.theta_rad) * np.cos(psi)
     r = np.sqrt(R * R + re * re - 2.0 * re * z)
     r_vis = np.where(z > window.cap_base_km, r, np.inf)
     nearest = np.full(n, np.inf)
     occupied = counts > 0
+    starts = _segment_starts(counts)
     if total:
-        nearest[occupied] = np.minimum.reduceat(r_vis, _segment_starts(counts)[occupied])
-    return nearest
+        nearest[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
+    return counts, starts, r_vis, nearest
 
 
 def _sir_batch(
@@ -169,25 +195,14 @@ def _sir_batch(
     one, of fading_power * r^-alpha with r in km and no gain factor; the
     caller applies units and the mean interferer gain.
     """
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    counts = gen.poisson(TWO_PI * R * density, n)
-    total = int(counts.sum())
-    psi = gen.uniform(0.0, TWO_PI, total)
-    z = -R * math.sin(orbit.theta_rad) * np.cos(psi)
-    r = np.sqrt(R * R + re * re - 2.0 * re * z)
-    visible = z > window.cap_base_km
-    r_vis = np.where(visible, r, np.inf)
-    nearest = np.full(n, np.inf)
-    occupied = counts > 0
-    starts = _segment_starts(counts)
-    if total:
-        nearest[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
+    counts, starts, r_vis, nearest = _visible_batch(orbit, window, gen, density, n)
+    total = r_vis.size
     fading = gen.gamma(m, 1.0 / m, total)
-    interferer = visible & (r > np.repeat(nearest, counts))
-    weight = np.where(interferer, fading * r ** -alpha, 0.0)
+    # hidden satellites have r_vis = inf, so they weigh inf^-alpha = 0
+    weight = np.where(r_vis > np.repeat(nearest, counts), fading * r_vis ** -alpha, 0.0)
     interference = np.zeros(n)
     if total:
+        occupied = counts > 0
         interference[occupied] = np.add.reduceat(weight, starts[occupied])
     serving_fading = gen.gamma(m, 1.0 / m, n)
     return nearest, serving_fading, interference
@@ -223,7 +238,7 @@ def empirical_nearest_ccdf(
     survivors = 0
     for index, size in enumerate(cfg.batch_sizes()):
         gen = rng.child(index).generator
-        nearest = _nearest_batch(orbit, window, gen, density_per_km, size)
+        nearest = _visible_batch(orbit, window, gen, density_per_km, size)[3]
         finite = np.sort(nearest[np.isfinite(nearest)])
         survivors += finite.size
         exceed += finite.size - np.searchsorted(finite, grid, side="right")
@@ -283,19 +298,31 @@ def _single_orbit(constellation: ConstellationSpec) -> tuple[OrbitGeometry, floa
     return constellation.orbits[0], constellation.densities_per_km[0]
 
 
-def empirical_sir_coverage(
-    constellation: ConstellationSpec, thresholds_db, cfg: McConfig
-) -> tuple[CoverageCurve, CoverageCurve]:
-    """Empirical SIR coverage of a single orbit.
+def _covered(vis: np.ndarray, score: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Per threshold, how many visible trials score above it."""
+    return np.array([np.count_nonzero(vis & (score > gamma)) for gamma in gammas], dtype=np.int64)
 
-    Returns (conditional on visibility, unconditional). Nakagami figure
-    may be any real m >= 0.5 here; only the analytic path needs integers.
+
+def _single_orbit_curves(
+    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig
+) -> tuple[tuple[CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
+    """SIR coverage and, per link budget, SNR and SINR coverage of a
+    single orbit, all scored on the same draws: one kernel call per batch.
+
+    Returns the SIR pair (conditional on visibility, unconditional) and
+    one (snr conditional, snr unconditional, sinr conditional, sinr
+    unconditional) tuple per budget. A budget only rescales the noise
+    term, and shared draws make SINR <= SIR and SINR <= SNR hold trial by
+    trial. Distances enter the SNR path loss in meters.
     """
     orbit, density = _single_orbit(constellation)
     channel = constellation.channel
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
+    unit = KM_IN_M ** -channel.alpha
     rng = RandomSource(cfg.seed)
-    covered_cond = np.zeros(gammas.size, dtype=np.int64)
+    sir_cond = np.zeros(gammas.size, dtype=np.int64)
+    snr_cond = np.zeros((len(budgets), gammas.size), dtype=np.int64)
+    sinr_cond = np.zeros_like(snr_cond)
     survivors = 0
     for index, size in enumerate(cfg.batch_sizes()):
         gen = rng.child(index).generator
@@ -306,11 +333,37 @@ def empirical_sir_coverage(
         survivors += int(np.count_nonzero(vis))
         with np.errstate(divide="ignore", invalid="ignore"):
             sir = serving * nearest ** -channel.alpha / (channel.g_i_bar * interference)
-        for k, gamma in enumerate(gammas):
-            covered_cond[k] += int(np.count_nonzero(vis & (sir > gamma)))
-    return _curve_pair(
-        thresholds_db, covered_cond, survivors, covered_cond, cfg.trials, "SIR-MC", cfg
-    )
+        sir_cond += _covered(vis, sir, gammas)
+        signal = np.where(vis, serving * nearest ** -channel.alpha * unit, 0.0)
+        for j, budget in enumerate(budgets):
+            scale = budget.snr_scale
+            snr_cond[j] += _covered(vis, signal * scale, gammas)
+            sinr = signal / (channel.g_i_bar * interference * unit + 1.0 / scale)
+            sinr_cond[j] += _covered(vis, sinr, gammas)
+    sir_pair = _curve_pair(thresholds_db, sir_cond, survivors, sir_cond, cfg.trials, "SIR-MC", cfg)
+    per_budget = []
+    for j, budget in enumerate(budgets):
+        extra = {"snr_scale_db": budget.snr_scale_db}
+        snr_pair = _curve_pair(
+            thresholds_db, snr_cond[j], survivors, snr_cond[j], cfg.trials, "SNR-MC", cfg, **extra
+        )
+        sinr_pair = _curve_pair(
+            thresholds_db, sinr_cond[j], survivors, sinr_cond[j], cfg.trials, "SINR-MC", cfg, **extra
+        )
+        per_budget.append((*snr_pair, *sinr_pair))
+    return sir_pair, per_budget
+
+
+def empirical_sir_coverage(
+    constellation: ConstellationSpec, thresholds_db, cfg: McConfig
+) -> tuple[CoverageCurve, CoverageCurve]:
+    """Empirical SIR coverage of a single orbit.
+
+    Returns (conditional on visibility, unconditional). Nakagami figure
+    may be any real m >= 0.5 here; only the analytic path needs integers.
+    """
+    sir_pair, _ = _single_orbit_curves(constellation, (), thresholds_db, cfg)
+    return sir_pair
 
 
 def empirical_snr_sinr_coverage(
@@ -321,33 +374,8 @@ def empirical_snr_sinr_coverage(
     Returns (snr conditional, snr unconditional, sinr conditional,
     sinr unconditional). Distances enter the path loss in meters.
     """
-    orbit, density = _single_orbit(constellation)
-    channel = constellation.channel
-    gammas = np.array([db_to_linear(g) for g in thresholds_db])
-    scale = budget.snr_scale
-    unit = KM_IN_M ** -channel.alpha
-    rng = RandomSource(cfg.seed)
-    snr_cond = np.zeros(gammas.size, dtype=np.int64)
-    sinr_cond = np.zeros(gammas.size, dtype=np.int64)
-    survivors = 0
-    for index, size in enumerate(cfg.batch_sizes()):
-        gen = rng.child(index).generator
-        nearest, serving, interference = _sir_batch(
-            orbit, constellation.window, gen, density, channel.m, channel.alpha, size
-        )
-        vis = np.isfinite(nearest)
-        survivors += int(np.count_nonzero(vis))
-        signal = np.where(vis, serving * nearest ** -channel.alpha * unit, 0.0)
-        noise_term = 1.0 / scale
-        sinr = signal / (channel.g_i_bar * interference * unit + noise_term)
-        snr = signal * scale
-        for k, gamma in enumerate(gammas):
-            snr_cond[k] += int(np.count_nonzero(vis & (snr > gamma)))
-            sinr_cond[k] += int(np.count_nonzero(vis & (sinr > gamma)))
-    extra = {"snr_scale_db": budget.snr_scale_db}
-    snr_pair = _curve_pair(thresholds_db, snr_cond, survivors, snr_cond, cfg.trials, "SNR-MC", cfg, **extra)
-    sinr_pair = _curve_pair(thresholds_db, sinr_cond, survivors, sinr_cond, cfg.trials, "SINR-MC", cfg, **extra)
-    return snr_pair[0], snr_pair[1], sinr_pair[0], sinr_pair[1]
+    _, (curves,) = _single_orbit_curves(constellation, (budget,), thresholds_db, cfg)
+    return curves
 
 
 def empirical_max_sir_coverage(
@@ -359,8 +387,10 @@ def empirical_max_sir_coverage(
     all trials, and an any-visible variant). The first two mirror the
     analytic combiner. The third scores the best SIR across whichever
     orbits happen to be visible, over all trials: that is the operational
-    quantity a receiver free to skip empty orbits would see, and it has
-    no analytic counterpart here.
+    quantity a receiver free to skip empty orbits would see. The orbits
+    are independent and interference is counted per orbit, so it equals
+    1 - prod_n (1 - p_vis,n p_n), with p_vis,n the visibility probability
+    of orbit n and p_n its `sir_coverage_conditional`.
     """
     channel = constellation.channel
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
@@ -384,9 +414,8 @@ def empirical_max_sir_coverage(
             all_vis &= vis
             any_vis |= vis
         survivors += int(np.count_nonzero(all_vis))
-        for k, gamma in enumerate(gammas):
-            covered_all[k] += int(np.count_nonzero(all_vis & (best > gamma)))
-            covered_any[k] += int(np.count_nonzero(any_vis & (best > gamma)))
+        covered_all += _covered(all_vis, best, gammas)
+        covered_any += _covered(any_vis, best, gammas)
     conditional, joint = _curve_pair(
         thresholds_db,
         covered_all,
@@ -402,9 +431,7 @@ def empirical_max_sir_coverage(
         thresholds_db=tuple(thresholds_db),
         values=tuple(covered_any / cfg.trials),
         kind="maxSIR-MC",
-        metadata=_mc_metadata(
-            cfg, "any-visible", n_orbits=constellation.n_orbits, analytic_counterpart=False
-        ),
+        metadata=_mc_metadata(cfg, "any-visible", n_orbits=constellation.n_orbits),
         ci_low=tuple(lo),
         ci_high=tuple(hi),
     )

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from orbitcov import LinkBudget, empirical_sir_coverage, empirical_snr_sinr_coverage
 from orbitcov.cli import (
     GEOMETRY_HEADER,
     RESULT_HEADER,
@@ -13,6 +14,7 @@ from orbitcov.cli import (
     read_result_rows,
     write_result_rows,
 )
+from orbitcov.config import load_scenario
 
 
 def write_scenario(tmp_path, name="scn.json", **extra):
@@ -174,6 +176,26 @@ class TestCoverageVerb:
         )
         assert kinds == expect
 
+    def test_mc_rows_equal_the_public_estimators(self, tmp_path):
+        # the verb scores SIR, SNR and SINR in one pass; calling the public
+        # estimators one curve at a time must reproduce its rows exactly
+        cfg_path = write_scenario(
+            tmp_path, budget={"bandwidth_hz": 1e8}, mc={"trials": 6000, "seed": 8, "batch": 2500}
+        )
+        out = tmp_path / "out"
+        assert main(["coverage", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = read_result_rows(out / "cli_test_coverage.csv")
+        cfg = load_scenario(cfg_path)
+        spec = cfg.constellation()
+        assert cfg.budget == LinkBudget(bandwidth_hz=1e8)
+        _, sir_u = empirical_sir_coverage(spec, cfg.thresholds_db, cfg.mc)
+        _, snr_u, _, sinr_u = empirical_snr_sinr_coverage(spec, cfg.budget, cfg.thresholds_db, cfg.mc)
+        for kind, curve in (("SIR-MC", sir_u), ("SNR-MC", snr_u), ("SINR-MC", sinr_u)):
+            written = [r for r in rows if r.curve_kind == kind]
+            assert tuple(r.value for r in written) == curve.values
+            assert tuple(r.ci_low for r in written) == curve.ci_low
+            assert tuple(r.ci_high for r in written) == curve.ci_high
+
     def test_multi_orbit_uses_best_satellite(self, tmp_path):
         cfg = write_scenario(
             tmp_path,
@@ -269,6 +291,15 @@ class TestSweepVerb:
             tmp_path, sweep={"parameter": "density_per_km", "values": [0.001, -1.0]}
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+    def test_colliding_scenario_ids_rejected(self, tmp_path, capsys):
+        # ids print the value with {:g}: these two would share one id
+        cfg = write_scenario(tmp_path, sweep={"parameter": "alpha", "values": [2.0, 1.0, 1.0000001]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.values[2]" in err and "sweep.values[1]" in err
+        assert not (tmp_path / "o" / "cli_test_sweep.csv").exists()
 
 
 class TestExitCodes:

@@ -1,9 +1,11 @@
 """Simulation kernels: snapshots, nearest-distance and coverage estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from orbitcov import (
     ChannelParams,
@@ -14,17 +16,26 @@ from orbitcov import (
     OrbitGeometry,
     RandomSource,
     VisibilityWindow,
+    db_to_linear,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
     empirical_snr_sinr_coverage,
     nearest_ccdf,
     sample_orbit,
+    sir_coverage_conditional,
+    threshold_grid_db,
     visible_arc_length,
 )
 from orbitcov.distance import NearestDistanceLaw
 from orbitcov.geometry import TWO_PI, orbit_plane_basis
-from orbitcov.montecarlo import _segment_starts, _wilson_bounds
+from orbitcov.montecarlo import (
+    _segment_starts,
+    _single_orbit_curves,
+    _visible_batch,
+    _wilson_bounds,
+    _window_half_angle,
+)
 
 LAM = 0.005
 
@@ -95,6 +106,78 @@ class TestSnapshot:
         by_cap = z > ref_window.cap_base_km
         by_elevation = (z - re) >= dist * math.sin(ref_window.omega_min_rad)
         assert np.array_equal(by_cap, by_elevation)
+
+
+GEO_ALTITUDE_KM = 35786.0
+
+
+def _band_thetas(altitude_km, window):
+    """Inclinations at the centre, near both band edges, on the poles and
+    outside the band."""
+    radius = OrbitGeometry(altitude_km, math.pi / 2).radius_km
+    band = math.acos(window.cap_base_km / radius)
+    edge = math.pi / 2 + band
+    return (
+        math.pi / 2,
+        0.999999 * edge,
+        math.pi - 0.999999 * edge,
+        0.0,
+        math.pi,
+        min(math.pi, edge + 0.01),
+        max(0.0, math.pi / 2 - band - 0.01),
+    )
+
+
+class TestVisibleWindow:
+    @pytest.mark.parametrize("altitude_km", [500.0, 1200.0, GEO_ALTITUDE_KM])
+    @pytest.mark.parametrize("omega_deg", [0.0, 10.0, 45.0, 85.0])
+    def test_window_length_is_the_visible_arc(self, altitude_km, omega_deg):
+        # the kernel's window 2 R beta is worked out from the cap height
+        # alone; the analytic arc map must give the same length
+        window = VisibilityWindow.from_min_elevation(math.radians(omega_deg), OrbitGeometry(altitude_km, math.pi / 2))
+        for theta in _band_thetas(altitude_km, window):
+            orbit = OrbitGeometry(altitude_km, theta)
+            window_km = 2.0 * orbit.radius_km * _window_half_angle(orbit, window)
+            assert window_km == pytest.approx(visible_arc_length(orbit, window), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 2 + math.pi / 18])
+    def test_mean_visible_count(self, ref_window, theta):
+        orbit = OrbitGeometry(500.0, theta)
+        n = 200_000
+        _, _, r_vis, _ = _visible_batch(orbit, ref_window, RandomSource(22).generator, LAM, n)
+        mean = LAM * visible_arc_length(orbit, ref_window)
+        assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
+
+    def test_nearest_agrees_with_snapshots(self, ref_window):
+        # whole-circle 3-D snapshots with the elevation test against the
+        # kernel's window draws, at a density where a third of trials see
+        # nothing
+        orbit = OrbitGeometry(500.0, math.pi / 2 + math.pi / 36)
+        lam = 0.0005
+        rng = RandomSource(23)
+        snapshots = np.array([sample_orbit(orbit, ref_window, lam, rng).nearest_visible_km for _ in range(4000)])
+        kernel = _visible_batch(orbit, ref_window, RandomSource(24).generator, lam, 20_000)[3]
+        p_vis = NearestDistanceLaw(orbit, ref_window, lam).visibility_probability
+        for sample in (snapshots, kernel):
+            seen = np.count_nonzero(np.isfinite(sample))
+            assert seen / sample.size == pytest.approx(p_vis, abs=5.0 * math.sqrt(p_vis * (1 - p_vis) / sample.size))
+        result = stats.ks_2samp(snapshots[np.isfinite(snapshots)], kernel[np.isfinite(kernel)])
+        assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.3, math.pi - 0.3])
+    def test_out_of_band_is_degenerate_without_warnings(self, theta):
+        spec = single(theta=theta)
+        orbit, window = spec.orbits[0], spec.window
+        assert visible_arc_length(orbit, window) == 0.0
+        cfg = McConfig(trials=2_000, seed=25, batch=500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSampleError):
+                empirical_nearest_ccdf(orbit, window, LAM, np.array([600.0]), cfg)
+            with pytest.raises(DegenerateSampleError):
+                empirical_sir_coverage(spec, (0.0,), cfg)
+            with pytest.raises(DegenerateSampleError):
+                empirical_snr_sinr_coverage(spec, LinkBudget(), (0.0,), cfg)
 
 
 class TestSegmentStarts:
@@ -197,6 +280,17 @@ class TestCoverageEstimators:
             assert sinr <= sir
             assert sinr <= snr
 
+    def test_single_pass_equals_the_public_estimators(self):
+        # the CLI and validation score every curve in one pass; the public
+        # estimators run it per curve and must give identical curves
+        cfg = McConfig(trials=20_000, seed=26, batch=6_000)
+        spec = single(m=2.0)
+        budgets = tuple(LinkBudget(bandwidth_hz=bw) for bw in (1e7, 1e8, 1e9))
+        sir_pair, per_budget = _single_orbit_curves(spec, budgets, self.GRID, cfg)
+        assert sir_pair == empirical_sir_coverage(spec, self.GRID, cfg)
+        for budget, curves in zip(budgets, per_budget):
+            assert curves == empirical_snr_sinr_coverage(spec, budget, self.GRID, cfg)
+
     def test_sinr_decreases_with_bandwidth(self):
         cfg = McConfig(trials=30_000, seed=19, batch=10_000)
         spec = single()
@@ -234,6 +328,26 @@ class TestCoverageEstimators:
         for c, j, a in zip(cond.values, joint.values, any_vis.values):
             assert j <= c
             assert j <= a
+
+    @pytest.mark.parametrize("lam", [0.0005, 0.002])
+    def test_any_visible_matches_the_product_form(self, lam):
+        # independent orbits, interference counted per orbit:
+        # P(best visible SIR > gamma) = 1 - prod_n (1 - p_vis,n p_n(gamma))
+        theta = math.pi / 2 + math.pi / 18
+        orbits = tuple(OrbitGeometry(500.0, theta, phi_rad=TWO_PI * k / 3) for k in range(3))
+        window = VisibilityWindow.from_min_elevation(math.radians(10.0), orbits[0])
+        channel = ChannelParams(alpha=2.0, m=1.0)
+        spec = ConstellationSpec(orbits, (lam,) * 3, window, channel)
+        grid = threshold_grid_db(-10.0, 30.0, 5.0)
+        _, _, any_vis = empirical_max_sir_coverage(spec, grid, McConfig(trials=100_000, seed=27, batch=10_000))
+        for k, gamma_db in enumerate(grid):
+            miss = 1.0
+            for orbit in orbits:
+                p_vis = NearestDistanceLaw(orbit, window, lam).visibility_probability
+                p_n = sir_coverage_conditional(orbit, window, lam, channel, db_to_linear(gamma_db))
+                miss *= 1.0 - p_vis * p_n
+            half_width = 0.5 * (any_vis.ci_high[k] - any_vis.ci_low[k])
+            assert abs(any_vis.values[k] - (1.0 - miss)) <= 2.0 * half_width
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
