@@ -14,8 +14,9 @@ from orbitcov import (
     McConfig,
     OrbitGeometry,
     VisibilityWindow,
+    db_to_linear,
     empirical_sir_coverage,
-    sir_coverage_curve,
+    sir_coverage_conditional,
     threshold_grid_db,
 )
 
@@ -27,9 +28,10 @@ def main() -> None:
     density = 0.005
     thresholds = threshold_grid_db(-10.0, 30.0, 5.0)
 
-    analytic = sir_coverage_curve(
-        orbit, window, density, channel, thresholds, conditional=True
-    )
+    analytic = [
+        sir_coverage_conditional(orbit, window, density, channel, db_to_linear(g))
+        for g in thresholds
+    ]
     spec = ConstellationSpec(
         orbits=(orbit,), densities_per_km=(density,), window=window, channel=channel
     )
@@ -40,7 +42,7 @@ def main() -> None:
     print(f"{'gamma [dB]':>10} {'analytic':>9} {'simulated':>10} {'95% CI':>19}")
     for i, g in enumerate(thresholds):
         ci = f"[{simulated.ci_low[i]:.4f}, {simulated.ci_high[i]:.4f}]"
-        print(f"{g:>10.0f} {analytic.values[i]:>9.4f} {simulated.values[i]:>10.4f} {ci:>19}")
+        print(f"{g:>10.0f} {analytic[i]:>9.4f} {simulated.values[i]:>10.4f} {ci:>19}")
 
 
 if __name__ == "__main__":

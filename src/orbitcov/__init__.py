@@ -6,7 +6,11 @@ visibility geometry, `distance` the nearest-satellite law, `interference`
 the aggregate-interference Laplace transform, `coverage` the SIR/SNR
 coverage integrals and the multi-orbit combiner, `montecarlo` the
 simulation twins of all of it, and `validation` the acceptance criteria
-that hold the two sides together. `cli` wraps the lot for scenario files.
+that hold the two sides together. `numerics` holds the adaptive
+quadrature and the seeded random streams; `QuadratureError` is exported
+here because any analytic call can raise it. `cli` wraps the lot for
+scenario files. Independent reference forms (distance-domain integrals,
+explicit 3-D orbit snapshots) live in the test suite, not here.
 """
 
 from .coverage import (
@@ -14,7 +18,6 @@ from .coverage import (
     CoverageCurve,
     LinkBudget,
     db_to_linear,
-    linear_to_db,
     max_sir_coverage,
     max_sir_coverage_conditional,
     max_sir_coverage_curve,
@@ -40,37 +43,27 @@ from .geometry import (
     d_min,
     distance_to_arc,
     eta,
-    max_orbit_distance,
     orbital_speed,
     visibility_probability,
     visible_arc_length,
     visible_time,
 )
 from .interference import (
-    AntennaModel,
     ChannelParams,
-    effective_gains,
     laplace_derivatives,
     log_laplace,
 )
 from .montecarlo import (
     DegenerateSampleError,
     McConfig,
-    SatelliteSnapshot,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
     empirical_snr_sinr_coverage,
-    sample_orbit,
 )
 from .numerics import (
     QuadratureError,
-    QuadratureSpec,
     RandomSource,
-    integrate,
-    sample_fading_power,
-    sample_nakagami,
-    sample_poisson,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +73,6 @@ __all__ = [
     "CoverageCurve",
     "LinkBudget",
     "db_to_linear",
-    "linear_to_db",
     "max_sir_coverage",
     "max_sir_coverage_conditional",
     "max_sir_coverage_curve",
@@ -102,30 +94,20 @@ __all__ = [
     "d_min",
     "distance_to_arc",
     "eta",
-    "max_orbit_distance",
     "orbital_speed",
     "visibility_probability",
     "visible_arc_length",
     "visible_time",
-    "AntennaModel",
     "ChannelParams",
-    "effective_gains",
     "laplace_derivatives",
     "log_laplace",
     "DegenerateSampleError",
     "McConfig",
-    "SatelliteSnapshot",
     "empirical_max_sir_coverage",
     "empirical_nearest_ccdf",
     "empirical_sir_coverage",
     "empirical_snr_sinr_coverage",
-    "sample_orbit",
     "QuadratureError",
-    "QuadratureSpec",
     "RandomSource",
-    "integrate",
-    "sample_fading_power",
-    "sample_nakagami",
-    "sample_poisson",
     "__version__",
 ]

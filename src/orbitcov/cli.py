@@ -42,14 +42,11 @@ from .validation import DEFAULT_SEED, render_report, run_all
 __all__ = [
     "ResultRow",
     "RESULT_HEADER",
-    "RESULT_SCHEMA_VERSION",
     "write_result_rows",
     "read_result_rows",
     "coverage_rows",
     "main",
 ]
-
-RESULT_SCHEMA_VERSION = 1
 
 RESULT_FIELDS = (
     "scenario_id",
@@ -416,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--trials", type=int, default=None, help="override the simulation trial count")
-        p.add_argument("--format", choices=["csv"], default="csv", help="output format")
 
     common(sub.add_parser("geometry", help="visible-arc geometry over an inclination grid"))
     common(sub.add_parser("coverage", help="coverage curves for one scenario"))
@@ -436,26 +432,22 @@ def main(argv=None) -> int:
         return 3
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    if args.trials is not None and args.trials < 1:
+        print("usage error: --trials must be positive", file=sys.stderr)
+        return 3
+    if args.seed is not None and args.seed < 0:
+        print("usage error: --seed must be nonnegative", file=sys.stderr)
+        return 3
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 1
-    if args.verb == "validate":
-        if args.trials is not None and args.trials < 1:
-            print("usage error: --trials must be positive", file=sys.stderr)
-            return 3
-        return cmd_validate(out_dir, args.seed, args.trials)
     try:
+        if args.verb == "validate":
+            return cmd_validate(out_dir, args.seed, args.trials)
         cfg = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.trials is not None and args.trials < 1:
-            print("usage error: --trials must be positive", file=sys.stderr)
-            return 3
         mc = _effective_mc(cfg, args)
         if args.verb == "geometry":
             return cmd_geometry(cfg, out_dir)

@@ -42,7 +42,6 @@ __all__ = [
     "CoverageCurve",
     "CURVE_KINDS",
     "db_to_linear",
-    "linear_to_db",
     "threshold_grid_db",
     "sir_coverage_conditional",
     "sir_coverage",
@@ -74,12 +73,6 @@ _OUTER_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=200)
 
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    if value <= 0:
-        raise ValueError("only positive values have a dB representation")
-    return 10.0 * math.log10(value)
 
 
 def threshold_grid_db(start_db: float, stop_db: float, step_db: float) -> tuple[float, ...]:
@@ -200,13 +193,47 @@ def _clip_unit(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _visible_average(
+    orbit: OrbitGeometry, window: VisibilityWindow, density_per_km: float, gamma: float, label: str, success
+) -> float:
+    """Average ``success(tau, L)`` over the serving arc coordinate tau.
+
+    Given at least one visible satellite, tau has the truncated
+    exponential density lambda e^(-lambda tau) / (1 - e^(-lambda L)) on
+    [0, L]; ``success`` is the coverage probability with the serving
+    satellite at tau.
+    """
+    if gamma <= 0:
+        raise ValueError(f"{label} threshold must be positive")
+    if density_per_km <= 0:
+        raise ValueError("satellite density must be positive")
+    arc = visible_arc_length(orbit, window)
+    if arc <= 0.0:
+        raise ValueError("orbit never enters the visibility window")
+    lam = density_per_km
+
+    def integrand(tau: float) -> float:
+        return success(tau, arc) * lam * math.exp(-lam * tau)
+
+    total = integrate(integrand, 0.0, arc, _OUTER_SPEC)
+    return _clip_unit(total / -math.expm1(-lam * arc))
+
+
+def _times_visibility(p_conditional: float, window: VisibilityWindow, orbits, densities) -> float:
+    """Unconditional coverage: the conditional coverage times
+    prod_n P(orbit n has a visible satellite)."""
+    vis = 1.0
+    for orbit, lam in zip(orbits, densities):
+        vis *= -math.expm1(-lam * visible_arc_length(orbit, window))
+    return _clip_unit(p_conditional * vis)
+
+
 def sir_coverage_conditional(
     orbit: OrbitGeometry,
     window: VisibilityWindow,
     density_per_km: float,
     channel: ChannelParams,
     gamma: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """P(SIR > gamma | at least one satellite visible) for one orbit.
 
@@ -214,30 +241,20 @@ def sir_coverage_conditional(
     the Laplace derivatives has m terms.
     """
     m = channel.integer_m
-    if gamma <= 0:
-        raise ValueError("SIR threshold must be positive")
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
-    arc = visible_arc_length(orbit, window)
-    if arc <= 0.0:
-        raise ValueError("orbit never enters the visibility window")
-    lam = density_per_km
     alpha = channel.alpha
     dist = _scalar_distance_fn(orbit)
-    inner = spec or QuadratureSpec()
 
-    def integrand(tau: float) -> float:
+    def success(tau: float, arc: float) -> float:
         s = m * gamma * dist(tau) ** alpha
-        derivs = _laplace_derivatives_arc(orbit, lam, channel, tau, arc, s, m - 1, inner)
+        derivs = _laplace_derivatives_arc(orbit, density_per_km, channel, tau, arc, s, m - 1)
         acc = derivs[0]
         coef = 1.0
         for t in range(1, m):
             coef *= -s / t
             acc += coef * derivs[t]
-        return acc * lam * math.exp(-lam * tau)
+        return acc
 
-    total = integrate(integrand, 0.0, arc, _OUTER_SPEC)
-    return _clip_unit(total / -math.expm1(-lam * arc))
+    return _visible_average(orbit, window, density_per_km, gamma, "SIR", success)
 
 
 def sir_coverage(
@@ -246,15 +263,13 @@ def sir_coverage(
     density_per_km: float,
     channel: ChannelParams,
     gamma: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Unconditional P(SIR > gamma): the conditional coverage times the
     visibility probability. Zero for orbits that never enter the window."""
-    arc = visible_arc_length(orbit, window)
-    if arc <= 0.0:
+    if visible_arc_length(orbit, window) <= 0.0:
         return 0.0
-    p_vis = -math.expm1(-density_per_km * arc)
-    return sir_coverage_conditional(orbit, window, density_per_km, channel, gamma, spec) * p_vis
+    p = sir_coverage_conditional(orbit, window, density_per_km, channel, gamma)
+    return _times_visibility(p, window, (orbit,), (density_per_km,))
 
 
 def snr_coverage_conditional(
@@ -264,7 +279,6 @@ def snr_coverage_conditional(
     channel: ChannelParams,
     budget: LinkBudget,
     gamma: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """P(SNR > gamma | at least one satellite visible), interference-free.
 
@@ -272,29 +286,20 @@ def snr_coverage_conditional(
     with q = m gamma sigma^2 u^alpha / (P G) and u in meters.
     """
     m = channel.integer_m
-    if gamma <= 0:
-        raise ValueError("SNR threshold must be positive")
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
-    arc = visible_arc_length(orbit, window)
-    if arc <= 0.0:
-        raise ValueError("orbit never enters the visibility window")
-    lam = density_per_km
     alpha = channel.alpha
     scale = budget.snr_scale
     dist = _scalar_distance_fn(orbit)
 
-    def integrand(tau: float) -> float:
+    def success(tau: float, arc: float) -> float:
         q = m * gamma * (KM_IN_M * dist(tau)) ** alpha / scale
         acc = 1.0
         term = 1.0
         for t in range(1, m):
             term *= q / t
             acc += term
-        return math.exp(-q) * acc * lam * math.exp(-lam * tau)
+        return math.exp(-q) * acc
 
-    total = integrate(integrand, 0.0, arc, _OUTER_SPEC)
-    return _clip_unit(total / -math.expm1(-lam * arc))
+    return _visible_average(orbit, window, density_per_km, gamma, "SNR", success)
 
 
 def snr_coverage(
@@ -304,19 +309,15 @@ def snr_coverage(
     channel: ChannelParams,
     budget: LinkBudget,
     gamma: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Unconditional P(SNR > gamma)."""
-    arc = visible_arc_length(orbit, window)
-    if arc <= 0.0:
+    if visible_arc_length(orbit, window) <= 0.0:
         return 0.0
-    p_vis = -math.expm1(-density_per_km * arc)
-    return snr_coverage_conditional(orbit, window, density_per_km, channel, budget, gamma, spec) * p_vis
+    p = snr_coverage_conditional(orbit, window, density_per_km, channel, budget, gamma)
+    return _times_visibility(p, window, (orbit,), (density_per_km,))
 
 
-def _per_orbit_conditionals(
-    constellation: ConstellationSpec, gamma: float, spec: QuadratureSpec | None
-) -> list[float]:
+def _per_orbit_conditionals(constellation: ConstellationSpec, gamma: float) -> list[float]:
     # orbits differing only in ascending node see identical statistics;
     # memoize on the quantities the integrand actually depends on
     cache: dict[tuple[float, float, float], float] = {}
@@ -326,48 +327,39 @@ def _per_orbit_conditionals(
             raise ValueError(f"orbit {index} never enters the visibility window")
         key = (orbit.theta_rad, orbit.altitude_km, lam)
         if key not in cache:
-            cache[key] = sir_coverage_conditional(
-                orbit, constellation.window, lam, constellation.channel, gamma, spec
-            )
+            cache[key] = sir_coverage_conditional(orbit, constellation.window, lam, constellation.channel, gamma)
         out.append(cache[key])
     return out
 
 
-def max_sir_coverage_conditional(
-    constellation: ConstellationSpec, gamma: float, spec: QuadratureSpec | None = None
-) -> float:
+def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma: float) -> float:
     """P(best per-orbit SIR > gamma | every orbit has a visible satellite).
 
     Interference is per-orbit, so conditioned on joint visibility the
     per-orbit successes are independent: 1 - prod_n (1 - p_n).
     """
     fail = 1.0
-    for p in _per_orbit_conditionals(constellation, gamma, spec):
+    for p in _per_orbit_conditionals(constellation, gamma):
         fail *= 1.0 - p
     return _clip_unit(1.0 - fail)
 
 
-def max_sir_coverage(
-    constellation: ConstellationSpec, gamma: float, spec: QuadratureSpec | None = None
-) -> float:
+def max_sir_coverage(constellation: ConstellationSpec, gamma: float) -> float:
     """Joint-visibility max-SIR coverage: the conditional combiner times
     prod_n P(orbit n visible). Trials with any invisible orbit count as
     uncovered, matching the empirical estimator of the same name."""
-    p_cond = max_sir_coverage_conditional(constellation, gamma, spec)
-    vis = 1.0
-    for orbit, lam in zip(constellation.orbits, constellation.densities_per_km):
-        vis *= -math.expm1(-lam * visible_arc_length(orbit, constellation.window))
-    return _clip_unit(p_cond * vis)
+    p = max_sir_coverage_conditional(constellation, gamma)
+    return _times_visibility(p, constellation.window, constellation.orbits, constellation.densities_per_km)
 
 
-def _curve_metadata(orbit: OrbitGeometry, density: float, channel: ChannelParams, conditional: bool) -> dict:
+def _curve_metadata(orbit: OrbitGeometry, density: float, channel: ChannelParams) -> dict:
     return {
         "theta_rad": orbit.theta_rad,
         "altitude_km": orbit.altitude_km,
         "density_per_km": density,
         "alpha": channel.alpha,
         "m": channel.m,
-        "conditioning": "visible" if conditional else "none",
+        "conditioning": "none",
     }
 
 
@@ -377,17 +369,14 @@ def sir_coverage_curve(
     density_per_km: float,
     channel: ChannelParams,
     thresholds_db,
-    conditional: bool = False,
-    spec: QuadratureSpec | None = None,
 ) -> CoverageCurve:
-    """SIR coverage on a dB threshold grid."""
-    fn = sir_coverage_conditional if conditional else sir_coverage
-    values = [fn(orbit, window, density_per_km, channel, db_to_linear(g), spec) for g in thresholds_db]
+    """Unconditional SIR coverage on a dB threshold grid."""
+    values = [sir_coverage(orbit, window, density_per_km, channel, db_to_linear(g)) for g in thresholds_db]
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db),
         values=tuple(values),
         kind="SIR-analytic",
-        metadata=_curve_metadata(orbit, density_per_km, channel, conditional),
+        metadata=_curve_metadata(orbit, density_per_km, channel),
     )
 
 
@@ -398,13 +387,10 @@ def snr_coverage_curve(
     channel: ChannelParams,
     budget: LinkBudget,
     thresholds_db,
-    conditional: bool = False,
-    spec: QuadratureSpec | None = None,
 ) -> CoverageCurve:
-    """SNR coverage on a dB threshold grid."""
-    fn = snr_coverage_conditional if conditional else snr_coverage
-    values = [fn(orbit, window, density_per_km, channel, budget, db_to_linear(g), spec) for g in thresholds_db]
-    meta = _curve_metadata(orbit, density_per_km, channel, conditional)
+    """Unconditional SNR coverage on a dB threshold grid."""
+    values = [snr_coverage(orbit, window, density_per_km, channel, budget, db_to_linear(g)) for g in thresholds_db]
+    meta = _curve_metadata(orbit, density_per_km, channel)
     meta["snr_scale_db"] = budget.snr_scale_db
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db),
@@ -414,20 +400,15 @@ def snr_coverage_curve(
     )
 
 
-def max_sir_coverage_curve(
-    constellation: ConstellationSpec,
-    thresholds_db,
-    conditional: bool = False,
-    spec: QuadratureSpec | None = None,
-) -> CoverageCurve:
-    """Best-satellite SIR coverage across the constellation's orbits."""
-    fn = max_sir_coverage_conditional if conditional else max_sir_coverage
-    values = [fn(constellation, db_to_linear(g), spec) for g in thresholds_db]
+def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> CoverageCurve:
+    """Joint-visibility best-satellite SIR coverage across the
+    constellation's orbits."""
+    values = [max_sir_coverage(constellation, db_to_linear(g)) for g in thresholds_db]
     meta = {
         "n_orbits": constellation.n_orbits,
         "alpha": constellation.channel.alpha,
         "m": constellation.channel.m,
-        "conditioning": "all-visible" if conditional else "joint",
+        "conditioning": "joint",
     }
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db),

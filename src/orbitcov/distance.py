@@ -12,8 +12,8 @@ a truncated exponential on [0, L]:
 All distance-domain quantities are obtained by pushing that law through
 the monotone map `arc_to_distance`, which keeps every formula free of
 the inverse-square-root endpoint singularities the raw distance density
-carries. The *_distance_form functions evaluate the distance-domain
-expressions directly and exist as cross-checks of that substitution.
+carries. The test suite keeps distance-domain restatements of the CCDF
+and the density as independent checks of that substitution.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .geometry import (
     arc_to_distance,
     d_min,
     distance_to_arc,
-    eta,
     visible_arc_length,
 )
 from .numerics import RandomSource
@@ -38,8 +37,6 @@ __all__ = [
     "NearestDistanceLaw",
     "nearest_ccdf",
     "nearest_pdf",
-    "nearest_ccdf_distance_form",
-    "nearest_pdf_distance_form",
     "sample_nearest_distance",
 ]
 
@@ -122,51 +119,6 @@ def nearest_pdf(law: NearestDistanceLaw, r):
     ell = distance_to_arc(law.orbit, r)
     val = lam * np.exp(-lam * ell) * _arc_derivative(law, r, ell) / law.visibility_probability
     return val[()] if val.ndim == 0 else val
-
-
-def nearest_ccdf_distance_form(law: NearestDistanceLaw, r: float) -> float:
-    """CCDF evaluated directly in the distance domain (cross-check form).
-
-    Uses R * arccos(eta) for the arc inside distance r, valid for the
-    near branch r <= sqrt(R^2 + R_E^2) that the law's support lies on
-    whenever the window keeps satellites above the horizon.
-    """
-    lo, hi = law.d_min_km, law.d_max_km
-    if r <= lo:
-        return 1.0
-    if r >= hi:
-        return 0.0
-    orbit = law.orbit
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    cap = (R * R + re * re - r * r) / (2.0 * re)
-    ell = R * math.acos(eta(R, orbit.theta_rad, cap))
-    lam = law.density_per_km
-    p_vis = 1.0 - math.exp(-lam * law.arc_length_km)
-    return (math.exp(-lam * ell) - math.exp(-lam * law.arc_length_km)) / p_vis
-
-
-def nearest_pdf_distance_form(law: NearestDistanceLaw, r: float) -> float:
-    """Density evaluated directly in the distance domain (cross-check form)."""
-    lo, hi = law.d_min_km, law.d_max_km
-    if r <= lo or r >= hi:
-        raise ValueError("pdf is defined on the open interval (d_min, d_max)")
-    orbit = law.orbit
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    sin_t = math.sin(orbit.theta_rad)
-    lam = law.density_per_km
-    cap = (R * R + re * re - r * r) / (2.0 * re)
-    e = eta(R, orbit.theta_rad, cap)
-    p_vis = 1.0 - math.exp(-lam * law.arc_length_km)
-    return (
-        2.0
-        * r
-        * lam
-        * (R * R + re * re - r * r)
-        * math.exp(-lam * R * math.acos(e))
-        / (R * re * re * sin_t * sin_t * p_vis * math.sqrt(1.0 - e * e))
-    )
 
 
 def sample_nearest_distance(law: NearestDistanceLaw, rng: RandomSource, size: int | None = None):

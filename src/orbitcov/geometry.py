@@ -32,6 +32,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 KM_IN_M = 1000.0
+# band-edge rounding window of the arc cosines, never real overshoot
+_CLAMP_TOL = 1e-12
 
 __all__ = [
     "EarthConstants",
@@ -40,13 +42,11 @@ __all__ = [
     "eta",
     "visible_arc_length",
     "d_min",
-    "max_orbit_distance",
     "arc_to_distance",
     "distance_to_arc",
     "visibility_probability",
     "visible_time",
     "orbital_speed",
-    "orbit_plane_basis",
 ]
 
 
@@ -134,14 +134,14 @@ class VisibilityWindow:
         return cls(omega_min_rad=omega_min_rad, cap_base_km=cap, d_max_km=dmax)
 
 
-def eta(radius_km: float, theta_rad: float, cap_base_km: float, clamp_tol: float = 1e-12):
+def eta(radius_km: float, theta_rad: float, cap_base_km: float):
     """Cosine of the angular extent of the orbit arc inside a spherical cap.
 
     The cap is the portion of the orbit sphere above the plane at height
     ``cap_base_km`` along the cap axis; when the orbit reaches the cap, the
     intersection arc has length ``radius_km * arccos(eta)``.
 
-    Values within ``clamp_tol`` of +/-1 are clamped so band-edge rounding
+    Values within _CLAMP_TOL of +/-1 are clamped so band-edge rounding
     noise cannot leak NaN through arccos; values farther outside are
     returned untouched so callers can detect out-of-band geometry.
     """
@@ -152,9 +152,9 @@ def eta(radius_km: float, theta_rad: float, cap_base_km: float, clamp_tol: float
         raise ValueError("eta is undefined for sin(theta) = 0")
     x = cap_base_km / (radius_km * sin_t)
     v = 2.0 * x * x - 1.0
-    if abs(v - 1.0) <= clamp_tol:
+    if abs(v - 1.0) <= _CLAMP_TOL:
         return 1.0
-    if abs(v + 1.0) <= clamp_tol:
+    if abs(v + 1.0) <= _CLAMP_TOL:
         return -1.0
     return v
 
@@ -182,13 +182,6 @@ def d_min(orbit: OrbitGeometry) -> float:
     return math.sqrt(R * R + re * re - 2.0 * re * R * math.sin(orbit.theta_rad))
 
 
-def max_orbit_distance(orbit: OrbitGeometry) -> float:
-    """Maximum possible user-to-satellite distance (km) on this orbit."""
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    return math.sqrt(R * R + re * re + 2.0 * re * R * math.sin(orbit.theta_rad))
-
-
 def arc_to_distance(orbit: OrbitGeometry, ell):
     """Distance r (km) such that the orbit arc within distance r has length ell.
 
@@ -208,8 +201,8 @@ def arc_to_distance(orbit: OrbitGeometry, ell):
 def distance_to_arc(orbit: OrbitGeometry, r):
     """Length ell (km) of the orbit arc lying within distance r of the user.
 
-    Inverse of `arc_to_distance` on the geometric range
-    [d_min, max_orbit_distance]. Evaluated in the half-angle form
+    Inverse of `arc_to_distance` on the geometric range from d_min to
+    the distance of the orbit's far point. Evaluated in the half-angle form
     2R*arccos(h / (R sin theta)) with h the height of the sphere cap of
     radius r around the user, which stays monotone over the whole range
     (the squared form loses h's sign past r^2 = R^2 + R_E^2).
@@ -222,8 +215,7 @@ def distance_to_arc(orbit: OrbitGeometry, r):
         raise ValueError("arc coordinate undefined for sin(theta) = 0")
     h = (R * R + re * re - r * r) / (2.0 * re)
     x = h / (R * sin_t)
-    # clamp window mirrors eta's: band-edge rounding only, never real overshoot
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+    if np.any(np.abs(x) > 1.0 + _CLAMP_TOL):
         raise ValueError("distance outside the orbit's reachable range")
     ell = 2.0 * R * np.arccos(np.clip(x, -1.0, 1.0))
     return ell[()] if ell.ndim == 0 else ell
@@ -246,18 +238,16 @@ def visibility_probability(lambdas, orbits, window: VisibilityWindow) -> float:
     return -math.expm1(-total)
 
 
-def orbital_speed(orbit: OrbitGeometry, earth: EarthConstants | None = None) -> float:
-    """Circular-orbit speed sqrt(GM/R) in m/s."""
-    earth = earth or orbit.earth
-    return math.sqrt(earth.mu_m3_s2 / (orbit.radius_km * KM_IN_M))
+def orbital_speed(orbit: OrbitGeometry) -> float:
+    """Circular-orbit speed sqrt(GM/R) in m/s, with the orbit's planet."""
+    return math.sqrt(orbit.earth.mu_m3_s2 / (orbit.radius_km * KM_IN_M))
 
 
-def visible_time(orbit: OrbitGeometry, window: VisibilityWindow, earth: EarthConstants | None = None) -> float:
+def visible_time(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
     """Time (s) a satellite spends inside the visibility cap per pass:
     visible arc length divided by orbital speed."""
-    earth = earth or orbit.earth
     arc_m = visible_arc_length(orbit, window) * KM_IN_M
-    return arc_m / orbital_speed(orbit, earth)
+    return arc_m / orbital_speed(orbit)
 
 
 def _scalar_distance_fn(orbit: OrbitGeometry):
@@ -277,19 +267,3 @@ def _scalar_distance_fn(orbit: OrbitGeometry):
 
     return dist
 
-
-def orbit_plane_basis(theta_rad: float, phi_rad: float):
-    """Orthonormal basis (e1, e2, normal) of the orbit plane.
-
-    The pair (e1, e2) spans the plane through the origin whose unit normal
-    is (sin t cos p, sin t sin p, cos t); points on the orbit are
-    R*(cos psi * e1 + sin psi * e2). The z-coordinate of such a point is
-    -R sin(theta) cos(psi), which is what every height-based shortcut in
-    this package relies on.
-    """
-    st, ct = math.sin(theta_rad), math.cos(theta_rad)
-    sp, cp = math.sin(phi_rad), math.cos(phi_rad)
-    e1 = np.array([ct * cp, ct * sp, -st])
-    e2 = np.array([-sp, cp, 0.0])
-    normal = np.array([st * cp, st * sp, ct])
-    return e1, e2, normal

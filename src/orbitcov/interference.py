@@ -10,8 +10,8 @@ g_i_bar, the probability generating functional gives
         (1 - (1 + s * g_i_bar * u(t)^-alpha / m)^-m) dt,
 
 with u(t) the arc-to-distance map. Everything is integrated in the arc
-coordinate, where the integrand is smooth; `log_laplace_distance_form`
-evaluates the same quantity in the distance domain (with its integrable
+coordinate, where the integrand is smooth; the test suite evaluates the
+same quantity in the distance domain (with its integrable
 inverse-square-root endpoint weight) as an independent cross-check.
 
 Derivatives in s, needed by the coverage expressions up to order m - 1,
@@ -30,17 +30,13 @@ from .geometry import (
     _scalar_distance_fn,
     d_min,
     distance_to_arc,
-    eta,
     visible_arc_length,
 )
-from .numerics import QuadratureSpec, integrate
+from .numerics import integrate
 
 __all__ = [
     "ChannelParams",
-    "AntennaModel",
-    "effective_gains",
     "log_laplace",
-    "log_laplace_distance_form",
     "laplace_derivatives",
 ]
 
@@ -76,35 +72,6 @@ class ChannelParams:
         return int(self.m)
 
 
-@dataclass(frozen=True)
-class AntennaModel:
-    """Antenna gains in dB: satellite transmit, user main lobe toward the
-    serving satellite, and mean user gain toward everything else."""
-
-    g_t_dbi: float = 30.0
-    g_r_dbi: float = 0.0
-    g_r_sidelobe_dbi: float = -13.0
-    frequency_hz: float = 2.0e9
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.g_r_sidelobe_dbi > self.g_r_dbi:
-            raise ValueError("sidelobe gain cannot exceed main-lobe gain")
-
-
-def effective_gains(antenna: AntennaModel) -> tuple[float, float]:
-    """(serving-link gain in dB, mean interferer gain ratio).
-
-    The serving link sees transmit plus main-lobe receive gain; an
-    interferer is received g_r_sidelobe - g_r dB below that on average,
-    which is the linear ratio fed to the Laplace transform.
-    """
-    serving_db = antenna.g_t_dbi + antenna.g_r_dbi
-    ratio = 10.0 ** ((antenna.g_r_sidelobe_dbi - antenna.g_r_dbi) / 10.0)
-    return serving_db, ratio
-
-
 def _serving_arc(orbit: OrbitGeometry, window: VisibilityWindow, serving_distance_km: float) -> tuple[float, float]:
     """Validate the serving distance and return (ell(r), L)."""
     arc = visible_arc_length(orbit, window)
@@ -126,7 +93,6 @@ def _log_laplace_arc(
     ell0: float,
     arc: float,
     s: float,
-    spec: QuadratureSpec | None,
 ) -> float:
     if s == 0.0 or ell0 >= arc:
         return 0.0
@@ -139,7 +105,7 @@ def _log_laplace_arc(
         a = gbar * dist(t) ** -alpha / m
         return 1.0 - (1.0 + s * a) ** -m
 
-    return -density_per_km * integrate(integrand, ell0, arc, spec)
+    return -density_per_km * integrate(integrand, ell0, arc)
 
 
 def log_laplace(
@@ -149,7 +115,6 @@ def log_laplace(
     channel: ChannelParams,
     serving_distance_km: float,
     s: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """ln of the interference Laplace transform at transform variable s.
 
@@ -162,45 +127,7 @@ def log_laplace(
     if density_per_km <= 0:
         raise ValueError("satellite density must be positive")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    return _log_laplace_arc(orbit, density_per_km, channel, ell0, arc, s, spec)
-
-
-def log_laplace_distance_form(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    density_per_km: float,
-    channel: ChannelParams,
-    serving_distance_km: float,
-    s: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """Distance-domain evaluation of `log_laplace` (cross-check form).
-
-    Integrates over the interferer distance u in [r, d_max] with the
-    arc-measure Jacobian 2u(R^2 + R_E^2 - u^2) / (R R_E^2 sin^2(theta)
-    sqrt(1 - eta_u^2)); the endpoint weight is integrable and left to the
-    adaptive rule, which is the point of keeping this form around.
-    """
-    if s < 0:
-        raise ValueError("transform variable must be nonnegative")
-    ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    if s == 0.0 or ell0 >= arc:
-        return 0.0
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    sin_t = math.sin(orbit.theta_rad)
-    gbar = channel.g_i_bar
-    alpha = channel.alpha
-    m = channel.m
-    r = min(max(serving_distance_km, d_min(orbit)), window.d_max_km)
-
-    def integrand(u: float) -> float:
-        a = gbar * u ** -alpha / m
-        e = eta(R, orbit.theta_rad, (R * R + re * re - u * u) / (2.0 * re))
-        jac = 2.0 * u * (R * R + re * re - u * u) / (R * re * re * sin_t * sin_t * math.sqrt(1.0 - e * e))
-        return (1.0 - (1.0 + s * a) ** -m) * jac
-
-    return -density_per_km * integrate(integrand, r, window.d_max_km, spec)
+    return _log_laplace_arc(orbit, density_per_km, channel, ell0, arc, s)
 
 
 def laplace_derivatives(
@@ -211,7 +138,6 @@ def laplace_derivatives(
     serving_distance_km: float,
     s: float,
     t_max: int,
-    spec: QuadratureSpec | None = None,
 ) -> list[float]:
     """Derivatives d^t/ds^t of the interference Laplace transform.
 
@@ -226,7 +152,7 @@ def laplace_derivatives(
     if s < 0:
         raise ValueError("transform variable must be nonnegative")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    return _laplace_derivatives_arc(orbit, density_per_km, channel, ell0, arc, s, t_max, spec)
+    return _laplace_derivatives_arc(orbit, density_per_km, channel, ell0, arc, s, t_max)
 
 
 def _laplace_derivatives_arc(
@@ -237,9 +163,8 @@ def _laplace_derivatives_arc(
     arc: float,
     s: float,
     t_max: int,
-    spec: QuadratureSpec | None,
 ) -> list[float]:
-    value = math.exp(_log_laplace_arc(orbit, density_per_km, channel, ell0, arc, s, spec))
+    value = math.exp(_log_laplace_arc(orbit, density_per_km, channel, ell0, arc, s))
     derivs = [value]
     if t_max == 0:
         return derivs
@@ -262,7 +187,7 @@ def _laplace_derivatives_arc(
         if ell0 >= arc:
             g.append(0.0)
         else:
-            g.append(sign * density_per_km * poch * integrate(integrand, ell0, arc, spec))
+            g.append(sign * density_per_km * poch * integrate(integrand, ell0, arc))
     for t in range(1, t_max + 1):
         acc = 0.0
         for j in range(t):

@@ -12,9 +12,9 @@ density lambda, so the batch kernels draw only the window: a
 Poisson(2 R beta lambda) count per trial and uniform angles in it. They
 never build 3-D positions; the law of cosines turns z into the distance,
 so a trial is a few vectorized passes over a flat array of satellites.
-`sample_orbit` keeps the explicit 3-D construction of the whole circle
-(with the elevation-angle visibility test) for inspection and as an
-independent check of that shortcut.
+The test suite keeps an explicit 3-D construction of the whole circle,
+with the elevation-angle visibility test, as an independent check of
+that shortcut.
 
 Reproducibility contract: a run is determined by (seed, trials, batch).
 Each batch consumes its own child stream of the seed, so results do not
@@ -29,20 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import ConstellationSpec, CoverageCurve, LinkBudget, db_to_linear
-from .geometry import (
-    KM_IN_M,
-    TWO_PI,
-    OrbitGeometry,
-    VisibilityWindow,
-    orbit_plane_basis,
-)
+from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow
 from .numerics import RandomSource
 
 __all__ = [
     "McConfig",
     "DegenerateSampleError",
-    "SatelliteSnapshot",
-    "sample_orbit",
     "empirical_nearest_ccdf",
     "empirical_sir_coverage",
     "empirical_snr_sinr_coverage",
@@ -73,65 +65,14 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.batch < 1:
             raise ValueError("batch size must be at least 1")
 
     def batch_sizes(self) -> list[int]:
         full, rem = divmod(self.trials, self.batch)
         return [self.batch] * full + ([rem] if rem else [])
-
-
-@dataclass
-class SatelliteSnapshot:
-    """One realization of an orbit's satellites, sorted by distance."""
-
-    positions_km: np.ndarray  # (M, 3)
-    distances_km: np.ndarray  # (M,)
-    visible: np.ndarray  # (M,) bool
-
-    @property
-    def count(self) -> int:
-        return self.distances_km.size
-
-    @property
-    def nearest_visible_km(self) -> float:
-        """Distance to the nearest visible satellite, inf if none."""
-        if not self.visible.any():
-            return math.inf
-        return float(self.distances_km[self.visible].min())
-
-
-def sample_orbit(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    density_per_km: float,
-    rng: RandomSource,
-) -> SatelliteSnapshot:
-    """Draw one Poisson snapshot of the orbit in explicit 3-D coordinates.
-
-    Visibility here is the elevation-angle test against the user at
-    (0, 0, R_E), not the cap-height shortcut the batch kernels use; the
-    two must agree, and tests lean on that.
-    """
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
-    gen = rng.generator
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    count = gen.poisson(TWO_PI * R * density_per_km)
-    psi = gen.uniform(0.0, TWO_PI, count)
-    e1, e2, _ = orbit_plane_basis(orbit.theta_rad, orbit.phi_rad)
-    pos = R * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2)
-    delta = pos - np.array([0.0, 0.0, re])
-    dist = np.linalg.norm(delta, axis=1)
-    with np.errstate(invalid="ignore"):
-        visible = delta[:, 2] >= dist * math.sin(window.omega_min_rad)
-    order = np.argsort(dist, kind="stable")
-    return SatelliteSnapshot(
-        positions_km=pos[order],
-        distances_km=dist[order],
-        visible=visible[order],
-    )
 
 
 def _segment_starts(counts: np.ndarray) -> np.ndarray:

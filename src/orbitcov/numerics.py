@@ -1,4 +1,4 @@
-"""Quadrature and random-sampling plumbing shared by the analytic and
+"""Quadrature and seeded randomness shared by the analytic and
 Monte-Carlo halves of the package.
 
 The quadrature contract is deliberately small: one adaptive
@@ -11,7 +11,6 @@ reproducible and merge-order independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,6 @@ __all__ = [
     "QuadratureError",
     "integrate",
     "RandomSource",
-    "sample_poisson",
-    "sample_fading_power",
-    "sample_nakagami",
 ]
 
 
@@ -127,29 +123,3 @@ class RandomSource:
         )
         return RandomSource(self.seed, _sequence=seq)
 
-
-def sample_poisson(mean: float, rng: RandomSource, size: int | None = None):
-    """Poisson counts with the given mean (scalar unless ``size`` given)."""
-    if mean < 0:
-        raise ValueError("Poisson mean must be nonnegative")
-    out = rng.generator.poisson(mean, size)
-    return int(out) if size is None else out
-
-
-def sample_fading_power(m: float, rng: RandomSource, size: int | None = None):
-    """Unit-mean squared fading envelope: Gamma(m, 1/m) draws.
-
-    This is the power gain under Nakagami-m fading; m >= 0.5, with m = 1
-    reducing to Rayleigh (exponential power).
-    """
-    if m < 0.5:
-        raise ValueError("fading parameter m must be at least 0.5")
-    out = rng.generator.gamma(m, 1.0 / m, size)
-    return float(out) if size is None else out
-
-
-def sample_nakagami(m: float, rng: RandomSource, size: int | None = None):
-    """Nakagami-m fading envelope (amplitude): square root of the unit-mean
-    power gain, so E[H^2] = 1 and E[H] = Gamma(m+1/2)/(Gamma(m) sqrt(m))."""
-    power = sample_fading_power(m, rng, size)
-    return math.sqrt(power) if size is None else np.sqrt(power)

@@ -56,6 +56,7 @@ from .geometry import (
 from .interference import ChannelParams, laplace_derivatives, log_laplace
 from .montecarlo import (
     McConfig,
+    _segment_starts,
     _single_orbit_curves,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
@@ -271,9 +272,7 @@ def _laplace_direct_average(
         sums = np.zeros(n)
         occupied = counts > 0
         if total:
-            starts = np.zeros(n, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            sums[occupied] = np.add.reduceat(weight, starts[occupied])
+            sums[occupied] = np.add.reduceat(weight, _segment_starts(counts)[occupied])
         acc += float(np.exp(-s * channel.g_i_bar * sums).sum())
         done += n
     return acc / trials

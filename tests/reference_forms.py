@@ -1,0 +1,182 @@
+"""Independent restatements the tests compare the library against.
+
+None of these run in the library. The distance-domain forms evaluate the
+nearest-distance law and the interference transform directly in the
+distance variable, with the inverse-square-root endpoint weight the arc
+coordinate removes, so they check that substitution. `sample_orbit`
+builds explicit 3-D satellite positions on the whole circle and applies
+the elevation-angle test, so it checks the batch kernels' window draws,
+which work in the height coordinate alone.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from orbitcov import (
+    ChannelParams,
+    NearestDistanceLaw,
+    OrbitGeometry,
+    RandomSource,
+    VisibilityWindow,
+    d_min,
+    eta,
+)
+from orbitcov.geometry import TWO_PI
+from orbitcov.interference import _serving_arc
+from orbitcov.numerics import integrate
+
+
+def nearest_ccdf_distance_form(law: NearestDistanceLaw, r: float) -> float:
+    """CCDF evaluated directly in the distance domain.
+
+    Uses R * arccos(eta) for the arc inside distance r, valid for the
+    near branch r <= sqrt(R^2 + R_E^2) that the law's support lies on
+    whenever the window keeps satellites above the horizon.
+    """
+    lo, hi = law.d_min_km, law.d_max_km
+    if r <= lo:
+        return 1.0
+    if r >= hi:
+        return 0.0
+    orbit = law.orbit
+    R = orbit.radius_km
+    re = orbit.earth.radius_km
+    cap = (R * R + re * re - r * r) / (2.0 * re)
+    ell = R * math.acos(eta(R, orbit.theta_rad, cap))
+    lam = law.density_per_km
+    p_vis = 1.0 - math.exp(-lam * law.arc_length_km)
+    return (math.exp(-lam * ell) - math.exp(-lam * law.arc_length_km)) / p_vis
+
+
+def nearest_pdf_distance_form(law: NearestDistanceLaw, r: float) -> float:
+    """Density evaluated directly in the distance domain."""
+    lo, hi = law.d_min_km, law.d_max_km
+    if r <= lo or r >= hi:
+        raise ValueError("pdf is defined on the open interval (d_min, d_max)")
+    orbit = law.orbit
+    R = orbit.radius_km
+    re = orbit.earth.radius_km
+    sin_t = math.sin(orbit.theta_rad)
+    lam = law.density_per_km
+    cap = (R * R + re * re - r * r) / (2.0 * re)
+    e = eta(R, orbit.theta_rad, cap)
+    p_vis = 1.0 - math.exp(-lam * law.arc_length_km)
+    return (
+        2.0
+        * r
+        * lam
+        * (R * R + re * re - r * r)
+        * math.exp(-lam * R * math.acos(e))
+        / (R * re * re * sin_t * sin_t * p_vis * math.sqrt(1.0 - e * e))
+    )
+
+
+def log_laplace_distance_form(
+    orbit: OrbitGeometry,
+    window: VisibilityWindow,
+    density_per_km: float,
+    channel: ChannelParams,
+    serving_distance_km: float,
+    s: float,
+) -> float:
+    """Distance-domain evaluation of `log_laplace`.
+
+    Integrates over the interferer distance u in [r, d_max] with the
+    arc-measure Jacobian 2u(R^2 + R_E^2 - u^2) / (R R_E^2 sin^2(theta)
+    sqrt(1 - eta_u^2)); the endpoint weight is integrable and left to the
+    adaptive rule, which is the point of keeping this form around.
+    """
+    if s < 0:
+        raise ValueError("transform variable must be nonnegative")
+    ell0, arc = _serving_arc(orbit, window, serving_distance_km)
+    if s == 0.0 or ell0 >= arc:
+        return 0.0
+    R = orbit.radius_km
+    re = orbit.earth.radius_km
+    sin_t = math.sin(orbit.theta_rad)
+    gbar = channel.g_i_bar
+    alpha = channel.alpha
+    m = channel.m
+    r = min(max(serving_distance_km, d_min(orbit)), window.d_max_km)
+
+    def integrand(u: float) -> float:
+        a = gbar * u ** -alpha / m
+        e = eta(R, orbit.theta_rad, (R * R + re * re - u * u) / (2.0 * re))
+        jac = 2.0 * u * (R * R + re * re - u * u) / (R * re * re * sin_t * sin_t * math.sqrt(1.0 - e * e))
+        return (1.0 - (1.0 + s * a) ** -m) * jac
+
+    return -density_per_km * integrate(integrand, r, window.d_max_km)
+
+
+def orbit_plane_basis(theta_rad: float, phi_rad: float):
+    """Orthonormal basis (e1, e2, normal) of the orbit plane.
+
+    The pair (e1, e2) spans the plane through the origin whose unit normal
+    is (sin t cos p, sin t sin p, cos t); points on the orbit are
+    R*(cos psi * e1 + sin psi * e2). The z-coordinate of such a point is
+    -R sin(theta) cos(psi), which is what every height-based shortcut in
+    the library relies on.
+    """
+    st, ct = math.sin(theta_rad), math.cos(theta_rad)
+    sp, cp = math.sin(phi_rad), math.cos(phi_rad)
+    e1 = np.array([ct * cp, ct * sp, -st])
+    e2 = np.array([-sp, cp, 0.0])
+    normal = np.array([st * cp, st * sp, ct])
+    return e1, e2, normal
+
+
+@dataclass
+class SatelliteSnapshot:
+    """One realization of an orbit's satellites, sorted by distance."""
+
+    positions_km: np.ndarray  # (M, 3)
+    distances_km: np.ndarray  # (M,)
+    visible: np.ndarray  # (M,) bool
+
+    @property
+    def count(self) -> int:
+        return self.distances_km.size
+
+    @property
+    def nearest_visible_km(self) -> float:
+        """Distance to the nearest visible satellite, inf if none."""
+        if not self.visible.any():
+            return math.inf
+        return float(self.distances_km[self.visible].min())
+
+
+def sample_orbit(
+    orbit: OrbitGeometry,
+    window: VisibilityWindow,
+    density_per_km: float,
+    rng: RandomSource,
+) -> SatelliteSnapshot:
+    """Draw one Poisson snapshot of the orbit in explicit 3-D coordinates.
+
+    Visibility here is the elevation-angle test against the user at
+    (0, 0, R_E), not the cap-height shortcut the batch kernels use; the
+    two must agree, and tests lean on that.
+    """
+    if density_per_km <= 0:
+        raise ValueError("satellite density must be positive")
+    gen = rng.generator
+    R = orbit.radius_km
+    re = orbit.earth.radius_km
+    count = gen.poisson(TWO_PI * R * density_per_km)
+    psi = gen.uniform(0.0, TWO_PI, count)
+    e1, e2, _ = orbit_plane_basis(orbit.theta_rad, orbit.phi_rad)
+    pos = R * (np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2)
+    delta = pos - np.array([0.0, 0.0, re])
+    dist = np.linalg.norm(delta, axis=1)
+    with np.errstate(invalid="ignore"):
+        visible = delta[:, 2] >= dist * math.sin(window.omega_min_rad)
+    order = np.argsort(dist, kind="stable")
+    return SatelliteSnapshot(
+        positions_km=pos[order],
+        distances_km=dist[order],
+        visible=visible[order],
+    )

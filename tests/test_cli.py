@@ -326,6 +326,22 @@ class TestExitCodes:
         rc = main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o"), "--trials", "0"])
         assert rc == 3
 
+    def test_negative_seed_is_usage_error_on_validate(self, tmp_path, capsys):
+        assert main(["validate", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 3
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "validate_report.txt").exists()
+
+    def test_negative_seed_is_usage_error_on_scenario_verbs(self, tmp_path):
+        cfg = write_scenario(
+            tmp_path,
+            sweep={"parameter": "alpha", "values": [2.0]},
+            mc={"trials": 2000, "seed": 3, "batch": 1000},
+        )
+        for verb in ("geometry", "coverage", "sweep"):
+            out = tmp_path / verb
+            assert main([verb, "--config", str(cfg), "--out", str(out), "--seed", "-3"]) == 3
+            assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out

@@ -8,16 +8,15 @@ import pytest
 from orbitcov import (
     NearestDistanceLaw,
     OrbitGeometry,
-    QuadratureSpec,
     RandomSource,
     VisibilityWindow,
-    integrate,
     nearest_ccdf,
     nearest_pdf,
     sample_nearest_distance,
     visible_arc_length,
 )
-from orbitcov.distance import nearest_ccdf_distance_form, nearest_pdf_distance_form
+from orbitcov.numerics import QuadratureSpec, integrate
+from reference_forms import nearest_ccdf_distance_form, nearest_pdf_distance_form
 
 
 @pytest.fixture

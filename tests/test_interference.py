@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from orbitcov import (
-    AntennaModel,
     ChannelParams,
     OrbitGeometry,
-    QuadratureSpec,
     RandomSource,
-    VisibilityWindow,
-    effective_gains,
     laplace_derivatives,
     log_laplace,
 )
-from orbitcov.interference import log_laplace_distance_form
+from reference_forms import log_laplace_distance_form
 
 
 @pytest.fixture
@@ -115,29 +111,25 @@ class TestDerivatives:
 
     # the finite difference probes live where s times the aggregate power
     # is order one; near s = 0 the curvature sits below quadrature noise
-    FD_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=200)
-
     def test_first_derivative_finite_difference(self, setup):
         orbit, window, lam, _ = setup
         ch = ChannelParams(alpha=2.0, m=2.0)
         s0, h = 1.0e6, 2.0e3
-        spec = self.FD_SPEC
-        d = laplace_derivatives(orbit, window, lam, ch, 700.0, s0, t_max=1, spec=spec)
-        lo = math.exp(log_laplace(orbit, window, lam, ch, 700.0, s0 - h, spec))
-        hi = math.exp(log_laplace(orbit, window, lam, ch, 700.0, s0 + h, spec))
+        d = laplace_derivatives(orbit, window, lam, ch, 700.0, s0, t_max=1)
+        lo = math.exp(log_laplace(orbit, window, lam, ch, 700.0, s0 - h))
+        hi = math.exp(log_laplace(orbit, window, lam, ch, 700.0, s0 + h))
         assert d[1] == pytest.approx((hi - lo) / (2.0 * h), rel=1e-6)
 
     def test_second_derivative_finite_difference(self, setup):
         orbit, window, lam, _ = setup
         ch = ChannelParams(alpha=2.0, m=3.0)
         s0, h = 1.0e6, 1.0e4
-        spec = self.FD_SPEC
 
         def f(s):
-            return math.exp(log_laplace(orbit, window, lam, ch, 700.0, s, spec))
+            return math.exp(log_laplace(orbit, window, lam, ch, 700.0, s))
 
         fd = (f(s0 + h) - 2.0 * f(s0) + f(s0 - h)) / (h * h)
-        d = laplace_derivatives(orbit, window, lam, ch, 700.0, s0, t_max=2, spec=spec)
+        d = laplace_derivatives(orbit, window, lam, ch, 700.0, s0, t_max=2)
         assert d[2] == pytest.approx(fd, rel=1e-5)
 
     def test_at_window_edge(self, setup):
@@ -175,19 +167,6 @@ class TestChannelParams:
             ChannelParams(g_i_bar=0.0)
         with pytest.raises(ValueError):
             ChannelParams(g_i_bar=1.5)
-
-
-class TestAntenna:
-    def test_effective_gains(self):
-        serving_db, ratio = effective_gains(AntennaModel())
-        assert serving_db == pytest.approx(30.0)
-        assert ratio == pytest.approx(10.0 ** (-1.3), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AntennaModel(frequency_hz=0.0)
-        with pytest.raises(ValueError):
-            AntennaModel(g_r_sidelobe_dbi=10.0, g_r_dbi=0.0)
 
 
 class TestAgainstDirectAveraging:

@@ -22,13 +22,12 @@ from orbitcov import (
     empirical_sir_coverage,
     empirical_snr_sinr_coverage,
     nearest_ccdf,
-    sample_orbit,
     sir_coverage_conditional,
     threshold_grid_db,
     visible_arc_length,
 )
 from orbitcov.distance import NearestDistanceLaw
-from orbitcov.geometry import TWO_PI, orbit_plane_basis
+from orbitcov.geometry import TWO_PI
 from orbitcov.montecarlo import (
     _segment_starts,
     _single_orbit_curves,
@@ -36,6 +35,7 @@ from orbitcov.montecarlo import (
     _wilson_bounds,
     _window_half_angle,
 )
+from reference_forms import orbit_plane_basis, sample_orbit
 
 LAM = 0.005
 
@@ -354,6 +354,12 @@ class TestCoverageEstimators:
             McConfig(trials=0)
         with pytest.raises(ValueError):
             McConfig(trials=100, seed=1, batch=0)
+
+    def test_negative_seed_rejected(self):
+        # numpy seed sequences take nonnegative entropy only
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=-1)
+        McConfig(seed=0)
 
     def test_batch_layout(self):
         cfg = McConfig(trials=10_500, seed=1, batch=4_000)

@@ -1,20 +1,12 @@
-"""Quadrature wrapper and seeded sampling primitives."""
+"""Quadrature wrapper and seeded random streams."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
 
-from orbitcov import (
-    QuadratureError,
-    QuadratureSpec,
-    RandomSource,
-    integrate,
-    sample_fading_power,
-    sample_nakagami,
-    sample_poisson,
-)
+from orbitcov import QuadratureError, RandomSource
+from orbitcov.numerics import QuadratureSpec, integrate
 
 
 class TestIntegrate:
@@ -85,63 +77,3 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(0).child(-1)
 
-
-class TestPoisson:
-    def test_mean_large_sample(self):
-        n = 1_000_000
-        draws = sample_poisson(50.0, RandomSource(101), size=n)
-        # 4 sigma band on the sample mean
-        assert abs(draws.mean() - 50.0) < 4.0 * math.sqrt(50.0 / n)
-
-    def test_variance_tracks_mean(self):
-        draws = sample_poisson(50.0, RandomSource(102), size=1_000_000)
-        assert draws.var() == pytest.approx(50.0, rel=0.02)
-
-    def test_scalar_return(self):
-        out = sample_poisson(3.0, RandomSource(1))
-        assert isinstance(out, int)
-
-    def test_zero_mean(self):
-        assert sample_poisson(0.0, RandomSource(1)) == 0
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            sample_poisson(-1.0, RandomSource(1))
-
-
-class TestFading:
-    def test_power_is_unit_mean(self):
-        for m in (0.5, 1.0, 2.5, 4.0):
-            draws = sample_fading_power(m, RandomSource(11), size=1_000_000)
-            sigma = math.sqrt(1.0 / m / len(draws))
-            assert abs(draws.mean() - 1.0) < 4.0 * sigma
-
-    def test_power_variance(self):
-        m = 3.0
-        draws = sample_fading_power(m, RandomSource(12), size=1_000_000)
-        assert draws.var() == pytest.approx(1.0 / m, rel=0.02)
-
-    def test_amplitude_moments(self):
-        # E[H] for the unit power envelope: Gamma(m + 1/2) / (Gamma(m) sqrt(m))
-        m = 2.0
-        draws = sample_nakagami(m, RandomSource(13), size=1_000_000)
-        expect = gamma_fn(m + 0.5) / (gamma_fn(m) * math.sqrt(m))
-        sigma = math.sqrt(max(1.0 - expect**2, 0.0) / len(draws))
-        assert abs(draws.mean() - expect) < 4.0 * sigma
-        assert (draws**2).mean() == pytest.approx(1.0, abs=0.005)
-
-    def test_amplitude_is_sqrt_of_power(self):
-        a = sample_nakagami(1.5, RandomSource(14), size=16)
-        p = sample_fading_power(1.5, RandomSource(14), size=16)
-        assert np.allclose(a, np.sqrt(p), rtol=0.0, atol=0.0)
-
-    def test_scalar_returns(self):
-        assert isinstance(sample_fading_power(1.0, RandomSource(2)), float)
-        assert isinstance(sample_nakagami(1.0, RandomSource(2)), float)
-
-    def test_shape_figure_floor(self):
-        with pytest.raises(ValueError):
-            sample_fading_power(0.49, RandomSource(1))
-        with pytest.raises(ValueError):
-            sample_nakagami(0.0, RandomSource(1))
-        sample_fading_power(0.5, RandomSource(1))  # boundary is legal

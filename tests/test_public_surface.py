@@ -1,0 +1,43 @@
+"""The public surface: exports resolve, demos run, the README example holds."""
+
+import importlib
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import orbitcov
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ["orbitcov"] + [f"orbitcov.{info.name}" for info in pkgutil.iter_modules(orbitcov.__path__)]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_export_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_example():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library in one minute", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    stated = float(re.search(r"^\)\s+#\s*([0-9.]+)\s*$", block, re.M).group(1))
+    namespace: dict = {}
+    exec(block, namespace)
+    assert namespace["p"] == pytest.approx(stated, abs=5e-5)
