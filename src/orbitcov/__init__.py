@@ -6,10 +6,10 @@ visibility geometry, `distance` the nearest-satellite law, `interference`
 the aggregate-interference Laplace transform, `coverage` the SIR/SNR
 coverage integrals and the multi-orbit combiner, `montecarlo` the
 simulation twins of all of it, and `validation` the acceptance criteria
-that hold the two sides together. `numerics` holds the adaptive
-quadrature and the seeded random streams; `QuadratureError` is exported
-here because any analytic call can raise it. `cli` wraps the lot for
-scenario files. Independent reference forms (distance-domain integrals,
+that hold the two sides together. `numerics` holds the fixed
+Gauss-Legendre rules every analytic integral runs on and the seeded
+random streams. `cli` wraps the lot for scenario files. The runtime
+needs numpy only. Independent reference forms (distance-domain integrals,
 explicit 3-D orbit snapshots) live in the test suite, not here.
 """
 
@@ -61,10 +61,7 @@ from .montecarlo import (
     empirical_sir_coverage,
     empirical_snr_sinr_coverage,
 )
-from .numerics import (
-    QuadratureError,
-    RandomSource,
-)
+from .numerics import RandomSource
 
 __version__ = "0.1.0"
 
@@ -107,7 +104,6 @@ __all__ = [
     "empirical_nearest_ccdf",
     "empirical_sir_coverage",
     "empirical_snr_sinr_coverage",
-    "QuadratureError",
     "RandomSource",
     "__version__",
 ]

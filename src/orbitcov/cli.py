@@ -407,14 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="orbitcov", description="LEO constellation coverage toolkit")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, simulates=True):
         if config_required:
             p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--trials", type=int, default=None, help="override the simulation trial count")
+        if simulates:
+            p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+            p.add_argument("--trials", type=int, default=None, help="override the simulation trial count")
+        else:
+            p.set_defaults(seed=None, trials=None)
 
-    common(sub.add_parser("geometry", help="visible-arc geometry over an inclination grid"))
+    common(sub.add_parser("geometry", help="visible-arc geometry over an inclination grid"), simulates=False)
     common(sub.add_parser("coverage", help="coverage curves for one scenario"))
     common(sub.add_parser("validate", help="run the built-in acceptance criteria"), config_required=False)
     sweep = sub.add_parser("sweep", help="coverage swept over one parameter")

@@ -18,6 +18,11 @@ on every orbit being visible the per-orbit successes are independent,
 and the unconditional form multiplies by the joint visibility
 probability. All integrals run in the arc-length coordinate, where the
 Poisson law is a plain exponential and the integrands stay smooth.
+
+A whole curve is one numpy pass over a fixed tensor Gauss-Legendre
+rule: graded panels over tau, and for every tau one rule over the
+interferer arc [tau, L]. The m-term sum runs as the nonnegative series
+of `interference`; a value that comes out non-finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -25,16 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import (
     KM_IN_M,
     EarthConstants,
     OrbitGeometry,
     VisibilityWindow,
-    _scalar_distance_fn,
+    arc_to_distance,
     visible_arc_length,
 )
-from .interference import ChannelParams, _laplace_derivatives_arc
-from .numerics import QuadratureSpec, integrate
+from .interference import ChannelParams, _taylor_sum
+from .numerics import ARC_NODES, PANEL_NODES, exponential_panels, gauss_legendre
 
 __all__ = [
     "LinkBudget",
@@ -66,9 +73,9 @@ CURVE_KINDS = frozenset(
     }
 )
 
-# outer coverage integral: looser than the inner Laplace quadrature so the
-# adaptive rule never chases the inner rule's noise floor
-_OUTER_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=200)
+# tensor nodes (thresholds x serving x interferer) evaluated at once, so a
+# long threshold grid cannot exhaust memory
+_BLOCK = 1 << 18
 
 
 def db_to_linear(value_db: float) -> float:
@@ -189,43 +196,81 @@ class CoverageCurve:
         return len(self.values)
 
 
-def _clip_unit(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _unit(values: np.ndarray) -> np.ndarray:
+    """Coverage values clipped to [0, 1]; a non-finite value is an error,
+    never a silent 0 or 1."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("analytic coverage is not finite")
+    return np.clip(values, 0.0, 1.0)
 
 
-def _visible_average(
-    orbit: OrbitGeometry, window: VisibilityWindow, density_per_km: float, gamma: float, label: str, success
-) -> float:
-    """Average ``success(tau, L)`` over the serving arc coordinate tau.
-
-    Given at least one visible satellite, tau has the truncated
-    exponential density lambda e^(-lambda tau) / (1 - e^(-lambda L)) on
-    [0, L]; ``success`` is the coverage probability with the serving
-    satellite at tau.
-    """
-    if gamma <= 0:
+def _gammas(gammas, label: str) -> np.ndarray:
+    gammas = np.asarray(gammas, dtype=float)
+    if np.any(gammas <= 0):
         raise ValueError(f"{label} threshold must be positive")
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
-    arc = visible_arc_length(orbit, window)
-    if arc <= 0.0:
-        raise ValueError("orbit never enters the visibility window")
-    lam = density_per_km
-
-    def integrand(tau: float) -> float:
-        return success(tau, arc) * lam * math.exp(-lam * tau)
-
-    total = integrate(integrand, 0.0, arc, _OUTER_SPEC)
-    return _clip_unit(total / -math.expm1(-lam * arc))
+    return gammas
 
 
-def _times_visibility(p_conditional: float, window: VisibilityWindow, orbits, densities) -> float:
+def _times_visibility(p_conditional: np.ndarray, window: VisibilityWindow, orbits, densities) -> np.ndarray:
     """Unconditional coverage: the conditional coverage times
     prod_n P(orbit n has a visible satellite)."""
     vis = 1.0
     for orbit, lam in zip(orbits, densities):
         vis *= -math.expm1(-lam * visible_arc_length(orbit, window))
-    return _clip_unit(p_conditional * vis)
+    return _unit(p_conditional * vis)
+
+
+def _serving_rule(orbit: OrbitGeometry, window: VisibilityWindow, density_per_km: float):
+    """Nodes tau, weights and arc L of the serving-arc average.
+
+    Given at least one visible satellite, tau has the truncated
+    exponential density lambda e^(-lambda tau) / (1 - e^(-lambda L)) on
+    [0, L]; the weights carry that density, normalised so they sum to 1.
+    """
+    if density_per_km <= 0:
+        raise ValueError("satellite density must be positive")
+    arc = visible_arc_length(orbit, window)
+    if arc <= 0.0:
+        raise ValueError("orbit never enters the visibility window")
+    tau, weights = exponential_panels(arc, density_per_km, PANEL_NODES)
+    weights = weights * np.exp(-density_per_km * tau)
+    return tau, weights / weights.sum(), arc
+
+
+def _sir_conditional(orbit, window, density_per_km, channel, gammas) -> np.ndarray:
+    """P(SIR > gamma | visible) for an array of linear thresholds, unclipped.
+
+    With the serving satellite at tau, s a(t) = gamma g_i_bar
+    (u(tau) / u(t))^alpha; the ratio stays in (0, 1] at any alpha.
+    """
+    m = channel.integer_m
+    gammas = _gammas(gammas, "SIR")
+    tau, weights, arc = _serving_rule(orbit, window, density_per_km)
+    t, inner = gauss_legendre(tau, arc, ARC_NODES)
+    ratio = (arc_to_distance(orbit, tau)[:, None] / arc_to_distance(orbit, t)) ** channel.alpha
+    out = np.empty(gammas.shape)
+    step = max(1, _BLOCK // ratio.size)
+    for i in range(0, gammas.size, step):
+        load = (gammas[i : i + step, None, None] * channel.g_i_bar) * ratio
+        out[i : i + step] = _taylor_sum(load, inner, density_per_km, m) @ weights
+    return out
+
+
+def _snr_conditional(orbit, window, density_per_km, channel, budget, gammas) -> np.ndarray:
+    """P(SNR > gamma | visible) for an array of linear thresholds, unclipped.
+
+    The serving fading power's gamma tail is e^(-q) sum_{t<m} q^t / t!,
+    summed in logs so a q that overflows gives 0, not NaN.
+    """
+    m = channel.integer_m
+    gammas = _gammas(gammas, "SNR")
+    tau, weights, _ = _serving_rule(orbit, window, density_per_km)
+    log_q = np.log(m * gammas / budget.snr_scale)[:, None] + channel.alpha * np.log(
+        KM_IN_M * arc_to_distance(orbit, tau)
+    )
+    q = np.exp(log_q)
+    tail = sum(np.exp(t * log_q - q - math.lgamma(t + 1)) for t in range(m))
+    return tail @ weights
 
 
 def sir_coverage_conditional(
@@ -240,21 +285,7 @@ def sir_coverage_conditional(
     gamma is the linear SIR threshold. Requires integer m: the series in
     the Laplace derivatives has m terms.
     """
-    m = channel.integer_m
-    alpha = channel.alpha
-    dist = _scalar_distance_fn(orbit)
-
-    def success(tau: float, arc: float) -> float:
-        s = m * gamma * dist(tau) ** alpha
-        derivs = _laplace_derivatives_arc(orbit, density_per_km, channel, tau, arc, s, m - 1)
-        acc = derivs[0]
-        coef = 1.0
-        for t in range(1, m):
-            coef *= -s / t
-            acc += coef * derivs[t]
-        return acc
-
-    return _visible_average(orbit, window, density_per_km, gamma, "SIR", success)
+    return float(_unit(_sir_conditional(orbit, window, density_per_km, channel, [gamma]))[0])
 
 
 def sir_coverage(
@@ -266,9 +297,13 @@ def sir_coverage(
 ) -> float:
     """Unconditional P(SIR > gamma): the conditional coverage times the
     visibility probability. Zero for orbits that never enter the window."""
+    return float(_sir_values(orbit, window, density_per_km, channel, [gamma])[0])
+
+
+def _sir_values(orbit, window, density_per_km, channel, gammas) -> np.ndarray:
     if visible_arc_length(orbit, window) <= 0.0:
-        return 0.0
-    p = sir_coverage_conditional(orbit, window, density_per_km, channel, gamma)
+        return np.zeros(len(gammas))
+    p = _sir_conditional(orbit, window, density_per_km, channel, gammas)
     return _times_visibility(p, window, (orbit,), (density_per_km,))
 
 
@@ -285,21 +320,7 @@ def snr_coverage_conditional(
     The serving fading power's gamma tail gives e^(-q) sum_{t<m} q^t / t!
     with q = m gamma sigma^2 u^alpha / (P G) and u in meters.
     """
-    m = channel.integer_m
-    alpha = channel.alpha
-    scale = budget.snr_scale
-    dist = _scalar_distance_fn(orbit)
-
-    def success(tau: float, arc: float) -> float:
-        q = m * gamma * (KM_IN_M * dist(tau)) ** alpha / scale
-        acc = 1.0
-        term = 1.0
-        for t in range(1, m):
-            term *= q / t
-            acc += term
-        return math.exp(-q) * acc
-
-    return _visible_average(orbit, window, density_per_km, gamma, "SNR", success)
+    return float(_unit(_snr_conditional(orbit, window, density_per_km, channel, budget, [gamma]))[0])
 
 
 def snr_coverage(
@@ -311,25 +332,29 @@ def snr_coverage(
     gamma: float,
 ) -> float:
     """Unconditional P(SNR > gamma)."""
+    return float(_snr_values(orbit, window, density_per_km, channel, budget, [gamma])[0])
+
+
+def _snr_values(orbit, window, density_per_km, channel, budget, gammas) -> np.ndarray:
     if visible_arc_length(orbit, window) <= 0.0:
-        return 0.0
-    p = snr_coverage_conditional(orbit, window, density_per_km, channel, budget, gamma)
+        return np.zeros(len(gammas))
+    p = _snr_conditional(orbit, window, density_per_km, channel, budget, gammas)
     return _times_visibility(p, window, (orbit,), (density_per_km,))
 
 
-def _per_orbit_conditionals(constellation: ConstellationSpec, gamma: float) -> list[float]:
-    # orbits differing only in ascending node see identical statistics;
-    # memoize on the quantities the integrand actually depends on
-    cache: dict[tuple[float, float, float], float] = {}
-    out = []
+def _max_sir_conditional(constellation: ConstellationSpec, gammas) -> np.ndarray:
+    """1 - prod_n (1 - p_n) over the orbits, unclipped; orbits that differ
+    only in ascending node share one per-orbit curve."""
+    curves: dict[tuple[float, float, float], np.ndarray] = {}
+    fail = 1.0
     for index, (orbit, lam) in enumerate(zip(constellation.orbits, constellation.densities_per_km)):
         if visible_arc_length(orbit, constellation.window) <= 0.0:
             raise ValueError(f"orbit {index} never enters the visibility window")
         key = (orbit.theta_rad, orbit.altitude_km, lam)
-        if key not in cache:
-            cache[key] = sir_coverage_conditional(orbit, constellation.window, lam, constellation.channel, gamma)
-        out.append(cache[key])
-    return out
+        if key not in curves:
+            curves[key] = _unit(_sir_conditional(orbit, constellation.window, lam, constellation.channel, gammas))
+        fail = fail * (1.0 - curves[key])
+    return 1.0 - fail
 
 
 def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma: float) -> float:
@@ -338,17 +363,18 @@ def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma: float)
     Interference is per-orbit, so conditioned on joint visibility the
     per-orbit successes are independent: 1 - prod_n (1 - p_n).
     """
-    fail = 1.0
-    for p in _per_orbit_conditionals(constellation, gamma):
-        fail *= 1.0 - p
-    return _clip_unit(1.0 - fail)
+    return float(_unit(_max_sir_conditional(constellation, [gamma]))[0])
 
 
 def max_sir_coverage(constellation: ConstellationSpec, gamma: float) -> float:
     """Joint-visibility max-SIR coverage: the conditional combiner times
     prod_n P(orbit n visible). Trials with any invisible orbit count as
     uncovered, matching the empirical estimator of the same name."""
-    p = max_sir_coverage_conditional(constellation, gamma)
+    return float(_max_sir_values(constellation, [gamma])[0])
+
+
+def _max_sir_values(constellation: ConstellationSpec, gammas) -> np.ndarray:
+    p = _max_sir_conditional(constellation, gammas)
     return _times_visibility(p, constellation.window, constellation.orbits, constellation.densities_per_km)
 
 
@@ -371,7 +397,7 @@ def sir_coverage_curve(
     thresholds_db,
 ) -> CoverageCurve:
     """Unconditional SIR coverage on a dB threshold grid."""
-    values = [sir_coverage(orbit, window, density_per_km, channel, db_to_linear(g)) for g in thresholds_db]
+    values = _sir_values(orbit, window, density_per_km, channel, [db_to_linear(g) for g in thresholds_db])
     return CoverageCurve(
         thresholds_db=tuple(thresholds_db),
         values=tuple(values),
@@ -389,7 +415,7 @@ def snr_coverage_curve(
     thresholds_db,
 ) -> CoverageCurve:
     """Unconditional SNR coverage on a dB threshold grid."""
-    values = [snr_coverage(orbit, window, density_per_km, channel, budget, db_to_linear(g)) for g in thresholds_db]
+    values = _snr_values(orbit, window, density_per_km, channel, budget, [db_to_linear(g) for g in thresholds_db])
     meta = _curve_metadata(orbit, density_per_km, channel)
     meta["snr_scale_db"] = budget.snr_scale_db
     return CoverageCurve(
@@ -403,7 +429,7 @@ def snr_coverage_curve(
 def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> CoverageCurve:
     """Joint-visibility best-satellite SIR coverage across the
     constellation's orbits."""
-    values = [max_sir_coverage(constellation, db_to_linear(g)) for g in thresholds_db]
+    values = _max_sir_values(constellation, [db_to_linear(g) for g in thresholds_db])
     meta = {
         "n_orbits": constellation.n_orbits,
         "alpha": constellation.channel.alpha,

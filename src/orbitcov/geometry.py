@@ -248,22 +248,3 @@ def visible_time(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
     visible arc length divided by orbital speed."""
     arc_m = visible_arc_length(orbit, window) * KM_IN_M
     return arc_m / orbital_speed(orbit)
-
-
-def _scalar_distance_fn(orbit: OrbitGeometry):
-    """Fast scalar ell -> r map with the orbit constants folded in.
-
-    Same formula as `arc_to_distance` but built for the hot path inside
-    adaptive quadrature, where per-call numpy dispatch would dominate.
-    """
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    c1 = R * R + re * re
-    c2 = 2.0 * re * R * math.sin(orbit.theta_rad)
-    half_inv = 1.0 / (2.0 * R)
-
-    def dist(ell: float) -> float:
-        return math.sqrt(c1 - c2 * math.cos(ell * half_inv))
-
-    return dist
-

@@ -10,13 +10,22 @@ g_i_bar, the probability generating functional gives
         (1 - (1 + s * g_i_bar * u(t)^-alpha / m)^-m) dt,
 
 with u(t) the arc-to-distance map. Everything is integrated in the arc
-coordinate, where the integrand is smooth; the test suite evaluates the
-same quantity in the distance domain (with its integrable
+coordinate, where the integrand is smooth, on one fixed Gauss-Legendre
+rule mapped onto [ell(r), L]; the test suite evaluates the same
+quantity in the distance domain (with its integrable
 inverse-square-root endpoint weight) as an independent cross-check.
 
-Derivatives in s, needed by the coverage expressions up to order m - 1,
-follow the product recursion L^(t) = sum_j C(t-1, j) phi^(t-j) L^(j)
-for L = exp(phi), with the phi derivatives available in closed form.
+Derivatives in s follow the product recursion
+L^(t) = sum_j C(t-1, j) phi^(t-j) L^(j) for L = exp(phi), with the phi
+derivatives available in closed form. The coverage expressions need the
+Taylor terms c_t = (-s)^t / t! * L^(t) for t < m, which the same
+recursion gives as c_t = (1/t) sum_{j<t} psi_{t-j} c_j with
+
+    psi_k = lambda m (m+1) ... (m+k-1) / (k-1)!
+        * integral (s a)^k (1 + s a)^(-m-k) dt,   a = g_i_bar u^-alpha / m.
+
+Every psi_k and c_t is nonnegative and c_t <= 1, so that form neither
+cancels nor overflows at any threshold.
 """
 
 from __future__ import annotations
@@ -24,15 +33,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import (
     OrbitGeometry,
     VisibilityWindow,
-    _scalar_distance_fn,
+    arc_to_distance,
     d_min,
     distance_to_arc,
     visible_arc_length,
 )
-from .numerics import integrate
+from .numerics import ARC_NODES, gauss_legendre
 
 __all__ = [
     "ChannelParams",
@@ -86,26 +97,37 @@ def _serving_arc(orbit: OrbitGeometry, window: VisibilityWindow, serving_distanc
     return min(ell, arc), arc
 
 
-def _log_laplace_arc(
-    orbit: OrbitGeometry,
-    density_per_km: float,
-    channel: ChannelParams,
-    ell0: float,
-    arc: float,
-    s: float,
-) -> float:
-    if s == 0.0 or ell0 >= arc:
-        return 0.0
-    dist = _scalar_distance_fn(orbit)
-    gbar = channel.g_i_bar
-    alpha = channel.alpha
-    m = channel.m
+def _interferer_load(orbit: OrbitGeometry, channel: ChannelParams, ell0: float, arc: float):
+    """a(t) = g_i_bar u(t)^-alpha / m and the weights of the inner rule on [ell0, arc]."""
+    t, weights = gauss_legendre(ell0, arc, ARC_NODES)
+    return channel.g_i_bar * arc_to_distance(orbit, t) ** -channel.alpha / channel.m, weights
 
-    def integrand(t: float) -> float:
-        a = gbar * dist(t) ** -alpha / m
-        return 1.0 - (1.0 + s * a) ** -m
 
-    return -density_per_km * integrate(integrand, ell0, arc)
+def _log_transform(log1p_load: np.ndarray, weights: np.ndarray, density: float, m: float) -> np.ndarray:
+    """ln L from log(1 + s a(t)) on the inner rule (last axis)."""
+    return density * np.sum(weights * np.expm1(-m * log1p_load), axis=-1)
+
+
+def _taylor_sum(load: np.ndarray, weights: np.ndarray, density: float, m: int) -> np.ndarray:
+    """sum_{t<m} (-s)^t / t! * L^(t)(s) from the loads s a(t) on the inner
+    rule (last axis): the probability that a unit-mean gamma(m) serving
+    power beats s times the interference."""
+    log1p_load = np.log1p(load)
+    terms = [np.exp(_log_transform(log1p_load, weights, density, m))]
+    if m == 1:
+        return terms[0]
+    share = load / (1.0 + load)
+    power = np.exp(-m * log1p_load)
+    psi = [None]
+    coef = density * m
+    for k in range(1, m):
+        if k > 1:
+            coef *= (m + k - 1) / (k - 1)
+        power = power * share
+        psi.append(coef * np.sum(weights * power, axis=-1))
+    for t in range(1, m):
+        terms.append(sum(psi[t - j] * terms[j] for j in range(t)) / t)
+    return sum(terms)
 
 
 def log_laplace(
@@ -127,7 +149,8 @@ def log_laplace(
     if density_per_km <= 0:
         raise ValueError("satellite density must be positive")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    return _log_laplace_arc(orbit, density_per_km, channel, ell0, arc, s)
+    a, weights = _interferer_load(orbit, channel, ell0, arc)
+    return float(_log_transform(np.log1p(s * a), weights, density_per_km, channel.m))
 
 
 def laplace_derivatives(
@@ -142,8 +165,7 @@ def laplace_derivatives(
     """Derivatives d^t/ds^t of the interference Laplace transform.
 
     Returns [L(s), L'(s), ..., L^(t_max)(s)]. Orders are capped at
-    MAX_DERIVATIVE_ORDER: the recursion is exact but each order adds a
-    quadrature, and nothing downstream needs more than m - 1 <= 10.
+    MAX_DERIVATIVE_ORDER, the most any m <= 10 coverage series uses.
     """
     if not isinstance(t_max, int) or isinstance(t_max, bool):
         raise ValueError("derivative order must be an integer")
@@ -151,43 +173,22 @@ def laplace_derivatives(
         raise ValueError(f"derivative order must lie in [0, {MAX_DERIVATIVE_ORDER}]")
     if s < 0:
         raise ValueError("transform variable must be nonnegative")
+    if density_per_km <= 0:
+        raise ValueError("satellite density must be positive")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    return _laplace_derivatives_arc(orbit, density_per_km, channel, ell0, arc, s, t_max)
-
-
-def _laplace_derivatives_arc(
-    orbit: OrbitGeometry,
-    density_per_km: float,
-    channel: ChannelParams,
-    ell0: float,
-    arc: float,
-    s: float,
-    t_max: int,
-) -> list[float]:
-    value = math.exp(_log_laplace_arc(orbit, density_per_km, channel, ell0, arc, s))
-    derivs = [value]
-    if t_max == 0:
-        return derivs
-    dist = _scalar_distance_fn(orbit)
-    gbar = channel.g_i_bar
-    alpha = channel.alpha
+    a, weights = _interferer_load(orbit, channel, ell0, arc)
     m = channel.m
+    derivs = [math.exp(_log_transform(np.log1p(s * a), weights, density_per_km, m))]
     # phi^(k) = -g_k, g_k = (-1)^(k+1) lambda m (m+1) ... (m+k-1)
-    #           * int a^k (1 + s a)^(-m-k) dt,  a = gbar u^-alpha / m
+    #           * int a^k (1 + s a)^(-m-k) dt
     g = [0.0]
     poch = 1.0
+    power = (1.0 + s * a) ** -m
     for k in range(1, t_max + 1):
         poch *= m + (k - 1)
-
-        def integrand(t: float, k: int = k) -> float:
-            a = gbar * dist(t) ** -alpha / m
-            return a ** k * (1.0 + s * a) ** (-(m + k))
-
+        power = power * a / (1.0 + s * a)
         sign = 1.0 if k % 2 == 1 else -1.0
-        if ell0 >= arc:
-            g.append(0.0)
-        else:
-            g.append(sign * density_per_km * poch * integrate(integrand, ell0, arc))
+        g.append(sign * density_per_km * poch * float(np.sum(weights * power)))
     for t in range(1, t_max + 1):
         acc = 0.0
         for j in range(t):

@@ -1,12 +1,18 @@
 """Independent restatements the tests compare the library against.
 
-None of these run in the library. The distance-domain forms evaluate the
-nearest-distance law and the interference transform directly in the
-distance variable, with the inverse-square-root endpoint weight the arc
-coordinate removes, so they check that substitution. `sample_orbit`
-builds explicit 3-D satellite positions on the whole circle and applies
-the elevation-angle test, so it checks the batch kernels' window draws,
-which work in the height coordinate alone.
+None of these run in the library. `adaptive` is scipy's adaptive
+Gauss-Kronrod `quad` behind explicit tolerances; the library's fixed
+Gauss-Legendre rule is checked against it. The adaptive coverage forms
+nest it the way the closed forms read: an outer integral over the
+serving arc coordinate, inner integrals over the interferer arc, and the
+alternating derivative series sum (-s)^t / t! L^(t)(s). The
+distance-domain forms evaluate the nearest-distance law and the
+interference transform directly in the distance variable, with the
+inverse-square-root endpoint weight the arc coordinate removes, so they
+check that substitution. `sample_orbit` builds explicit 3-D satellite
+positions on the whole circle and applies the elevation-angle test, so
+it checks the batch kernels' window draws, which work in the height
+coordinate alone.
 """
 
 from __future__ import annotations
@@ -15,19 +21,127 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate as sci_integrate
 
 from orbitcov import (
     ChannelParams,
+    LinkBudget,
     NearestDistanceLaw,
     OrbitGeometry,
     RandomSource,
     VisibilityWindow,
+    arc_to_distance,
     d_min,
     eta,
+    visible_arc_length,
 )
-from orbitcov.geometry import TWO_PI
+from orbitcov.geometry import KM_IN_M, TWO_PI
 from orbitcov.interference import _serving_arc
-from orbitcov.numerics import integrate
+
+
+class ReferenceQuadratureError(RuntimeError):
+    """The adaptive reference did not meet its tolerance; carries the
+    best estimate and its error bound."""
+
+    def __init__(self, message: str, estimate: float, error_bound: float):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error_bound = error_bound
+
+
+def adaptive(
+    func,
+    lower: float,
+    upper: float,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-12,
+    max_subdivisions: int = 200,
+) -> float:
+    """Adaptive Gauss-Kronrod on [lower, upper] that meets its tolerances
+    or raises; an empty interval integrates to 0.0 without evaluating
+    ``func``."""
+    if rel_tol <= 0 or abs_tol <= 0:
+        raise ValueError("quadrature tolerances must be positive")
+    if max_subdivisions < 1:
+        raise ValueError("max_subdivisions must be at least 1")
+    if not lower <= upper:
+        raise ValueError("integration bounds must satisfy lower <= upper")
+    if lower == upper:
+        return 0.0
+    out = sci_integrate.quad(
+        func, lower, upper, epsabs=abs_tol, epsrel=rel_tol, limit=max_subdivisions, full_output=1
+    )
+    if len(out) > 3:
+        raise ReferenceQuadratureError(
+            f"quad on [{lower!r}, {upper!r}] did not converge: {out[3]}",
+            estimate=out[0],
+            error_bound=out[1],
+        )
+    return out[0]
+
+
+def laplace_derivatives_adaptive(
+    orbit: OrbitGeometry, density: float, channel: ChannelParams, ell0: float, arc: float, s: float, t_max: int
+) -> list[float]:
+    """[L(s), ..., L^(t_max)(s)] with the interferers on [ell0, arc],
+    each integral adaptive, through L^(t) = sum_j C(t-1, j) phi^(t-j) L^(j)."""
+    gbar, alpha, m = channel.g_i_bar, channel.alpha, channel.m
+
+    def load(t: float) -> float:
+        return gbar * float(arc_to_distance(orbit, t)) ** -alpha / m
+
+    derivs = [math.exp(-density * adaptive(lambda t: 1.0 - (1.0 + s * load(t)) ** -m, ell0, arc))]
+    g = [0.0]
+    poch = 1.0
+    for k in range(1, t_max + 1):
+        poch *= m + (k - 1)
+        sign = 1.0 if k % 2 == 1 else -1.0
+        integral = adaptive(lambda t, k=k: load(t) ** k * (1.0 + s * load(t)) ** (-(m + k)), ell0, arc)
+        g.append(sign * density * poch * integral)
+    for t in range(1, t_max + 1):
+        derivs.append(-sum(math.comb(t - 1, j) * g[t - j] * derivs[j] for j in range(t)))
+    return derivs
+
+
+def _serving_average_adaptive(orbit, window, density, success) -> float:
+    # the outer tolerance is looser than the inner one so the outer rule
+    # never chases the inner rule's noise floor
+    arc = visible_arc_length(orbit, window)
+    total = adaptive(
+        lambda tau: success(tau, float(arc_to_distance(orbit, tau)), arc) * density * math.exp(-density * tau),
+        0.0,
+        arc,
+        1e-7,
+        1e-10,
+    )
+    return total / -math.expm1(-density * arc)
+
+
+def sir_coverage_adaptive(orbit, window, density: float, channel: ChannelParams, gamma: float) -> float:
+    """P(SIR > gamma | visible) by nested adaptive quadrature, unclipped."""
+    m = channel.integer_m
+
+    def success(tau, r, arc):
+        s = m * gamma * r**channel.alpha
+        derivs = laplace_derivatives_adaptive(orbit, density, channel, tau, arc, s, m - 1)
+        acc, coef = derivs[0], 1.0
+        for t in range(1, m):
+            coef *= -s / t
+            acc += coef * derivs[t]
+        return acc
+
+    return _serving_average_adaptive(orbit, window, density, success)
+
+
+def snr_coverage_adaptive(orbit, window, density: float, channel: ChannelParams, budget: LinkBudget, gamma: float) -> float:
+    """P(SNR > gamma | visible) by adaptive quadrature, unclipped."""
+    m = channel.integer_m
+
+    def success(tau, r, arc):
+        q = m * gamma * (KM_IN_M * r) ** channel.alpha / budget.snr_scale
+        return math.exp(-q) * sum(q**t / math.factorial(t) for t in range(m))
+
+    return _serving_average_adaptive(orbit, window, density, success)
 
 
 def nearest_ccdf_distance_form(law: NearestDistanceLaw, r: float) -> float:
@@ -109,7 +223,7 @@ def log_laplace_distance_form(
         jac = 2.0 * u * (R * R + re * re - u * u) / (R * re * re * sin_t * sin_t * math.sqrt(1.0 - e * e))
         return (1.0 - (1.0 + s * a) ** -m) * jac
 
-    return -density_per_km * integrate(integrand, r, window.d_max_km)
+    return -density_per_km * adaptive(integrand, r, window.d_max_km)
 
 
 def orbit_plane_basis(theta_rad: float, phi_rad: float):

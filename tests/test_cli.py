@@ -342,6 +342,15 @@ class TestExitCodes:
             assert main([verb, "--config", str(cfg), "--out", str(out), "--seed", "-3"]) == 3
             assert not out.exists()
 
+    def test_geometry_takes_no_simulation_flags(self, tmp_path, capsys):
+        # geometry simulates nothing, so --seed and --trials are not options there
+        cfg = write_scenario(tmp_path)
+        for flag in ("--seed", "--trials"):
+            out = tmp_path / flag.strip("-")
+            assert main(["geometry", "--config", str(cfg), "--out", str(out), flag, "5"]) == 3
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out

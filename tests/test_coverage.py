@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from orbitcov import (
@@ -9,9 +11,15 @@ from orbitcov import (
     ConstellationSpec,
     CoverageCurve,
     LinkBudget,
+    McConfig,
     OrbitGeometry,
     VisibilityWindow,
+    arc_to_distance,
+    d_min,
     db_to_linear,
+    empirical_sir_coverage,
+    laplace_derivatives,
+    log_laplace,
     max_sir_coverage,
     max_sir_coverage_conditional,
     sir_coverage,
@@ -24,7 +32,13 @@ from orbitcov import (
     visible_arc_length,
 )
 from orbitcov.coverage import max_sir_coverage_curve
-from orbitcov.numerics import integrate
+from orbitcov.interference import _interferer_load, _serving_arc, _taylor_sum
+from reference_forms import (
+    adaptive,
+    laplace_derivatives_adaptive,
+    sir_coverage_adaptive,
+    snr_coverage_adaptive,
+)
 
 
 LAM = 0.005
@@ -103,15 +117,12 @@ class TestSnrCoverage:
         lam = LAM
         arc = visible_arc_length(ref_orbit, ref_window)
         scale = budget.snr_scale
-        from orbitcov.geometry import _scalar_distance_fn
-
-        dist = _scalar_distance_fn(ref_orbit)
 
         def integrand(tau):
-            u_m = 1000.0 * dist(tau)
+            u_m = 1000.0 * float(arc_to_distance(ref_orbit, tau))
             return math.exp(-gamma * u_m**2 / scale) * lam * math.exp(-lam * tau)
 
-        direct = integrate(integrand, 0.0, arc) / -math.expm1(-lam * arc)
+        direct = adaptive(integrand, 0.0, arc, rel_tol=2e-14) / -math.expm1(-lam * arc)
         got = snr_coverage_conditional(ref_orbit, ref_window, lam, rayleigh, budget, gamma)
         assert got == pytest.approx(direct, rel=1e-12)
 
@@ -266,3 +277,171 @@ class TestCurves:
             thresholds_db=(0.0,), values=(1.0 + 5e-10,), kind="SIR-analytic"
         )
         assert curve.values[0] == 1.0
+
+
+def shell(altitude_km=500.0, theta_rad=math.pi / 2, omega_min_deg=10.0):
+    orbit = OrbitGeometry(altitude_km, theta_rad)
+    return orbit, VisibilityWindow.from_min_elevation(math.radians(omega_min_deg), orbit)
+
+
+def band_edge_theta(altitude_km, omega_min_deg, fraction):
+    """Inclination at ``fraction`` of the visibility band's half-width."""
+    orbit, window = shell(altitude_km, math.pi / 2, omega_min_deg)
+    return math.pi / 2 + fraction * math.acos(window.cap_base_km / orbit.radius_km)
+
+
+def assert_matches_reference(value, reference):
+    # the adaptive reference's own outer tolerance
+    assert abs(value - reference) <= 1e-7 * abs(reference) + 1e-10, (value, reference)
+
+
+GAMMA_GRID_DB = tuple(range(-10, 31, 5))
+
+
+class TestAgainstAdaptiveReference:
+    """The fixed rule against nested adaptive quadrature, wherever the
+    latter converges."""
+
+    @pytest.mark.parametrize("alpha,m", [(2.0, 1), (3.0, 1), (4.0, 1), (2.0, 2), (2.0, 3)])
+    def test_criterion_5_grid(self, ref_orbit, ref_window, alpha, m):
+        ch = ChannelParams(alpha=alpha, m=float(m))
+        for g in GAMMA_GRID_DB:
+            gamma = db_to_linear(g)
+            assert_matches_reference(
+                sir_coverage_conditional(ref_orbit, ref_window, LAM, ch, gamma),
+                sir_coverage_adaptive(ref_orbit, ref_window, LAM, ch, gamma),
+            )
+
+    def test_criterion_6_grid(self, ref_orbit, ref_window, rayleigh):
+        for bandwidth in (1e7, 1e8, 1e9):
+            budget = LinkBudget(bandwidth_hz=bandwidth)
+            for g in GAMMA_GRID_DB:
+                gamma = db_to_linear(g)
+                assert_matches_reference(
+                    snr_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, budget, gamma),
+                    snr_coverage_adaptive(ref_orbit, ref_window, LAM, rayleigh, budget, gamma),
+                )
+
+    def test_criterion_8_grid(self, ref_orbit, ref_window, rayleigh):
+        gamma = db_to_linear(10.0)
+        cases = [(ref_orbit, ref_window, LAM, ChannelParams(alpha=a, m=1.0)) for a in (2.0, 3.0, 4.0)]
+        cases += [(ref_orbit, ref_window, lam, rayleigh) for lam in (0.001, 0.01)]
+        cases += [(*shell(altitude), LAM, rayleigh) for altitude in (1000.0, 1500.0)]
+        cases += [(OrbitGeometry(500.0, math.pi / 2 + d), ref_window, LAM, rayleigh) for d in (-math.pi / 18, math.pi / 18)]
+        for orbit, window, lam, ch in cases:
+            assert_matches_reference(
+                sir_coverage_conditional(orbit, window, lam, ch, gamma),
+                sir_coverage_adaptive(orbit, window, lam, ch, gamma),
+            )
+        lo = d_min(ref_orbit)
+        ell0, arc = _serving_arc(ref_orbit, ref_window, lo)
+        for lam in (0.005, 0.01):
+            for s in (1.0e4, 1.0e5, 1.0e6):
+                reference = laplace_derivatives_adaptive(ref_orbit, lam, rayleigh, ell0, arc, s, 0)[0]
+                value = log_laplace(ref_orbit, ref_window, lam, rayleigh, lo, s)
+                assert value == pytest.approx(math.log(reference), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "label,altitude,theta_fraction,omega,lam,m",
+        [
+            ("m=10", 500.0, 0.0, 10.0, LAM, 10),
+            ("sparse", 500.0, 0.0, 10.0, 1e-6, 2),
+            ("geo", 35786.0, 0.0, 10.0, LAM, 2),
+            ("high floor", 500.0, 0.0, 85.0, LAM, 2),
+            ("band edge", 500.0, 0.999999, 10.0, LAM, 2),
+        ],
+    )
+    def test_edge_cases(self, label, altitude, theta_fraction, omega, lam, m):
+        orbit, window = shell(altitude, band_edge_theta(altitude, omega, theta_fraction), omega)
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        budget = LinkBudget()
+        for g in (-10.0, 10.0, 30.0):
+            gamma = db_to_linear(g)
+            assert_matches_reference(
+                sir_coverage_conditional(orbit, window, lam, ch, gamma),
+                sir_coverage_adaptive(orbit, window, lam, ch, gamma),
+            )
+        # SNR thresholds where the noise-limited coverage is neither 0 nor 1
+        for g in (0.0, 20.0, 40.0, 60.0):
+            gamma = db_to_linear(g)
+            assert_matches_reference(
+                snr_coverage_conditional(orbit, window, lam, ch, budget, gamma),
+                snr_coverage_adaptive(orbit, window, lam, ch, budget, gamma),
+            )
+
+
+def snr_mpmath(orbit, window, lam, m, budget, gamma, alpha=2.0):
+    """P(SNR > gamma | visible) as one 1-D mpmath integral, split where
+    the lambda e^(-lambda tau) weight bends."""
+    mpmath.mp.dps = 30
+    R = mpmath.mpf(orbit.radius_km)
+    re = mpmath.mpf(orbit.earth.radius_km)
+    c2 = 2 * re * R * mpmath.sin(mpmath.mpf(orbit.theta_rad))
+    lam = mpmath.mpf(lam)
+    arc = mpmath.mpf(visible_arc_length(orbit, window))
+
+    def integrand(tau):
+        u = mpmath.sqrt(R * R + re * re - c2 * mpmath.cos(tau / (2 * R)))
+        q = m * mpmath.mpf(gamma) * (1000 * u) ** alpha / mpmath.mpf(budget.snr_scale)
+        tail = mpmath.exp(-q) * sum(q**t / mpmath.factorial(t) for t in range(m))
+        return tail * lam * mpmath.exp(-lam * tau)
+
+    total = mpmath.quad(integrand, [0, 1 / lam, 10 / lam, arc])
+    return float(total / -mpmath.expm1(-lam * arc))
+
+
+class TestBeyondTheAdaptiveReach:
+    """Dense orbits, GEO and steep path loss: the nested adaptive rule
+    missed the e^(-lambda tau) boundary layer or failed to converge here."""
+
+    @pytest.mark.parametrize(
+        "altitude,lam,thresholds_db",
+        [(500.0, 10.0, (0.0, 45.0, 50.0, 55.0)), (35786.0, 1.0, (0.0, 5.0, 10.0, 20.0))],
+    )
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_dense_snr_matches_mpmath(self, altitude, lam, thresholds_db, m):
+        orbit, window = shell(altitude)
+        budget = LinkBudget()
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        for g in thresholds_db:
+            gamma = db_to_linear(g)
+            value = snr_coverage_conditional(orbit, window, lam, ch, budget, gamma)
+            reference = snr_mpmath(orbit, window, lam, m, budget, gamma)
+            assert value == pytest.approx(reference, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("altitude,lam", [(500.0, LAM), (35786.0, 1e-4)])
+    def test_steep_path_loss_heavy_fading(self, altitude, lam):
+        orbit, window = shell(altitude)
+        ch = ChannelParams(alpha=8.0, m=10.0)
+        values = [sir_coverage_conditional(orbit, window, lam, ch, db_to_linear(g)) for g in GAMMA_GRID_DB]
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        spec = ConstellationSpec((orbit,), (lam,), window, ch)
+        _, simulated = empirical_sir_coverage(spec, GAMMA_GRID_DB, McConfig(trials=20_000, seed=8, batch=10_000))
+        analytic = sir_coverage_curve(orbit, window, lam, ch, GAMMA_GRID_DB)
+        for a, p, lo, hi in zip(analytic.values, simulated.values, simulated.ci_low, simulated.ci_high):
+            assert abs(a - p) <= 4.0 * 0.5 * (hi - lo), (a, p, lo, hi)
+
+
+class TestTaylorSeries:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("serving_km,gamma_db", [(500.0, 0.0), (800.0, 10.0), (1200.0, -5.0)])
+    def test_matches_derivative_series(self, ref_orbit, ref_window, m, serving_km, gamma_db):
+        # sum_t c_t of the nonnegative recursion against
+        # sum_t (-s)^t / t! L^(t)(s) built from laplace_derivatives
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        s = m * db_to_linear(gamma_db) * serving_km**2
+        derivs = laplace_derivatives(ref_orbit, ref_window, LAM, ch, serving_km, s, m - 1)
+        alternating = sum((-s) ** t / math.factorial(t) * d for t, d in enumerate(derivs))
+        ell0, arc = _serving_arc(ref_orbit, ref_window, serving_km)
+        load, weights = _interferer_load(ref_orbit, ch, ell0, arc)
+        assert float(_taylor_sum(s * load, weights, LAM, m)) == pytest.approx(alternating, rel=1e-9)
+
+    def test_non_finite_value_raises(self, ref_orbit, ref_window, monkeypatch):
+        import orbitcov.coverage as coverage
+
+        monkeypatch.setattr(coverage, "_taylor_sum", lambda load, *rest: np.full(load.shape[:-1], np.nan))
+        with pytest.raises(ValueError, match="not finite"):
+            sir_coverage_conditional(ref_orbit, ref_window, LAM, ChannelParams(m=2.0), 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            sir_coverage_curve(ref_orbit, ref_window, LAM, ChannelParams(m=2.0), (0.0,))

@@ -15,8 +15,7 @@ from orbitcov import (
     sample_nearest_distance,
     visible_arc_length,
 )
-from orbitcov.numerics import QuadratureSpec, integrate
-from reference_forms import nearest_ccdf_distance_form, nearest_pdf_distance_form
+from reference_forms import adaptive, nearest_ccdf_distance_form, nearest_pdf_distance_form
 
 
 @pytest.fixture
@@ -70,12 +69,7 @@ class TestPdf:
         def regular(u):
             return nearest_pdf(law, lo + u * u) * 2.0 * u
 
-        total = integrate(
-            regular,
-            0.0,
-            math.sqrt(law.d_max_km - lo),
-            QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=200),
-        )
+        total = adaptive(regular, 0.0, math.sqrt(law.d_max_km - lo), rel_tol=1e-11, abs_tol=1e-13)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_ccdf_derivative(self, law):

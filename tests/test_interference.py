@@ -145,6 +145,12 @@ class TestDerivatives:
             with pytest.raises(ValueError):
                 laplace_derivatives(orbit, window, lam, ch, 700.0, 1.0, t_max=bad)
 
+    def test_density_validation(self, setup):
+        orbit, window, _, ch = setup
+        for bad in (0.0, -0.005):
+            with pytest.raises(ValueError, match="density"):
+                laplace_derivatives(orbit, window, bad, ch, 700.0, 1.0, t_max=2)
+
 
 class TestChannelParams:
     def test_defaults(self):

@@ -1,4 +1,5 @@
-"""The public surface: exports resolve, demos run, the README example holds."""
+"""The public surface: exports resolve, demos run, the README example
+holds, and the runtime needs numpy only."""
 
 import importlib
 import os
@@ -41,3 +42,12 @@ def test_readme_example():
     namespace: dict = {}
     exec(block, namespace)
     assert namespace["p"] == pytest.approx(stated, abs=5e-5)
+
+
+def test_cli_imports_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    code = "import sys, orbitcov.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
