@@ -26,6 +26,20 @@ recursion gives as c_t = (1/t) sum_{j<t} psi_{t-j} c_j with
 
 Every psi_k and c_t is nonnegative and c_t <= 1, so that form neither
 cancels nor overflows at any threshold.
+
+For integer m the coverage kernel `_taylor_sum` evaluates every
+integrand from one reciprocal p = 1 / (1 + s a) per node:
+
+    1 - (1 + s a)^-m = (s a p) sum_{j<m} p^j,
+    (s a)^k (1 + s a)^(-m-k) = p^m (s a p)^k.
+
+Each factor lies in [0, 1], and s a p = s a / (1 + s a) is a quotient,
+not a difference: at small loads the first form keeps full relative
+precision where 1 - (1 + s a)^-m would cancel, and at large loads it
+saturates at 1 without overflow. Only the reduced exponent goes through
+exp. `log_laplace` and `laplace_derivatives` accept any real m >= 0.5
+and keep the log1p form, which the tests use as an independent
+cross-check of the kernel.
 """
 
 from __future__ import annotations
@@ -108,23 +122,40 @@ def _log_transform(log1p_load: np.ndarray, weights: np.ndarray, density: float, 
     return density * np.sum(weights * np.expm1(-m * log1p_load), axis=-1)
 
 
+def _row_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The inner rule applied along the last axis."""
+    return np.einsum("...i,...i->...", values, weights)
+
+
 def _taylor_sum(load: np.ndarray, weights: np.ndarray, density: float, m: int) -> np.ndarray:
     """sum_{t<m} (-s)^t / t! * L^(t)(s) from the loads s a(t) on the inner
     rule (last axis): the probability that a unit-mean gamma(m) serving
-    power beats s times the interference."""
-    log1p_load = np.log1p(load)
-    terms = [np.exp(_log_transform(log1p_load, weights, density, m))]
+    power beats s times the interference.
+
+    Every integrand comes from p = 1 / (1 + s a) by products and sums
+    (see the module docstring); the work runs in place on a few arrays
+    of the load's shape.
+    """
+    p = np.add(load, 1.0)
+    np.reciprocal(p, out=p)
+    share = np.multiply(load, p)
     if m == 1:
-        return terms[0]
-    share = load / (1.0 + load)
-    power = np.exp(-m * log1p_load)
+        return np.exp(-density * _row_sums(share, weights))
+    geometric = p + 1.0
+    power = p * p
+    for _ in range(2, m):
+        geometric += power
+        power *= p
+    # geometric = sum_{j<m} p^j, power = p^m
+    geometric *= share
+    terms = [np.exp(-density * _row_sums(geometric, weights))]
     psi = [None]
     coef = density * m
     for k in range(1, m):
         if k > 1:
             coef *= (m + k - 1) / (k - 1)
-        power = power * share
-        psi.append(coef * np.sum(weights * power, axis=-1))
+        power *= share
+        psi.append(coef * _row_sums(power, weights))
     for t in range(1, m):
         terms.append(sum(psi[t - j] * terms[j] for j in range(t)) / t)
     return sum(terms)

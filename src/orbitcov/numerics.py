@@ -2,7 +2,7 @@
 Monte-Carlo halves of the package.
 
 Every analytic integral in the package runs on a fixed Gauss-Legendre
-rule, evaluated in one numpy pass: `gauss_legendre` maps the rule
+rule, evaluated as vectorised numpy passes: `gauss_legendre` maps the rule
 affinely onto any interval (or a whole array of intervals), and
 `exponential_panels` tiles [0, L] with panels that double in width away
 from the origin, so a lambda e^(-lambda t) weight is resolved however

@@ -31,8 +31,10 @@ from orbitcov import (
     threshold_grid_db,
     visible_arc_length,
 )
+import orbitcov.coverage as coverage
 from orbitcov.coverage import max_sir_coverage_curve
 from orbitcov.interference import _interferer_load, _serving_arc, _taylor_sum
+from orbitcov.numerics import ARC_NODES, gauss_legendre
 from reference_forms import (
     adaptive,
     laplace_derivatives_adaptive,
@@ -96,6 +98,13 @@ class TestSirCoverage:
         orbit = OrbitGeometry(500.0, 0.3)
         assert sir_coverage(orbit, ref_window, LAM, rayleigh, 1.0) == 0.0
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+    def test_threshold_validation(self, ref_orbit, ref_window, rayleigh, gamma):
+        with pytest.raises(ValueError, match="SIR threshold"):
+            sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, gamma)
+        with pytest.raises(ValueError, match="SNR threshold"):
+            snr_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, LinkBudget(), gamma)
+
     def test_heavier_fading_figures_run(self, ref_orbit, ref_window):
         for m in (2.0, 3.0):
             ch = ChannelParams(alpha=2.0, m=m)
@@ -151,6 +160,46 @@ class TestSnrCoverage:
         pa = snr_coverage_conditional(ref_orbit, ref_window, LAM, a, budget, 1.0)
         pb = snr_coverage_conditional(ref_orbit, ref_window, LAM, b, budget, 1.0)
         assert pa == pb
+
+
+class TestInvisibleOrbitArguments:
+    """An orbit that never enters the window covers nothing, and its other
+    arguments are checked all the same."""
+
+    @staticmethod
+    def evaluate(entry, window, density=LAM, m=1.0, threshold_db=0.0):
+        orbit = OrbitGeometry(500.0, 0.3)
+        channel = ChannelParams(m=m)
+        gamma = db_to_linear(threshold_db)
+        calls = {
+            "sir": lambda: [sir_coverage(orbit, window, density, channel, gamma)],
+            "snr": lambda: [snr_coverage(orbit, window, density, channel, LinkBudget(), gamma)],
+            "sir_curve": lambda: sir_coverage_curve(orbit, window, density, channel, (threshold_db,)).values,
+            "snr_curve": lambda: snr_coverage_curve(orbit, window, density, channel, LinkBudget(), (threshold_db,)).values,
+        }
+        return list(calls[entry]())
+
+    ENTRIES = ["sir", "snr", "sir_curve", "snr_curve"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_valid_arguments_give_zero(self, ref_window, entry):
+        assert self.evaluate(entry, ref_window) == [0.0]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_density_checked(self, ref_window, entry):
+        with pytest.raises(ValueError, match="density"):
+            self.evaluate(entry, ref_window, density=-1.0)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_integer_m_checked(self, ref_window, entry):
+        with pytest.raises(ValueError, match="integer"):
+            self.evaluate(entry, ref_window, m=1.5)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_threshold_checked(self, ref_window, entry):
+        # -inf dB is a linear threshold of 0
+        with pytest.raises(ValueError, match="threshold"):
+            self.evaluate(entry, ref_window, threshold_db=-math.inf)
 
 
 class TestLinkBudget:
@@ -438,10 +487,105 @@ class TestTaylorSeries:
         assert float(_taylor_sum(s * load, weights, LAM, m)) == pytest.approx(alternating, rel=1e-9)
 
     def test_non_finite_value_raises(self, ref_orbit, ref_window, monkeypatch):
-        import orbitcov.coverage as coverage
-
         monkeypatch.setattr(coverage, "_taylor_sum", lambda load, *rest: np.full(load.shape[:-1], np.nan))
         with pytest.raises(ValueError, match="not finite"):
             sir_coverage_conditional(ref_orbit, ref_window, LAM, ChannelParams(m=2.0), 1.0)
         with pytest.raises(ValueError, match="not finite"):
             sir_coverage_curve(ref_orbit, ref_window, LAM, ChannelParams(m=2.0), (0.0,))
+
+
+def taylor_sum_mpmath(load, weights, density, m):
+    """sum_{t<m} (-1)^t / t! * L^(t)(1) in 50-digit arithmetic, for
+    L(sigma) = exp(-density sum_i w_i (1 - (1 + sigma x_i)^-m)) with
+    loads x_i: the derivatives of phi = ln L in closed form, then the
+    product recursion L^(t) = sum_j C(t-1, j) phi^(t-j) L^(j)."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(v)) for v in load]
+        w = [mpmath.mpf(float(v)) for v in weights]
+        lam = mpmath.mpf(density)
+        phi = [-lam * mpmath.fsum(wi * (1 - (1 + xi) ** -m) for wi, xi in zip(w, x))]
+        for k in range(1, m):
+            rising = mpmath.rf(m, k)
+            phi.append((-1) ** k * lam * rising * mpmath.fsum(wi * xi**k * (1 + xi) ** (-m - k) for wi, xi in zip(w, x)))
+        derivs = [mpmath.exp(phi[0])]
+        for t in range(1, m):
+            derivs.append(mpmath.fsum(mpmath.binomial(t - 1, j) * phi[t - j] * derivs[j] for j in range(t)))
+        return float(mpmath.fsum((-1) ** t / mpmath.factorial(t) * derivs[t] for t in range(m)))
+
+
+class TestKernelAgainstMpmath:
+    """The reciprocal-form kernel against a 50-digit evaluation of the same
+    rule. The density puts the exponent near 1 at every load scale, so a
+    kernel whose integrand cancelled at small loads (1 - p^m in place of
+    (s a p) sum p^j) would be off by far more than 1e-12 there."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("top", [1e-12, 1e-8, 1e-4, 1.0, 1e2, 1e4, 1e6])
+    def test_inner_rule_loads(self, ref_orbit, ref_window, m, top):
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        ell0, arc = _serving_arc(ref_orbit, ref_window, 600.0)
+        a, weights = _interferer_load(ref_orbit, ch, ell0, arc)
+        load = a * (top / a.max())
+        density = 1.0 / float(np.sum(weights * load / (1.0 + load)))
+        value = float(_taylor_sum(load, weights, density, m))
+        assert value == pytest.approx(taylor_sum_mpmath(load, weights, density, m), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    def test_loads_spanning_eighteen_decades(self, m):
+        # one rule whose loads run from 1e-12 to 1e6
+        load = np.logspace(-12.0, 6.0, ARC_NODES)
+        _, weights = gauss_legendre(0.0, 1.0, ARC_NODES)
+        for density in (1e-3, 1.0, 1e3):
+            value = float(_taylor_sum(load, weights, density, m))
+            assert value == pytest.approx(taylor_sum_mpmath(load, weights, density, m), rel=1e-12, abs=0.0)
+
+
+class TestTiling:
+    """The SIR tensor (thresholds x serving x interferer nodes) runs in
+    tiles of at most `_BLOCK` nodes; where a tile edge falls must not move
+    a value."""
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "altitude,lam,low_db,block",
+        [
+            # several thresholds per tile, the last tile partly filled
+            (500.0, LAM, -10.0, None),
+            # runs of 50 serving nodes, cut where the tau weights still count
+            (500.0, LAM, -10.0, 50 * ARC_NODES),
+            # one threshold's tensor needs more than one tile of the default size
+            (35786.0, 1e4, -110.0, None),
+        ],
+    )
+    def test_values_do_not_depend_on_tiles(self, monkeypatch, altitude, lam, low_db, block, m):
+        orbit, window = shell(altitude)
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        gammas = [db_to_linear(low_db + g) for g in range(41)]
+        tau, _, _ = coverage._serving_rule(orbit, window, lam)
+        per_threshold = tau.size * ARC_NODES
+        if block is not None:
+            monkeypatch.setattr(coverage, "_BLOCK", block)
+        if lam > 1.0:
+            assert per_threshold > coverage._BLOCK
+        grid = np.clip(coverage._sir_conditional(orbit, window, lam, ch, gammas), 0.0, 1.0)
+        single = [sir_coverage_conditional(orbit, window, lam, ch, g) for g in gammas]
+        assert grid == pytest.approx(single, rel=1e-15, abs=0.0)
+        monkeypatch.setattr(coverage, "_BLOCK", len(gammas) * per_threshold)
+        whole = np.clip(coverage._sir_conditional(orbit, window, lam, ch, gammas), 0.0, 1.0)
+        assert grid == pytest.approx(whole, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("altitude,lam", [(500.0, LAM), (35786.0, 1e4)])
+    def test_tiles_cover_the_tensor_within_the_block(self, monkeypatch, altitude, lam):
+        sizes = []
+
+        def recording(load, *rest):
+            sizes.append(load.size)
+            return _taylor_sum(load, *rest)
+
+        monkeypatch.setattr(coverage, "_taylor_sum", recording)
+        orbit, window = shell(altitude)
+        grid = threshold_grid_db(-10.0, 30.0, 1.0)
+        sir_coverage_curve(orbit, window, lam, ChannelParams(m=3.0), grid)
+        tau, _, _ = coverage._serving_rule(orbit, window, lam)
+        assert max(sizes) <= coverage._BLOCK
+        assert sum(sizes) == len(grid) * tau.size * ARC_NODES
