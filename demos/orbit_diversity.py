@@ -17,8 +17,8 @@ from orbitcov import (
     VisibilityWindow,
     db_to_linear,
     empirical_max_sir_coverage,
-    max_sir_coverage,
     max_sir_coverage_conditional,
+    max_sir_coverage_curve,
 )
 
 
@@ -45,7 +45,7 @@ def main() -> None:
     for n in (1, 2, 3, 4):
         spec = constellation(n)
         cond = max_sir_coverage_conditional(spec, gamma)
-        unc = max_sir_coverage(spec, gamma)
+        unc = max_sir_coverage_curve(spec, (gamma_db,)).values[0]
         sim, _, _ = empirical_max_sir_coverage(spec, (gamma_db,), cfg)
         print(f"{n:>6} {cond:>12.4f} {sim.values[0]:>10.4f} {unc:>14.4f}")
 

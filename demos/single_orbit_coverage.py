@@ -28,10 +28,9 @@ def main() -> None:
     density = 0.005
     thresholds = threshold_grid_db(-10.0, 30.0, 5.0)
 
-    analytic = [
-        sir_coverage_conditional(orbit, window, density, channel, db_to_linear(g))
-        for g in thresholds
-    ]
+    analytic = sir_coverage_conditional(
+        orbit, window, density, channel, [db_to_linear(g) for g in thresholds]
+    )
     spec = ConstellationSpec(
         orbits=(orbit,), densities_per_km=(density,), window=window, channel=channel
     )

@@ -4,8 +4,9 @@ Poisson point processes on inclined circular orbits.
 The package splits along the math: `geometry` holds the closed-form
 visibility geometry, `distance` the nearest-satellite law, `interference`
 the aggregate-interference Laplace transform, `coverage` the SIR/SNR
-coverage integrals and the multi-orbit combiner, `montecarlo` the
-simulation twins of all of it, and `validation` the acceptance criteria
+coverage integrals and the multi-orbit combiner (conditional coverage
+for threshold arrays, unconditional curves on dB grids), `montecarlo`
+the simulation twins of all of it, and `validation` the acceptance criteria
 that hold the two sides together. `numerics` holds the fixed
 Gauss-Legendre rules every analytic integral runs on and the seeded
 random streams. `cli` wraps the lot for scenario files. The runtime
@@ -18,13 +19,10 @@ from .coverage import (
     CoverageCurve,
     LinkBudget,
     db_to_linear,
-    max_sir_coverage,
     max_sir_coverage_conditional,
     max_sir_coverage_curve,
-    sir_coverage,
     sir_coverage_conditional,
     sir_coverage_curve,
-    snr_coverage,
     snr_coverage_conditional,
     snr_coverage_curve,
     threshold_grid_db,
@@ -33,7 +31,6 @@ from .distance import (
     NearestDistanceLaw,
     nearest_ccdf,
     nearest_pdf,
-    sample_nearest_distance,
 )
 from .geometry import (
     EarthConstants,
@@ -70,20 +67,16 @@ __all__ = [
     "CoverageCurve",
     "LinkBudget",
     "db_to_linear",
-    "max_sir_coverage",
     "max_sir_coverage_conditional",
     "max_sir_coverage_curve",
-    "sir_coverage",
     "sir_coverage_conditional",
     "sir_coverage_curve",
-    "snr_coverage",
     "snr_coverage_conditional",
     "snr_coverage_curve",
     "threshold_grid_db",
     "NearestDistanceLaw",
     "nearest_ccdf",
     "nearest_pdf",
-    "sample_nearest_distance",
     "EarthConstants",
     "OrbitGeometry",
     "VisibilityWindow",

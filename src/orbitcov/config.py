@@ -35,6 +35,11 @@ __all__ = [
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
+# every dB field lies within +/- this many dB, so its linear value (and
+# the ratio of two of them) is finite and nonzero in double precision
+_DB_LIMIT = 1000.0
+_MAX_THRESHOLDS = 10_000
+
 SWEEP_PARAMETERS = (
     "density_per_km",
     "altitude_km",
@@ -202,7 +207,7 @@ def _parse_orbits(data: dict) -> tuple[OrbitRow, ...]:
 def _parse_channel(data: dict) -> ChannelParams:
     section = _require_mapping(data.get("channel", {}), "channel")
     _check_keys(section, {"alpha", "m", "g_i_bar_db"}, "channel")
-    g_db = _number(section, "g_i_bar_db", "channel", -13.0, hi=0.0)
+    g_db = _number(section, "g_i_bar_db", "channel", -13.0, lo=-_DB_LIMIT, hi=0.0)
     return ChannelParams(
         alpha=_number(section, "alpha", "channel", 2.0, lo=0.0, lo_open=True),
         m=_number(section, "m", "channel", 1.0, lo=0.5),
@@ -216,23 +221,29 @@ def _parse_budget(data: dict) -> LinkBudget | None:
     section = _require_mapping(data["budget"], "budget")
     allowed = {"tx_power_dbm", "serving_gain_db", "noise_density_dbm_hz", "noise_figure_db", "bandwidth_hz"}
     _check_keys(section, allowed, "budget")
-    return LinkBudget(
-        tx_power_dbm=_number(section, "tx_power_dbm", "budget", 40.0),
-        serving_gain_db=_number(section, "serving_gain_db", "budget", 30.0),
-        noise_density_dbm_hz=_number(section, "noise_density_dbm_hz", "budget", -174.0),
-        noise_figure_db=_number(section, "noise_figure_db", "budget", 11.0),
+    budget = LinkBudget(
+        tx_power_dbm=_number(section, "tx_power_dbm", "budget", 40.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
+        serving_gain_db=_number(section, "serving_gain_db", "budget", 30.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
+        noise_density_dbm_hz=_number(section, "noise_density_dbm_hz", "budget", -174.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
+        noise_figure_db=_number(section, "noise_figure_db", "budget", 11.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
         bandwidth_hz=_number(section, "bandwidth_hz", "budget", 1.0e7, lo=0.0, lo_open=True),
     )
+    if abs(budget.snr_scale_db) > _DB_LIMIT:
+        raise ConfigError("budget", f"P G / sigma^2 of {budget.snr_scale_db:g} dB is not within +/-{_DB_LIMIT:g} dB")
+    return budget
 
 
 def _parse_thresholds(data: dict) -> tuple[float, ...]:
     section = _require_mapping(data.get("thresholds", {}), "thresholds")
     _check_keys(section, {"start_db", "stop_db", "step_db"}, "thresholds")
-    start = _number(section, "start_db", "thresholds", -10.0)
-    stop = _number(section, "stop_db", "thresholds", 30.0)
+    start = _number(section, "start_db", "thresholds", -10.0, lo=-_DB_LIMIT, hi=_DB_LIMIT)
+    stop = _number(section, "stop_db", "thresholds", 30.0, lo=-_DB_LIMIT, hi=_DB_LIMIT)
     step = _number(section, "step_db", "thresholds", 5.0, lo=0.0, lo_open=True)
     if stop < start:
         raise ConfigError("thresholds.stop_db", "must be >= start_db")
+    # the grid holds floor((stop - start) / step + 1e-9) + 1 points
+    if (stop - start) / step + 1e-9 >= _MAX_THRESHOLDS:
+        raise ConfigError("thresholds.step_db", f"the grid would hold more than {_MAX_THRESHOLDS} points")
     return threshold_grid_db(start, stop, step)
 
 

@@ -19,7 +19,13 @@ and the unconditional form multiplies by the joint visibility
 probability. All integrals run in the arc-length coordinate, where the
 Poisson law is a plain exponential and the integrands stay smooth.
 
-A whole curve runs on one fixed tensor Gauss-Legendre rule: graded
+Each quantity has two entries: `*_coverage_conditional` maps linear
+thresholds (a scalar, or an array returned in its shape) to the
+visibility-conditioned coverage, and `*_coverage_curve` maps a dB grid
+to the unconditional `CoverageCurve`, the unclipped conditional value
+times the joint visibility probability (0 for an orbit never visible).
+
+A whole grid runs on one fixed tensor Gauss-Legendre rule: graded
 panels over tau, and for every tau one rule over the interferer arc
 [tau, L]. The SIR tensor (thresholds x serving x interferer nodes) is
 evaluated in cache-sized tiles, each through the reciprocal-form
@@ -53,11 +59,8 @@ __all__ = [
     "db_to_linear",
     "threshold_grid_db",
     "sir_coverage_conditional",
-    "sir_coverage",
     "snr_coverage_conditional",
-    "snr_coverage",
     "max_sir_coverage_conditional",
-    "max_sir_coverage",
     "sir_coverage_curve",
     "snr_coverage_curve",
     "max_sir_coverage_curve",
@@ -209,13 +212,19 @@ def _unit(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+def _shaped(values: np.ndarray, gamma):
+    """Clipped coverage in the shape of gamma: a float for a scalar."""
+    values = _unit(values).reshape(np.shape(gamma))
+    return float(values) if values.ndim == 0 else values
+
+
 def _checked(density_per_km: float, channel: ChannelParams, gammas, label: str) -> tuple[int, np.ndarray]:
-    """Integer m and the linear thresholds as an array, once the density,
-    m and thresholds are all valid."""
+    """Integer m and the linear thresholds as a flat array, once the
+    density, m and thresholds are all valid."""
     if density_per_km <= 0:
         raise ValueError("satellite density must be positive")
     m = channel.integer_m
-    gammas = np.asarray(gammas, dtype=float)
+    gammas = np.asarray(gammas, dtype=float).ravel()
     if not np.all((gammas > 0) & np.isfinite(gammas)):
         raise ValueError(f"{label} threshold must be positive and finite")
     return m, gammas
@@ -273,14 +282,16 @@ def _snr_conditional(orbit, window, density_per_km, channel, budget, gammas) -> 
     """P(SNR > gamma | visible) for an array of linear thresholds, unclipped.
 
     The serving fading power's gamma tail is e^(-q) sum_{t<m} q^t / t!,
-    summed in logs so a q that overflows gives 0, not NaN.
+    summed in logs so a huge q gives 0, not NaN.
     """
     m, gammas = _checked(density_per_km, channel, gammas, "SNR")
     tau, weights, _ = _serving_rule(orbit, window, density_per_km)
     log_q = np.log(m * gammas / budget.snr_scale)[:, None] + channel.alpha * np.log(
         KM_IN_M * arc_to_distance(orbit, tau)
     )
-    q = np.exp(log_q)
+    # past q = e^700 every tail term is 0 in double precision: capping
+    # log q there keeps exp from overflowing without changing a value
+    q = np.exp(np.minimum(log_q, 700.0))
     tail = sum(np.exp(t * log_q - q - math.lgamma(t + 1)) for t in range(m))
     return tail @ weights
 
@@ -290,34 +301,13 @@ def sir_coverage_conditional(
     window: VisibilityWindow,
     density_per_km: float,
     channel: ChannelParams,
-    gamma: float,
-) -> float:
+    gamma,
+):
     """P(SIR > gamma | at least one satellite visible) for one orbit.
 
-    gamma is the linear SIR threshold. Requires integer m: the series in
-    the Laplace derivatives has m terms.
+    Requires integer m: the series in the Laplace derivatives has m terms.
     """
-    return float(_unit(_sir_conditional(orbit, window, density_per_km, channel, [gamma]))[0])
-
-
-def sir_coverage(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    density_per_km: float,
-    channel: ChannelParams,
-    gamma: float,
-) -> float:
-    """Unconditional P(SIR > gamma): the conditional coverage times the
-    visibility probability. Zero for orbits that never enter the window."""
-    return float(_sir_values(orbit, window, density_per_km, channel, [gamma])[0])
-
-
-def _sir_values(orbit, window, density_per_km, channel, gammas) -> np.ndarray:
-    if visible_arc_length(orbit, window) <= 0.0:
-        _checked(density_per_km, channel, gammas, "SIR")
-        return np.zeros(len(gammas))
-    p = _sir_conditional(orbit, window, density_per_km, channel, gammas)
-    return _times_visibility(p, window, (orbit,), (density_per_km,))
+    return _shaped(_sir_conditional(orbit, window, density_per_km, channel, gamma), gamma)
 
 
 def snr_coverage_conditional(
@@ -326,34 +316,14 @@ def snr_coverage_conditional(
     density_per_km: float,
     channel: ChannelParams,
     budget: LinkBudget,
-    gamma: float,
-) -> float:
+    gamma,
+):
     """P(SNR > gamma | at least one satellite visible), interference-free.
 
     The serving fading power's gamma tail gives e^(-q) sum_{t<m} q^t / t!
     with q = m gamma sigma^2 u^alpha / (P G) and u in meters.
     """
-    return float(_unit(_snr_conditional(orbit, window, density_per_km, channel, budget, [gamma]))[0])
-
-
-def snr_coverage(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    density_per_km: float,
-    channel: ChannelParams,
-    budget: LinkBudget,
-    gamma: float,
-) -> float:
-    """Unconditional P(SNR > gamma)."""
-    return float(_snr_values(orbit, window, density_per_km, channel, budget, [gamma])[0])
-
-
-def _snr_values(orbit, window, density_per_km, channel, budget, gammas) -> np.ndarray:
-    if visible_arc_length(orbit, window) <= 0.0:
-        _checked(density_per_km, channel, gammas, "SNR")
-        return np.zeros(len(gammas))
-    p = _snr_conditional(orbit, window, density_per_km, channel, budget, gammas)
-    return _times_visibility(p, window, (orbit,), (density_per_km,))
+    return _shaped(_snr_conditional(orbit, window, density_per_km, channel, budget, gamma), gamma)
 
 
 def _max_sir_conditional(constellation: ConstellationSpec, gammas) -> np.ndarray:
@@ -371,36 +341,37 @@ def _max_sir_conditional(constellation: ConstellationSpec, gammas) -> np.ndarray
     return 1.0 - fail
 
 
-def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma: float) -> float:
+def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma):
     """P(best per-orbit SIR > gamma | every orbit has a visible satellite).
 
     Interference is per-orbit, so conditioned on joint visibility the
     per-orbit successes are independent: 1 - prod_n (1 - p_n).
     """
-    return float(_unit(_max_sir_conditional(constellation, [gamma]))[0])
+    return _shaped(_max_sir_conditional(constellation, gamma), gamma)
 
 
-def max_sir_coverage(constellation: ConstellationSpec, gamma: float) -> float:
-    """Joint-visibility max-SIR coverage: the conditional combiner times
-    prod_n P(orbit n visible). Trials with any invisible orbit count as
-    uncovered, matching the empirical estimator of the same name."""
-    return float(_max_sir_values(constellation, [gamma])[0])
-
-
-def _max_sir_values(constellation: ConstellationSpec, gammas) -> np.ndarray:
-    p = _max_sir_conditional(constellation, gammas)
-    return _times_visibility(p, constellation.window, constellation.orbits, constellation.densities_per_km)
-
-
-def _curve_metadata(orbit: OrbitGeometry, density: float, channel: ChannelParams) -> dict:
-    return {
+def _single_orbit_curve(kind, kernel, thresholds_db, orbit, window, density_per_km, channel, *budget) -> CoverageCurve:
+    """Unconditional coverage on a dB grid: the kernel's unclipped
+    conditional coverage times the visibility probability, or zero, once
+    the arguments are checked, for an orbit that never enters the window."""
+    gammas = [db_to_linear(g) for g in thresholds_db]
+    if visible_arc_length(orbit, window) > 0.0:
+        p = kernel(orbit, window, density_per_km, channel, *budget, gammas)
+        values = _times_visibility(p, window, (orbit,), (density_per_km,))
+    else:
+        _checked(density_per_km, channel, gammas, kind.partition("-")[0])
+        values = np.zeros(len(gammas))
+    meta = {
         "theta_rad": orbit.theta_rad,
         "altitude_km": orbit.altitude_km,
-        "density_per_km": density,
+        "density_per_km": density_per_km,
         "alpha": channel.alpha,
         "m": channel.m,
         "conditioning": "none",
     }
+    if budget:
+        meta["snr_scale_db"] = budget[0].snr_scale_db
+    return CoverageCurve(thresholds_db=thresholds_db, values=values, kind=kind, metadata=meta)
 
 
 def sir_coverage_curve(
@@ -410,14 +381,10 @@ def sir_coverage_curve(
     channel: ChannelParams,
     thresholds_db,
 ) -> CoverageCurve:
-    """Unconditional SIR coverage on a dB threshold grid."""
-    values = _sir_values(orbit, window, density_per_km, channel, [db_to_linear(g) for g in thresholds_db])
-    return CoverageCurve(
-        thresholds_db=tuple(thresholds_db),
-        values=tuple(values),
-        kind="SIR-analytic",
-        metadata=_curve_metadata(orbit, density_per_km, channel),
-    )
+    """Unconditional SIR coverage on a dB threshold grid: the conditional
+    coverage times the visibility probability, zero for an orbit that
+    never enters the window."""
+    return _single_orbit_curve("SIR-analytic", _sir_conditional, thresholds_db, orbit, window, density_per_km, channel)
 
 
 def snr_coverage_curve(
@@ -428,22 +395,18 @@ def snr_coverage_curve(
     budget: LinkBudget,
     thresholds_db,
 ) -> CoverageCurve:
-    """Unconditional SNR coverage on a dB threshold grid."""
-    values = _snr_values(orbit, window, density_per_km, channel, budget, [db_to_linear(g) for g in thresholds_db])
-    meta = _curve_metadata(orbit, density_per_km, channel)
-    meta["snr_scale_db"] = budget.snr_scale_db
-    return CoverageCurve(
-        thresholds_db=tuple(thresholds_db),
-        values=tuple(values),
-        kind="SNR-analytic",
-        metadata=meta,
-    )
+    """Unconditional SNR coverage on a dB threshold grid, zero for an
+    orbit that never enters the window."""
+    args = (orbit, window, density_per_km, channel, budget)
+    return _single_orbit_curve("SNR-analytic", _snr_conditional, thresholds_db, *args)
 
 
 def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> CoverageCurve:
     """Joint-visibility best-satellite SIR coverage across the
-    constellation's orbits."""
-    values = _max_sir_values(constellation, [db_to_linear(g) for g in thresholds_db])
+    constellation's orbits: the conditional combiner times
+    prod_n P(orbit n visible). Trials with any invisible orbit count as
+    uncovered, matching the empirical estimator of the same name."""
+    p = _max_sir_conditional(constellation, [db_to_linear(g) for g in thresholds_db])
     meta = {
         "n_orbits": constellation.n_orbits,
         "alpha": constellation.channel.alpha,
@@ -451,8 +414,8 @@ def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> C
         "conditioning": "joint",
     }
     return CoverageCurve(
-        thresholds_db=tuple(thresholds_db),
-        values=tuple(values),
+        thresholds_db=thresholds_db,
+        values=_times_visibility(p, constellation.window, constellation.orbits, constellation.densities_per_km),
         kind="maxSIR-analytic",
         metadata=meta,
     )

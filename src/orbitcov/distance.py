@@ -12,8 +12,9 @@ a truncated exponential on [0, L]:
 All distance-domain quantities are obtained by pushing that law through
 the monotone map `arc_to_distance`, which keeps every formula free of
 the inverse-square-root endpoint singularities the raw distance density
-carries. The test suite keeps distance-domain restatements of the CCDF
-and the density as independent checks of that substitution.
+carries. This module evaluates the law; `montecarlo` draws from it by
+simulating the satellites, and the test suite restates the CCDF and the
+density in the distance domain as checks of the substitution.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from .geometry import (
     distance_to_arc,
     visible_arc_length,
 )
-from .numerics import RandomSource
 
 __all__ = [
     "NearestDistanceLaw",
     "nearest_ccdf",
     "nearest_pdf",
-    "sample_nearest_distance",
 ]
 
 
@@ -119,17 +118,3 @@ def nearest_pdf(law: NearestDistanceLaw, r):
     ell = distance_to_arc(law.orbit, r)
     val = lam * np.exp(-lam * ell) * _arc_derivative(law, r, ell) / law.visibility_probability
     return val[()] if val.ndim == 0 else val
-
-
-def sample_nearest_distance(law: NearestDistanceLaw, rng: RandomSource, size: int | None = None):
-    """Draw nearest visible-satellite distances by inverting the arc CCDF.
-
-    Exact inverse-transform sampling: T = -log(1 - U (1 - e^{-lambda L}))
-    / lambda is truncated-exponential on [0, L], then mapped through
-    `arc_to_distance`.
-    """
-    u = rng.generator.random(size)
-    lam = law.density_per_km
-    t = -np.log1p(u * np.expm1(-lam * law.arc_length_km)) / lam
-    r = arc_to_distance(law.orbit, t)
-    return float(r) if size is None else r

@@ -34,10 +34,10 @@ from .coverage import (
     ConstellationSpec,
     LinkBudget,
     db_to_linear,
-    max_sir_coverage,
     max_sir_coverage_conditional,
-    sir_coverage,
+    max_sir_coverage_curve,
     sir_coverage_conditional,
+    sir_coverage_curve,
     snr_coverage_conditional,
     threshold_grid_db,
 )
@@ -81,6 +81,7 @@ ALTITUDE_KM = 500.0
 OMEGA_MIN_RAD = math.radians(10.0)
 DENSITY_PER_KM = 0.005
 GAMMA_GRID_DB = threshold_grid_db(-10.0, 30.0, 5.0)
+GAMMAS = np.array([db_to_linear(g) for g in GAMMA_GRID_DB])  # the same grid, linear
 
 # path-loss / fading combinations exercised by the coverage criteria
 ALPHA_M_COMBOS = ((2.0, 1), (3.0, 1), (4.0, 1), (2.0, 2), (2.0, 3))
@@ -350,12 +351,8 @@ def criterion_sir_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
         spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, alpha, float(m))
         cfg = McConfig(trials=trials, seed=seed + 53 * index, batch=10_000)
         conditional, _ = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
-        worst = 0.0
-        for gamma_db, simulated in zip(GAMMA_GRID_DB, conditional.values):
-            analytic = sir_coverage_conditional(
-                spec.orbits[0], spec.window, DENSITY_PER_KM, spec.channel, db_to_linear(gamma_db)
-            )
-            worst = max(worst, abs(analytic - simulated))
+        analytic = sir_coverage_conditional(spec.orbits[0], spec.window, DENSITY_PER_KM, spec.channel, GAMMAS)
+        worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
         ok &= _check_bound(lines, f"max|coverage diff| alpha={_fmt(alpha)} m={m}", worst, tol)
     return CriterionResult(5, CRITERION_NAMES[5], bool(ok), lines)
 
@@ -373,12 +370,8 @@ def criterion_snr_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
     previous_sinr = None
     for budget, (snr_c, _, sinr_c, _) in zip(budgets, per_budget):
         bandwidth = budget.bandwidth_hz
-        worst = 0.0
-        for gamma_db, simulated in zip(GAMMA_GRID_DB, snr_c.values):
-            analytic = snr_coverage_conditional(
-                spec.orbits[0], spec.window, DENSITY_PER_KM, spec.channel, budget, db_to_linear(gamma_db)
-            )
-            worst = max(worst, abs(analytic - simulated))
+        analytic = snr_coverage_conditional(spec.orbits[0], spec.window, DENSITY_PER_KM, spec.channel, budget, GAMMAS)
+        worst = max(abs(a - s) for a, s in zip(analytic, snr_c.values))
         ok &= _check_bound(lines, f"max|SNR diff| bandwidth={_fmt(bandwidth)}", worst, tol)
         # one pass scores all curves on the same draws, so these orderings
         # are exact, not statistical
@@ -409,21 +402,16 @@ def criterion_orbit_diversity(seed: int, scale: float = 1.0) -> CriterionResult:
         )
         return ConstellationSpec(orbits, (DENSITY_PER_KM,) * count, window, channel)
 
-    single = constellation(1)
-    worst = max(
-        abs(
-            max_sir_coverage(single, db_to_linear(g))
-            - sir_coverage(base, window, DENSITY_PER_KM, channel, db_to_linear(g))
-        )
-        for g in GAMMA_GRID_DB
-    )
+    combined = max_sir_coverage_curve(constellation(1), GAMMA_GRID_DB).values
+    direct = sir_coverage_curve(base, window, DENSITY_PER_KM, channel, GAMMA_GRID_DB).values
+    worst = max(abs(c - d) for c, d in zip(combined, direct))
     ok &= _check_bound(lines, "single-orbit combiner identity", worst, 1e-12)
     previous = None
     for count in (2, 3, 4):
         spec = constellation(count)
         cfg = McConfig(trials=trials, seed=seed + 97 * count, batch=10_000)
         conditional, _, _ = empirical_max_sir_coverage(spec, GAMMA_GRID_DB, cfg)
-        analytic = [max_sir_coverage_conditional(spec, db_to_linear(g)) for g in GAMMA_GRID_DB]
+        analytic = max_sir_coverage_conditional(spec, GAMMAS)
         worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
         ok &= _check_bound(lines, f"max|coverage diff| orbits={count}", worst, tol)
         if previous is not None:
@@ -432,9 +420,7 @@ def criterion_orbit_diversity(seed: int, scale: float = 1.0) -> CriterionResult:
         previous = analytic
     # three tilted orbits beat one overhead orbit at the 10 dB threshold
     tilted = constellation(3, theta=math.pi / 2 + math.pi / 18)
-    gain = max_sir_coverage(tilted, db_to_linear(10.0)) - sir_coverage(
-        base, window, DENSITY_PER_KM, channel, db_to_linear(10.0)
-    )
+    gain = max_sir_coverage_curve(tilted, (10.0,)).values[0] - direct[GAMMA_GRID_DB.index(10.0)]
     ok &= _check_bound(lines, "tilted trio behind single overhead orbit by", -gain, 0.0)
     return CriterionResult(7, CRITERION_NAMES[7], bool(ok), lines)
 

@@ -319,6 +319,19 @@ class TestExitCodes:
         missing = tmp_path / "absent.json"
         assert main(["coverage", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "section,value,path",
+        [
+            ("thresholds", {"start_db": -10.0, "stop_db": 4000.0, "step_db": 500.0}, "thresholds.stop_db"),
+            ("thresholds", {"start_db": -4000.0, "stop_db": 10.0, "step_db": 500.0}, "thresholds.start_db"),
+            ("budget", {"tx_power_dbm": 1e300}, "budget.tx_power_dbm"),
+        ],
+    )
+    def test_decibel_overflow_is_two(self, tmp_path, capsys, section, value, path):
+        cfg = write_scenario(tmp_path, **{section: value})
+        assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert path in capsys.readouterr().err
+
     def test_usage_error_is_three(self, tmp_path):
         assert main(["coverage"]) == 3  # --config is required
         assert main(["unknown-verb"]) == 3

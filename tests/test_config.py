@@ -167,6 +167,43 @@ class TestRejection:
             parse_scenario([1, 2, 3])
 
 
+class TestDecibelBounds:
+    """Every dB field keeps its linear value finite and nonzero; a field
+    out of range is a ConfigError naming it, never an OverflowError or a
+    threshold of 0 found later by the library."""
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("channel", "g_i_bar_db", -4000.0),
+            ("budget", "tx_power_dbm", 1e300),
+            ("budget", "serving_gain_db", 4000.0),
+            ("budget", "noise_density_dbm_hz", -4000.0),
+            ("budget", "noise_figure_db", 4000.0),
+            ("thresholds", "start_db", -4000.0),
+            ("thresholds", "stop_db", 4000.0),
+        ],
+    )
+    def test_field_out_of_range(self, section, key, value):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(**{section: {key: value}}))
+        assert caught.value.path == f"{section}.{key}"
+
+    def test_link_budget_ratio_out_of_range(self):
+        # each field is in range, but a 1e-300 Hz bandwidth puts
+        # P G / sigma^2 at 3233 dB
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(budget={"bandwidth_hz": 1e-300}))
+        assert caught.value.path == "budget"
+
+    def test_grid_size_is_capped(self):
+        cfg = parse_scenario(minimal(thresholds={"start_db": -500.0, "stop_db": 499.9, "step_db": 0.1}))
+        assert len(cfg.thresholds_db) == 10_000
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(thresholds={"start_db": -500.0, "stop_db": 500.0, "step_db": 0.1}))
+        assert caught.value.path == "thresholds.step_db"
+
+
 class TestLoad:
     def test_round_trip_through_file(self, tmp_path):
         path = tmp_path / "scenario.json"

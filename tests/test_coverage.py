@@ -1,6 +1,7 @@
 """Analytic coverage probabilities and threshold curves."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -20,19 +21,16 @@ from orbitcov import (
     empirical_sir_coverage,
     laplace_derivatives,
     log_laplace,
-    max_sir_coverage,
     max_sir_coverage_conditional,
-    sir_coverage,
+    max_sir_coverage_curve,
     sir_coverage_conditional,
     sir_coverage_curve,
-    snr_coverage,
     snr_coverage_conditional,
     snr_coverage_curve,
     threshold_grid_db,
     visible_arc_length,
 )
 import orbitcov.coverage as coverage
-from orbitcov.coverage import max_sir_coverage_curve
 from orbitcov.interference import _interferer_load, _serving_arc, _taylor_sum
 from orbitcov.numerics import ARC_NODES, gauss_legendre
 from reference_forms import (
@@ -44,6 +42,32 @@ from reference_forms import (
 
 
 LAM = 0.005
+
+
+def shell(altitude_km=500.0, theta_rad=math.pi / 2, omega_min_deg=10.0):
+    orbit = OrbitGeometry(altitude_km, theta_rad)
+    return orbit, VisibilityWindow.from_min_elevation(math.radians(omega_min_deg), orbit)
+
+
+QUANTITIES = ["sir", "snr", "max_sir"]
+
+
+def entries(quantity, channel, altitude_km=500.0, lam=LAM):
+    """One quantity's conditional coverage (of linear thresholds), its curve
+    builder (of a dB grid) and the orbits whose joint visibility links the
+    two. The max-SIR constellation has two distinct inclinations and one
+    repeated orbit."""
+    orbit, window = shell(altitude_km)
+    if quantity == "sir":
+        args = (orbit, window, lam, channel)
+        return partial(sir_coverage_conditional, *args), partial(sir_coverage_curve, *args), (orbit,)
+    if quantity == "snr":
+        args = (orbit, window, lam, channel, LinkBudget())
+        return partial(snr_coverage_conditional, *args), partial(snr_coverage_curve, *args), (orbit,)
+    tilted = OrbitGeometry(altitude_km, math.pi / 2 + 0.1, phi_rad=1.0)
+    orbits = (orbit, tilted, OrbitGeometry(altitude_km, math.pi / 2, phi_rad=2.0))
+    spec = ConstellationSpec(orbits, (lam,) * 3, window, channel)
+    return partial(max_sir_coverage_conditional, spec), partial(max_sir_coverage_curve, spec), orbits
 
 
 class TestDecibels:
@@ -79,24 +103,21 @@ class TestSirCoverage:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_unconditional_factor(self, ref_orbit, ref_window, rayleigh):
-        gamma = db_to_linear(5.0)
-        cond = sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, gamma)
+        cond = sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, db_to_linear(5.0))
         arc = visible_arc_length(ref_orbit, ref_window)
         vis = -math.expm1(-LAM * arc)
-        assert sir_coverage(ref_orbit, ref_window, LAM, rayleigh, gamma) == pytest.approx(
-            cond * vis, rel=1e-12
-        )
+        unc = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (5.0,)).values[0]
+        assert unc == pytest.approx(cond * vis, rel=1e-12)
 
     def test_dense_orbit_conditioning_washes_out(self, ref_orbit, ref_window, rayleigh):
         # at 10 satellites per km visibility is certain for all doubles
-        gamma = db_to_linear(0.0)
-        cond = sir_coverage_conditional(ref_orbit, ref_window, 10.0, rayleigh, gamma)
-        unc = sir_coverage(ref_orbit, ref_window, 10.0, rayleigh, gamma)
+        cond = sir_coverage_conditional(ref_orbit, ref_window, 10.0, rayleigh, db_to_linear(0.0))
+        unc = sir_coverage_curve(ref_orbit, ref_window, 10.0, rayleigh, (0.0,)).values[0]
         assert abs(cond - unc) <= 1e-10
 
     def test_invisible_orbit_covers_nothing(self, ref_window, rayleigh):
         orbit = OrbitGeometry(500.0, 0.3)
-        assert sir_coverage(orbit, ref_window, LAM, rayleigh, 1.0) == 0.0
+        assert sir_coverage_curve(orbit, ref_window, LAM, rayleigh, (-10.0, 0.0)).values == (0.0, 0.0)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_threshold_validation(self, ref_orbit, ref_window, rayleigh, gamma):
@@ -147,10 +168,9 @@ class TestSnrCoverage:
 
     def test_unconditional_factor(self, ref_orbit, ref_window, rayleigh):
         budget = LinkBudget()
-        gamma = db_to_linear(5.0)
-        cond = snr_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, budget, gamma)
+        cond = snr_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, budget, db_to_linear(5.0))
         arc = visible_arc_length(ref_orbit, ref_window)
-        unc = snr_coverage(ref_orbit, ref_window, LAM, rayleigh, budget, gamma)
+        unc = snr_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, budget, (5.0,)).values[0]
         assert unc == pytest.approx(cond * -math.expm1(-LAM * arc), rel=1e-12)
 
     def test_snr_ignores_interference_gain(self, ref_orbit, ref_window):
@@ -161,23 +181,31 @@ class TestSnrCoverage:
         pb = snr_coverage_conditional(ref_orbit, ref_window, LAM, b, budget, 1.0)
         assert pa == pb
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_steep_path_loss_tail_underflows_quietly(self, ref_orbit, ref_window, m):
+        # at alpha = 60 the tail parameter q exceeds e^709 at every serving
+        # distance: the coverage is 0, reached without an overflow warning
+        ch = ChannelParams(alpha=60.0, m=float(m))
+        assert snr_coverage_conditional(ref_orbit, ref_window, LAM, ch, LinkBudget(), 1.0) == 0.0
+        assert snr_coverage_curve(ref_orbit, ref_window, LAM, ch, LinkBudget(), (-10.0, 0.0, 10.0)).values == (0.0,) * 3
+
 
 class TestInvisibleOrbitArguments:
     """An orbit that never enters the window covers nothing, and its other
-    arguments are checked all the same."""
+    arguments are checked all the same: the `sir` and `snr` entries put the
+    varied threshold last in a three-point grid, the `_curve` entries make
+    it the whole grid."""
 
     @staticmethod
     def evaluate(entry, window, density=LAM, m=1.0, threshold_db=0.0):
         orbit = OrbitGeometry(500.0, 0.3)
         channel = ChannelParams(m=m)
-        gamma = db_to_linear(threshold_db)
-        calls = {
-            "sir": lambda: [sir_coverage(orbit, window, density, channel, gamma)],
-            "snr": lambda: [snr_coverage(orbit, window, density, channel, LinkBudget(), gamma)],
-            "sir_curve": lambda: sir_coverage_curve(orbit, window, density, channel, (threshold_db,)).values,
-            "snr_curve": lambda: snr_coverage_curve(orbit, window, density, channel, LinkBudget(), (threshold_db,)).values,
-        }
-        return list(calls[entry]())
+        grid = (threshold_db,) if entry.endswith("_curve") else (-10.0, 0.0, threshold_db)
+        if entry.startswith("sir"):
+            curve = sir_coverage_curve(orbit, window, density, channel, grid)
+        else:
+            curve = snr_coverage_curve(orbit, window, density, channel, LinkBudget(), grid)
+        return sorted(set(curve.values))
 
     ENTRIES = ["sir", "snr", "sir_curve", "snr_curve"]
 
@@ -233,8 +261,8 @@ class TestConstellation:
         gamma = db_to_linear(10.0)
         direct = sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, gamma)
         assert max_sir_coverage_conditional(spec, gamma) == pytest.approx(direct, abs=1e-12)
-        unc = sir_coverage(ref_orbit, ref_window, LAM, rayleigh, gamma)
-        assert max_sir_coverage(spec, gamma) == pytest.approx(unc, abs=1e-12)
+        unc = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (10.0,)).values
+        assert max_sir_coverage_curve(spec, (10.0,)).values == pytest.approx(unc, abs=1e-12)
 
     def test_identical_orbits_combine_independently(self):
         gamma = db_to_linear(10.0)
@@ -244,8 +272,7 @@ class TestConstellation:
             assert pn == pytest.approx(1.0 - (1.0 - p1) ** n, rel=1e-12)
 
     def test_more_orbits_help(self):
-        gamma = db_to_linear(10.0)
-        vals = [max_sir_coverage(self.make([math.pi / 2] * n), gamma) for n in (1, 2, 3)]
+        vals = [max_sir_coverage_curve(self.make([math.pi / 2] * n), (10.0,)).values[0] for n in (1, 2, 3)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_invisible_member_is_an_error(self):
@@ -282,11 +309,21 @@ class TestCurves:
         assert curve.kind == "SIR-analytic"
         assert len(curve) == 3
         for g_db, v in zip(curve.thresholds_db, curve.values):
-            direct = sir_coverage(ref_orbit, ref_window, LAM, rayleigh, db_to_linear(g_db))
-            assert v == pytest.approx(direct, rel=1e-12)
+            (direct,) = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (g_db,)).values
+            assert v == pytest.approx(direct, rel=1e-15)
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_values_are_conditional_times_visibility(self, quantity):
+        conditional, curve, orbits = entries(quantity, ChannelParams(alpha=2.0, m=2.0))
+        grid = tuple(range(-10, 61, 5))
+        window = shell()[1]
+        visibility = math.prod(-math.expm1(-LAM * visible_arc_length(o, window)) for o in orbits)
+        expected = conditional([db_to_linear(g) for g in grid]) * visibility
+        assert curve(grid).values == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_conditional_flag_in_metadata(self, ref_orbit, ref_window, rayleigh):
-        # curves are unconditional; the conditioned value is a per-threshold call
+        # curves are unconditional; the conditioned values come from the
+        # *_conditional functions
         u = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (0.0,))
         assert u.metadata["conditioning"] == "none"
         assert sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, 1.0) > u.values[0]
@@ -326,11 +363,6 @@ class TestCurves:
             thresholds_db=(0.0,), values=(1.0 + 5e-10,), kind="SIR-analytic"
         )
         assert curve.values[0] == 1.0
-
-
-def shell(altitude_km=500.0, theta_rad=math.pi / 2, omega_min_deg=10.0):
-    orbit = OrbitGeometry(altitude_km, theta_rad)
-    return orbit, VisibilityWindow.from_min_elevation(math.radians(omega_min_deg), orbit)
 
 
 def band_edge_theta(altitude_km, omega_min_deg, fraction):
@@ -543,7 +575,7 @@ class TestKernelAgainstMpmath:
 class TestTiling:
     """The SIR tensor (thresholds x serving x interferer nodes) runs in
     tiles of at most `_BLOCK` nodes; where a tile edge falls must not move
-    a value."""
+    a value, and a whole grid gives what its thresholds give one by one."""
 
     @pytest.mark.parametrize("m", [1, 3, 10])
     @pytest.mark.parametrize(
@@ -567,12 +599,32 @@ class TestTiling:
             monkeypatch.setattr(coverage, "_BLOCK", block)
         if lam > 1.0:
             assert per_threshold > coverage._BLOCK
-        grid = np.clip(coverage._sir_conditional(orbit, window, lam, ch, gammas), 0.0, 1.0)
+        grid = sir_coverage_conditional(orbit, window, lam, ch, gammas)
         single = [sir_coverage_conditional(orbit, window, lam, ch, g) for g in gammas]
         assert grid == pytest.approx(single, rel=1e-15, abs=0.0)
         monkeypatch.setattr(coverage, "_BLOCK", len(gammas) * per_threshold)
         whole = np.clip(coverage._sir_conditional(orbit, window, lam, ch, gammas), 0.0, 1.0)
         assert grid == pytest.approx(whole, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "quantity,low_db,block",
+        [
+            # the SNR tail has no tensor: only grid against single calls
+            ("snr", 20.0, None),
+            # the combiner's per-orbit curves run on the SIR tiles
+            ("max_sir", -10.0, None),
+            ("max_sir", -10.0, 50 * ARC_NODES),
+        ],
+    )
+    def test_snr_and_max_sir_grids_match_single_calls(self, monkeypatch, quantity, low_db, block, m):
+        if block is not None:
+            monkeypatch.setattr(coverage, "_BLOCK", block)
+        conditional, _, _ = entries(quantity, ChannelParams(alpha=2.0, m=float(m)))
+        gammas = [db_to_linear(low_db + g) for g in range(41)]
+        single = [conditional(g) for g in gammas]
+        assert min(single) < 0.5 < max(single)
+        assert conditional(gammas) == pytest.approx(single, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("altitude,lam", [(500.0, LAM), (35786.0, 1e4)])
     def test_tiles_cover_the_tensor_within_the_block(self, monkeypatch, altitude, lam):
@@ -589,3 +641,28 @@ class TestTiling:
         tau, _, _ = coverage._serving_rule(orbit, window, lam)
         assert max(sizes) <= coverage._BLOCK
         assert sum(sizes) == len(grid) * tau.size * ARC_NODES
+
+
+class TestThresholdShapes:
+    """Conditional coverage comes back in the shape of its thresholds."""
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_scalar_gives_float(self, quantity):
+        conditional, _, _ = entries(quantity, ChannelParams(m=2.0))
+        value = conditional(db_to_linear(10.0))
+        assert isinstance(value, float)
+        assert value == conditional([db_to_linear(10.0)])[0]
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_sequence_gives_array(self, quantity):
+        conditional, _, _ = entries(quantity, ChannelParams(m=2.0))
+        values = conditional([0.1, 1.0, 10.0, 100.0])
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        assert conditional(np.full((2, 3), 1.0)).shape == (2, 3)
+        assert conditional([]).shape == (0,)
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_every_threshold_is_checked(self, quantity):
+        conditional, _, _ = entries(quantity, ChannelParams(m=2.0))
+        with pytest.raises(ValueError, match="threshold"):
+            conditional([1.0, 10.0, 0.0])

@@ -8,11 +8,9 @@ import pytest
 from orbitcov import (
     NearestDistanceLaw,
     OrbitGeometry,
-    RandomSource,
     VisibilityWindow,
     nearest_ccdf,
     nearest_pdf,
-    sample_nearest_distance,
     visible_arc_length,
 )
 from reference_forms import adaptive, nearest_ccdf_distance_form, nearest_pdf_distance_form
@@ -104,29 +102,6 @@ class TestDistanceForms:
             a = float(nearest_pdf(law, float(r)))
             b = nearest_pdf_distance_form(law, float(r))
             assert a == pytest.approx(b, rel=1e-9)
-
-
-class TestSampler:
-    @pytest.mark.slow
-    def test_uniform_law_ks(self, law):
-        draws = sample_nearest_distance(law, RandomSource(271), size=1_000_000)
-        # tiny arcs round onto d_min itself, so the floor is inclusive
-        assert draws.min() >= law.d_min_km
-        assert draws.max() < law.d_max_km
-        draws.sort()
-        # empirical CDF against the analytic one at the sample points
-        cdf = 1.0 - nearest_ccdf(law, draws)
-        ranks = np.arange(1, draws.size + 1) / draws.size
-        ks = float(np.max(np.abs(cdf - ranks)))
-        assert ks < 0.002
-
-    def test_deterministic(self, law):
-        a = sample_nearest_distance(law, RandomSource(5), size=32)
-        b = sample_nearest_distance(law, RandomSource(5), size=32)
-        assert np.array_equal(a, b)
-
-    def test_scalar_return(self, law):
-        assert isinstance(sample_nearest_distance(law, RandomSource(5)), float)
 
 
 class TestLawConstruction:
