@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -350,18 +351,19 @@ def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma):
     return _shaped(_max_sir_conditional(constellation, gamma), gamma)
 
 
-def _single_orbit_curve(kind, kernel, thresholds_db, orbit, window, density_per_km, channel, *budget) -> CoverageCurve:
-    """Unconditional coverage on a dB grid: the kernel's unclipped
-    conditional coverage times the visibility probability, or zero, once
-    the arguments are checked, for an orbit that never enters the window."""
-    gammas = [db_to_linear(g) for g in thresholds_db]
-    if visible_arc_length(orbit, window) > 0.0:
-        p = kernel(orbit, window, density_per_km, channel, *budget, gammas)
-        values = _times_visibility(p, window, (orbit,), (density_per_km,))
-    else:
-        _checked(density_per_km, channel, gammas, kind.partition("-")[0])
-        values = np.zeros(len(gammas))
-    meta = {
+def _single_orbit(label: str, kernel, orbit, window, density_per_km, channel, gammas) -> np.ndarray:
+    """Unconditional coverage of one orbit at linear thresholds: the
+    unclipped conditional kernel(gammas) times the visibility probability
+    or, once the arguments are checked, zero for an orbit that never
+    enters the window."""
+    if visible_arc_length(orbit, window) <= 0.0:
+        _checked(density_per_km, channel, gammas, label)
+        return np.zeros(len(gammas))
+    return _times_visibility(kernel(gammas), window, (orbit,), (density_per_km,))
+
+
+def _metadata(orbit: OrbitGeometry, density_per_km: float, channel: ChannelParams) -> dict:
+    return {
         "theta_rad": orbit.theta_rad,
         "altitude_km": orbit.altitude_km,
         "density_per_km": density_per_km,
@@ -369,9 +371,6 @@ def _single_orbit_curve(kind, kernel, thresholds_db, orbit, window, density_per_
         "m": channel.m,
         "conditioning": "none",
     }
-    if budget:
-        meta["snr_scale_db"] = budget[0].snr_scale_db
-    return CoverageCurve(thresholds_db=thresholds_db, values=values, kind=kind, metadata=meta)
 
 
 def sir_coverage_curve(
@@ -384,7 +383,10 @@ def sir_coverage_curve(
     """Unconditional SIR coverage on a dB threshold grid: the conditional
     coverage times the visibility probability, zero for an orbit that
     never enters the window."""
-    return _single_orbit_curve("SIR-analytic", _sir_conditional, thresholds_db, orbit, window, density_per_km, channel)
+    kernel = partial(_sir_conditional, orbit, window, density_per_km, channel)
+    gammas = [db_to_linear(g) for g in thresholds_db]
+    values = _single_orbit("SIR", kernel, orbit, window, density_per_km, channel, gammas)
+    return CoverageCurve(thresholds_db, values, "SIR-analytic", _metadata(orbit, density_per_km, channel))
 
 
 def snr_coverage_curve(
@@ -397,8 +399,26 @@ def snr_coverage_curve(
 ) -> CoverageCurve:
     """Unconditional SNR coverage on a dB threshold grid, zero for an
     orbit that never enters the window."""
-    args = (orbit, window, density_per_km, channel, budget)
-    return _single_orbit_curve("SNR-analytic", _snr_conditional, thresholds_db, *args)
+    kernel = partial(_snr_conditional, orbit, window, density_per_km, channel, budget)
+    gammas = [db_to_linear(g) for g in thresholds_db]
+    values = _single_orbit("SNR", kernel, orbit, window, density_per_km, channel, gammas)
+    meta = {**_metadata(orbit, density_per_km, channel), "snr_scale_db": budget.snr_scale_db}
+    return CoverageCurve(thresholds_db, values, "SNR-analytic", meta)
+
+
+def sir_coverage(orbit, window, density_per_km, channel, gamma: float) -> float:
+    """Unconditional P(SIR > gamma) at one linear threshold. Not exported:
+    it stays only while the benchmark's layer probe times single points
+    under this name; use `sir_coverage_curve`."""
+    kernel = partial(_sir_conditional, orbit, window, density_per_km, channel)
+    return float(_single_orbit("SIR", kernel, orbit, window, density_per_km, channel, [gamma])[0])
+
+
+def snr_coverage(orbit, window, density_per_km, channel, budget, gamma: float) -> float:
+    """Unconditional P(SNR > gamma) at one linear threshold; not exported,
+    like `sir_coverage`."""
+    kernel = partial(_snr_conditional, orbit, window, density_per_km, channel, budget)
+    return float(_single_orbit("SNR", kernel, orbit, window, density_per_km, channel, [gamma])[0])
 
 
 def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> CoverageCurve:

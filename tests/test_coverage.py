@@ -321,6 +321,21 @@ class TestCurves:
         expected = conditional([db_to_linear(g) for g in grid]) * visibility
         assert curve(grid).values == pytest.approx(expected, rel=1e-15, abs=0.0)
 
+    def test_single_point_names_match_the_curves(self, ref_orbit, ref_window, rayleigh):
+        # kept unexported for callers that time one threshold at a time
+        assert {"sir_coverage", "snr_coverage"}.isdisjoint(coverage.__all__)
+        budget = LinkBudget()
+        for g_db in (-5.0, 5.0):
+            gamma = db_to_linear(g_db)
+            sir = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (g_db,))
+            snr = snr_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, budget, (g_db,))
+            assert coverage.sir_coverage(ref_orbit, ref_window, LAM, rayleigh, gamma) == sir.values[0]
+            assert coverage.snr_coverage(ref_orbit, ref_window, LAM, rayleigh, budget, gamma) == snr.values[0]
+        hidden = OrbitGeometry(500.0, 0.3)
+        assert coverage.sir_coverage(hidden, ref_window, LAM, rayleigh, 1.0) == 0.0
+        with pytest.raises(ValueError, match="SNR threshold"):
+            coverage.snr_coverage(hidden, ref_window, LAM, rayleigh, budget, -1.0)
+
     def test_conditional_flag_in_metadata(self, ref_orbit, ref_window, rayleigh):
         # curves are unconditional; the conditioned values come from the
         # *_conditional functions
