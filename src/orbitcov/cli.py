@@ -36,7 +36,7 @@ from .coverage import (
     snr_coverage_curve,
 )
 from .geometry import OrbitGeometry, VisibilityWindow, orbital_speed, visible_arc_length, visible_time
-from .montecarlo import McConfig, _single_orbit_curves, empirical_max_sir_coverage
+from .montecarlo import McConfig, _coverage_pass
 from .validation import DEFAULT_SEED, render_report, run_all
 
 __all__ = [
@@ -167,19 +167,11 @@ def _curve_rows(cfg: ScenarioConfig, curve: CoverageCurve, kind: str, seed: int 
     return rows
 
 
-def _delta_rows(cfg: ScenarioConfig, kind: str, analytic: list[ResultRow], simulated: list[ResultRow]) -> list[ResultRow]:
-    rows = []
-    for a, s in zip(analytic, simulated):
-        rows.append(
-            dataclasses.replace(
-                s,
-                curve_kind=kind,
-                value=a.value - s.value,
-                ci_low=None,
-                ci_high=None,
-            )
-        )
-    return rows
+def _delta_rows(kind: str, analytic: list[ResultRow], simulated: list[ResultRow]) -> list[ResultRow]:
+    return [
+        dataclasses.replace(s, curve_kind=kind, value=a.value - s.value, ci_low=None, ci_high=None)
+        for a, s in zip(analytic, simulated)
+    ]
 
 
 def _effective_mc(cfg: ScenarioConfig, args) -> McConfig | None:
@@ -215,38 +207,29 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[Result
         )
         if mc is None:
             raise ValueError("non-integer m needs an mc section or --trials to simulate")
-    rows: list[ResultRow] = []
+    sir_key = "SIR" if single else "maxSIR"
+    budgets = (cfg.budget,) if single and cfg.budget is not None else ()
     analytic: dict[str, list[ResultRow]] = {}
     if analytic_ok:
         if single:
             curve = sir_coverage_curve(orbit, window, density, channel, cfg.thresholds_db)
-            analytic["SIR"] = _curve_rows(cfg, curve, "SIR-analytic", None)
-            if cfg.budget is not None:
-                curve = snr_coverage_curve(orbit, window, density, channel, cfg.budget, cfg.thresholds_db)
-                analytic["SNR"] = _curve_rows(cfg, curve, "SNR-analytic", None)
         else:
             curve = max_sir_coverage_curve(constellation, cfg.thresholds_db)
-            analytic["maxSIR"] = _curve_rows(cfg, curve, "maxSIR-analytic", None)
-        for key in ("SIR", "SNR", "maxSIR"):
-            rows.extend(analytic.get(key, []))
+        analytic[sir_key] = _curve_rows(cfg, curve, f"{sir_key}-analytic", None)
+        if budgets:
+            curve = snr_coverage_curve(orbit, window, density, channel, cfg.budget, cfg.thresholds_db)
+            analytic["SNR"] = _curve_rows(cfg, curve, "SNR-analytic", None)
     simulated: dict[str, list[ResultRow]] = {}
     if mc is not None:
-        if single:
-            budgets = () if cfg.budget is None else (cfg.budget,)
-            (_, unconditional), per_budget = _single_orbit_curves(constellation, budgets, cfg.thresholds_db, mc)
-            simulated["SIR"] = _curve_rows(cfg, unconditional, "SIR-MC", mc.seed)
-            if cfg.budget is not None:
-                _, snr_u, _, sinr_u = per_budget[0]
-                simulated["SNR"] = _curve_rows(cfg, snr_u, "SNR-MC", mc.seed)
-                simulated["SINR"] = _curve_rows(cfg, sinr_u, "SINR-MC", mc.seed)
-        else:
-            _, joint, _ = empirical_max_sir_coverage(constellation, cfg.thresholds_db, mc)
-            simulated["maxSIR"] = _curve_rows(cfg, joint, "maxSIR-MC", mc.seed)
-        for key in ("SIR", "SNR", "SINR", "maxSIR"):
-            rows.extend(simulated.get(key, []))
-    for key in ("SIR", "SNR", "maxSIR"):
-        if key in analytic and key in simulated:
-            rows.extend(_delta_rows(cfg, f"{key}-delta", analytic[key], simulated[key]))
+        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc)
+        simulated[sir_key] = _curve_rows(cfg, joint, f"{sir_key}-MC", mc.seed)
+        for _, snr_u, _, sinr_u in per_budget:
+            simulated["SNR"] = _curve_rows(cfg, snr_u, "SNR-MC", mc.seed)
+            simulated["SINR"] = _curve_rows(cfg, sinr_u, "SINR-MC", mc.seed)
+    rows = [row for curve_rows in (*analytic.values(), *simulated.values()) for row in curve_rows]
+    for key in analytic:
+        if key in simulated:
+            rows.extend(_delta_rows(f"{key}-delta", analytic[key], simulated[key]))
     return rows, notices
 
 
@@ -366,7 +349,7 @@ def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None, jobs: int
             )
     rows: list[ResultRow] = []
     notices: list[str] = []
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(coverage_rows, variant, mc) for variant in variants]
         # collect in submission order: the output must not depend on timing
         for future in futures:
@@ -440,6 +423,9 @@ def main(argv=None) -> int:
         return 3
     if args.seed is not None and args.seed < 0:
         print("usage error: --seed must be nonnegative", file=sys.stderr)
+        return 3
+    if args.verb == "sweep" and args.jobs < 1:
+        print("usage error: --jobs must be positive", file=sys.stderr)
         return 3
     out_dir = Path(args.out)
     try:

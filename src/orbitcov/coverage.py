@@ -23,7 +23,10 @@ Each quantity has two entries: `*_coverage_conditional` maps linear
 thresholds (a scalar, or an array returned in its shape) to the
 visibility-conditioned coverage, and `*_coverage_curve` maps a dB grid
 to the unconditional `CoverageCurve`, the unclipped conditional value
-times the joint visibility probability (0 for an orbit never visible).
+times the joint visibility probability. A single orbit is the one-orbit
+constellation under the same rule: when any orbit never enters the
+window the curve is 0, once its arguments are checked, while the
+conditional entries raise, as they condition on an impossible event.
 
 A whole grid runs on one fixed tensor Gauss-Legendre rule: graded
 panels over tau, and for every tau one rule over the interferer arc
@@ -151,7 +154,7 @@ class ConstellationSpec:
         if len(self.orbits) != len(self.densities_per_km):
             raise ValueError("orbits and densities must have the same length")
         if any(lam <= 0 for lam in self.densities_per_km):
-            raise ValueError("satellite densities must be positive")
+            raise ValueError("satellite density must be positive")
         radius = self.orbits[0].radius_km
         if any(o.radius_km != radius for o in self.orbits):
             raise ValueError("all orbits must share one altitude shell")
@@ -231,13 +234,18 @@ def _checked(density_per_km: float, channel: ChannelParams, gammas, label: str) 
     return m, gammas
 
 
-def _times_visibility(p_conditional: np.ndarray, window: VisibilityWindow, orbits, densities) -> np.ndarray:
-    """Unconditional coverage: the conditional coverage times
-    prod_n P(orbit n has a visible satellite)."""
-    vis = 1.0
-    for orbit, lam in zip(orbits, densities):
-        vis *= -math.expm1(-lam * visible_arc_length(orbit, window))
-    return _unit(p_conditional * vis)
+def _unconditional(label: str, kernel, constellation: ConstellationSpec, gammas) -> np.ndarray:
+    """Unconditional coverage at linear thresholds: the unclipped
+    conditional kernel(gammas) times prod_n P(orbit n has a visible
+    satellite) or, once the arguments are checked, zero when some orbit
+    never enters the window."""
+    arcs = [visible_arc_length(orbit, constellation.window) for orbit in constellation.orbits]
+    if min(arcs) <= 0.0:
+        # the spec has checked every density; this checks m and the thresholds
+        _checked(constellation.densities_per_km[0], constellation.channel, gammas, label)
+        return np.zeros(len(gammas))
+    vis = math.prod(-math.expm1(-lam * arc) for lam, arc in zip(constellation.densities_per_km, arcs))
+    return _unit(kernel(gammas) * vis)
 
 
 def _serving_rule(orbit: OrbitGeometry, window: VisibilityWindow, density_per_km: float):
@@ -351,17 +359,6 @@ def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma):
     return _shaped(_max_sir_conditional(constellation, gamma), gamma)
 
 
-def _single_orbit(label: str, kernel, orbit, window, density_per_km, channel, gammas) -> np.ndarray:
-    """Unconditional coverage of one orbit at linear thresholds: the
-    unclipped conditional kernel(gammas) times the visibility probability
-    or, once the arguments are checked, zero for an orbit that never
-    enters the window."""
-    if visible_arc_length(orbit, window) <= 0.0:
-        _checked(density_per_km, channel, gammas, label)
-        return np.zeros(len(gammas))
-    return _times_visibility(kernel(gammas), window, (orbit,), (density_per_km,))
-
-
 def _metadata(orbit: OrbitGeometry, density_per_km: float, channel: ChannelParams) -> dict:
     return {
         "theta_rad": orbit.theta_rad,
@@ -385,7 +382,7 @@ def sir_coverage_curve(
     never enters the window."""
     kernel = partial(_sir_conditional, orbit, window, density_per_km, channel)
     gammas = [db_to_linear(g) for g in thresholds_db]
-    values = _single_orbit("SIR", kernel, orbit, window, density_per_km, channel, gammas)
+    values = _unconditional("SIR", kernel, ConstellationSpec((orbit,), (density_per_km,), window, channel), gammas)
     return CoverageCurve(thresholds_db, values, "SIR-analytic", _metadata(orbit, density_per_km, channel))
 
 
@@ -401,7 +398,7 @@ def snr_coverage_curve(
     orbit that never enters the window."""
     kernel = partial(_snr_conditional, orbit, window, density_per_km, channel, budget)
     gammas = [db_to_linear(g) for g in thresholds_db]
-    values = _single_orbit("SNR", kernel, orbit, window, density_per_km, channel, gammas)
+    values = _unconditional("SNR", kernel, ConstellationSpec((orbit,), (density_per_km,), window, channel), gammas)
     meta = {**_metadata(orbit, density_per_km, channel), "snr_scale_db": budget.snr_scale_db}
     return CoverageCurve(thresholds_db, values, "SNR-analytic", meta)
 
@@ -411,31 +408,31 @@ def sir_coverage(orbit, window, density_per_km, channel, gamma: float) -> float:
     it stays only while the benchmark's layer probe times single points
     under this name; use `sir_coverage_curve`."""
     kernel = partial(_sir_conditional, orbit, window, density_per_km, channel)
-    return float(_single_orbit("SIR", kernel, orbit, window, density_per_km, channel, [gamma])[0])
+    spec = ConstellationSpec((orbit,), (density_per_km,), window, channel)
+    return float(_unconditional("SIR", kernel, spec, [gamma])[0])
 
 
 def snr_coverage(orbit, window, density_per_km, channel, budget, gamma: float) -> float:
     """Unconditional P(SNR > gamma) at one linear threshold; not exported,
     like `sir_coverage`."""
     kernel = partial(_snr_conditional, orbit, window, density_per_km, channel, budget)
-    return float(_single_orbit("SNR", kernel, orbit, window, density_per_km, channel, [gamma])[0])
+    spec = ConstellationSpec((orbit,), (density_per_km,), window, channel)
+    return float(_unconditional("SNR", kernel, spec, [gamma])[0])
 
 
 def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> CoverageCurve:
     """Joint-visibility best-satellite SIR coverage across the
     constellation's orbits: the conditional combiner times
-    prod_n P(orbit n visible). Trials with any invisible orbit count as
-    uncovered, matching the empirical estimator of the same name."""
-    p = _max_sir_conditional(constellation, [db_to_linear(g) for g in thresholds_db])
+    prod_n P(orbit n visible), zero when some orbit never enters the
+    window. Trials with any invisible orbit count as uncovered, matching
+    the empirical estimator of the same name."""
+    kernel = partial(_max_sir_conditional, constellation)
+    gammas = [db_to_linear(g) for g in thresholds_db]
+    values = _unconditional("SIR", kernel, constellation, gammas)
     meta = {
         "n_orbits": constellation.n_orbits,
         "alpha": constellation.channel.alpha,
         "m": constellation.channel.m,
         "conditioning": "joint",
     }
-    return CoverageCurve(
-        thresholds_db=thresholds_db,
-        values=_times_visibility(p, constellation.window, constellation.orbits, constellation.densities_per_km),
-        kind="maxSIR-analytic",
-        metadata=meta,
-    )
+    return CoverageCurve(thresholds_db, values, "maxSIR-analytic", meta)

@@ -16,6 +16,12 @@ The test suite keeps an explicit 3-D construction of the whole circle,
 with the elevation-angle visibility test, as an independent check of
 that shortcut.
 
+Every coverage estimator is one scoring pass over a constellation: per
+batch the kernel draws each orbit in turn and the best SIR over the
+visible orbits is scored against the thresholds. A single orbit is the
+one-orbit constellation, whose any-visible curve is its joint one; only
+there are SNR and SINR scored too, on the same draws.
+
 Reproducibility contract: a run is determined by (seed, trials, batch).
 Each batch consumes its own child stream of the seed, so results do not
 depend on how batches are scheduled, only on how the work is split.
@@ -159,6 +165,14 @@ def _wilson_bounds(successes: np.ndarray, trials: int, z: float = 1.96) -> tuple
     return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
 
+def _batches(cfg: McConfig):
+    """(generator, size) per batch; batch i draws from child stream i of
+    the seed."""
+    rng = RandomSource(cfg.seed)
+    for index, size in enumerate(cfg.batch_sizes()):
+        yield rng.child(index).generator, size
+
+
 def empirical_nearest_ccdf(
     orbit: OrbitGeometry,
     window: VisibilityWindow,
@@ -174,11 +188,9 @@ def empirical_nearest_ccdf(
     if density_per_km <= 0:
         raise ValueError("satellite density must be positive")
     grid = np.asarray(r_grid_km, dtype=float)
-    rng = RandomSource(cfg.seed)
     exceed = np.zeros(grid.size, dtype=np.int64)
     survivors = 0
-    for index, size in enumerate(cfg.batch_sizes()):
-        gen = rng.child(index).generator
+    for gen, size in _batches(cfg):
         nearest = _visible_batch(orbit, window, gen, density_per_km, size)[3]
         finite = np.sort(nearest[np.isfinite(nearest)])
         survivors += finite.size
@@ -191,156 +203,47 @@ def empirical_nearest_ccdf(
     return exceed / survivors, survivors
 
 
-def _mc_metadata(cfg: McConfig, conditioning: str, **extra) -> dict:
-    meta = {"trials": cfg.trials, "seed": cfg.seed, "batch": cfg.batch, "conditioning": conditioning}
-    meta.update(extra)
-    return meta
-
-
-def _curve_pair(
-    thresholds_db,
-    covered_cond: np.ndarray,
-    survivors: int,
-    covered_total: np.ndarray,
-    total: int,
-    kind: str,
-    cfg: McConfig,
-    **extra,
-) -> tuple[CoverageCurve, CoverageCurve]:
-    if survivors < MIN_CONDITIONING_TRIALS:
-        raise DegenerateSampleError(
-            f"only {survivors} of {total} trials survived conditioning; "
-            f"need at least {MIN_CONDITIONING_TRIALS}"
-        )
-    lo_c, hi_c = _wilson_bounds(covered_cond, survivors)
-    lo_u, hi_u = _wilson_bounds(covered_total, total)
-    conditional = CoverageCurve(
-        thresholds_db=tuple(thresholds_db),
-        values=tuple(covered_cond / survivors),
-        kind=kind,
-        metadata=_mc_metadata(cfg, "visible", **extra),
-        ci_low=tuple(lo_c),
-        ci_high=tuple(hi_c),
-    )
-    unconditional = CoverageCurve(
-        thresholds_db=tuple(thresholds_db),
-        values=tuple(covered_total / total),
-        kind=kind,
-        metadata=_mc_metadata(cfg, "none", **extra),
-        ci_low=tuple(lo_u),
-        ci_high=tuple(hi_u),
-    )
-    return conditional, unconditional
-
-
-def _single_orbit(constellation: ConstellationSpec) -> tuple[OrbitGeometry, float]:
-    if constellation.n_orbits != 1:
-        raise ValueError("this estimator handles a single orbit; use the max-SIR form")
-    return constellation.orbits[0], constellation.densities_per_km[0]
-
-
 def _covered(vis: np.ndarray, score: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Per threshold, how many visible trials score above it."""
     return np.array([np.count_nonzero(vis & (score > gamma)) for gamma in gammas], dtype=np.int64)
 
 
-def _single_orbit_curves(
-    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig
-) -> tuple[tuple[CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
-    """SIR coverage and, per link budget, SNR and SINR coverage of a
-    single orbit, all scored on the same draws: one kernel call per batch.
+def _curve(
+    thresholds_db, covered: np.ndarray, trials: int, kind: str, cfg: McConfig, conditioning: str, **extra
+) -> CoverageCurve:
+    """Success counts over `trials` as a curve with Wilson bounds."""
+    lo, hi = _wilson_bounds(covered, trials)
+    meta = {"trials": cfg.trials, "seed": cfg.seed, "batch": cfg.batch, "conditioning": conditioning, **extra}
+    return CoverageCurve(thresholds_db, covered / trials, kind, meta, lo, hi)
 
-    Returns the SIR pair (conditional on visibility, unconditional) and
-    one (snr conditional, snr unconditional, sinr conditional, sinr
+
+def _coverage_pass(
+    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, sir_kind: str = "SIR-MC"
+) -> tuple[tuple[CoverageCurve, CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
+    """Best-satellite SIR coverage of any constellation and, for a single
+    orbit, SNR and SINR coverage per link budget, all scored on the same
+    draws: per batch, one kernel call per orbit in orbit order.
+
+    Returns the SIR triple (conditional on every orbit visible, the same
+    successes over all trials, any-visible over all trials) and one
+    (snr conditional, snr unconditional, sinr conditional, sinr
     unconditional) tuple per budget. A budget only rescales the noise
     term, and shared draws make SINR <= SIR and SINR <= SNR hold trial by
     trial. Distances enter the SNR path loss in meters.
     """
-    orbit, density = _single_orbit(constellation)
+    if budgets and constellation.n_orbits != 1:
+        raise ValueError("SNR and SINR are estimated for a single orbit only")
     channel = constellation.channel
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
     unit = KM_IN_M ** -channel.alpha
-    rng = RandomSource(cfg.seed)
-    sir_cond = np.zeros(gammas.size, dtype=np.int64)
+    covered_all = np.zeros(gammas.size, dtype=np.int64)
+    # one orbit: "some orbit visible" is the joint event, so the any-visible
+    # curve shares the joint counts and needs no scan of its own
+    covered_any = covered_all if constellation.n_orbits == 1 else np.zeros_like(covered_all)
     snr_cond = np.zeros((len(budgets), gammas.size), dtype=np.int64)
     sinr_cond = np.zeros_like(snr_cond)
     survivors = 0
-    for index, size in enumerate(cfg.batch_sizes()):
-        gen = rng.child(index).generator
-        nearest, serving, interference = _sir_batch(
-            orbit, constellation.window, gen, density, channel.m, channel.alpha, size
-        )
-        vis = np.isfinite(nearest)
-        survivors += int(np.count_nonzero(vis))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir = serving * nearest ** -channel.alpha / (channel.g_i_bar * interference)
-        sir_cond += _covered(vis, sir, gammas)
-        signal = np.where(vis, serving * nearest ** -channel.alpha * unit, 0.0)
-        for j, budget in enumerate(budgets):
-            scale = budget.snr_scale
-            snr_cond[j] += _covered(vis, signal * scale, gammas)
-            sinr = signal / (channel.g_i_bar * interference * unit + 1.0 / scale)
-            sinr_cond[j] += _covered(vis, sinr, gammas)
-    sir_pair = _curve_pair(thresholds_db, sir_cond, survivors, sir_cond, cfg.trials, "SIR-MC", cfg)
-    per_budget = []
-    for j, budget in enumerate(budgets):
-        extra = {"snr_scale_db": budget.snr_scale_db}
-        snr_pair = _curve_pair(
-            thresholds_db, snr_cond[j], survivors, snr_cond[j], cfg.trials, "SNR-MC", cfg, **extra
-        )
-        sinr_pair = _curve_pair(
-            thresholds_db, sinr_cond[j], survivors, sinr_cond[j], cfg.trials, "SINR-MC", cfg, **extra
-        )
-        per_budget.append((*snr_pair, *sinr_pair))
-    return sir_pair, per_budget
-
-
-def empirical_sir_coverage(
-    constellation: ConstellationSpec, thresholds_db, cfg: McConfig
-) -> tuple[CoverageCurve, CoverageCurve]:
-    """Empirical SIR coverage of a single orbit.
-
-    Returns (conditional on visibility, unconditional). Nakagami figure
-    may be any real m >= 0.5 here; only the analytic path needs integers.
-    """
-    sir_pair, _ = _single_orbit_curves(constellation, (), thresholds_db, cfg)
-    return sir_pair
-
-
-def empirical_snr_sinr_coverage(
-    constellation: ConstellationSpec, budget: LinkBudget, thresholds_db, cfg: McConfig
-) -> tuple[CoverageCurve, CoverageCurve, CoverageCurve, CoverageCurve]:
-    """Empirical SNR and SINR coverage of a single orbit under a budget.
-
-    Returns (snr conditional, snr unconditional, sinr conditional,
-    sinr unconditional). Distances enter the path loss in meters.
-    """
-    _, (curves,) = _single_orbit_curves(constellation, (budget,), thresholds_db, cfg)
-    return curves
-
-
-def empirical_max_sir_coverage(
-    constellation: ConstellationSpec, thresholds_db, cfg: McConfig
-) -> tuple[CoverageCurve, CoverageCurve, CoverageCurve]:
-    """Empirical best-satellite SIR coverage over the constellation.
-
-    Returns (conditional on every orbit visible, the same successes over
-    all trials, and an any-visible variant). The first two mirror the
-    analytic combiner. The third scores the best SIR across whichever
-    orbits happen to be visible, over all trials: that is the operational
-    quantity a receiver free to skip empty orbits would see. The orbits
-    are independent and interference is counted per orbit, so it equals
-    1 - prod_n (1 - p_vis,n p_n), with p_vis,n the visibility probability
-    of orbit n and p_n its `sir_coverage_conditional`.
-    """
-    channel = constellation.channel
-    gammas = np.array([db_to_linear(g) for g in thresholds_db])
-    rng = RandomSource(cfg.seed)
-    covered_all = np.zeros(gammas.size, dtype=np.int64)
-    covered_any = np.zeros(gammas.size, dtype=np.int64)
-    survivors = 0
-    for index, size in enumerate(cfg.batch_sizes()):
-        gen = rng.child(index).generator
+    for gen, size in _batches(cfg):
         best = np.full(size, -np.inf)
         all_vis = np.ones(size, dtype=bool)
         any_vis = np.zeros(size, dtype=bool)
@@ -356,24 +259,77 @@ def empirical_max_sir_coverage(
             any_vis |= vis
         survivors += int(np.count_nonzero(all_vis))
         covered_all += _covered(all_vis, best, gammas)
-        covered_any += _covered(any_vis, best, gammas)
-    conditional, joint = _curve_pair(
-        thresholds_db,
-        covered_all,
-        survivors,
-        covered_all,
-        cfg.trials,
-        "maxSIR-MC",
-        cfg,
-        n_orbits=constellation.n_orbits,
-    )
-    lo, hi = _wilson_bounds(covered_any, cfg.trials)
-    any_visible = CoverageCurve(
-        thresholds_db=tuple(thresholds_db),
-        values=tuple(covered_any / cfg.trials),
-        kind="maxSIR-MC",
-        metadata=_mc_metadata(cfg, "any-visible", n_orbits=constellation.n_orbits),
-        ci_low=tuple(lo),
-        ci_high=tuple(hi),
-    )
-    return conditional, joint, any_visible
+        if constellation.n_orbits > 1:
+            covered_any += _covered(any_vis, best, gammas)
+        if budgets:  # one orbit: the draws of the loop's only pass
+            signal = np.where(vis, serving * nearest ** -channel.alpha * unit, 0.0)
+            for j, budget in enumerate(budgets):
+                scale = budget.snr_scale
+                snr_cond[j] += _covered(vis, signal * scale, gammas)
+                sinr = signal / (channel.g_i_bar * interference * unit + 1.0 / scale)
+                sinr_cond[j] += _covered(vis, sinr, gammas)
+    if survivors < MIN_CONDITIONING_TRIALS:
+        raise DegenerateSampleError(
+            f"only {survivors} of {cfg.trials} trials survived conditioning; "
+            f"need at least {MIN_CONDITIONING_TRIALS}"
+        )
+
+    def pair(covered, kind, **extra):
+        return (
+            _curve(thresholds_db, covered, survivors, kind, cfg, "visible", **extra),
+            _curve(thresholds_db, covered, cfg.trials, kind, cfg, "none", **extra),
+        )
+
+    n_orbits = constellation.n_orbits
+    any_visible = _curve(thresholds_db, covered_any, cfg.trials, sir_kind, cfg, "any-visible", n_orbits=n_orbits)
+    sir = (*pair(covered_all, sir_kind, n_orbits=n_orbits), any_visible)
+    per_budget = []
+    for j, budget in enumerate(budgets):
+        extra = {"snr_scale_db": budget.snr_scale_db}
+        per_budget.append((*pair(snr_cond[j], "SNR-MC", **extra), *pair(sinr_cond[j], "SINR-MC", **extra)))
+    return sir, per_budget
+
+
+def empirical_sir_coverage(
+    constellation: ConstellationSpec, thresholds_db, cfg: McConfig
+) -> tuple[CoverageCurve, CoverageCurve]:
+    """Empirical SIR coverage of a single orbit.
+
+    Returns (conditional on visibility, unconditional). Nakagami figure
+    may be any real m >= 0.5 here; only the analytic path needs integers.
+    """
+    if constellation.n_orbits != 1:
+        raise ValueError("this estimator handles a single orbit; use the max-SIR form")
+    (conditional, unconditional, _), _ = _coverage_pass(constellation, (), thresholds_db, cfg)
+    return conditional, unconditional
+
+
+def empirical_snr_sinr_coverage(
+    constellation: ConstellationSpec, budget: LinkBudget, thresholds_db, cfg: McConfig
+) -> tuple[CoverageCurve, CoverageCurve, CoverageCurve, CoverageCurve]:
+    """Empirical SNR and SINR coverage of a single orbit under a budget.
+
+    Returns (snr conditional, snr unconditional, sinr conditional,
+    sinr unconditional). Distances enter the path loss in meters.
+    """
+    _, (curves,) = _coverage_pass(constellation, (budget,), thresholds_db, cfg)
+    return curves
+
+
+def empirical_max_sir_coverage(
+    constellation: ConstellationSpec, thresholds_db, cfg: McConfig
+) -> tuple[CoverageCurve, CoverageCurve, CoverageCurve]:
+    """Empirical best-satellite SIR coverage over the constellation.
+
+    Returns (conditional on every orbit visible, the same successes over
+    all trials, and an any-visible variant). The first two mirror the
+    analytic combiner. The third scores the best SIR across whichever
+    orbits happen to be visible, over all trials: that is the operational
+    quantity a receiver free to skip empty orbits would see. The orbits
+    are independent and interference is counted per orbit, so it equals
+    1 - prod_n (1 - p_vis,n p_n), with p_vis,n the visibility probability
+    of orbit n and p_n its `sir_coverage_conditional`. For one orbit the
+    any-visible curve is the joint one.
+    """
+    sir, _ = _coverage_pass(constellation, (), thresholds_db, cfg, "maxSIR-MC")
+    return sir

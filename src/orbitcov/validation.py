@@ -57,7 +57,7 @@ from .interference import ChannelParams, laplace_derivatives, log_laplace
 from .montecarlo import (
     McConfig,
     _segment_starts,
-    _single_orbit_curves,
+    _coverage_pass,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
@@ -365,7 +365,7 @@ def criterion_snr_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
     spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, 2.0, 1.0)
     cfg = McConfig(trials=trials, seed=seed + 71, batch=10_000)
     budgets = tuple(LinkBudget(bandwidth_hz=bandwidth) for bandwidth in (1.0e7, 1.0e8, 1.0e9))
-    (sir_conditional, _), per_budget = _single_orbit_curves(spec, budgets, GAMMA_GRID_DB, cfg)
+    (sir_conditional, _, _), per_budget = _coverage_pass(spec, budgets, GAMMA_GRID_DB, cfg)
     ok = True
     previous_sinr = None
     for budget, (snr_c, _, sinr_c, _) in zip(budgets, per_budget):

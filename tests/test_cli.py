@@ -212,6 +212,22 @@ class TestCoverageVerb:
         # the two rows differ in theta, so the shared column goes empty
         assert all(r.theta_deg is None for r in rows)
 
+    def test_invisible_orbit_in_a_constellation_covers_nothing(self, tmp_path):
+        # at 500 km and 10 deg, an orbit tilted 20 deg never enters the
+        # window: the joint-visibility curve is 0, as for that orbit alone
+        cfg = write_scenario(
+            tmp_path,
+            orbits=[
+                {"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 0.005},
+                {"altitude_km": 500.0, "theta_deg": 20.0, "density_per_km": 0.005},
+            ],
+        )
+        out = tmp_path / "out"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_result_rows(out / "cli_test_coverage.csv")
+        assert [r.curve_kind for r in rows] == ["maxSIR-analytic"] * 3
+        assert all(r.value == 0.0 for r in rows)
+
     def test_trials_flag_enables_simulation(self, tmp_path):
         cfg = write_scenario(tmp_path)
         out = tmp_path / "out"
@@ -338,6 +354,14 @@ class TestExitCodes:
         cfg = write_scenario(tmp_path)
         rc = main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o"), "--trials", "0"])
         assert rc == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        cfg = write_scenario(tmp_path, sweep={"parameter": "alpha", "values": [2.0]})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_is_usage_error_on_validate(self, tmp_path, capsys):
         assert main(["validate", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 3

@@ -191,10 +191,10 @@ class TestSnrCoverage:
 
 
 class TestInvisibleOrbitArguments:
-    """An orbit that never enters the window covers nothing, and its other
-    arguments are checked all the same: the `sir` and `snr` entries put the
-    varied threshold last in a three-point grid, the `_curve` entries make
-    it the whole grid."""
+    """An orbit that never enters the window covers nothing, alone or next
+    to a visible orbit, and the other arguments are checked all the same:
+    the `sir` and `snr` entries put the varied threshold last in a
+    three-point grid, the `_curve` entries make it the whole grid."""
 
     @staticmethod
     def evaluate(entry, window, density=LAM, m=1.0, threshold_db=0.0):
@@ -203,11 +203,14 @@ class TestInvisibleOrbitArguments:
         grid = (threshold_db,) if entry.endswith("_curve") else (-10.0, 0.0, threshold_db)
         if entry.startswith("sir"):
             curve = sir_coverage_curve(orbit, window, density, channel, grid)
-        else:
+        elif entry.startswith("snr"):
             curve = snr_coverage_curve(orbit, window, density, channel, LinkBudget(), grid)
+        else:
+            orbits = (orbit, OrbitGeometry(500.0, math.pi / 2))
+            curve = max_sir_coverage_curve(ConstellationSpec(orbits, (density, LAM), window, channel), grid)
         return sorted(set(curve.values))
 
-    ENTRIES = ["sir", "snr", "sir_curve", "snr_curve"]
+    ENTRIES = ["sir", "snr", "sir_curve", "snr_curve", "max_sir_curve"]
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_valid_arguments_give_zero(self, ref_window, entry):
@@ -228,6 +231,14 @@ class TestInvisibleOrbitArguments:
         # -inf dB is a linear threshold of 0
         with pytest.raises(ValueError, match="threshold"):
             self.evaluate(entry, ref_window, threshold_db=-math.inf)
+
+    def test_conditional_combiner_raises(self, ref_window, rayleigh):
+        # conditioning on every orbit being visible conditions on an
+        # event of probability zero
+        orbits = (OrbitGeometry(500.0, 0.3), OrbitGeometry(500.0, math.pi / 2))
+        spec = ConstellationSpec(orbits, (LAM, LAM), ref_window, rayleigh)
+        with pytest.raises(ValueError, match="orbit 0 never enters"):
+            max_sir_coverage_conditional(spec, 1.0)
 
 
 class TestLinkBudget:

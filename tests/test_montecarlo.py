@@ -29,8 +29,8 @@ from orbitcov import (
 from orbitcov.distance import NearestDistanceLaw
 from orbitcov.geometry import TWO_PI
 from orbitcov.montecarlo import (
+    _coverage_pass,
     _segment_starts,
-    _single_orbit_curves,
     _visible_batch,
     _wilson_bounds,
     _window_half_angle,
@@ -286,8 +286,8 @@ class TestCoverageEstimators:
         cfg = McConfig(trials=20_000, seed=26, batch=6_000)
         spec = single(m=2.0)
         budgets = tuple(LinkBudget(bandwidth_hz=bw) for bw in (1e7, 1e8, 1e9))
-        sir_pair, per_budget = _single_orbit_curves(spec, budgets, self.GRID, cfg)
-        assert sir_pair == empirical_sir_coverage(spec, self.GRID, cfg)
+        sir, per_budget = _coverage_pass(spec, budgets, self.GRID, cfg)
+        assert sir[:2] == empirical_sir_coverage(spec, self.GRID, cfg)
         for budget, curves in zip(budgets, per_budget):
             assert curves == empirical_snr_sinr_coverage(spec, budget, self.GRID, cfg)
 
@@ -309,6 +309,26 @@ class TestCoverageEstimators:
         max_c, max_joint, _ = empirical_max_sir_coverage(spec, self.GRID, cfg)
         assert max_c.values == sir_c.values
         assert max_joint.values == sir_u.values
+
+    def test_one_orbit_any_visible_is_the_joint_curve(self):
+        # with one orbit, "every orbit visible" and "some orbit visible"
+        # are the same event, so the two curves agree to the bit
+        cfg = McConfig(trials=25_000, seed=20, batch=5_000)
+        _, joint, any_vis = empirical_max_sir_coverage(single(), self.GRID, cfg)
+        assert any_vis.values == joint.values
+        assert any_vis.ci_low == joint.ci_low
+        assert any_vis.ci_high == joint.ci_high
+        assert any_vis.metadata["conditioning"] == "any-visible"
+
+    def test_single_orbit_estimators_reject_two_orbits(self):
+        orbits = (OrbitGeometry(500.0, math.pi / 2), OrbitGeometry(500.0, math.pi / 2 + 0.05))
+        window = VisibilityWindow.from_min_elevation(math.radians(10.0), orbits[0])
+        spec = ConstellationSpec(orbits, (LAM, LAM), window, ChannelParams(alpha=2.0, m=1.0))
+        cfg = McConfig(trials=2_000, seed=28, batch=1_000)
+        with pytest.raises(ValueError, match="single orbit"):
+            empirical_sir_coverage(spec, self.GRID, cfg)
+        with pytest.raises(ValueError, match="single orbit"):
+            empirical_snr_sinr_coverage(spec, LinkBudget(), self.GRID, cfg)
 
     def test_max_sir_multi_orbit(self):
         orbits = (
