@@ -12,6 +12,9 @@ density lambda, so the batch kernels draw only the window: a
 Poisson(2 R beta lambda) count per trial and uniform angles in it. They
 never build 3-D positions; the law of cosines turns z into the distance,
 so a trial is a few vectorized passes over a flat array of satellites.
+The nearest-distance estimator goes further: in the window the distance
+grows with |psi - pi|, so it reduces each trial on the angle and takes
+the cosine, the cap test and the square root once per trial.
 The test suite keeps an explicit 3-D construction of the whole circle,
 with the elevation-angle visibility test, as an independent check of
 that shortcut.
@@ -100,31 +103,54 @@ def _window_half_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
     return math.acos(window.cap_base_km / reach)
 
 
-def _visible_batch(
+def _window_draw(
     orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw the visible window of n trials.
 
     Returns per-trial satellite counts, their segment starts in the flat
-    arrays, per-satellite distances (km; inf for a satellite rounding
-    put on or below the cap base) and the nearest visible distance per
-    trial (inf when none).
+    array and the flat array of orbit angles psi.
     """
+    beta = _window_half_angle(orbit, window)
+    counts = gen.poisson(2.0 * orbit.radius_km * beta * density, n)
+    psi = gen.uniform(math.pi - beta, math.pi + beta, int(counts.sum()))
+    return counts, _segment_starts(counts), psi
+
+
+def _height_to_distance(orbit: OrbitGeometry, window: VisibilityWindow, z: np.ndarray) -> np.ndarray:
+    """Distance (km) from the user to points at height z, inf for a point
+    rounding put on or below the cap base."""
     R = orbit.radius_km
     re = orbit.earth.radius_km
-    beta = _window_half_angle(orbit, window)
-    counts = gen.poisson(2.0 * R * beta * density, n)
-    total = int(counts.sum())
-    psi = gen.uniform(math.pi - beta, math.pi + beta, total)
-    z = -R * math.sin(orbit.theta_rad) * np.cos(psi)
-    r = np.sqrt(R * R + re * re - 2.0 * re * z)
-    r_vis = np.where(z > window.cap_base_km, r, np.inf)
-    nearest = np.full(n, np.inf)
-    occupied = counts > 0
-    starts = _segment_starts(counts)
-    if total:
-        nearest[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
-    return counts, starts, r_vis, nearest
+    return np.where(z > window.cap_base_km, np.sqrt(R * R + re * re - 2.0 * re * z), np.inf)
+
+
+def _satellite_distances(orbit: OrbitGeometry, window: VisibilityWindow, psi: np.ndarray) -> np.ndarray:
+    """Per-satellite distance (km) of the window draws; inf when hidden."""
+    z = -orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(psi)
+    return _height_to_distance(orbit, window, z)
+
+
+def _nearest_by_angle(
+    orbit: OrbitGeometry, window: VisibilityWindow, counts: np.ndarray, starts: np.ndarray, psi: np.ndarray
+) -> np.ndarray:
+    """Nearest visible distance per trial (km; inf when none).
+
+    In the window the distance grows with |psi - pi|, so the trial's
+    nearest satellite is the one closest to pi in angle: the reduction
+    runs on the angle and cos, the cap test and sqrt run once per trial.
+    Overwrites psi with |psi - pi|, which spares a fresh array per batch.
+    """
+    nearest = np.full(counts.size, np.inf)
+    if psi.size:
+        offset = np.subtract(psi, math.pi, out=psi)
+        np.abs(offset, out=offset)
+        occupied = counts > 0
+        closest = np.minimum.reduceat(offset, starts[occupied])
+        # cos(pi +- offset) = -cos(offset)
+        z = orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(closest)
+        nearest[occupied] = _height_to_distance(orbit, window, z)
+    return nearest
 
 
 def _sir_batch(
@@ -142,14 +168,19 @@ def _sir_batch(
     one, of fading_power * r^-alpha with r in km and no gain factor; the
     caller applies units and the mean interferer gain.
     """
-    counts, starts, r_vis, nearest = _visible_batch(orbit, window, gen, density, n)
+    counts, starts, psi = _window_draw(orbit, window, gen, density, n)
+    r_vis = _satellite_distances(orbit, window, psi)
+    del psi  # spent: free it before the fading arrays
     total = r_vis.size
+    nearest = np.full(n, np.inf)
+    occupied = counts > 0
+    if total:
+        nearest[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
     fading = gen.gamma(m, 1.0 / m, total)
     # hidden satellites have r_vis = inf, so they weigh inf^-alpha = 0
     weight = np.where(r_vis > np.repeat(nearest, counts), fading * r_vis ** -alpha, 0.0)
     interference = np.zeros(n)
     if total:
-        occupied = counts > 0
         interference[occupied] = np.add.reduceat(weight, starts[occupied])
     serving_fading = gen.gamma(m, 1.0 / m, n)
     return nearest, serving_fading, interference
@@ -191,7 +222,7 @@ def empirical_nearest_ccdf(
     exceed = np.zeros(grid.size, dtype=np.int64)
     survivors = 0
     for gen, size in _batches(cfg):
-        nearest = _visible_batch(orbit, window, gen, density_per_km, size)[3]
+        nearest = _nearest_by_angle(orbit, window, *_window_draw(orbit, window, gen, density_per_km, size))
         finite = np.sort(nearest[np.isfinite(nearest)])
         survivors += finite.size
         exceed += finite.size - np.searchsorted(finite, grid, side="right")
@@ -211,10 +242,28 @@ def _covered(vis: np.ndarray, score: np.ndarray, gammas: np.ndarray) -> np.ndarr
 def _curve(
     thresholds_db, covered: np.ndarray, trials: int, kind: str, cfg: McConfig, conditioning: str, **extra
 ) -> CoverageCurve:
-    """Success counts over `trials` as a curve with Wilson bounds."""
-    lo, hi = _wilson_bounds(covered, trials)
+    """Success counts over `trials` as a curve with Wilson bounds; over
+    no trials at all the values are 0 and the bounds the unit interval."""
+    if trials:
+        values = covered / trials
+        lo, hi = _wilson_bounds(covered, trials)
+    else:
+        values = lo = np.zeros(covered.size)
+        hi = np.ones(covered.size)
     meta = {"trials": cfg.trials, "seed": cfg.seed, "batch": cfg.batch, "conditioning": conditioning, **extra}
-    return CoverageCurve(thresholds_db, covered / trials, kind, meta, lo, hi)
+    return CoverageCurve(thresholds_db, values, kind, meta, lo, hi)
+
+
+def _conditioned(curve: CoverageCurve) -> CoverageCurve:
+    """The conditional curve of a pass, if enough trials survived the
+    conditioning to estimate it from."""
+    survivors = curve.metadata["survivors"]
+    if survivors < MIN_CONDITIONING_TRIALS:
+        raise DegenerateSampleError(
+            f"only {survivors} of {curve.metadata['trials']} trials survived conditioning; "
+            f"need at least {MIN_CONDITIONING_TRIALS}"
+        )
+    return curve
 
 
 def _coverage_pass(
@@ -230,6 +279,12 @@ def _coverage_pass(
     unconditional) tuple per budget. A budget only rescales the noise
     term, and shared draws make SINR <= SIR and SINR <= SNR hold trial by
     trial. Distances enter the SNR path loss in meters.
+
+    The pass never raises for a thin sample: the conditional curves carry
+    their survivor count in the metadata, and each view that returns one
+    checks it with `_conditioned`. The curves over all trials stay well
+    defined when nothing survives, as for an orbit that never enters the
+    window, where they are 0.
     """
     if budgets and constellation.n_orbits != 1:
         raise ValueError("SNR and SINR are estimated for a single orbit only")
@@ -268,15 +323,10 @@ def _coverage_pass(
                 snr_cond[j] += _covered(vis, signal * scale, gammas)
                 sinr = signal / (channel.g_i_bar * interference * unit + 1.0 / scale)
                 sinr_cond[j] += _covered(vis, sinr, gammas)
-    if survivors < MIN_CONDITIONING_TRIALS:
-        raise DegenerateSampleError(
-            f"only {survivors} of {cfg.trials} trials survived conditioning; "
-            f"need at least {MIN_CONDITIONING_TRIALS}"
-        )
 
     def pair(covered, kind, **extra):
         return (
-            _curve(thresholds_db, covered, survivors, kind, cfg, "visible", **extra),
+            _curve(thresholds_db, covered, survivors, kind, cfg, "visible", survivors=survivors, **extra),
             _curve(thresholds_db, covered, cfg.trials, kind, cfg, "none", **extra),
         )
 
@@ -301,7 +351,7 @@ def empirical_sir_coverage(
     if constellation.n_orbits != 1:
         raise ValueError("this estimator handles a single orbit; use the max-SIR form")
     (conditional, unconditional, _), _ = _coverage_pass(constellation, (), thresholds_db, cfg)
-    return conditional, unconditional
+    return _conditioned(conditional), unconditional
 
 
 def empirical_snr_sinr_coverage(
@@ -312,8 +362,8 @@ def empirical_snr_sinr_coverage(
     Returns (snr conditional, snr unconditional, sinr conditional,
     sinr unconditional). Distances enter the path loss in meters.
     """
-    _, (curves,) = _coverage_pass(constellation, (budget,), thresholds_db, cfg)
-    return curves
+    _, ((snr_c, snr_u, sinr_c, sinr_u),) = _coverage_pass(constellation, (budget,), thresholds_db, cfg)
+    return _conditioned(snr_c), snr_u, _conditioned(sinr_c), sinr_u
 
 
 def empirical_max_sir_coverage(
@@ -332,4 +382,5 @@ def empirical_max_sir_coverage(
     any-visible curve is the joint one.
     """
     sir, _ = _coverage_pass(constellation, (), thresholds_db, cfg, "maxSIR-MC")
-    return sir
+    conditional, unconditional, any_visible = sir
+    return _conditioned(conditional), unconditional, any_visible

@@ -15,6 +15,13 @@ Nine criteria, each a function returning a `CriterionResult`:
 8. parameter-trend orderings the closed forms imply
 9. seeded rerun determinism
 
+Criterion 2 counts its brute-force points in cache-sized chunks through
+one buffer; the generator spends one draw per double, so the stream and
+the counts are those of one full-size draw. Criterion 4 draws the
+interference sums once per serving radius and averages every transform
+variable s over them (common random numbers): its checks share their
+draws, and each value is what a run for that s alone would give.
+
 Monte-Carlo tolerances are stated for the default trial counts; when a
 run is scaled down the tolerances widen by sqrt(default / actual), so a
 reduced run still separates real defects from sample noise. Reports
@@ -56,8 +63,9 @@ from .geometry import (
 from .interference import ChannelParams, laplace_derivatives, log_laplace
 from .montecarlo import (
     McConfig,
-    _segment_starts,
+    _conditioned,
     _coverage_pass,
+    _segment_starts,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
@@ -94,6 +102,9 @@ THETA_GRID = (
     math.pi / 2 + math.pi / 18,
 )
 DENSITY_GRID = (0.01, 0.001, 0.0001)
+
+# points per chunk of the brute-force arc count: a few cache-sized buffers
+_ARC_CHUNK = 1 << 16
 
 CRITERION_NAMES = {
     1: "closed-form geometry anchors",
@@ -185,11 +196,22 @@ def criterion_geometry_anchors() -> CriterionResult:
 
 def _arc_length_bruteforce(orbit: OrbitGeometry, window: VisibilityWindow, points: int, gen) -> float:
     # jittered-stratified angles: one uniform point per equal slice of the
-    # circle, so the only error is the two slices the band edges fall in
-    psi = (np.arange(points) + gen.random(points)) * (TWO_PI / points)
-    z = -orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(psi)
-    frac = np.count_nonzero(z > window.cap_base_km) / points
-    return frac * TWO_PI * orbit.radius_km
+    # circle, so the only error is the two slices the band edges fall in.
+    # Counted in chunks through one buffer; the generator spends one draw
+    # per double, so the stream and the count match a single full draw.
+    step = TWO_PI / points
+    reach = -orbit.radius_km * math.sin(orbit.theta_rad)
+    buf = np.empty(min(points, _ARC_CHUNK))
+    inside = 0
+    for start in range(0, points, _ARC_CHUNK):
+        z = buf[: min(_ARC_CHUNK, points - start)]
+        gen.random(z.size, out=z)
+        z += np.arange(start, start + z.size)
+        z *= step
+        np.cos(z, out=z)
+        z *= reach
+        inside += np.count_nonzero(z > window.cap_base_km)
+    return inside / points * TWO_PI * orbit.radius_km
 
 
 def criterion_arc_bruteforce(seed: int, scale: float = 1.0) -> CriterionResult:
@@ -250,16 +272,20 @@ def _laplace_direct_average(
     density: float,
     channel: ChannelParams,
     serving_km: float,
-    s: float,
+    s_values,
     trials: int,
     gen,
-) -> float:
-    """E[exp(-s I)] by simulating the interferers on the leftover arc."""
+) -> np.ndarray:
+    """E[exp(-s I)] for each s by simulating the interferers on the
+    leftover arc. Every s is averaged over the same interference sums
+    (common random numbers), one s at a time, so memory stays that of one
+    batch."""
     ell0 = float(distance_to_arc(orbit, serving_km))
     arc = visible_arc_length(orbit, window)
     span = arc - ell0
     total_mean = density * span
-    acc = 0.0
+    s_values = np.asarray(s_values, dtype=float)
+    acc = np.zeros(s_values.size)
     done = 0
     batch = 200_000
     while done < trials:
@@ -274,7 +300,8 @@ def _laplace_direct_average(
         occupied = counts > 0
         if total:
             sums[occupied] = np.add.reduceat(weight, _segment_starts(counts)[occupied])
-        acc += float(np.exp(-s * channel.g_i_bar * sums).sum())
+        for k, s in enumerate(s_values):
+            acc[k] += float(np.exp(-s * channel.g_i_bar * sums).sum())
         done += n
     return acc / trials
 
@@ -295,11 +322,9 @@ def criterion_laplace(seed: int, scale: float = 1.0) -> CriterionResult:
         # raw transform-variable probes plus values on the coverage scale
         # s = m gamma r^alpha, where the transform actually gets used
         scales = [0.1, 1.0, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
-        for s in scales:
+        directs = _laplace_direct_average(orbit, window, DENSITY_PER_KM, channel, serving, scales, trials, gen)
+        for s, direct in zip(scales, directs):
             analytic = math.exp(log_laplace(orbit, window, DENSITY_PER_KM, channel, serving, s))
-            direct = _laplace_direct_average(
-                orbit, window, DENSITY_PER_KM, channel, serving, s, trials, gen
-            )
             ok &= _check(
                 lines, f"transform r={_fmt(serving)} s={_fmt(s)}", analytic, direct, tol
             )
@@ -366,6 +391,7 @@ def criterion_snr_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
     cfg = McConfig(trials=trials, seed=seed + 71, batch=10_000)
     budgets = tuple(LinkBudget(bandwidth_hz=bandwidth) for bandwidth in (1.0e7, 1.0e8, 1.0e9))
     (sir_conditional, _, _), per_budget = _coverage_pass(spec, budgets, GAMMA_GRID_DB, cfg)
+    _conditioned(sir_conditional)  # one orbit: every curve shares its survivors
     ok = True
     previous_sinr = None
     for budget, (snr_c, _, sinr_c, _) in zip(budgets, per_budget):

@@ -12,7 +12,9 @@ inverse-square-root endpoint weight the arc coordinate removes, so they
 check that substitution. `sample_orbit` builds explicit 3-D satellite
 positions on the whole circle and applies the elevation-angle test, so
 it checks the batch kernels' window draws, which work in the height
-coordinate alone.
+coordinate alone. `arc_length_bruteforce_one_shot` is validation's
+brute-force arc count drawn and counted in one pass over full-size
+arrays, the form its chunked count must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -294,3 +296,12 @@ def sample_orbit(
         distances_km=dist[order],
         visible=visible[order],
     )
+
+
+def arc_length_bruteforce_one_shot(orbit: OrbitGeometry, window: VisibilityWindow, points: int, gen) -> float:
+    """Visible arc by jittered-stratified counting: one uniform angle per
+    equal slice of the circle, counted where the height clears the cap."""
+    psi = (np.arange(points) + gen.random(points)) * (TWO_PI / points)
+    z = -orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(psi)
+    frac = np.count_nonzero(z > window.cap_base_km) / points
+    return frac * TWO_PI * orbit.radius_km

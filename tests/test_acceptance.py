@@ -49,15 +49,15 @@ def test_criterion_1_geometry_anchors(capsys):
 
 
 def test_criterion_2_arc_bruteforce(capsys):
-    run_and_report(2, capsys, budget_s=30.0)
+    run_and_report(2, capsys, budget_s=12.0)
 
 
 def test_criterion_3_nearest_distance(capsys):
-    run_and_report(3, capsys, budget_s=300.0)
+    run_and_report(3, capsys, budget_s=20.0)
 
 
 def test_criterion_4_interference_transform(capsys):
-    run_and_report(4, capsys, budget_s=180.0)
+    run_and_report(4, capsys, budget_s=8.0)
 
 
 def test_criterion_5_sir_coverage(capsys):

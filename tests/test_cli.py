@@ -228,6 +228,24 @@ class TestCoverageVerb:
         assert [r.curve_kind for r in rows] == ["maxSIR-analytic"] * 3
         assert all(r.value == 0.0 for r in rows)
 
+    def test_invisible_orbit_in_a_constellation_simulates_to_nothing(self, tmp_path):
+        # the simulation writes the joint curve over all trials, which is 0
+        # when one orbit is never visible, although no trial survives the
+        # conditioning of the curve it does not write
+        cfg = write_scenario(
+            tmp_path,
+            orbits=[
+                {"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 0.005},
+                {"altitude_km": 500.0, "theta_deg": 20.0, "density_per_km": 0.005},
+            ],
+            mc={"trials": 2000, "seed": 5, "batch": 500},
+        )
+        out = tmp_path / "out"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_result_rows(out / "cli_test_coverage.csv")
+        assert [r.curve_kind for r in rows] == ["maxSIR-analytic"] * 3 + ["maxSIR-MC"] * 3 + ["maxSIR-delta"] * 3
+        assert all(r.value == 0.0 for r in rows)
+
     def test_trials_flag_enables_simulation(self, tmp_path):
         cfg = write_scenario(tmp_path)
         out = tmp_path / "out"

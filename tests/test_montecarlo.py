@@ -30,9 +30,11 @@ from orbitcov.distance import NearestDistanceLaw
 from orbitcov.geometry import TWO_PI
 from orbitcov.montecarlo import (
     _coverage_pass,
+    _nearest_by_angle,
+    _satellite_distances,
     _segment_starts,
-    _visible_batch,
     _wilson_bounds,
+    _window_draw,
     _window_half_angle,
 )
 from reference_forms import orbit_plane_basis, sample_orbit
@@ -144,7 +146,8 @@ class TestVisibleWindow:
     def test_mean_visible_count(self, ref_window, theta):
         orbit = OrbitGeometry(500.0, theta)
         n = 200_000
-        _, _, r_vis, _ = _visible_batch(orbit, ref_window, RandomSource(22).generator, LAM, n)
+        psi = _window_draw(orbit, ref_window, RandomSource(22).generator, LAM, n)[2]
+        r_vis = _satellite_distances(orbit, ref_window, psi)
         mean = LAM * visible_arc_length(orbit, ref_window)
         assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
 
@@ -156,13 +159,47 @@ class TestVisibleWindow:
         lam = 0.0005
         rng = RandomSource(23)
         snapshots = np.array([sample_orbit(orbit, ref_window, lam, rng).nearest_visible_km for _ in range(4000)])
-        kernel = _visible_batch(orbit, ref_window, RandomSource(24).generator, lam, 20_000)[3]
+        draws = _window_draw(orbit, ref_window, RandomSource(24).generator, lam, 20_000)
+        kernel = _nearest_by_angle(orbit, ref_window, *draws)
         p_vis = NearestDistanceLaw(orbit, ref_window, lam).visibility_probability
         for sample in (snapshots, kernel):
             seen = np.count_nonzero(np.isfinite(sample))
             assert seen / sample.size == pytest.approx(p_vis, abs=5.0 * math.sqrt(p_vis * (1 - p_vis) / sample.size))
         result = stats.ks_2samp(snapshots[np.isfinite(snapshots)], kernel[np.isfinite(kernel)])
         assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "altitude_km, omega_deg, theta",
+        [
+            (500.0, 10.0, math.pi / 2),
+            (500.0, 10.0, math.pi / 2 + math.pi / 18),
+            (GEO_ALTITUDE_KM, 10.0, math.pi / 2),
+            (500.0, 85.0, math.pi / 2),
+            (500.0, 10.0, None),
+            (GEO_ALTITUDE_KM, 45.0, None),
+        ],
+    )
+    def test_nearest_by_angle_is_the_per_satellite_minimum(self, altitude_km, omega_deg, theta):
+        # on the same draws, the angle reduction must pick the satellite the
+        # per-satellite distances put nearest; theta None sits at 0.999999
+        # of the upper band edge, where the window is a sliver
+        window = VisibilityWindow.from_min_elevation(math.radians(omega_deg), OrbitGeometry(altitude_km, math.pi / 2))
+        if theta is None:
+            theta = _band_thetas(altitude_km, window)[1]
+        orbit = OrbitGeometry(altitude_km, theta)
+        n = 20_000
+        # about 3 satellites per trial, so most trials reduce over several
+        density = 3.0 / visible_arc_length(orbit, window)
+        counts, starts, psi = _window_draw(orbit, window, RandomSource(29).generator, density, n)
+        r_vis = _satellite_distances(orbit, window, psi)  # before the kernel overwrites psi
+        expected = np.full(n, np.inf)
+        occupied = counts > 0
+        expected[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
+        nearest = _nearest_by_angle(orbit, window, counts, starts, psi)
+        seen = np.isfinite(expected)
+        assert np.array_equal(np.isfinite(nearest), seen)
+        assert np.count_nonzero(seen) > n // 2
+        assert np.allclose(nearest[seen], expected[seen], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.3, math.pi - 0.3])
     def test_out_of_band_is_degenerate_without_warnings(self, theta):
