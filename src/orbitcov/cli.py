@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError, GeometryGrid, ScenarioConfig, SweepSpec, load_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario
 from .coverage import (
     CoverageCurve,
     max_sir_coverage_curve,
@@ -119,6 +119,9 @@ def read_result_rows(path) -> list[ResultRow]:
             raise ValueError(f"unexpected result header in {path}")
         rows = []
         for record in reader:
+            # DictReader files extra cells under None and fills missing ones with None
+            if None in record or None in record.values():
+                raise ValueError(f"{path} line {reader.line_num}: expected {len(RESULT_FIELDS)} cells")
             rows.append(
                 ResultRow(
                     scenario_id=record["scenario_id"],
@@ -233,26 +236,14 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[Result
     return rows, notices
 
 
-def _theta_grid(cfg: ScenarioConfig) -> list[float]:
-    grid = cfg.geometry
-    values = []
-    theta = grid.theta_start_deg
-    while theta <= grid.theta_stop_deg + 1e-9:
-        values.append(min(theta, 180.0))
-        theta += grid.theta_step_deg
-    return values
-
-
 def cmd_geometry(cfg: ScenarioConfig, out_dir: Path) -> int:
     """Visible arc, pass duration and speed over an inclination grid."""
-    if cfg.geometry is None:
-        cfg = dataclasses.replace(cfg, geometry=GeometryGrid(0.0, 180.0, 1.0, (cfg.omega_min_deg,)))
     reference = cfg.orbits()[0]
     speed = orbital_speed(reference)
     lines = [GEOMETRY_HEADER]
     for omega_deg in cfg.geometry.omega_min_deg:
         window = VisibilityWindow.from_min_elevation(math.radians(omega_deg), reference)
-        for theta_deg in _theta_grid(cfg):
+        for theta_deg in cfg.geometry.theta_deg:
             orbit = OrbitGeometry(
                 altitude_km=reference.altitude_km,
                 theta_rad=min(math.radians(theta_deg), math.pi),
@@ -288,69 +279,14 @@ def cmd_coverage(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int
     return 0
 
 
-def _sweep_variant(cfg: ScenarioConfig, parameter: str, value: float, position: int) -> ScenarioConfig:
-    where = f"sweep.values[{position}]"
-    rows = cfg.orbit_rows
-    omega = cfg.omega_min_deg
-    channel = cfg.channel
-    if parameter == "density_per_km":
-        if value <= 0:
-            raise ConfigError(where, "must be > 0")
-        rows = tuple(dataclasses.replace(r, density_per_km=value) for r in rows)
-    elif parameter == "altitude_km":
-        if value <= 0:
-            raise ConfigError(where, "must be > 0")
-        rows = tuple(dataclasses.replace(r, altitude_km=value) for r in rows)
-    elif parameter == "theta_deg":
-        if not 0.0 <= value <= 180.0:
-            raise ConfigError(where, "must lie in [0, 180]")
-        rows = tuple(dataclasses.replace(r, theta_deg=value) for r in rows)
-    elif parameter == "omega_min_deg":
-        if not 0.0 <= value < 90.0:
-            raise ConfigError(where, "must lie in [0, 90)")
-        omega = value
-    elif parameter == "alpha":
-        if value <= 0:
-            raise ConfigError(where, "must be > 0")
-        channel = dataclasses.replace(channel, alpha=value)
-    else:  # m
-        if value < 0.5:
-            raise ConfigError(where, "must be >= 0.5")
-        channel = dataclasses.replace(channel, m=value)
-    variant = dataclasses.replace(
-        cfg,
-        scenario_id=f"{cfg.scenario_id}__{parameter}_{value:g}",
-        orbit_rows=rows,
-        omega_min_deg=omega,
-        channel=channel,
-        sweep=None,
-    )
-    try:
-        variant.constellation()
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from None
-    return variant
-
-
 def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None, jobs: int) -> int:
     """Coverage over each value of the swept parameter, one combined file."""
-    sweep: SweepSpec | None = cfg.sweep
-    if sweep is None:
+    if cfg.sweep is None:
         raise ConfigError("sweep", "the sweep verb needs a sweep section")
-    variants = [_sweep_variant(cfg, sweep.parameter, v, i) for i, v in enumerate(sweep.values)]
-    # ids print values with {:g}, so values that agree to 6 digits collide
-    first_position: dict[str, int] = {}
-    for position, variant in enumerate(variants):
-        first = first_position.setdefault(variant.scenario_id, position)
-        if first != position:
-            raise ConfigError(
-                f"sweep.values[{position}]",
-                f"gives the same scenario id {variant.scenario_id!r} as sweep.values[{first}]",
-            )
     rows: list[ResultRow] = []
     notices: list[str] = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(coverage_rows, variant, mc) for variant in variants]
+        futures = [pool.submit(coverage_rows, variant, mc) for variant in cfg.sweep.variants]
         # collect in submission order: the output must not depend on timing
         for future in futures:
             variant_rows, variant_notices = future.result()

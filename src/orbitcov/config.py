@@ -7,12 +7,21 @@ purpose: unknown keys and out-of-range values raise `ConfigError` with
 the dotted path of the offending field, because a silently ignored typo
 in a scenario file is a corrupted study, not a convenience.
 
+This module is the only one that knows what a scenario file means. It
+also resolves the two derived parts the verbs run over: the geometry
+grid (inclinations start + i step, omega defaulting to the window's)
+and the sweep variants. Each sweep value is written into a copy of the
+decoded file, which is parsed again; an error there is re-raised under
+`sweep.values[i]`, so a swept value meets exactly the bounds of the
+field it replaces.
+
 Angles are degrees in files (people write degrees) and radians in code;
 the builder methods do the conversion exactly once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -33,12 +42,12 @@ __all__ = [
     "load_scenario",
 ]
 
-_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 # every dB field lies within +/- this many dB, so its linear value (and
 # the ratio of two of them) is finite and nonzero in double precision
 _DB_LIMIT = 1000.0
-_MAX_THRESHOLDS = 10_000
+_MAX_GRID_POINTS = 10_000
 
 SWEEP_PARAMETERS = (
     "density_per_km",
@@ -70,13 +79,20 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(path, f"unknown key(s): {', '.join(unknown)}")
 
 
-def _number(mapping: dict, key: str, path: str, default=None, *, lo=None, hi=None, lo_open=False, hi_open=False):
-    if key not in mapping:
+def _where(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _number(container, key, path: str, default=None, *, lo=None, hi=None, lo_open=False, hi_open=False):
+    """`container[key]` as a bounded float; `key` is an object key or an array index."""
+    where = _where(path, key)
+    if isinstance(container, dict) and key not in container:
         if default is None:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required value")
+            raise ConfigError(where, "missing required value")
         return default
-    value = mapping[key]
-    where = f"{path}.{key}" if path else key
+    value = container[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where, "expected a number")
     value = float(value)
@@ -90,12 +106,12 @@ def _number(mapping: dict, key: str, path: str, default=None, *, lo=None, hi=Non
 
 
 def _integer(mapping: dict, key: str, path: str, default=None, *, lo=None):
+    where = _where(path, key)
     if key not in mapping:
         if default is None:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required value")
+            raise ConfigError(where, "missing required value")
         return default
     value = mapping[key]
-    where = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(where, "expected an integer")
     if lo is not None and value < lo:
@@ -117,12 +133,14 @@ class GeometryGrid:
     theta_stop_deg: float
     theta_step_deg: float
     omega_min_deg: tuple[float, ...]
+    theta_deg: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
     values: tuple[float, ...]
+    variants: tuple[ScenarioConfig, ...]
 
 
 @dataclass(frozen=True)
@@ -137,7 +155,7 @@ class ScenarioConfig:
     budget: LinkBudget | None
     thresholds_db: tuple[float, ...]
     mc: McConfig | None
-    geometry: GeometryGrid | None
+    geometry: GeometryGrid
     sweep: SweepSpec | None
 
     def orbits(self) -> tuple[OrbitGeometry, ...]:
@@ -233,6 +251,13 @@ def _parse_budget(data: dict) -> LinkBudget | None:
     return budget
 
 
+def _grid(start: float, stop: float, step: float, step_path: str) -> tuple[float, ...]:
+    # the grid holds floor((stop - start) / step + 1e-9) + 1 points
+    if (stop - start) / step + 1e-9 >= _MAX_GRID_POINTS:
+        raise ConfigError(step_path, f"the grid would hold more than {_MAX_GRID_POINTS} points")
+    return threshold_grid_db(start, stop, step)
+
+
 def _parse_thresholds(data: dict) -> tuple[float, ...]:
     section = _require_mapping(data.get("thresholds", {}), "thresholds")
     _check_keys(section, {"start_db", "stop_db", "step_db"}, "thresholds")
@@ -241,10 +266,7 @@ def _parse_thresholds(data: dict) -> tuple[float, ...]:
     step = _number(section, "step_db", "thresholds", 5.0, lo=0.0, lo_open=True)
     if stop < start:
         raise ConfigError("thresholds.stop_db", "must be >= start_db")
-    # the grid holds floor((stop - start) / step + 1e-9) + 1 points
-    if (stop - start) / step + 1e-9 >= _MAX_THRESHOLDS:
-        raise ConfigError("thresholds.step_db", f"the grid would hold more than {_MAX_THRESHOLDS} points")
-    return threshold_grid_db(start, stop, step)
+    return _grid(start, stop, step, "thresholds.step_db")
 
 
 def _parse_mc(data: dict) -> McConfig | None:
@@ -259,32 +281,38 @@ def _parse_mc(data: dict) -> McConfig | None:
     )
 
 
-def _parse_geometry(data: dict) -> GeometryGrid | None:
-    if "geometry" not in data:
-        return None
-    section = _require_mapping(data["geometry"], "geometry")
+def _parse_geometry(data: dict, window_omega_deg: float) -> GeometryGrid:
+    section = _require_mapping(data.get("geometry", {}), "geometry")
     _check_keys(section, {"theta_start_deg", "theta_stop_deg", "theta_step_deg", "omega_min_deg"}, "geometry")
     start = _number(section, "theta_start_deg", "geometry", 0.0, lo=0.0, hi=180.0)
     stop = _number(section, "theta_stop_deg", "geometry", 180.0, lo=0.0, hi=180.0)
     step = _number(section, "theta_step_deg", "geometry", 1.0, lo=0.0, lo_open=True)
     if stop < start:
         raise ConfigError("geometry.theta_stop_deg", "must be >= theta_start_deg")
-    omegas = section.get("omega_min_deg", [0.0])
+    thetas = _grid(start, stop, step, "geometry.theta_step_deg")
+    # the last point, start + i step, can land a rounding error past stop
+    thetas = thetas[:-1] + (min(thetas[-1], stop),)
+    omegas = section.get("omega_min_deg", [window_omega_deg])
     if not isinstance(omegas, list) or not omegas:
         raise ConfigError("geometry.omega_min_deg", "expected a non-empty array")
-    parsed = []
-    for i, value in enumerate(omegas):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"geometry.omega_min_deg[{i}]", "expected a number")
-        if not 0.0 <= float(value) < 90.0:
-            raise ConfigError(f"geometry.omega_min_deg[{i}]", "must lie in [0, 90)")
-        parsed.append(float(value))
-    return GeometryGrid(start, stop, step, tuple(parsed))
+    parsed = tuple(
+        _number(omegas, i, "geometry.omega_min_deg", lo=0.0, hi=90.0, hi_open=True) for i in range(len(omegas))
+    )
+    return GeometryGrid(start, stop, step, parsed, thetas)
 
 
-def _parse_sweep(data: dict) -> SweepSpec | None:
-    if "sweep" not in data:
-        return None
+def _sweep_copy(data: dict, parameter: str, value: float) -> dict:
+    """The decoded scenario with `value` in the swept field and no sweep section."""
+    copy = {key: section for key, section in data.items() if key != "sweep"}
+    if parameter in ("density_per_km", "altitude_km", "theta_deg"):
+        copy["orbits"] = [{**row, parameter: value} for row in data["orbits"]]
+    else:
+        section = "window" if parameter == "omega_min_deg" else "channel"
+        copy[section] = {**data.get(section, {}), parameter: value}
+    return copy
+
+
+def _parse_sweep(data: dict, scenario_id: str) -> SweepSpec:
     section = _require_mapping(data["sweep"], "sweep")
     _check_keys(section, {"parameter", "values"}, "sweep")
     parameter = section.get("parameter")
@@ -293,12 +321,23 @@ def _parse_sweep(data: dict) -> SweepSpec | None:
     values = section.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values", "expected a non-empty array")
-    parsed = []
-    for i, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"sweep.values[{i}]", "expected a number")
-        parsed.append(float(value))
-    return SweepSpec(parameter, tuple(parsed))
+    parsed = tuple(_number(values, i, "sweep.values") for i in range(len(values)))
+    variants = []
+    first_position: dict[str, int] = {}
+    for position, value in enumerate(parsed):
+        where = f"sweep.values[{position}]"
+        try:
+            variant = parse_scenario(_sweep_copy(data, parameter, value))
+        except ConfigError as exc:
+            raise ConfigError(where, str(exc)) from None
+        # set after parsing: {:g} can print a '+' the id pattern rejects,
+        # and values that agree to 6 digits print the same id
+        variant_id = f"{scenario_id}__{parameter}_{value:g}"
+        first = first_position.setdefault(variant_id, position)
+        if first != position:
+            raise ConfigError(where, f"gives the same scenario id {variant_id!r} as sweep.values[{first}]")
+        variants.append(dataclasses.replace(variant, scenario_id=variant_id))
+    return SweepSpec(parameter, parsed, tuple(variants))
 
 
 def parse_scenario(data) -> ScenarioConfig:
@@ -318,7 +357,7 @@ def parse_scenario(data) -> ScenarioConfig:
     }
     _check_keys(data, allowed, "")
     scenario_id = data.get("scenario_id", "scenario")
-    if not isinstance(scenario_id, str) or not _ID_PATTERN.match(scenario_id):
+    if not isinstance(scenario_id, str) or not _ID_PATTERN.fullmatch(scenario_id):
         raise ConfigError("scenario_id", "expected a name of letters, digits, '._-'")
     window = _require_mapping(data.get("window", {}), "window")
     _check_keys(window, {"omega_min_deg"}, "window")
@@ -332,13 +371,15 @@ def parse_scenario(data) -> ScenarioConfig:
         budget=_parse_budget(data),
         thresholds_db=_parse_thresholds(data),
         mc=_parse_mc(data),
-        geometry=_parse_geometry(data),
-        sweep=_parse_sweep(data),
+        geometry=_parse_geometry(data, omega),
+        sweep=None,
     )
     try:
         config.constellation()
     except ValueError as exc:
         raise ConfigError("orbits", str(exc)) from None
+    if "sweep" in data:
+        config = dataclasses.replace(config, sweep=_parse_sweep(data, scenario_id))
     return config
 
 

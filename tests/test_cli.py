@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,21 @@ class TestResultFile:
         with pytest.raises(ValueError, match="header"):
             read_result_rows(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "x,SIR-analytic,0.0,0.25,,,90.0,0.005,2.0,1.0,1",
+            "x,SIR-analytic,0.0,0.25,,,90.0,0.005,2.0,1.0,1,,7",
+        ],
+        ids=["short", "long"],
+    )
+    def test_rejects_row_of_wrong_length(self, tmp_path, line):
+        path = tmp_path / "rows.csv"
+        good = "x,SIR-analytic,-10.0,0.5,,,90.0,0.005,2.0,1.0,1,"
+        path.write_text(f"{RESULT_HEADER}\n{good}\n{line}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_result_rows(path)
+
 
 class TestGeometryVerb:
     def test_writes_grid(self, tmp_path):
@@ -129,6 +146,15 @@ class TestGeometryVerb:
         assert main(["geometry", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "cli_test_geometry.csv").read_text().splitlines()
         assert len(lines) == 1 + 181
+
+    def test_empty_section_is_the_default_grid(self, tmp_path):
+        bare = write_scenario(tmp_path, "bare.json")
+        empty = write_scenario(tmp_path, "empty.json", geometry={})
+        assert main(["geometry", "--config", str(bare), "--out", str(tmp_path / "a")]) == 0
+        assert main(["geometry", "--config", str(empty), "--out", str(tmp_path / "b")]) == 0
+        written = (tmp_path / "b" / "cli_test_geometry.csv").read_bytes()
+        assert written == (tmp_path / "a" / "cli_test_geometry.csv").read_bytes()
+        assert all(line.split(",")[1] == "10.0" for line in written.decode().splitlines()[1:])
 
 
 class TestCoverageVerb:
@@ -327,6 +353,16 @@ class TestSweepVerb:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+    @pytest.mark.parametrize("verb", ["sweep", "coverage"])
+    @pytest.mark.parametrize("parameter,good", [("density_per_km", 0.005), ("alpha", 2.0), ("m", 1.0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sweep_value_fails_every_verb(self, tmp_path, capsys, verb, parameter, good, bad):
+        cfg = write_scenario(tmp_path, sweep={"parameter": parameter, "values": [good, bad]})
+        out = tmp_path / "o"
+        assert main([verb, "--config", str(cfg), "--out", str(out), "--trials", "2000"]) == 2
+        assert "sweep.values[1]" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_colliding_scenario_ids_rejected(self, tmp_path, capsys):
         # ids print the value with {:g}: these two would share one id
         cfg = write_scenario(tmp_path, sweep={"parameter": "alpha", "values": [2.0, 1.0, 1.0000001]})
@@ -334,6 +370,19 @@ class TestSweepVerb:
         err = capsys.readouterr().err
         assert "sweep.values[2]" in err and "sweep.values[1]" in err
         assert not (tmp_path / "o" / "cli_test_sweep.csv").exists()
+
+
+class TestReadmeScenario:
+    def test_documented_scenario_sweeps(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Scenario files", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "readme.json"
+        path.write_text(block, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--trials", "2000"]) == 0
+        ids = {row.scenario_id for row in read_result_rows(out / "leo500_sweep.csv")}
+        assert ids == {"leo500__density_per_km_0.001", "leo500__density_per_km_0.005", "leo500__density_per_km_0.01"}
 
 
 class TestExitCodes:
@@ -365,6 +414,13 @@ class TestExitCodes:
         cfg = write_scenario(tmp_path, **{section: value})
         assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert path in capsys.readouterr().err
+
+    def test_id_with_trailing_newline_is_two(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, scenario_id="leo\n")
+        out = tmp_path / "o"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "scenario_id" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_usage_error_is_three(self, tmp_path):
         assert main(["coverage"]) == 3  # --config is required

@@ -1,5 +1,6 @@
 """Scenario file parsing and validation."""
 
+import dataclasses
 import json
 import math
 
@@ -111,7 +112,7 @@ class TestRejection:
             parse_scenario(data)
 
     def test_bad_scenario_id(self):
-        for bad in ("", "has space", "-leading", 7):
+        for bad in ("", "has space", "-leading", "trailing\n", 7):
             with pytest.raises(ConfigError):
                 parse_scenario(minimal(scenario_id=bad))
 
@@ -148,8 +149,9 @@ class TestRejection:
             parse_scenario(minimal(sweep={"parameter": "color", "values": [1.0]}))
 
     def test_invisible_constellation_parses(self):
-        # an orbit outside the window band is still a valid scenario; the
-        # geometry sweep wants it, and coverage rejects it at compute time
+        # an orbit outside the window band is still a valid scenario: the
+        # geometry verb wants it and the coverage curves give 0 for it; only
+        # the coverage conditioned on visibility raises
         data = minimal(window={"omega_min_deg": 10.0})
         data["orbits"][0]["theta_deg"] = 20.0
         cfg = parse_scenario(data)
@@ -202,6 +204,128 @@ class TestDecibelBounds:
         with pytest.raises(ConfigError) as caught:
             parse_scenario(minimal(thresholds={"start_db": -500.0, "stop_db": 500.0, "step_db": 0.1}))
         assert caught.value.path == "thresholds.step_db"
+
+
+class TestSweepVariants:
+    """Each sweep value is parsed as the scenario with that value written
+    into the swept field, so it is checked like the field itself."""
+
+    @pytest.mark.parametrize(
+        "parameter,value",
+        [
+            ("density_per_km", 0.01),
+            ("altitude_km", 600.0),
+            ("theta_deg", 80.0),
+            ("omega_min_deg", 20.0),
+            ("alpha", 3.5),
+            ("m", 2),
+        ],
+    )
+    def test_variant_is_the_hand_edited_scenario(self, parameter, value):
+        data = minimal(
+            window={"omega_min_deg": 10.0},
+            channel={"g_i_bar_db": -10.0},
+            mc={"trials": 2000},
+            sweep={"parameter": parameter, "values": [value]},
+        )
+        data["orbits"].append({"altitude_km": 500.0, "theta_deg": 95.0, "density_per_km": 0.002})
+        (variant,) = parse_scenario(data).sweep.variants
+        edited = json.loads(json.dumps(data))
+        del edited["sweep"]
+        if parameter in ("density_per_km", "altitude_km", "theta_deg"):
+            for row in edited["orbits"]:
+                row[parameter] = value
+        elif parameter == "omega_min_deg":
+            edited["window"][parameter] = value
+        else:
+            edited["channel"][parameter] = value
+        assert variant.scenario_id == f"unit__{parameter}_{float(value):g}"
+        assert dataclasses.replace(variant, scenario_id="unit") == parse_scenario(edited)
+
+    def test_variants_follow_value_order(self):
+        cfg = parse_scenario(minimal(sweep={"parameter": "alpha", "values": [4, 2.5, 1e6]}))
+        assert cfg.sweep.values == (4.0, 2.5, 1e6)
+        assert [v.channel.alpha for v in cfg.sweep.variants] == [4.0, 2.5, 1e6]
+        # the id pattern rejects '+', but a variant id is set after parsing
+        assert [v.scenario_id for v in cfg.sweep.variants] == ["unit__alpha_4", "unit__alpha_2.5", "unit__alpha_1e+06"]
+        assert all(v.sweep is None for v in cfg.sweep.variants)
+
+    @pytest.mark.parametrize(
+        "parameter,good,bad,field",
+        [
+            ("density_per_km", 0.01, -1.0, "orbits[0].density_per_km: must be > 0.0"),
+            ("altitude_km", 600.0, 0.0, "orbits[0].altitude_km: must be > 0.0"),
+            ("theta_deg", 80.0, 181.0, "orbits[0].theta_deg: must be <= 180.0"),
+            ("omega_min_deg", 20.0, 90.0, "window.omega_min_deg: must be < 90.0"),
+            ("alpha", 3.0, 0.0, "channel.alpha: must be > 0.0"),
+            ("m", 2.0, 0.4, "channel.m: must be >= 0.5"),
+        ],
+    )
+    def test_out_of_range_value_names_the_field(self, parameter, good, bad, field):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(sweep={"parameter": parameter, "values": [good, bad]}))
+        assert caught.value.path == "sweep.values[1]"
+        assert str(caught.value) == f"sweep.values[1]: {field}"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "2"])
+    def test_non_finite_or_non_number_value(self, bad):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(sweep={"parameter": "alpha", "values": [2.0, bad]}))
+        assert caught.value.path == "sweep.values[1]"
+
+    def test_value_that_breaks_the_constellation(self):
+        # a 1e-300 km shell is a legal altitude but has no visibility cap
+        data = minimal(window={"omega_min_deg": 10.0}, sweep={"parameter": "altitude_km", "values": [500.0, 1e-300]})
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(data)
+        assert str(caught.value) == "sweep.values[1]: orbits: degenerate visibility cap"
+
+    def test_colliding_ids_rejected(self):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(sweep={"parameter": "alpha", "values": [2.0, 1.0, 1.0000001]}))
+        assert caught.value.path == "sweep.values[2]"
+        assert "sweep.values[1]" in str(caught.value)
+
+
+class TestGeometryGrid:
+    def test_defaults_take_the_window_omega(self):
+        bare = parse_scenario(minimal(window={"omega_min_deg": 10.0}))
+        empty = parse_scenario(minimal(window={"omega_min_deg": 10.0}, geometry={}))
+        assert bare.geometry == empty.geometry
+        assert bare.geometry.omega_min_deg == (10.0,)
+        assert bare.geometry.theta_deg == tuple(float(k) for k in range(181))
+
+    def test_theta_is_start_plus_index_times_step(self):
+        cfg = parse_scenario(minimal(geometry={"theta_start_deg": 10.0, "theta_stop_deg": 11.0, "theta_step_deg": 0.1}))
+        assert cfg.geometry.theta_deg == tuple(10.0 + k * 0.1 for k in range(11))
+
+    def test_theta_never_passes_stop(self):
+        # 2 step lies 9e-11 past 180, inside the grid's 1e-9 step slack
+        cfg = parse_scenario(minimal(geometry={"theta_step_deg": 90.0 * (1.0 + 5e-13)}))
+        assert cfg.geometry.theta_deg == (0.0, 90.0 * (1.0 + 5e-13), 180.0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"theta_step_deg": 5e-15},
+            {"theta_step_deg": 1e-6},
+            {"theta_start_deg": 100.0, "theta_stop_deg": 100.001, "theta_step_deg": 5e-15},
+        ],
+    )
+    def test_grid_size_is_capped(self, grid):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(geometry=grid))
+        assert caught.value.path == "geometry.theta_step_deg"
+
+    def test_single_point_grid_takes_any_step(self):
+        cfg = parse_scenario(minimal(geometry={"theta_start_deg": 100.0, "theta_stop_deg": 100.0, "theta_step_deg": 5e-15}))
+        assert cfg.geometry.theta_deg == (100.0,)
+
+    @pytest.mark.parametrize("bad", [90.0, -1.0, float("nan"), True])
+    def test_omega_checked_element_by_element(self, bad):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(geometry={"omega_min_deg": [10.0, bad]}))
+        assert caught.value.path == "geometry.omega_min_deg[1]"
 
 
 class TestLoad:
