@@ -10,8 +10,9 @@ the simulation twins of all of it, and `validation` the acceptance criteria
 that hold the two sides together. `numerics` holds the fixed
 Gauss-Legendre rules every analytic integral runs on and the seeded
 random streams. `cli` wraps the lot for scenario files. The runtime
-needs numpy only. Independent reference forms (distance-domain integrals,
-explicit 3-D orbit snapshots) live in the test suite, not here.
+needs numpy only. Independent reference forms (the double-angle arc,
+distance-domain integrals, explicit 3-D orbit snapshots) live in the
+test suite, not here.
 """
 
 from .coverage import (
@@ -39,7 +40,6 @@ from .geometry import (
     arc_to_distance,
     d_min,
     distance_to_arc,
-    eta,
     orbital_speed,
     visibility_probability,
     visible_arc_length,
@@ -83,7 +83,6 @@ __all__ = [
     "arc_to_distance",
     "d_min",
     "distance_to_arc",
-    "eta",
     "orbital_speed",
     "visibility_probability",
     "visible_arc_length",

@@ -48,6 +48,11 @@ _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 # the ratio of two of them) is finite and nonzero in double precision
 _DB_LIMIT = 1000.0
 _MAX_GRID_POINTS = 10_000
+# the upper ends of the stated domain: Nakagami m, satellites per km of
+# orbit, and altitude (km) up to GEO
+_MAX_M = 10.0
+_MAX_DENSITY = 10.0
+_MAX_ALTITUDE_KM = 35786.0
 
 SWEEP_PARAMETERS = (
     "density_per_km",
@@ -210,10 +215,10 @@ def _parse_orbits(data: dict) -> tuple[OrbitRow, ...]:
         _check_keys(row, {"altitude_km", "theta_deg", "phi_deg", "density_per_km"}, path)
         parsed.append(
             OrbitRow(
-                altitude_km=_number(row, "altitude_km", path, lo=0.0, lo_open=True),
+                altitude_km=_number(row, "altitude_km", path, lo=0.0, hi=_MAX_ALTITUDE_KM, lo_open=True),
                 theta_deg=_number(row, "theta_deg", path, lo=0.0, hi=180.0),
                 phi_deg=_number(row, "phi_deg", path, 0.0, lo=0.0, hi=360.0, hi_open=True),
-                density_per_km=_number(row, "density_per_km", path, lo=0.0, lo_open=True),
+                density_per_km=_number(row, "density_per_km", path, lo=0.0, hi=_MAX_DENSITY, lo_open=True),
             )
         )
     altitudes = {row.altitude_km for row in parsed}
@@ -228,7 +233,7 @@ def _parse_channel(data: dict) -> ChannelParams:
     g_db = _number(section, "g_i_bar_db", "channel", -13.0, lo=-_DB_LIMIT, hi=0.0)
     return ChannelParams(
         alpha=_number(section, "alpha", "channel", 2.0, lo=0.0, lo_open=True),
-        m=_number(section, "m", "channel", 1.0, lo=0.5),
+        m=_number(section, "m", "channel", 1.0, lo=0.5, hi=_MAX_M),
         g_i_bar=10.0 ** (g_db / 10.0),
     )
 

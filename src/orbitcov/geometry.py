@@ -12,11 +12,18 @@ Everything here reduces to two coordinates:
 
 * the height z of an orbit point above the equatorial plane of the cap
   axis, since the user-to-point distance is r^2 = R^2 + R_E^2 - 2 R_E z
-  by the law of cosines, and
+  by the law of cosines (`_distance_at_height`, the one place that
+  formula is written), and
 * the arc-length coordinate ell = (length of the orbit arc within
   distance r of the user), in which a homogeneous Poisson process on the
   orbit stays homogeneous. `arc_to_distance` / `distance_to_arc` convert
   between the two and are the backbone of all quadrature in this package.
+
+A point at orbit angle psi sits at height z = -R sin(theta) cos(psi), so
+the cap cuts the orbit in the window (pi - beta, pi + beta) with
+beta = arccos(cap_base / (R sin(theta))) (`_window_half_angle`). The
+visible arc is 2 R beta, and the Monte-Carlo kernels draw satellites in
+that same window: both sides read beta and the distance from here.
 
 All lengths are kilometers and all angles radians unless a name says
 otherwise; `visible_time` and `orbital_speed` convert to meters/seconds
@@ -39,7 +46,6 @@ __all__ = [
     "EarthConstants",
     "OrbitGeometry",
     "VisibilityWindow",
-    "eta",
     "visible_arc_length",
     "d_min",
     "arc_to_distance",
@@ -134,52 +140,42 @@ class VisibilityWindow:
         return cls(omega_min_rad=omega_min_rad, cap_base_km=cap, d_max_km=dmax)
 
 
-def eta(radius_km: float, theta_rad: float, cap_base_km: float):
-    """Cosine of the angular extent of the orbit arc inside a spherical cap.
+def _window_half_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
+    """Half-width beta of the orbit-angle window (pi - beta, pi + beta)
+    in which the height z = -R sin(theta) cos(psi) clears the cap base.
 
-    The cap is the portion of the orbit sphere above the plane at height
-    ``cap_base_km`` along the cap axis; when the orbit reaches the cap, the
-    intersection arc has length ``radius_km * arccos(eta)``.
-
-    Values within _CLAMP_TOL of +/-1 are clamped so band-edge rounding
-    noise cannot leak NaN through arccos; values farther outside are
-    returned untouched so callers can detect out-of-band geometry.
+    Zero when R sin(theta) <= cap_base: the orbit never rises above the
+    cap (theta = 0, theta = pi and every theta outside the band).
     """
-    sin_t = math.sin(theta_rad)
-    if sin_t == 0.0:
-        # orbit plane contains the cap axis only in the degenerate sense;
-        # callers must gate on the visibility band before calling
-        raise ValueError("eta is undefined for sin(theta) = 0")
-    x = cap_base_km / (radius_km * sin_t)
-    v = 2.0 * x * x - 1.0
-    if abs(v - 1.0) <= _CLAMP_TOL:
-        return 1.0
-    if abs(v + 1.0) <= _CLAMP_TOL:
-        return -1.0
-    return v
+    reach = orbit.radius_km * math.sin(orbit.theta_rad)
+    if reach <= window.cap_base_km:
+        return 0.0
+    return math.acos(window.cap_base_km / reach)
+
+
+def _distance_at_height(orbit: OrbitGeometry, z):
+    """Distance (km) from the user to orbit points at height z above the
+    equatorial plane of the cap axis: the law of cosines."""
+    R = orbit.radius_km
+    re = orbit.earth.radius_km
+    return np.sqrt(R * R + re * re - 2.0 * re * z)
 
 
 def visible_arc_length(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
-    """Length (km) of the orbit arc inside the visibility cap.
+    """Length (km) of the orbit arc inside the visibility cap, 2 R beta.
 
-    Zero whenever the orbit plane is tilted past the band
-    |theta - pi/2| <= arccos(cap_base / R); in particular polar-normal
+    Zero outside the band |theta - pi/2| < arccos(cap_base / R), where
+    the orbit never rises above the cap base; in particular polar-normal
     orbits (theta = 0 or pi) are never visible.
     """
-    R = orbit.radius_km
-    band = math.acos(window.cap_base_km / R)
-    if abs(orbit.theta_rad - math.pi / 2) > band:
-        return 0.0
-    v = eta(R, orbit.theta_rad, window.cap_base_km)
-    return R * math.acos(min(v, 1.0))
+    return 2.0 * orbit.radius_km * _window_half_angle(orbit, window)
 
 
 def d_min(orbit: OrbitGeometry) -> float:
-    """Minimum possible user-to-satellite distance (km) on this orbit."""
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    # same operand order as arc_to_distance(0) so the two agree bit-for-bit
-    return math.sqrt(R * R + re * re - 2.0 * re * R * math.sin(orbit.theta_rad))
+    """Minimum possible user-to-satellite distance (km) on this orbit,
+    reached at the highest orbit point, z = R sin(theta); the same
+    height as arc_to_distance(0), so the two agree bit for bit."""
+    return float(_distance_at_height(orbit, orbit.radius_km * math.sin(orbit.theta_rad)))
 
 
 def arc_to_distance(orbit: OrbitGeometry, ell):
@@ -192,9 +188,7 @@ def arc_to_distance(orbit: OrbitGeometry, ell):
     R = orbit.radius_km
     if np.any(ell < 0.0) or np.any(ell > TWO_PI * R):
         raise ValueError("arc length outside [0, 2*pi*R]")
-    re = orbit.earth.radius_km
-    sin_t = math.sin(orbit.theta_rad)
-    r = np.sqrt(R * R + re * re - 2.0 * re * R * sin_t * np.cos(ell / (2.0 * R)))
+    r = _distance_at_height(orbit, R * math.sin(orbit.theta_rad) * np.cos(ell / (2.0 * R)))
     return r[()] if r.ndim == 0 else r
 
 

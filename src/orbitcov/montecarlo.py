@@ -5,19 +5,21 @@ density lambda along each orbit circle, independent unit-mean gamma
 fading powers, the user served by the nearest visible satellite. A point
 at orbit angle psi sits at height z = -R sin(theta) cos(psi) above the
 user's horizon plane, and it is visible when z clears the cap base, that
-is for psi in the window (pi - beta, pi + beta) with
-beta = arccos(cap_base / (R sin(theta))). By the Poisson restriction
-theorem the satellites inside that window are themselves Poisson with
-density lambda, so the batch kernels draw only the window: a
-Poisson(2 R beta lambda) count per trial and uniform angles in it. They
-never build 3-D positions; the law of cosines turns z into the distance,
-so a trial is a few vectorized passes over a flat array of satellites.
+is for psi in the window (pi - beta, pi + beta). The half-angle beta and
+the law of cosines that turns z into the distance come from `geometry`,
+the same rules the analytic side reads, so the window drawn here is the
+visible arc 2 R beta. By the Poisson restriction theorem the satellites
+inside that window are themselves Poisson with density lambda, so the
+batch kernels draw only the window: a Poisson(2 R beta lambda) count per
+trial and uniform angles in it. They never build 3-D positions, so a
+trial is a few vectorized passes over a flat array of satellites.
 The nearest-distance estimator goes further: in the window the distance
 grows with |psi - pi|, so it reduces each trial on the angle and takes
 the cosine, the cap test and the square root once per trial.
-The test suite keeps an explicit 3-D construction of the whole circle,
-with the elevation-angle visibility test, as an independent check of
-that shortcut.
+The independent checks of the window are elsewhere: the test suite
+builds explicit 3-D positions on the whole circle with the
+elevation-angle visibility test, and validation criterion 2 counts
+brute-force points of the circle against the arc length.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn and the best SIR over the
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import ConstellationSpec, CoverageCurve, LinkBudget, db_to_linear
-from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow
+from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _distance_at_height, _window_half_angle
 from .numerics import RandomSource
 
 __all__ = [
@@ -90,19 +92,6 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _window_half_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
-    """Half-width beta of the orbit-angle window (pi - beta, pi + beta)
-    in which the height z = -R sin(theta) cos(psi) clears the cap base.
-
-    Zero when R sin(theta) <= cap_base: the orbit never rises above the
-    cap (theta = 0, theta = pi and every theta outside the band).
-    """
-    reach = orbit.radius_km * math.sin(orbit.theta_rad)
-    if reach <= window.cap_base_km:
-        return 0.0
-    return math.acos(window.cap_base_km / reach)
-
-
 def _window_draw(
     orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,9 +109,7 @@ def _window_draw(
 def _height_to_distance(orbit: OrbitGeometry, window: VisibilityWindow, z: np.ndarray) -> np.ndarray:
     """Distance (km) from the user to points at height z, inf for a point
     rounding put on or below the cap base."""
-    R = orbit.radius_km
-    re = orbit.earth.radius_km
-    return np.where(z > window.cap_base_km, np.sqrt(R * R + re * re - 2.0 * re * z), np.inf)
+    return np.where(z > window.cap_base_km, _distance_at_height(orbit, z), np.inf)
 
 
 def _satellite_distances(orbit: OrbitGeometry, window: VisibilityWindow, psi: np.ndarray) -> np.ndarray:

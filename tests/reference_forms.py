@@ -1,6 +1,10 @@
 """Independent restatements the tests compare the library against.
 
-None of these run in the library. `adaptive` is scipy's adaptive
+None of these run in the library. `eta` is the double-angle form
+cos(ell / R) = 2 x^2 - 1 of the arc endpoint, x = cap / (R sin(theta)),
+and `visible_arc_double_angle` the visible arc R arccos(eta) behind a
+band test; the library takes the arc as 2 R arccos(x), from the window
+half-angle the simulation draws in. `adaptive` is scipy's adaptive
 Gauss-Kronrod `quad` behind explicit tolerances; the library's fixed
 Gauss-Legendre rule is checked against it. The adaptive coverage forms
 nest it the way the closed forms read: an outer integral over the
@@ -34,11 +38,13 @@ from orbitcov import (
     VisibilityWindow,
     arc_to_distance,
     d_min,
-    eta,
     visible_arc_length,
 )
 from orbitcov.geometry import KM_IN_M, TWO_PI
 from orbitcov.interference import _serving_arc
+
+# band-edge rounding window of eta, never real overshoot
+_CLAMP_TOL = 1e-12
 
 
 class ReferenceQuadratureError(RuntimeError):
@@ -144,6 +150,41 @@ def snr_coverage_adaptive(orbit, window, density: float, channel: ChannelParams,
         return math.exp(-q) * sum(q**t / math.factorial(t) for t in range(m))
 
     return _serving_average_adaptive(orbit, window, density, success)
+
+
+def eta(radius_km: float, theta_rad: float, cap_base_km: float):
+    """Cosine of the angular extent of the orbit arc inside a spherical cap.
+
+    The cap is the portion of the orbit sphere above the plane at height
+    ``cap_base_km`` along the cap axis; when the orbit reaches the cap, the
+    intersection arc has length ``radius_km * arccos(eta)``.
+
+    Values within _CLAMP_TOL of +/-1 are clamped so band-edge rounding
+    noise cannot leak NaN through arccos; values farther outside are
+    returned untouched so callers can detect out-of-band geometry.
+    """
+    sin_t = math.sin(theta_rad)
+    if sin_t == 0.0:
+        # orbit plane contains the cap axis only in the degenerate sense;
+        # callers must gate on the visibility band before calling
+        raise ValueError("eta is undefined for sin(theta) = 0")
+    x = cap_base_km / (radius_km * sin_t)
+    v = 2.0 * x * x - 1.0
+    if abs(v - 1.0) <= _CLAMP_TOL:
+        return 1.0
+    if abs(v + 1.0) <= _CLAMP_TOL:
+        return -1.0
+    return v
+
+
+def visible_arc_double_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
+    """Visible arc R arccos(eta), zero past the band
+    |theta - pi/2| <= arccos(cap_base / R)."""
+    R = orbit.radius_km
+    band = math.acos(window.cap_base_km / R)
+    if abs(orbit.theta_rad - math.pi / 2) > band:
+        return 0.0
+    return R * math.acos(min(eta(R, orbit.theta_rad, window.cap_base_km), 1.0))
 
 
 def nearest_ccdf_distance_form(law: NearestDistanceLaw, r: float) -> float:

@@ -415,6 +415,21 @@ class TestExitCodes:
         assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,value,path",
+        [
+            ("channel", {"m": 200}, "channel.m"),
+            ("orbits", [{"altitude_km": 1e6, "theta_deg": 90.0, "density_per_km": 0.005}], "orbits[0].altitude_km"),
+            ("orbits", [{"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 1e3}], "orbits[0].density_per_km"),
+        ],
+    )
+    def test_past_the_stated_domain_is_two(self, tmp_path, capsys, section, value, path):
+        cfg = write_scenario(tmp_path, **{section: value})
+        out = tmp_path / "o"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
+        assert path in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_id_with_trailing_newline_is_two(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, scenario_id="leo\n")
         out = tmp_path / "o"

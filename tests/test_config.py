@@ -125,6 +125,20 @@ class TestRejection:
             parse_scenario(minimal(window={"omega_min_deg": 90.0}))
         with pytest.raises(ConfigError):
             parse_scenario(minimal(channel={"m": 0.4}))
+        # the upper ends of the stated domain
+        with pytest.raises(ConfigError, match=r"^channel\.m: must be <= 10"):
+            parse_scenario(minimal(channel={"m": 200.0}))
+        for key, value in (("altitude_km", 1e6), ("altitude_km", 35786.001), ("density_per_km", 1e3)):
+            data = minimal()
+            data["orbits"][0][key] = value
+            with pytest.raises(ConfigError, match=rf"^orbits\[0\]\.{key}: must be <="):
+                parse_scenario(data)
+
+    def test_upper_ends_are_accepted(self):
+        data = minimal(channel={"m": 10})
+        data["orbits"][0].update(altitude_km=35786.0, density_per_km=10.0)
+        cfg = parse_scenario(data)
+        assert (cfg.channel.m, cfg.orbit_rows[0].altitude_km, cfg.densities()) == (10.0, 35786.0, (10.0,))
 
     def test_boolean_is_not_a_number(self):
         data = minimal()
@@ -259,6 +273,9 @@ class TestSweepVariants:
             ("omega_min_deg", 20.0, 90.0, "window.omega_min_deg: must be < 90.0"),
             ("alpha", 3.0, 0.0, "channel.alpha: must be > 0.0"),
             ("m", 2.0, 0.4, "channel.m: must be >= 0.5"),
+            ("density_per_km", 0.01, 1e3, "orbits[0].density_per_km: must be <= 10.0"),
+            ("altitude_km", 600.0, 1e6, "orbits[0].altitude_km: must be <= 35786.0"),
+            ("m", 2.0, 200.0, "channel.m: must be <= 10.0"),
         ],
     )
     def test_out_of_range_value_names_the_field(self, parameter, good, bad, field):

@@ -17,14 +17,13 @@ from orbitcov import (
     arc_to_distance,
     d_min,
     distance_to_arc,
-    eta,
     orbital_speed,
     visibility_probability,
     visible_arc_length,
     visible_time,
 )
 from orbitcov.geometry import TWO_PI
-from reference_forms import orbit_plane_basis
+from reference_forms import eta, orbit_plane_basis
 
 
 class TestAnchors:
@@ -123,6 +122,9 @@ class TestArcDistanceMaps:
         )
         assert arc_to_distance(ref_orbit, 0.0) == d_min(ref_orbit)
         assert arc_to_distance(ref_orbit, arc) == pytest.approx(1694.5672211546794, abs=1e-9)
+        # the geometry verb writes repr(arc), and a numpy scalar's repr is
+        # np.float64(...) under numpy 2
+        assert type(arc) is float and type(d_min(ref_orbit)) is float
 
     def test_mutual_inverses_on_grid(self):
         rng = np.random.default_rng(7)

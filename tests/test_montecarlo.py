@@ -23,11 +23,12 @@ from orbitcov import (
     empirical_snr_sinr_coverage,
     nearest_ccdf,
     sir_coverage_conditional,
+    sir_coverage_curve,
     threshold_grid_db,
     visible_arc_length,
 )
 from orbitcov.distance import NearestDistanceLaw
-from orbitcov.geometry import TWO_PI
+from orbitcov.geometry import TWO_PI, _window_half_angle
 from orbitcov.montecarlo import (
     _coverage_pass,
     _nearest_by_angle,
@@ -35,9 +36,8 @@ from orbitcov.montecarlo import (
     _segment_starts,
     _wilson_bounds,
     _window_draw,
-    _window_half_angle,
 )
-from reference_forms import orbit_plane_basis, sample_orbit
+from reference_forms import orbit_plane_basis, sample_orbit, visible_arc_double_angle
 
 LAM = 0.005
 
@@ -135,12 +135,13 @@ class TestVisibleWindow:
     @pytest.mark.parametrize("omega_deg", [0.0, 10.0, 45.0, 85.0])
     def test_window_length_is_the_visible_arc(self, altitude_km, omega_deg):
         # the kernel's window 2 R beta is worked out from the cap height
-        # alone; the analytic arc map must give the same length
+        # alone; the double-angle form R arccos(eta) behind the band test
+        # must give the same length
         window = VisibilityWindow.from_min_elevation(math.radians(omega_deg), OrbitGeometry(altitude_km, math.pi / 2))
         for theta in _band_thetas(altitude_km, window):
             orbit = OrbitGeometry(altitude_km, theta)
             window_km = 2.0 * orbit.radius_km * _window_half_angle(orbit, window)
-            assert window_km == pytest.approx(visible_arc_length(orbit, window), rel=1e-9, abs=0.0)
+            assert window_km == pytest.approx(visible_arc_double_angle(orbit, window), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 2 + math.pi / 18])
     def test_mean_visible_count(self, ref_window, theta):
@@ -215,6 +216,21 @@ class TestVisibleWindow:
                 empirical_sir_coverage(spec, (0.0,), cfg)
             with pytest.raises(DegenerateSampleError):
                 empirical_snr_sinr_coverage(spec, LinkBudget(), (0.0,), cfg)
+
+    def test_band_edge_arc_is_the_simulated_window(self):
+        # 1e-12 of the band inside its edge the arc is a sliver, but a dense
+        # orbit still sees it in about one trial in twenty: the analytic
+        # arc must be the window drawn, and the coverage must follow it
+        band = math.acos(single().window.cap_base_km / single().orbits[0].radius_km)
+        spec = single(theta=math.pi / 2 + band * (1.0 - 1e-12), lam=10.0)
+        orbit, window = spec.orbits[0], spec.window
+        arc = visible_arc_length(orbit, window)
+        assert arc > 0.0
+        assert arc == 2.0 * orbit.radius_km * _window_half_angle(orbit, window)
+        analytic = sir_coverage_curve(orbit, window, 10.0, spec.channel, (-10.0,)).values[0]
+        _, simulated = empirical_sir_coverage(spec, (-10.0,), McConfig(trials=20_000, seed=7))
+        half_width = (simulated.ci_high[0] - simulated.ci_low[0]) / 2.0
+        assert abs(analytic - simulated.values[0]) <= 4.0 * half_width
 
 
 class TestSegmentStarts:
