@@ -211,7 +211,7 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[Result
         if mc is None:
             raise ValueError("non-integer m needs an mc section or --trials to simulate")
     sir_key = "SIR" if single else "maxSIR"
-    budgets = (cfg.budget,) if single and cfg.budget is not None else ()
+    budgets = () if cfg.budget is None else (cfg.budget,)  # config keeps a budget to one orbit
     analytic: dict[str, list[ResultRow]] = {}
     if analytic_ok:
         if single:

@@ -53,6 +53,9 @@ _MAX_GRID_POINTS = 10_000
 _MAX_M = 10.0
 _MAX_DENSITY = 10.0
 _MAX_ALTITUDE_KM = 35786.0
+# trials per Monte-Carlo batch: the simulation scores satellites in
+# bounded chunks, so a batch costs a few 8-byte arrays per trial
+_MAX_BATCH = 1_000_000
 
 SWEEP_PARAMETERS = (
     "density_per_km",
@@ -110,7 +113,7 @@ def _number(container, key, path: str, default=None, *, lo=None, hi=None, lo_ope
     return value
 
 
-def _integer(mapping: dict, key: str, path: str, default=None, *, lo=None):
+def _integer(mapping: dict, key: str, path: str, default=None, *, lo=None, hi=None):
     where = _where(path, key)
     if key not in mapping:
         if default is None:
@@ -121,6 +124,8 @@ def _integer(mapping: dict, key: str, path: str, default=None, *, lo=None):
         raise ConfigError(where, "expected an integer")
     if lo is not None and value < lo:
         raise ConfigError(where, f"must be >= {lo}")
+    if hi is not None and value > hi:
+        raise ConfigError(where, f"must be <= {hi}")
     return value
 
 
@@ -282,7 +287,7 @@ def _parse_mc(data: dict) -> McConfig | None:
     return McConfig(
         trials=_integer(section, "trials", "mc", 100_000, lo=1),
         seed=_integer(section, "seed", "mc", 1729, lo=0),
-        batch=_integer(section, "batch", "mc", 10_000, lo=1),
+        batch=_integer(section, "batch", "mc", 10_000, lo=1, hi=_MAX_BATCH),
     )
 
 
@@ -383,6 +388,8 @@ def parse_scenario(data) -> ScenarioConfig:
         config.constellation()
     except ValueError as exc:
         raise ConfigError("orbits", str(exc)) from None
+    if config.budget is not None and len(config.orbit_rows) > 1:
+        raise ConfigError("budget", "SNR and SINR are computed for a single orbit; remove budget or keep one orbit")
     if "sweep" in data:
         config = dataclasses.replace(config, sweep=_parse_sweep(data, scenario_id))
     return config

@@ -12,8 +12,8 @@ Everything here reduces to two coordinates:
 
 * the height z of an orbit point above the equatorial plane of the cap
   axis, since the user-to-point distance is r^2 = R^2 + R_E^2 - 2 R_E z
-  by the law of cosines (`_distance_at_height`, the one place that
-  formula is written), and
+  by the law of cosines (`_squared_distance_at_height`, the one place
+  that formula is written), and
 * the arc-length coordinate ell = (length of the orbit arc within
   distance r of the user), in which a homogeneous Poisson process on the
   orbit stays homogeneous. `arc_to_distance` / `distance_to_arc` convert
@@ -153,12 +153,17 @@ def _window_half_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
     return math.acos(window.cap_base_km / reach)
 
 
-def _distance_at_height(orbit: OrbitGeometry, z):
-    """Distance (km) from the user to orbit points at height z above the
-    equatorial plane of the cap axis: the law of cosines."""
+def _squared_distance_at_height(orbit: OrbitGeometry, z):
+    """Squared distance (km^2) from the user to orbit points at height z
+    above the equatorial plane of the cap axis: the law of cosines."""
     R = orbit.radius_km
     re = orbit.earth.radius_km
-    return np.sqrt(R * R + re * re - 2.0 * re * z)
+    return R * R + re * re - 2.0 * re * z
+
+
+def _distance_at_height(orbit: OrbitGeometry, z):
+    """Distance (km) from the user to orbit points at height z."""
+    return np.sqrt(_squared_distance_at_height(orbit, z))
 
 
 def visible_arc_length(orbit: OrbitGeometry, window: VisibilityWindow) -> float:

@@ -6,20 +6,23 @@ fading powers, the user served by the nearest visible satellite. A point
 at orbit angle psi sits at height z = -R sin(theta) cos(psi) above the
 user's horizon plane, and it is visible when z clears the cap base, that
 is for psi in the window (pi - beta, pi + beta). The half-angle beta and
-the law of cosines that turns z into the distance come from `geometry`,
-the same rules the analytic side reads, so the window drawn here is the
-visible arc 2 R beta. By the Poisson restriction theorem the satellites
-inside that window are themselves Poisson with density lambda, so the
-batch kernels draw only the window: a Poisson(2 R beta lambda) count per
-trial and uniform angles in it. They never build 3-D positions, so a
-trial is a few vectorized passes over a flat array of satellites.
-The nearest-distance estimator goes further: in the window the distance
-grows with |psi - pi|, so it reduces each trial on the angle and takes
-the cosine, the cap test and the square root once per trial.
-The independent checks of the window are elsewhere: the test suite
-builds explicit 3-D positions on the whole circle with the
-elevation-angle visibility test, and validation criterion 2 counts
+the law of cosines that turns z into the squared distance r^2 come from
+`geometry`, the same rules the analytic side reads. By the Poisson
+restriction theorem the satellites in the window are themselves Poisson
+with density lambda, so the kernel draws only the window: a
+Poisson(2 R beta lambda) count per trial and offsets o = |psi - pi|
+uniform in (0, beta), the same law since cos(pi +- o) = -cos(o). The
+distance grows with o, so a min-reduce on o finds the nearest satellite.
+Interferers weigh (r^2)^(-alpha/2), a reciprocal at alpha = 2, with no
+square root per satellite. The independent checks of the window are
+elsewhere: the tests build explicit 3-D positions on the whole circle
+with the elevation-angle test, and validation criterion 2 counts
 brute-force points of the circle against the arc length.
+
+A batch draws the counts of all its trials, then scores them in chunks
+of whole trials of at most _CHUNK_SATELLITES satellites, or one larger
+trial: each chunk draws its offsets, then its fadings, and the serving
+fadings come last. Only per-trial arrays grow with the batch.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn and the best SIR over the
@@ -28,8 +31,9 @@ one-orbit constellation, whose any-visible curve is its joint one; only
 there are SNR and SINR scored too, on the same draws.
 
 Reproducibility contract: a run is determined by (seed, trials, batch).
-Each batch consumes its own child stream of the seed, so results do not
-depend on how batches are scheduled, only on how the work is split.
+Each batch consumes its own child stream of the seed in the order above,
+so results do not depend on how batches are scheduled, only on how the
+work is split; the chunk size is a module constant, not an option.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import ConstellationSpec, CoverageCurve, LinkBudget, db_to_linear
-from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _distance_at_height, _window_half_angle
+from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _window_half_angle
+from .geometry import _distance_at_height, _squared_distance_at_height
 from .numerics import RandomSource
 
 __all__ = [
@@ -55,6 +60,9 @@ __all__ = [
 # trials that survive conditioning below this are too few for any
 # statement at the package's tolerances
 MIN_CONDITIONING_TRIALS = 100
+# satellites scored at once: a chunk's arrays stay cache-sized and a
+# batch's memory no longer grows with its satellites
+_CHUNK_SATELLITES = 2**14
 
 
 class DegenerateSampleError(RuntimeError):
@@ -92,85 +100,75 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _window_draw(
-    orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the visible window of n trials.
-
-    Returns per-trial satellite counts, their segment starts in the flat
-    array and the flat array of orbit angles psi.
-    """
+def _window_chunks(orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, n: int):
+    """Yield (trial slice, counts, offsets) per chunk of n trials, drawn
+    in the order the module docstring gives; a caller that draws more per
+    chunk does so before asking for the next one."""
     beta = _window_half_angle(orbit, window)
     counts = gen.poisson(2.0 * orbit.radius_km * beta * density, n)
-    psi = gen.uniform(math.pi - beta, math.pi + beta, int(counts.sum()))
-    return counts, _segment_starts(counts), psi
-
-
-def _height_to_distance(orbit: OrbitGeometry, window: VisibilityWindow, z: np.ndarray) -> np.ndarray:
-    """Distance (km) from the user to points at height z, inf for a point
-    rounding put on or below the cap base."""
-    return np.where(z > window.cap_base_km, _distance_at_height(orbit, z), np.inf)
-
-
-def _satellite_distances(orbit: OrbitGeometry, window: VisibilityWindow, psi: np.ndarray) -> np.ndarray:
-    """Per-satellite distance (km) of the window draws; inf when hidden."""
-    z = -orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(psi)
-    return _height_to_distance(orbit, window, z)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < n:
+        before = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + _CHUNK_SATELLITES, side="right")))
+        yield slice(lo, hi), counts[lo:hi], gen.uniform(0.0, beta, int(ends[hi - 1]) - before)
+        lo = hi
 
 
 def _nearest_by_angle(
-    orbit: OrbitGeometry, window: VisibilityWindow, counts: np.ndarray, starts: np.ndarray, psi: np.ndarray
-) -> np.ndarray:
-    """Nearest visible distance per trial (km; inf when none).
-
-    In the window the distance grows with |psi - pi|, so the trial's
-    nearest satellite is the one closest to pi in angle: the reduction
-    runs on the angle and cos, the cap test and sqrt run once per trial.
-    Overwrites psi with |psi - pi|, which spares a fresh array per batch.
-    """
+    orbit: OrbitGeometry, window: VisibilityWindow, counts: np.ndarray, starts: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial the smallest offset and the nearest visible distance
+    (km): cos, the cap test and sqrt run once per trial. Both are inf for
+    an empty trial, the distance also when rounding put that satellite on
+    or below the cap base."""
+    closest = np.full(counts.size, np.inf)
     nearest = np.full(counts.size, np.inf)
-    if psi.size:
-        offset = np.subtract(psi, math.pi, out=psi)
-        np.abs(offset, out=offset)
+    if offsets.size:
         occupied = counts > 0
-        closest = np.minimum.reduceat(offset, starts[occupied])
-        # cos(pi +- offset) = -cos(offset)
-        z = orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(closest)
-        nearest[occupied] = _height_to_distance(orbit, window, z)
-    return nearest
+        closest[occupied] = np.minimum.reduceat(offsets, starts[occupied])
+        z = orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(closest[occupied])
+        nearest[occupied] = np.where(z > window.cap_base_km, _distance_at_height(orbit, z), np.inf)
+    return closest, nearest
+
+
+def _score(
+    orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts: np.ndarray, offsets: np.ndarray, fading
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (nearest_km, interference sum) of drawn trials: the sum
+    over visible satellites beyond the serving one of fading * (r^2)^(-alpha/2),
+    r in km; the caller applies units and the mean interferer gain."""
+    starts = _segment_starts(counts)
+    closest, nearest = _nearest_by_angle(orbit, window, counts, starts, offsets)
+    interference = np.zeros(counts.size)
+    if offsets.size:
+        z = np.cos(offsets)
+        z *= orbit.radius_km * math.sin(orbit.theta_rad)
+        # beyond the serving satellite and clear of the cap base
+        keep = offsets > np.repeat(closest, counts)
+        keep &= z > window.cap_base_km
+        r2 = _squared_distance_at_height(orbit, z)
+        weight = np.reciprocal(r2, out=r2) if alpha == 2.0 else np.power(r2, -0.5 * alpha, out=r2)
+        weight *= fading
+        weight *= keep
+        occupied = counts > 0
+        interference[occupied] = np.add.reduceat(weight, starts[occupied])
+    return nearest, interference
 
 
 def _sir_batch(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    gen: np.random.Generator,
-    density: float,
-    m: float,
-    alpha: float,
-    n: int,
+    orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, m: float, alpha: float, n
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (nearest_km, serving fading power, interference sum).
-
-    The interference sum is over visible satellites beyond the serving
-    one, of fading_power * r^-alpha with r in km and no gain factor; the
-    caller applies units and the mean interferer gain.
-    """
-    counts, starts, psi = _window_draw(orbit, window, gen, density, n)
-    r_vis = _satellite_distances(orbit, window, psi)
-    del psi  # spent: free it before the fading arrays
-    total = r_vis.size
-    nearest = np.full(n, np.inf)
-    occupied = counts > 0
-    if total:
-        nearest[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
-    fading = gen.gamma(m, 1.0 / m, total)
-    # hidden satellites have r_vis = inf, so they weigh inf^-alpha = 0
-    weight = np.where(r_vis > np.repeat(nearest, counts), fading * r_vis ** -alpha, 0.0)
-    interference = np.zeros(n)
-    if total:
-        interference[occupied] = np.add.reduceat(weight, starts[occupied])
-    serving_fading = gen.gamma(m, 1.0 / m, n)
-    return nearest, serving_fading, interference
+    """Per-trial (nearest_km, serving fading power, interference sum) of
+    n trials: each chunk draws its fadings after its offsets, and the
+    serving fadings of all n trials come last."""
+    # Gamma(1, 1) is the standard exponential: the same draws, sampled faster
+    fading = gen.standard_exponential if m == 1.0 else lambda size: gen.gamma(m, 1.0 / m, size)
+    nearest = np.empty(n)
+    interference = np.empty(n)
+    for trials, counts, offsets in _window_chunks(orbit, window, gen, density, n):
+        nearest[trials], interference[trials] = _score(orbit, window, alpha, counts, offsets, fading(offsets.size))
+    return nearest, fading(n), interference
 
 
 def _wilson_bounds(successes: np.ndarray, trials: int, z: float = 1.96) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +207,9 @@ def empirical_nearest_ccdf(
     exceed = np.zeros(grid.size, dtype=np.int64)
     survivors = 0
     for gen, size in _batches(cfg):
-        nearest = _nearest_by_angle(orbit, window, *_window_draw(orbit, window, gen, density_per_km, size))
+        nearest = np.empty(size)
+        for trials, counts, offsets in _window_chunks(orbit, window, gen, density_per_km, size):
+            nearest[trials] = _nearest_by_angle(orbit, window, counts, _segment_starts(counts), offsets)[1]
         finite = np.sort(nearest[np.isfinite(nearest)])
         survivors += finite.size
         exceed += finite.size - np.searchsorted(finite, grid, side="right")

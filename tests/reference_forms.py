@@ -19,6 +19,11 @@ it checks the batch kernels' window draws, which work in the height
 coordinate alone. `arc_length_bruteforce_one_shot` is validation's
 brute-force arc count drawn and counted in one pass over full-size
 arrays, the form its chunked count must reproduce bit for bit.
+`window_draw` draws a batch's window in one piece, without chunks;
+`satellite_distances` and `score_per_satellite` score drawn trials one
+satellite and one trial at a time, with the square root, r^-alpha and
+exact sums, the form the chunked kernel's squared-distance weights must
+match.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from orbitcov import (
     d_min,
     visible_arc_length,
 )
-from orbitcov.geometry import KM_IN_M, TWO_PI
+from orbitcov.geometry import KM_IN_M, TWO_PI, _window_half_angle
 from orbitcov.interference import _serving_arc
 
 # band-edge rounding window of eta, never real overshoot
@@ -346,3 +351,42 @@ def arc_length_bruteforce_one_shot(orbit: OrbitGeometry, window: VisibilityWindo
     z = -orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(psi)
     frac = np.count_nonzero(z > window.cap_base_km) / points
     return frac * TWO_PI * orbit.radius_km
+
+
+def window_draw(orbit: OrbitGeometry, window: VisibilityWindow, gen, density: float, n: int):
+    """Counts and offsets |psi - pi| of n trials, the window drawn in one
+    piece: a Poisson(2 R beta lambda) count per trial, offsets U(0, beta)."""
+    beta = _window_half_angle(orbit, window)
+    counts = gen.poisson(2.0 * orbit.radius_km * beta * density, n)
+    return counts, gen.uniform(0.0, beta, int(counts.sum()))
+
+
+def satellite_distances(orbit: OrbitGeometry, window: VisibilityWindow, offsets) -> np.ndarray:
+    """Distance (km) of each satellite at its offset from pi, inf when
+    its height z = R sin(theta) cos(offset) is not above the cap base."""
+    R = orbit.radius_km
+    re = orbit.earth.radius_km
+    z = R * math.sin(orbit.theta_rad) * np.cos(offsets)
+    return np.where(z > window.cap_base_km, np.sqrt(R * R + re * re - 2.0 * re * z), np.inf)
+
+
+def score_per_satellite(orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts, offsets, fading):
+    """Per-trial nearest distance (km) and interference sum of drawn
+    trials, one trial at a time: the distances, their -alpha power, and
+    an exact sum over every satellite but the serving one, hidden ones
+    weighing inf^-alpha = 0. Near the top of the orbit many offsets round
+    to one distance, so the serving satellite is named by its offset,
+    the smallest, as it is nearest in exact arithmetic."""
+    r = satellite_distances(orbit, window, offsets)
+    nearest = np.full(len(counts), np.inf)
+    interference = np.zeros(len(counts))
+    start = 0
+    for i, count in enumerate(counts):
+        seg = slice(start, start + count)
+        if count:
+            nearest[i] = r[seg].min()
+            weight = fading[seg] * r[seg] ** -alpha
+            serving = np.argmin(offsets[seg])
+            interference[i] = math.fsum(np.delete(weight, serving))
+        start += count
+    return nearest, interference

@@ -421,6 +421,7 @@ class TestExitCodes:
             ("channel", {"m": 200}, "channel.m"),
             ("orbits", [{"altitude_km": 1e6, "theta_deg": 90.0, "density_per_km": 0.005}], "orbits[0].altitude_km"),
             ("orbits", [{"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 1e3}], "orbits[0].density_per_km"),
+            ("mc", {"trials": 1000, "batch": 10**9}, "mc.batch"),
         ],
     )
     def test_past_the_stated_domain_is_two(self, tmp_path, capsys, section, value, path):
@@ -428,6 +429,15 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
         assert path in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_budget_on_several_orbits_is_two(self, tmp_path, capsys):
+        # the budget was once dropped without notice: 27 maxSIR rows, no SNR
+        orbits = [{"altitude_km": 500.0, "theta_deg": theta, "density_per_km": 0.005} for theta in (90.0, 80.0)]
+        cfg = write_scenario(tmp_path, orbits=orbits, budget={}, mc={"trials": 2000, "seed": 5, "batch": 1000})
+        out = tmp_path / "o"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
         assert not list(out.iterdir())
 
     def test_id_with_trailing_newline_is_two(self, tmp_path, capsys):

@@ -133,12 +133,26 @@ class TestRejection:
             data["orbits"][0][key] = value
             with pytest.raises(ConfigError, match=rf"^orbits\[0\]\.{key}: must be <="):
                 parse_scenario(data)
+        with pytest.raises(ConfigError, match=r"^mc\.batch: must be <= 1000000"):
+            parse_scenario(minimal(mc={"batch": 10**9}))
 
     def test_upper_ends_are_accepted(self):
-        data = minimal(channel={"m": 10})
+        data = minimal(channel={"m": 10}, mc={"batch": 1_000_000})
         data["orbits"][0].update(altitude_km=35786.0, density_per_km=10.0)
         cfg = parse_scenario(data)
         assert (cfg.channel.m, cfg.orbit_rows[0].altitude_km, cfg.densities()) == (10.0, 35786.0, (10.0,))
+        assert cfg.mc.batch == 1_000_000
+
+    def test_budget_on_several_orbits(self):
+        # SNR and SINR are single-orbit quantities: a budget next to two
+        # orbits is refused rather than left unused
+        data = minimal(budget={})
+        data["orbits"].append({"altitude_km": 500.0, "theta_deg": 80.0, "density_per_km": 0.005})
+        with pytest.raises(ConfigError, match="^budget: ") as caught:
+            parse_scenario(data)
+        assert caught.value.path == "budget"
+        del data["budget"]
+        assert parse_scenario(data).budget is None
 
     def test_boolean_is_not_a_number(self):
         data = minimal()

@@ -1,7 +1,12 @@
 """Simulation kernels: snapshots, nearest-distance and coverage estimators."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,15 +34,23 @@ from orbitcov import (
 )
 from orbitcov.distance import NearestDistanceLaw
 from orbitcov.geometry import TWO_PI, _window_half_angle
+from orbitcov import montecarlo
 from orbitcov.montecarlo import (
     _coverage_pass,
     _nearest_by_angle,
-    _satellite_distances,
+    _score,
     _segment_starts,
     _wilson_bounds,
-    _window_draw,
+    _window_chunks,
 )
-from reference_forms import orbit_plane_basis, sample_orbit, visible_arc_double_angle
+from reference_forms import (
+    orbit_plane_basis,
+    sample_orbit,
+    satellite_distances,
+    score_per_satellite,
+    visible_arc_double_angle,
+    window_draw,
+)
 
 LAM = 0.005
 
@@ -147,8 +160,8 @@ class TestVisibleWindow:
     def test_mean_visible_count(self, ref_window, theta):
         orbit = OrbitGeometry(500.0, theta)
         n = 200_000
-        psi = _window_draw(orbit, ref_window, RandomSource(22).generator, LAM, n)[2]
-        r_vis = _satellite_distances(orbit, ref_window, psi)
+        chunks = _window_chunks(orbit, ref_window, RandomSource(22).generator, LAM, n)
+        r_vis = satellite_distances(orbit, ref_window, np.concatenate([offsets for _, _, offsets in chunks]))
         mean = LAM * visible_arc_length(orbit, ref_window)
         assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
 
@@ -160,8 +173,10 @@ class TestVisibleWindow:
         lam = 0.0005
         rng = RandomSource(23)
         snapshots = np.array([sample_orbit(orbit, ref_window, lam, rng).nearest_visible_km for _ in range(4000)])
-        draws = _window_draw(orbit, ref_window, RandomSource(24).generator, lam, 20_000)
-        kernel = _nearest_by_angle(orbit, ref_window, *draws)
+        chunks = _window_chunks(orbit, ref_window, RandomSource(24).generator, lam, 20_000)
+        kernel = np.concatenate(
+            [_nearest_by_angle(orbit, ref_window, c, _segment_starts(c), offsets)[1] for _, c, offsets in chunks]
+        )
         p_vis = NearestDistanceLaw(orbit, ref_window, lam).visibility_probability
         for sample in (snapshots, kernel):
             seen = np.count_nonzero(np.isfinite(sample))
@@ -191,12 +206,13 @@ class TestVisibleWindow:
         n = 20_000
         # about 3 satellites per trial, so most trials reduce over several
         density = 3.0 / visible_arc_length(orbit, window)
-        counts, starts, psi = _window_draw(orbit, window, RandomSource(29).generator, density, n)
-        r_vis = _satellite_distances(orbit, window, psi)  # before the kernel overwrites psi
+        counts, offsets = window_draw(orbit, window, RandomSource(29).generator, density, n)
+        starts = _segment_starts(counts)
+        r_vis = satellite_distances(orbit, window, offsets)
         expected = np.full(n, np.inf)
         occupied = counts > 0
         expected[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
-        nearest = _nearest_by_angle(orbit, window, counts, starts, psi)
+        _, nearest = _nearest_by_angle(orbit, window, counts, starts, offsets)
         seen = np.isfinite(expected)
         assert np.array_equal(np.isfinite(nearest), seen)
         assert np.count_nonzero(seen) > n // 2
@@ -231,6 +247,95 @@ class TestVisibleWindow:
         _, simulated = empirical_sir_coverage(spec, (-10.0,), McConfig(trials=20_000, seed=7))
         half_width = (simulated.ci_high[0] - simulated.ci_low[0]) / 2.0
         assert abs(analytic - simulated.values[0]) <= 4.0 * half_width
+
+
+class TestChunkedKernel:
+    @staticmethod
+    def _fixed_trials(orbit, window, seed):
+        # empty trials, one trial larger than a chunk, and satellites on
+        # the window's rim, where rounding decides the cap test
+        gen = np.random.default_rng(seed)
+        beta = _window_half_angle(orbit, window)
+        counts = np.concatenate([gen.poisson(3.0, 300), [0, 0, montecarlo._CHUNK_SATELLITES + 3_000, 0, 1, 0]])
+        offsets = gen.uniform(0.0, beta, int(counts.sum()))
+        rim = beta - np.arange(50) * np.spacing(beta)
+        offsets[gen.choice(offsets.size, rim.size, replace=False)] = rim
+        return counts, offsets, gen.gamma(2.0, 0.5, offsets.size)
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.5])
+    @pytest.mark.parametrize("sliver", [False, True])
+    def test_score_matches_the_per_satellite_form(self, ref_window, alpha, sliver):
+        # squared-distance weights against sqrt, then r^-alpha, on the same
+        # fixed arrays; the sliver sits 1e-12 of the band inside its edge,
+        # where the window is a few meters wide
+        theta = math.pi / 2
+        if sliver:
+            theta += math.acos(ref_window.cap_base_km / OrbitGeometry(500.0, theta).radius_km) * (1.0 - 1e-12)
+        orbit = OrbitGeometry(500.0, theta)
+        counts, offsets, fading = self._fixed_trials(orbit, ref_window, 31)
+        nearest, interference = _score(orbit, ref_window, alpha, counts, offsets, fading)
+        expected_nearest, expected_interference = score_per_satellite(orbit, ref_window, alpha, counts, offsets, fading)
+        seen = np.isfinite(expected_nearest)
+        assert np.array_equal(np.isfinite(nearest), seen)
+        assert np.count_nonzero(seen) > 250
+        assert np.allclose(nearest[seen], expected_nearest[seen], rtol=1e-12, atol=0.0)
+        assert np.array_equal(interference == 0.0, expected_interference == 0.0)
+        assert np.allclose(interference, expected_interference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("density", [LAM, 0.05, 10.0])
+    def test_chunks_tile_the_batch(self, ref_orbit, ref_window, density):
+        n = 3_000 if density < 1.0 else 4
+        chunks = list(_window_chunks(ref_orbit, ref_window, RandomSource(32).generator, density, n))
+        assert [trials.start for trials, _, _ in chunks] == [0] + [trials.stop for trials, _, _ in chunks[:-1]]
+        assert chunks[-1][0].stop == n
+        for trials, counts, offsets in chunks:
+            assert counts.size == trials.stop - trials.start
+            assert offsets.size == counts.sum()
+            assert offsets.size <= montecarlo._CHUNK_SATELLITES or counts.size == 1
+        assert len(chunks) > 1
+
+    def test_small_chunks_keep_the_law(self, monkeypatch):
+        # chunks of 64 satellites hold about four trials each, so a batch
+        # is scored in hundreds of pieces
+        monkeypatch.setattr(montecarlo, "_CHUNK_SATELLITES", 64)
+        spec = single()
+        grid = threshold_grid_db(-10.0, 20.0, 5.0)
+        _, simulated = empirical_sir_coverage(spec, grid, McConfig(trials=20_000, seed=33, batch=5_000))
+        analytic = sir_coverage_curve(spec.orbits[0], spec.window, LAM, spec.channel, grid).values
+        half_width = (np.asarray(simulated.ci_high) - np.asarray(simulated.ci_low)) / 2.0
+        assert np.all(np.abs(analytic - np.asarray(simulated.values)) <= 4.0 * half_width)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_dense_batch_memory_is_bounded(self):
+        # 10 satellites per km at omega_min 0 put ~52,700 satellites in each
+        # trial's window: scored all at once, 200 trials of one batch
+        # peaked at 368 MB; in chunks they stay near the interpreter's own
+        code = textwrap.dedent(
+            """
+            import math, resource
+            from orbitcov import ChannelParams, ConstellationSpec, McConfig, OrbitGeometry, VisibilityWindow
+            from orbitcov import empirical_sir_coverage
+            orbit = OrbitGeometry(500.0, math.pi / 2)
+            window = VisibilityWindow.from_min_elevation(0.0, orbit)
+            spec = ConstellationSpec((orbit,), (10.0,), window, ChannelParams(alpha=2.0, m=1.0))
+            empirical_sir_coverage(spec, (-10.0, 0.0, 10.0), McConfig(trials=200, seed=3, batch=10_000))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        # at exec Linux carries the old address space's peak into the new
+        # process's ru_maxrss, so a child of this (large) test process
+        # would report its peak: the run is a grandchild, under a small
+        # interpreter
+        launcher = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        peak_mb = int(done.stdout) / 1024.0
+        assert peak_mb < 120.0
 
 
 class TestSegmentStarts:
