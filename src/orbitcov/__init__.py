@@ -4,10 +4,11 @@ Poisson point processes on inclined circular orbits.
 The package splits along the math: `geometry` holds the closed-form
 visibility geometry, `distance` the nearest-satellite law, `interference`
 the aggregate-interference Laplace transform, `coverage` the SIR/SNR
-coverage integrals and the multi-orbit combiner (conditional coverage
-for threshold arrays, unconditional curves on dB grids), `montecarlo`
-the simulation twins of all of it, and `validation` the acceptance criteria
-that hold the two sides together. `numerics` holds the fixed
+coverage integrals and the best-satellite combiner that joins orbits for
+both (conditional coverage for threshold arrays, unconditional curves on
+dB grids), `montecarlo` the simulation twins of all of it, SINR
+included, and `validation` the acceptance criteria that hold the two
+sides together. `numerics` holds the fixed
 Gauss-Legendre rules every analytic integral runs on and the seeded
 random streams. `cli` wraps the lot for scenario files. The runtime
 needs numpy only. Independent reference forms (the double-angle arc,

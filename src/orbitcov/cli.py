@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .coverage import (
-    CoverageCurve,
-    max_sir_coverage_curve,
-    sir_coverage_curve,
-    snr_coverage_curve,
-)
+from .coverage import CoverageCurve, _coverage_curve
 from .geometry import OrbitGeometry, VisibilityWindow, orbital_speed, visible_arc_length, visible_time
 from .montecarlo import McConfig, _coverage_pass
 from .validation import DEFAULT_SEED, render_report, run_all
@@ -146,7 +141,7 @@ def _shared(values) -> float | None:
     return unique.pop() if len(unique) == 1 else None
 
 
-def _curve_rows(cfg: ScenarioConfig, curve: CoverageCurve, kind: str, seed: int | None) -> list[ResultRow]:
+def _curve_rows(cfg: ScenarioConfig, curve: CoverageCurve, seed: int | None) -> list[ResultRow]:
     theta = _shared(row.theta_deg for row in cfg.orbit_rows)
     density = _shared(row.density_per_km for row in cfg.orbit_rows)
     rows = []
@@ -154,7 +149,7 @@ def _curve_rows(cfg: ScenarioConfig, curve: CoverageCurve, kind: str, seed: int 
         rows.append(
             ResultRow(
                 scenario_id=cfg.scenario_id,
-                curve_kind=kind,
+                curve_kind=curve.kind,
                 gamma_db=gamma_db,
                 value=curve.values[i],
                 ci_low=curve.ci_low[i] if curve.ci_low else None,
@@ -191,44 +186,36 @@ def _effective_mc(cfg: ScenarioConfig, args) -> McConfig | None:
 def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[ResultRow], list[str]]:
     """All result rows for one scenario, plus human-readable notices.
 
-    Curves are the unconditional coverage probabilities; the library
-    exposes the visibility-conditioned variants. Analytic curves need an
-    integer Nakagami figure, otherwise the run downgrades to simulation
-    only and says so.
+    Curves are the unconditional coverage probabilities through the best
+    visible satellite: SIR, plus SNR and SINR when the scenario has a
+    link budget. Kinds carry a `max` prefix when there are several orbits.
+    The library exposes the visibility-conditioned variants. Analytic
+    curves need an integer Nakagami figure, otherwise the run downgrades
+    to simulation only and says so.
     """
     constellation = cfg.constellation()
-    window = constellation.window
-    orbit = constellation.orbits[0]
-    density = constellation.densities_per_km[0]
-    channel = constellation.channel
-    single = constellation.n_orbits == 1
-    analytic_ok = float(channel.m).is_integer()
+    analytic_ok = float(constellation.channel.m).is_integer()
     notices: list[str] = []
     if not analytic_ok:
         notices.append(
-            f"channel m={channel.m!r} is not an integer: analytic curves skipped, simulation only"
+            f"channel m={constellation.channel.m!r} is not an integer: analytic curves skipped, simulation only"
         )
         if mc is None:
             raise ValueError("non-integer m needs an mc section or --trials to simulate")
-    sir_key = "SIR" if single else "maxSIR"
-    budgets = () if cfg.budget is None else (cfg.budget,)  # config keeps a budget to one orbit
+    prefix = "" if constellation.n_orbits == 1 else "max"
+    budgets = () if cfg.budget is None else (cfg.budget,)
+    quantities = {"SIR": None} if cfg.budget is None else {"SIR": None, "SNR": cfg.budget}
     analytic: dict[str, list[ResultRow]] = {}
     if analytic_ok:
-        if single:
-            curve = sir_coverage_curve(orbit, window, density, channel, cfg.thresholds_db)
-        else:
-            curve = max_sir_coverage_curve(constellation, cfg.thresholds_db)
-        analytic[sir_key] = _curve_rows(cfg, curve, f"{sir_key}-analytic", None)
-        if budgets:
-            curve = snr_coverage_curve(orbit, window, density, channel, cfg.budget, cfg.thresholds_db)
-            analytic["SNR"] = _curve_rows(cfg, curve, "SNR-analytic", None)
+        for quantity, budget in quantities.items():
+            kind = f"{prefix}{quantity}"
+            curve = _coverage_curve(constellation, cfg.thresholds_db, f"{kind}-analytic", budget)
+            analytic[kind] = _curve_rows(cfg, curve, None)
     simulated: dict[str, list[ResultRow]] = {}
     if mc is not None:
-        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc)
-        simulated[sir_key] = _curve_rows(cfg, joint, f"{sir_key}-MC", mc.seed)
-        for _, snr_u, _, sinr_u in per_budget:
-            simulated["SNR"] = _curve_rows(cfg, snr_u, "SNR-MC", mc.seed)
-            simulated["SINR"] = _curve_rows(cfg, sinr_u, "SINR-MC", mc.seed)
+        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc, prefix)
+        for curve in (joint, *(c for _, snr, _, sinr in per_budget for c in (snr, sinr))):
+            simulated[curve.kind.removesuffix("-MC")] = _curve_rows(cfg, curve, mc.seed)
     rows = [row for curve_rows in (*analytic.values(), *simulated.values()) for row in curve_rows]
     for key in analytic:
         if key in simulated:

@@ -388,8 +388,6 @@ def parse_scenario(data) -> ScenarioConfig:
         config.constellation()
     except ValueError as exc:
         raise ConfigError("orbits", str(exc)) from None
-    if config.budget is not None and len(config.orbit_rows) > 1:
-        raise ConfigError("budget", "SNR and SINR are computed for a single orbit; remove budget or keep one orbit")
     if "sweep" in data:
         config = dataclasses.replace(config, sweep=_parse_sweep(data, scenario_id))
     return config

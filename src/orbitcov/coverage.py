@@ -13,10 +13,12 @@ The SNR expression replaces the Laplace factors by the gamma-tail sum
 e^(-q) sum q^t / t! with q = m gamma sigma^2 u^alpha / (P G); path-loss
 distances there are in meters, the one place absolute units matter.
 
-Multiple orbits combine through the best visible satellite: conditioned
-on every orbit being visible the per-orbit successes are independent,
-and the unconditional form multiplies by the joint visibility
-probability. All integrals run in the arc-length coordinate, where the
+SIR and SNR alike combine orbits through the best visible satellite:
+conditioned on every orbit being visible the per-orbit successes are
+independent, and the unconditional form multiplies by the joint
+visibility probability. One combiner and one curve builder serve both
+quantities; for one orbit the combiner returns the per-orbit value bit
+for bit. All integrals run in the arc-length coordinate, where the
 Poisson law is a plain exponential and the integrands stay smooth.
 
 Each quantity has two entries: `*_coverage_conditional` maps linear
@@ -75,10 +77,13 @@ CURVE_KINDS = frozenset(
         "SIR-analytic",
         "SNR-analytic",
         "maxSIR-analytic",
+        "maxSNR-analytic",
         "SIR-MC",
         "SNR-MC",
         "SINR-MC",
         "maxSIR-MC",
+        "maxSNR-MC",
+        "maxSINR-MC",
     }
 )
 
@@ -234,20 +239,6 @@ def _checked(density_per_km: float, channel: ChannelParams, gammas, label: str) 
     return m, gammas
 
 
-def _unconditional(label: str, kernel, constellation: ConstellationSpec, gammas) -> np.ndarray:
-    """Unconditional coverage at linear thresholds: the unclipped
-    conditional kernel(gammas) times prod_n P(orbit n has a visible
-    satellite) or, once the arguments are checked, zero when some orbit
-    never enters the window."""
-    arcs = [visible_arc_length(orbit, constellation.window) for orbit in constellation.orbits]
-    if min(arcs) <= 0.0:
-        # the spec has checked every density; this checks m and the thresholds
-        _checked(constellation.densities_per_km[0], constellation.channel, gammas, label)
-        return np.zeros(len(gammas))
-    vis = math.prod(-math.expm1(-lam * arc) for lam, arc in zip(constellation.densities_per_km, arcs))
-    return _unit(kernel(gammas) * vis)
-
-
 def _serving_rule(orbit: OrbitGeometry, window: VisibilityWindow, density_per_km: float):
     """Nodes tau, weights and arc L of the serving-arc average.
 
@@ -335,19 +326,23 @@ def snr_coverage_conditional(
     return _shaped(_snr_conditional(orbit, window, density_per_km, channel, budget, gamma), gamma)
 
 
-def _max_sir_conditional(constellation: ConstellationSpec, gammas) -> np.ndarray:
-    """1 - prod_n (1 - p_n) over the orbits, unclipped; orbits that differ
+def _best_conditional(constellation: ConstellationSpec, gammas, budget: LinkBudget | None = None) -> np.ndarray:
+    """P(best per-orbit SIR, or SNR under a budget, > gamma | every orbit
+    visible), unclipped: the union of the independent per-orbit successes
+    as c <- c + p_n - c p_n, which is p_1 for one orbit and, unlike
+    1 - prod_n (1 - p_n), does not cancel at small p. Orbits that differ
     only in ascending node share one per-orbit curve."""
+    kernel = _sir_conditional if budget is None else partial(_snr_conditional, budget=budget)
     curves: dict[tuple[float, float, float], np.ndarray] = {}
-    fail = 1.0
+    covered = 0.0
     for index, (orbit, lam) in enumerate(zip(constellation.orbits, constellation.densities_per_km)):
         if visible_arc_length(orbit, constellation.window) <= 0.0:
             raise ValueError(f"orbit {index} never enters the visibility window")
         key = (orbit.theta_rad, orbit.altitude_km, lam)
         if key not in curves:
-            curves[key] = _unit(_sir_conditional(orbit, constellation.window, lam, constellation.channel, gammas))
-        fail = fail * (1.0 - curves[key])
-    return 1.0 - fail
+            curves[key] = kernel(orbit, constellation.window, lam, constellation.channel, gammas=gammas)
+        covered = covered + curves[key] - covered * curves[key]
+    return covered
 
 
 def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma):
@@ -356,18 +351,40 @@ def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma):
     Interference is per-orbit, so conditioned on joint visibility the
     per-orbit successes are independent: 1 - prod_n (1 - p_n).
     """
-    return _shaped(_max_sir_conditional(constellation, gamma), gamma)
+    return _shaped(_best_conditional(constellation, gamma), gamma)
 
 
-def _metadata(orbit: OrbitGeometry, density_per_km: float, channel: ChannelParams) -> dict:
-    return {
-        "theta_rad": orbit.theta_rad,
-        "altitude_km": orbit.altitude_km,
-        "density_per_km": density_per_km,
-        "alpha": channel.alpha,
-        "m": channel.m,
-        "conditioning": "none",
-    }
+def _coverage(constellation: ConstellationSpec, gammas, budget: LinkBudget | None = None) -> np.ndarray:
+    """Unconditional best-satellite coverage at linear thresholds: the
+    unclipped conditional combiner times prod_n P(orbit n has a visible
+    satellite) or, once the arguments are checked, zero when some orbit
+    never enters the window. SIR, or SNR under a link budget."""
+    arcs = [visible_arc_length(orbit, constellation.window) for orbit in constellation.orbits]
+    if min(arcs) <= 0.0:
+        # the spec has checked every density; this checks m and the thresholds
+        label = "SIR" if budget is None else "SNR"
+        _checked(constellation.densities_per_km[0], constellation.channel, gammas, label)
+        return np.zeros(len(gammas))
+    vis = math.prod(-math.expm1(-lam * arc) for lam, arc in zip(constellation.densities_per_km, arcs))
+    return _unit(_best_conditional(constellation, gammas, budget) * vis)
+
+
+def _coverage_curve(
+    constellation: ConstellationSpec, thresholds_db, kind: str, budget: LinkBudget | None = None
+) -> CoverageCurve:
+    """`_coverage` on a dB threshold grid as a curve of the given kind:
+    trials with any invisible orbit count as uncovered, as in the
+    empirical estimators."""
+    values = _coverage(constellation, [db_to_linear(g) for g in thresholds_db], budget)
+    channel = constellation.channel
+    meta = {"n_orbits": constellation.n_orbits, "alpha": channel.alpha, "m": channel.m, "conditioning": "none"}
+    if budget is not None:
+        meta["snr_scale_db"] = budget.snr_scale_db
+    return CoverageCurve(thresholds_db, values, kind, meta)
+
+
+def _single(orbit, window, density_per_km, channel) -> ConstellationSpec:
+    return ConstellationSpec((orbit,), (density_per_km,), window, channel)
 
 
 def sir_coverage_curve(
@@ -380,10 +397,7 @@ def sir_coverage_curve(
     """Unconditional SIR coverage on a dB threshold grid: the conditional
     coverage times the visibility probability, zero for an orbit that
     never enters the window."""
-    kernel = partial(_sir_conditional, orbit, window, density_per_km, channel)
-    gammas = [db_to_linear(g) for g in thresholds_db]
-    values = _unconditional("SIR", kernel, ConstellationSpec((orbit,), (density_per_km,), window, channel), gammas)
-    return CoverageCurve(thresholds_db, values, "SIR-analytic", _metadata(orbit, density_per_km, channel))
+    return _coverage_curve(_single(orbit, window, density_per_km, channel), thresholds_db, "SIR-analytic")
 
 
 def snr_coverage_curve(
@@ -396,43 +410,25 @@ def snr_coverage_curve(
 ) -> CoverageCurve:
     """Unconditional SNR coverage on a dB threshold grid, zero for an
     orbit that never enters the window."""
-    kernel = partial(_snr_conditional, orbit, window, density_per_km, channel, budget)
-    gammas = [db_to_linear(g) for g in thresholds_db]
-    values = _unconditional("SNR", kernel, ConstellationSpec((orbit,), (density_per_km,), window, channel), gammas)
-    meta = {**_metadata(orbit, density_per_km, channel), "snr_scale_db": budget.snr_scale_db}
-    return CoverageCurve(thresholds_db, values, "SNR-analytic", meta)
+    return _coverage_curve(_single(orbit, window, density_per_km, channel), thresholds_db, "SNR-analytic", budget)
 
 
 def sir_coverage(orbit, window, density_per_km, channel, gamma: float) -> float:
     """Unconditional P(SIR > gamma) at one linear threshold. Not exported:
     it stays only while the benchmark's layer probe times single points
     under this name; use `sir_coverage_curve`."""
-    kernel = partial(_sir_conditional, orbit, window, density_per_km, channel)
-    spec = ConstellationSpec((orbit,), (density_per_km,), window, channel)
-    return float(_unconditional("SIR", kernel, spec, [gamma])[0])
+    return float(_coverage(_single(orbit, window, density_per_km, channel), [gamma])[0])
 
 
 def snr_coverage(orbit, window, density_per_km, channel, budget, gamma: float) -> float:
     """Unconditional P(SNR > gamma) at one linear threshold; not exported,
     like `sir_coverage`."""
-    kernel = partial(_snr_conditional, orbit, window, density_per_km, channel, budget)
-    spec = ConstellationSpec((orbit,), (density_per_km,), window, channel)
-    return float(_unconditional("SNR", kernel, spec, [gamma])[0])
+    return float(_coverage(_single(orbit, window, density_per_km, channel), [gamma], budget)[0])
 
 
 def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> CoverageCurve:
     """Joint-visibility best-satellite SIR coverage across the
     constellation's orbits: the conditional combiner times
     prod_n P(orbit n visible), zero when some orbit never enters the
-    window. Trials with any invisible orbit count as uncovered, matching
-    the empirical estimator of the same name."""
-    kernel = partial(_max_sir_conditional, constellation)
-    gammas = [db_to_linear(g) for g in thresholds_db]
-    values = _unconditional("SIR", kernel, constellation, gammas)
-    meta = {
-        "n_orbits": constellation.n_orbits,
-        "alpha": constellation.channel.alpha,
-        "m": constellation.channel.m,
-        "conditioning": "joint",
-    }
-    return CoverageCurve(thresholds_db, values, "maxSIR-analytic", meta)
+    window."""
+    return _coverage_curve(constellation, thresholds_db, "maxSIR-analytic")

@@ -25,10 +25,10 @@ trial: each chunk draws its offsets, then its fadings, and the serving
 fadings come last. Only per-trial arrays grow with the batch.
 
 Every coverage estimator is one scoring pass over a constellation: per
-batch the kernel draws each orbit in turn and the best SIR over the
-visible orbits is scored against the thresholds. A single orbit is the
-one-orbit constellation, whose any-visible curve is its joint one; only
-there are SNR and SINR scored too, on the same draws.
+batch the kernel draws each orbit in turn, and each trial's best SIR
+and, per link budget, best SNR and SINR over the visible orbits are
+scored against the thresholds, all on the same draws. A single orbit is
+the one-orbit constellation, whose any-visible curve is its joint one.
 
 Reproducibility contract: a run is determined by (seed, trials, batch).
 Each batch consumes its own child stream of the seed in the order above,
@@ -254,18 +254,21 @@ def _conditioned(curve: CoverageCurve) -> CoverageCurve:
 
 
 def _coverage_pass(
-    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, sir_kind: str = "SIR-MC"
+    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, prefix: str = ""
 ) -> tuple[tuple[CoverageCurve, CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
-    """Best-satellite SIR coverage of any constellation and, for a single
-    orbit, SNR and SINR coverage per link budget, all scored on the same
-    draws: per batch, one kernel call per orbit in orbit order.
+    """Best-satellite SIR coverage and, per link budget, best-satellite
+    SNR and SINR coverage, all scored on the same draws: per batch, one
+    kernel call per orbit in orbit order, each trial keeping its best
+    value of every quantity over the visible orbits. Interference is
+    counted within the serving satellite's orbit, as in the SIR model.
 
     Returns the SIR triple (conditional on every orbit visible, the same
     successes over all trials, any-visible over all trials) and one
     (snr conditional, snr unconditional, sinr conditional, sinr
-    unconditional) tuple per budget. A budget only rescales the noise
-    term, and shared draws make SINR <= SIR and SINR <= SNR hold trial by
-    trial. Distances enter the SNR path loss in meters.
+    unconditional) tuple per budget; curve kinds carry `prefix`. A budget
+    only rescales the noise term, and shared draws make SINR <= SIR and
+    SINR <= SNR hold trial by trial, orbit by orbit and so for the best.
+    Distances enter the SNR path loss in meters.
 
     The pass never raises for a thin sample: the conditional curves carry
     their survivor count in the metadata, and each view that returns one
@@ -273,20 +276,19 @@ def _coverage_pass(
     defined when nothing survives, as for an orbit that never enters the
     window, where they are 0.
     """
-    if budgets and constellation.n_orbits != 1:
-        raise ValueError("SNR and SINR are estimated for a single orbit only")
     channel = constellation.channel
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
     unit = KM_IN_M ** -channel.alpha
+    scales = [budget.snr_scale for budget in budgets]
     covered_all = np.zeros(gammas.size, dtype=np.int64)
-    # one orbit: "some orbit visible" is the joint event, so the any-visible
-    # curve shares the joint counts and needs no scan of its own
-    covered_any = covered_all if constellation.n_orbits == 1 else np.zeros_like(covered_all)
+    covered_any = np.zeros_like(covered_all)
     snr_cond = np.zeros((len(budgets), gammas.size), dtype=np.int64)
     sinr_cond = np.zeros_like(snr_cond)
     survivors = 0
     for gen, size in _batches(cfg):
         best = np.full(size, -np.inf)
+        best_snr = np.zeros((len(budgets), size))
+        best_sinr = np.zeros_like(best_snr)
         all_vis = np.ones(size, dtype=bool)
         any_vis = np.zeros(size, dtype=bool)
         for orbit, density in zip(constellation.orbits, constellation.densities_per_km):
@@ -294,49 +296,54 @@ def _coverage_pass(
                 orbit, constellation.window, gen, density, channel.m, channel.alpha, size
             )
             vis = np.isfinite(nearest)
+            # 0 for a trial with no visible satellite of this orbit
+            signal = serving * nearest ** -channel.alpha
             with np.errstate(divide="ignore", invalid="ignore"):
-                sir = serving * nearest ** -channel.alpha / (channel.g_i_bar * interference)
+                sir = signal / (channel.g_i_bar * interference)
             best = np.maximum(best, np.where(vis, sir, -np.inf))
             all_vis &= vis
             any_vis |= vis
+            if budgets:
+                signal *= unit
+                noise = channel.g_i_bar * interference * unit
+                for j, scale in enumerate(scales):
+                    np.maximum(best_snr[j], signal * scale, out=best_snr[j])
+                    np.maximum(best_sinr[j], signal / (noise + 1.0 / scale), out=best_sinr[j])
         survivors += int(np.count_nonzero(all_vis))
         covered_all += _covered(all_vis, best, gammas)
-        if constellation.n_orbits > 1:
-            covered_any += _covered(any_vis, best, gammas)
-        if budgets:  # one orbit: the draws of the loop's only pass
-            signal = np.where(vis, serving * nearest ** -channel.alpha * unit, 0.0)
-            for j, budget in enumerate(budgets):
-                scale = budget.snr_scale
-                snr_cond[j] += _covered(vis, signal * scale, gammas)
-                sinr = signal / (channel.g_i_bar * interference * unit + 1.0 / scale)
-                sinr_cond[j] += _covered(vis, sinr, gammas)
+        covered_any += _covered(any_vis, best, gammas)
+        for j in range(len(budgets)):
+            snr_cond[j] += _covered(all_vis, best_snr[j], gammas)
+            sinr_cond[j] += _covered(all_vis, best_sinr[j], gammas)
 
-    def pair(covered, kind, **extra):
+    meta = {"n_orbits": constellation.n_orbits}
+
+    def pair(covered, quantity, **extra):
+        kind = f"{prefix}{quantity}-MC"
         return (
-            _curve(thresholds_db, covered, survivors, kind, cfg, "visible", survivors=survivors, **extra),
-            _curve(thresholds_db, covered, cfg.trials, kind, cfg, "none", **extra),
+            _curve(thresholds_db, covered, survivors, kind, cfg, "visible", survivors=survivors, **meta, **extra),
+            _curve(thresholds_db, covered, cfg.trials, kind, cfg, "none", **meta, **extra),
         )
 
-    n_orbits = constellation.n_orbits
-    any_visible = _curve(thresholds_db, covered_any, cfg.trials, sir_kind, cfg, "any-visible", n_orbits=n_orbits)
-    sir = (*pair(covered_all, sir_kind, n_orbits=n_orbits), any_visible)
+    any_visible = _curve(thresholds_db, covered_any, cfg.trials, f"{prefix}SIR-MC", cfg, "any-visible", **meta)
+    sir = (*pair(covered_all, "SIR"), any_visible)
     per_budget = []
     for j, budget in enumerate(budgets):
         extra = {"snr_scale_db": budget.snr_scale_db}
-        per_budget.append((*pair(snr_cond[j], "SNR-MC", **extra), *pair(sinr_cond[j], "SINR-MC", **extra)))
+        per_budget.append((*pair(snr_cond[j], "SNR", **extra), *pair(sinr_cond[j], "SINR", **extra)))
     return sir, per_budget
 
 
 def empirical_sir_coverage(
     constellation: ConstellationSpec, thresholds_db, cfg: McConfig
 ) -> tuple[CoverageCurve, CoverageCurve]:
-    """Empirical SIR coverage of a single orbit.
+    """Empirical SIR coverage, through the best visible satellite when
+    the constellation has several orbits.
 
-    Returns (conditional on visibility, unconditional). Nakagami figure
-    may be any real m >= 0.5 here; only the analytic path needs integers.
+    Returns (conditional on every orbit visible, unconditional). Nakagami
+    figure may be any real m >= 0.5 here; only the analytic path needs
+    integers.
     """
-    if constellation.n_orbits != 1:
-        raise ValueError("this estimator handles a single orbit; use the max-SIR form")
     (conditional, unconditional, _), _ = _coverage_pass(constellation, (), thresholds_db, cfg)
     return _conditioned(conditional), unconditional
 
@@ -344,7 +351,8 @@ def empirical_sir_coverage(
 def empirical_snr_sinr_coverage(
     constellation: ConstellationSpec, budget: LinkBudget, thresholds_db, cfg: McConfig
 ) -> tuple[CoverageCurve, CoverageCurve, CoverageCurve, CoverageCurve]:
-    """Empirical SNR and SINR coverage of a single orbit under a budget.
+    """Empirical SNR and SINR coverage under a budget, through the best
+    visible satellite when the constellation has several orbits.
 
     Returns (snr conditional, snr unconditional, sinr conditional,
     sinr unconditional). Distances enter the path loss in meters.
@@ -368,6 +376,6 @@ def empirical_max_sir_coverage(
     of orbit n and p_n its `sir_coverage_conditional`. For one orbit the
     any-visible curve is the joint one.
     """
-    sir, _ = _coverage_pass(constellation, (), thresholds_db, cfg, "maxSIR-MC")
+    sir, _ = _coverage_pass(constellation, (), thresholds_db, cfg, "max")
     conditional, unconditional, any_visible = sir
     return _conditioned(conditional), unconditional, any_visible

@@ -272,6 +272,61 @@ class TestCoverageVerb:
         assert [r.curve_kind for r in rows] == ["maxSIR-analytic"] * 3 + ["maxSIR-MC"] * 3 + ["maxSIR-delta"] * 3
         assert all(r.value == 0.0 for r in rows)
 
+    def test_two_orbit_snr_agrees_with_simulation(self, tmp_path):
+        # at 0 dBm the best-satellite SNR curve falls through 0.5 inside
+        # the grid, so the comparison is not made only on saturated values
+        cfg = write_scenario(
+            tmp_path,
+            orbits=[{"altitude_km": 500.0, "theta_deg": theta, "density_per_km": 0.005} for theta in (90.0, 80.0)],
+            thresholds={"start_db": -10.0, "stop_db": 30.0, "step_db": 5.0},
+            budget={"tx_power_dbm": 0.0},
+            mc={"trials": 20_000, "seed": 3, "batch": 5000},
+        )
+        out = tmp_path / "out"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_result_rows(out / "cli_test_coverage.csv")
+        analytic = [r.value for r in rows if r.curve_kind == "maxSNR-analytic"]
+        assert analytic[0] > 0.5 > analytic[-1]
+        simulated = [r for r in rows if r.curve_kind == "maxSNR-MC"]
+        deltas = [r.value for r in rows if r.curve_kind == "maxSNR-delta"]
+        assert len(deltas) == len(simulated) == 9
+        for delta, mc in zip(deltas, simulated):
+            assert abs(delta) <= 4.0 * 0.5 * (mc.ci_high - mc.ci_low)
+
+    def test_out_of_band_orbit_zeroes_the_snr_curves(self, tmp_path):
+        # joint visibility never happens, so no noise-limited curve can
+        # cover anything either
+        cfg = write_scenario(
+            tmp_path,
+            orbits=[
+                {"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 0.005},
+                {"altitude_km": 500.0, "theta_deg": 20.0, "density_per_km": 0.005},
+            ],
+            budget={},
+            mc={"trials": 2000, "seed": 5, "batch": 500},
+        )
+        out = tmp_path / "out"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_result_rows(out / "cli_test_coverage.csv")
+        kinds = ["maxSNR-analytic", "maxSNR-MC", "maxSINR-MC", "maxSNR-delta"]
+        noise_limited = [r for r in rows if r.curve_kind in kinds]
+        assert [r.curve_kind for r in noise_limited] == [k for k in kinds for _ in range(3)]
+        assert all(r.value == 0.0 for r in noise_limited)
+
+    def test_non_integer_m_with_several_orbits_and_budget(self, tmp_path, capsys):
+        cfg = write_scenario(
+            tmp_path,
+            orbits=[{"altitude_km": 500.0, "theta_deg": theta, "density_per_km": 0.005} for theta in (90.0, 80.0)],
+            channel={"m": 1.5},
+            budget={},
+            mc={"trials": 2000, "seed": 5, "batch": 1000},
+        )
+        out = tmp_path / "out"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "analytic curves skipped" in capsys.readouterr().out
+        kinds = [r.curve_kind for r in read_result_rows(out / "cli_test_coverage.csv")]
+        assert kinds == [k for k in ("maxSIR-MC", "maxSNR-MC", "maxSINR-MC") for _ in range(3)]
+
     def test_trials_flag_enables_simulation(self, tmp_path):
         cfg = write_scenario(tmp_path)
         out = tmp_path / "out"
@@ -431,14 +486,16 @@ class TestExitCodes:
         assert path in capsys.readouterr().err
         assert not list(out.iterdir())
 
-    def test_budget_on_several_orbits_is_two(self, tmp_path, capsys):
-        # the budget was once dropped without notice: 27 maxSIR rows, no SNR
+    def test_budget_on_several_orbits_is_zero(self, tmp_path):
+        # the budget was once dropped without notice, then refused; now it
+        # adds the best-satellite SNR and SINR curves
         orbits = [{"altitude_km": 500.0, "theta_deg": theta, "density_per_km": 0.005} for theta in (90.0, 80.0)]
         cfg = write_scenario(tmp_path, orbits=orbits, budget={}, mc={"trials": 2000, "seed": 5, "batch": 1000})
         out = tmp_path / "o"
-        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "budget" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        kinds = [r.curve_kind for r in read_result_rows(out / "cli_test_coverage.csv")]
+        expect = ["maxSIR-analytic", "maxSNR-analytic", "maxSIR-MC", "maxSNR-MC", "maxSINR-MC"]
+        assert kinds == [k for k in expect + ["maxSIR-delta", "maxSNR-delta"] for _ in range(3)]
 
     def test_id_with_trailing_newline_is_two(self, tmp_path, capsys):
         cfg = write_scenario(tmp_path, scenario_id="leo\n")

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from orbitcov import LinkBudget
 from orbitcov.config import ConfigError, load_scenario, parse_scenario
 
 
@@ -143,16 +144,13 @@ class TestRejection:
         assert (cfg.channel.m, cfg.orbit_rows[0].altitude_km, cfg.densities()) == (10.0, 35786.0, (10.0,))
         assert cfg.mc.batch == 1_000_000
 
-    def test_budget_on_several_orbits(self):
-        # SNR and SINR are single-orbit quantities: a budget next to two
-        # orbits is refused rather than left unused
-        data = minimal(budget={})
+    def test_budget_on_several_orbits_parses(self):
+        # SNR and SINR combine orbits through the best satellite, as SIR does
+        data = minimal(budget={"tx_power_dbm": 0.0})
         data["orbits"].append({"altitude_km": 500.0, "theta_deg": 80.0, "density_per_km": 0.005})
-        with pytest.raises(ConfigError, match="^budget: ") as caught:
-            parse_scenario(data)
-        assert caught.value.path == "budget"
-        del data["budget"]
-        assert parse_scenario(data).budget is None
+        cfg = parse_scenario(data)
+        assert cfg.budget == LinkBudget(tx_power_dbm=0.0)
+        assert cfg.constellation().n_orbits == 2
 
     def test_boolean_is_not_a_number(self):
         data = minimal()

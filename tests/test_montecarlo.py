@@ -478,15 +478,39 @@ class TestCoverageEstimators:
         assert any_vis.ci_high == joint.ci_high
         assert any_vis.metadata["conditioning"] == "any-visible"
 
-    def test_single_orbit_estimators_reject_two_orbits(self):
+    @staticmethod
+    def two_orbits():
         orbits = (OrbitGeometry(500.0, math.pi / 2), OrbitGeometry(500.0, math.pi / 2 + 0.05))
         window = VisibilityWindow.from_min_elevation(math.radians(10.0), orbits[0])
-        spec = ConstellationSpec(orbits, (LAM, LAM), window, ChannelParams(alpha=2.0, m=1.0))
+        return ConstellationSpec(orbits, (LAM, LAM), window, ChannelParams(alpha=2.0, m=1.0))
+
+    def test_estimators_accept_two_orbits(self):
+        # every estimator scores the best visible satellite of the
+        # constellation; the SIR ones share the pass and its draws
+        spec = self.two_orbits()
         cfg = McConfig(trials=2_000, seed=28, batch=1_000)
-        with pytest.raises(ValueError, match="single orbit"):
-            empirical_sir_coverage(spec, self.GRID, cfg)
-        with pytest.raises(ValueError, match="single orbit"):
-            empirical_snr_sinr_coverage(spec, LinkBudget(), self.GRID, cfg)
+        sir_c, sir_u = empirical_sir_coverage(spec, self.GRID, cfg)
+        max_c, max_u, _ = empirical_max_sir_coverage(spec, self.GRID, cfg)
+        assert (sir_c.values, sir_u.values) == (max_c.values, max_u.values)
+        curves = empirical_snr_sinr_coverage(spec, LinkBudget(), self.GRID, cfg)
+        assert [c.kind for c in curves] == ["SNR-MC", "SNR-MC", "SINR-MC", "SINR-MC"]
+        assert all(c.metadata["n_orbits"] == 2 for c in curves)
+        _, ((*passed,),) = _coverage_pass(spec, (LinkBudget(),), self.GRID, cfg, "max")
+        assert [c.kind for c in passed] == ["maxSNR-MC", "maxSNR-MC", "maxSINR-MC", "maxSINR-MC"]
+        assert [c.values for c in passed] == [c.values for c in curves]
+
+    def test_max_snr_sinr_orderings_are_exact(self):
+        # per orbit SINR <= SIR and SINR <= SNR on the same draws, so the
+        # best over the orbits keeps both orderings, threshold by threshold
+        spec = self.two_orbits()
+        cfg = McConfig(trials=20_000, seed=29, batch=5_000)
+        budgets = (LinkBudget(tx_power_dbm=0.0), LinkBudget())
+        sir, per_budget = _coverage_pass(spec, budgets, self.GRID, cfg, "max")
+        for snr_c, snr_u, sinr_c, sinr_u in per_budget:
+            for sir_curve, snr_curve, sinr_curve in ((sir[0], snr_c, sinr_c), (sir[1], snr_u, sinr_u)):
+                for s, n, i in zip(sir_curve.values, snr_curve.values, sinr_curve.values):
+                    assert i <= s
+                    assert i <= n
 
     def test_max_sir_multi_orbit(self):
         orbits = (
