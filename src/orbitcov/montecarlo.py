@@ -22,7 +22,9 @@ brute-force points of the circle against the arc length.
 A batch draws the counts of all its trials, then scores them in chunks
 of whole trials of at most _CHUNK_SATELLITES satellites, or one larger
 trial: each chunk draws its offsets, then its fadings, and the serving
-fadings come last. Only per-trial arrays grow with the batch.
+fadings come last. Only per-trial arrays grow with the batch. The
+nearest-distance estimator only reduces each chunk to its trials'
+smallest offsets and turns those into distances once per batch.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn, and each trial's best SIR
@@ -115,21 +117,34 @@ def _window_chunks(orbit: OrbitGeometry, window: VisibilityWindow, gen: np.rando
         lo = hi
 
 
+def _closest_offsets(counts: np.ndarray, starts: np.ndarray, offsets: np.ndarray, closest: np.ndarray) -> None:
+    """Write each occupied trial's smallest offset into `closest`; an
+    empty trial's entry is left as it is."""
+    if offsets.size:
+        occupied = counts > 0
+        closest[occupied] = np.minimum.reduceat(offsets, starts[occupied])
+
+
+def _nearest_distance(orbit: OrbitGeometry, window: VisibilityWindow, closest: np.ndarray) -> np.ndarray:
+    """Nearest visible distance (km) per trial from its smallest offset:
+    cos, the cap test and sqrt run once per trial. inf for an empty trial
+    (offset inf), and when rounding put that satellite on or below the
+    cap base."""
+    nearest = np.full(closest.size, np.inf)
+    occupied = closest < np.inf
+    z = orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(closest[occupied])
+    nearest[occupied] = np.where(z > window.cap_base_km, _distance_at_height(orbit, z), np.inf)
+    return nearest
+
+
 def _nearest_by_angle(
     orbit: OrbitGeometry, window: VisibilityWindow, counts: np.ndarray, starts: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per trial the smallest offset and the nearest visible distance
-    (km): cos, the cap test and sqrt run once per trial. Both are inf for
-    an empty trial, the distance also when rounding put that satellite on
-    or below the cap base."""
+    (km), both inf for an empty trial."""
     closest = np.full(counts.size, np.inf)
-    nearest = np.full(counts.size, np.inf)
-    if offsets.size:
-        occupied = counts > 0
-        closest[occupied] = np.minimum.reduceat(offsets, starts[occupied])
-        z = orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(closest[occupied])
-        nearest[occupied] = np.where(z > window.cap_base_km, _distance_at_height(orbit, z), np.inf)
-    return closest, nearest
+    _closest_offsets(counts, starts, offsets, closest)
+    return closest, _nearest_distance(orbit, window, closest)
 
 
 def _score(
@@ -207,9 +222,11 @@ def empirical_nearest_ccdf(
     exceed = np.zeros(grid.size, dtype=np.int64)
     survivors = 0
     for gen, size in _batches(cfg):
-        nearest = np.empty(size)
+        # chunks only reduce; the distances take one pass per batch
+        closest = np.full(size, np.inf)
         for trials, counts, offsets in _window_chunks(orbit, window, gen, density_per_km, size):
-            nearest[trials] = _nearest_by_angle(orbit, window, counts, _segment_starts(counts), offsets)[1]
+            _closest_offsets(counts, _segment_starts(counts), offsets, closest[trials])
+        nearest = _nearest_distance(orbit, window, closest)
         finite = np.sort(nearest[np.isfinite(nearest)])
         survivors += finite.size
         exceed += finite.size - np.searchsorted(finite, grid, side="right")

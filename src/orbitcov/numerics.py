@@ -42,7 +42,11 @@ ARC_NODES = 64
 
 @lru_cache(maxsize=None)
 def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(order)
+    # every caller, on every thread, gets these same arrays: read-only
+    x, w = leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_legendre(lower, upper, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,12 @@ Nine criteria, each a function returning a `CriterionResult`:
 8. parameter-trend orderings the closed forms imply
 9. seeded rerun determinism
 
+`run_all` runs the nine criteria concurrently, one thread per CPU the
+process may use, and reports them in index order. No criterion writes
+state another reads and each draws from its own seeded streams, so the
+report does not depend on the scheduling. Each criterion's elapsed time
+is its own wall time, so those of concurrent criteria overlap.
+
 Criterion 2 counts its brute-force points in cache-sized chunks through
 one buffer; the generator spends one draw per double, so the stream and
 the counts are those of one full-size draw. Criterion 4 draws the
@@ -32,7 +38,9 @@ byte-identical report text.
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +98,7 @@ OMEGA_MIN_RAD = math.radians(10.0)
 DENSITY_PER_KM = 0.005
 GAMMA_GRID_DB = threshold_grid_db(-10.0, 30.0, 5.0)
 GAMMAS = np.array([db_to_linear(g) for g in GAMMA_GRID_DB])  # the same grid, linear
+GAMMAS.setflags(write=False)  # read by criteria running concurrently
 
 # path-loss / fading combinations exercised by the coverage criteria
 ALPHA_M_COMBOS = ((2.0, 1), (3.0, 1), (4.0, 1), (2.0, 2), (2.0, 3))
@@ -202,11 +211,15 @@ def _arc_length_bruteforce(orbit: OrbitGeometry, window: VisibilityWindow, point
     step = TWO_PI / points
     reach = -orbit.radius_km * math.sin(orbit.theta_rad)
     buf = np.empty(min(points, _ARC_CHUNK))
+    # slice indices as doubles, stepped in place: integers below 2^53 are
+    # exact, so each sum is the one an integer index would give
+    index = np.arange(buf.size, dtype=float)
     inside = 0
     for start in range(0, points, _ARC_CHUNK):
         z = buf[: min(_ARC_CHUNK, points - start)]
         gen.random(z.size, out=z)
-        z += np.arange(start, start + z.size)
+        z += index[: z.size]
+        index += _ARC_CHUNK
         z *= step
         np.cos(z, out=z)
         z *= reach
@@ -575,9 +588,31 @@ def run_criterion(index: int, seed: int = DEFAULT_SEED, trials_scale: float = 1.
     return result
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_all(seed: int = DEFAULT_SEED, trials_scale: float = 1.0) -> ValidationReport:
-    """Run all nine criteria in order."""
-    results = [run_criterion(i, seed, trials_scale) for i in sorted(CRITERION_NAMES)]
+    """Run all nine criteria concurrently and report them in index order.
+
+    The criteria run on a thread pool of one worker per CPU this process
+    may use, at most nine; one CPU runs them one after another in index
+    order. Their heavy work is numpy calls that release the interpreter
+    lock. The criteria share nothing they write: each draws from its own
+    `RandomSource(seed)` child or `McConfig` seeds, the Gauss-Legendre
+    rules `numerics` caches and `GAMMAS` here are read-only arrays, and
+    no other module-level state in the package is written after import,
+    so the results and the rendered report do not depend on the
+    scheduling. An exception raised by a criterion propagates from here.
+    Each `elapsed_s` is that criterion's own wall time, so concurrent
+    ones overlap.
+    """
+    indices = sorted(CRITERION_NAMES)
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(indices))) as pool:
+        results = list(pool.map(lambda index: run_criterion(index, seed, trials_scale), indices))
     return ValidationReport(seed=seed, trials_scale=trials_scale, results=results)
 
 

@@ -380,6 +380,28 @@ class TestNearestDistance:
         sup = np.max(np.abs(emp - nearest_ccdf(law, grid)))
         assert sup < 0.01
 
+    def test_batch_distances_are_the_per_chunk_distances(self, ref_orbit, ref_window):
+        # chunks reduce into one array and the distances take one pass per
+        # batch: the same draws give the same CCDF, bit for bit, as scoring
+        # each chunk's nearest distances on its own; about ten chunks a batch
+        lam = 0.01
+        cfg = McConfig(trials=12_000, seed=19, batch=5_000)
+        law = NearestDistanceLaw(ref_orbit, ref_window, lam)
+        grid = np.linspace(law.d_min_km, law.d_max_km, 52)[1:-1]
+        nearest = np.concatenate(
+            [
+                _nearest_by_angle(ref_orbit, ref_window, c, _segment_starts(c), offsets)[1]
+                for index, size in enumerate(cfg.batch_sizes())
+                for _, c, offsets in _window_chunks(
+                    ref_orbit, ref_window, RandomSource(cfg.seed).child(index).generator, lam, size
+                )
+            ]
+        )
+        finite = np.sort(nearest[np.isfinite(nearest)])
+        emp, survivors = empirical_nearest_ccdf(ref_orbit, ref_window, lam, grid, cfg)
+        assert survivors == finite.size
+        assert np.array_equal(emp, (finite.size - np.searchsorted(finite, grid, side="right")) / finite.size)
+
     def test_degenerate_conditioning(self, ref_orbit, ref_window):
         cfg = McConfig(trials=1000, seed=13, batch=1000)
         with pytest.raises(DegenerateSampleError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orbitcov import RandomSource
-from orbitcov.numerics import exponential_panels, gauss_legendre
+from orbitcov.numerics import _legendre, exponential_panels, gauss_legendre
 from reference_forms import ReferenceQuadratureError, adaptive
 
 
@@ -67,6 +67,12 @@ class TestGaussLegendre:
         assert nodes.shape == weights.shape == (3, 8)
         assert np.all((nodes > lower[:, None]) & (nodes < 4.0))
         assert np.sum(weights, axis=-1) == pytest.approx(4.0 - lower, rel=1e-14)
+
+    def test_cached_rule_is_read_only(self):
+        # the cache hands one pair of arrays to every caller and thread
+        for array in _legendre(8):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestExponentialPanels:

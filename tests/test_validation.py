@@ -1,13 +1,25 @@
 """Validation internals: the brute-force arc count and the direct
-transform average, against the forms they replace."""
+transform average, against the forms they replace, and the concurrent
+`run_all` against the criteria run one after another."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from orbitcov import ChannelParams, OrbitGeometry, RandomSource, VisibilityWindow, d_min
-from orbitcov.validation import _ARC_CHUNK, _arc_length_bruteforce, _laplace_direct_average
+from orbitcov import validation
+from orbitcov.validation import (
+    _ARC_CHUNK,
+    CriterionResult,
+    ValidationReport,
+    _arc_length_bruteforce,
+    _laplace_direct_average,
+    render_report,
+    run_all,
+    run_criterion,
+)
 from reference_forms import arc_length_bruteforce_one_shot
 
 
@@ -53,3 +65,45 @@ class TestLaplaceDirectAverage:
                 orbit, window, 0.001, channel, serving, [s], trials, RandomSource(33).generator
             )
             assert value == pytest.approx(alone[0], rel=1e-15, abs=0.0)
+
+
+SCALE = 0.002
+
+
+@pytest.fixture(scope="module")
+def sequential_reports():
+    """The report of each seed with criteria 1 to 9 run in order on this thread."""
+    return {
+        seed: render_report(ValidationReport(seed, SCALE, [run_criterion(k, seed, SCALE) for k in range(1, 10)]))
+        for seed in (7, 1729)
+    }
+
+
+class TestRunAll:
+    @pytest.mark.parametrize("seed", [7, 1729])
+    def test_report_is_the_sequential_report(self, sequential_reports, seed):
+        assert render_report(run_all(seed, SCALE)) == sequential_reports[seed]
+
+    @pytest.mark.parametrize("cpus", [1, 9])
+    def test_report_does_not_depend_on_the_worker_count(self, sequential_reports, monkeypatch, cpus):
+        # one worker runs the criteria in order; nine on fewer cores, with a
+        # short switch interval, interleave them as finely as they get
+        monkeypatch.setattr(validation, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = run_all(7, SCALE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.index for r in report.results] == list(range(1, 10))
+        assert render_report(report) == sequential_reports[7]
+
+    def test_criterion_exception_propagates(self, monkeypatch):
+        def run_criterion(index, seed, trials_scale):
+            if index == 4:
+                raise ZeroDivisionError("criterion 4")
+            return CriterionResult(index, validation.CRITERION_NAMES[index], True)
+
+        monkeypatch.setattr(validation, "run_criterion", run_criterion)
+        with pytest.raises(ZeroDivisionError, match="criterion 4"):
+            run_all(7, SCALE)
