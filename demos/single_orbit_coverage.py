@@ -14,9 +14,9 @@ from orbitcov import (
     McConfig,
     OrbitGeometry,
     VisibilityWindow,
+    coverage_conditional,
     db_to_linear,
     empirical_sir_coverage,
-    sir_coverage_conditional,
     threshold_grid_db,
 )
 
@@ -28,12 +28,11 @@ def main() -> None:
     density = 0.005
     thresholds = threshold_grid_db(-10.0, 30.0, 5.0)
 
-    analytic = sir_coverage_conditional(
-        orbit, window, density, channel, [db_to_linear(g) for g in thresholds]
-    )
+    # a single orbit is the one-orbit constellation
     spec = ConstellationSpec(
         orbits=(orbit,), densities_per_km=(density,), window=window, channel=channel
     )
+    analytic = coverage_conditional(spec, [db_to_linear(g) for g in thresholds])
     cfg = McConfig(trials=200_000, seed=7, batch=50_000)
     simulated, _ = empirical_sir_coverage(spec, thresholds, cfg)
 

@@ -5,34 +5,32 @@ The package splits along the math: `geometry` holds the closed-form
 visibility geometry, `distance` the nearest-satellite law, `interference`
 the aggregate-interference Laplace transform, `coverage` the SIR/SNR
 coverage integrals and the best-satellite combiner that joins orbits for
-both (conditional coverage for threshold arrays, unconditional curves on
+both, a single orbit being the one-orbit constellation
+(`coverage_conditional` for threshold arrays, unconditional curves on
 dB grids), `montecarlo` the simulation twins of all of it, SINR
 included, and `validation` the acceptance criteria that hold the two
 sides together. `numerics` holds the fixed
 Gauss-Legendre rules every analytic integral runs on and the seeded
 random streams. `cli` wraps the lot for scenario files. The runtime
 needs numpy only. Independent reference forms (the double-angle arc,
-distance-domain integrals, explicit 3-D orbit snapshots) live in the
-test suite, not here.
+the nearest-distance density, distance-domain integrals, explicit 3-D
+orbit snapshots) live in the test suite, not here.
 """
 
 from .coverage import (
     ConstellationSpec,
     CoverageCurve,
     LinkBudget,
+    coverage_conditional,
     db_to_linear,
-    max_sir_coverage_conditional,
     max_sir_coverage_curve,
-    sir_coverage_conditional,
     sir_coverage_curve,
-    snr_coverage_conditional,
     snr_coverage_curve,
     threshold_grid_db,
 )
 from .distance import (
     NearestDistanceLaw,
     nearest_ccdf,
-    nearest_pdf,
 )
 from .geometry import (
     EarthConstants,
@@ -42,7 +40,6 @@ from .geometry import (
     d_min,
     distance_to_arc,
     orbital_speed,
-    visibility_probability,
     visible_arc_length,
     visible_time,
 )
@@ -67,17 +64,14 @@ __all__ = [
     "ConstellationSpec",
     "CoverageCurve",
     "LinkBudget",
+    "coverage_conditional",
     "db_to_linear",
-    "max_sir_coverage_conditional",
     "max_sir_coverage_curve",
-    "sir_coverage_conditional",
     "sir_coverage_curve",
-    "snr_coverage_conditional",
     "snr_coverage_curve",
     "threshold_grid_db",
     "NearestDistanceLaw",
     "nearest_ccdf",
-    "nearest_pdf",
     "EarthConstants",
     "OrbitGeometry",
     "VisibilityWindow",
@@ -85,7 +79,6 @@ __all__ = [
     "d_min",
     "distance_to_arc",
     "orbital_speed",
-    "visibility_probability",
     "visible_arc_length",
     "visible_time",
     "ChannelParams",

@@ -17,18 +17,21 @@ SIR and SNR alike combine orbits through the best visible satellite:
 conditioned on every orbit being visible the per-orbit successes are
 independent, and the unconditional form multiplies by the joint
 visibility probability. One combiner and one curve builder serve both
-quantities; for one orbit the combiner returns the per-orbit value bit
-for bit. All integrals run in the arc-length coordinate, where the
-Poisson law is a plain exponential and the integrands stay smooth.
+quantities, and a single orbit is the one-orbit constellation: for one
+orbit the combiner returns the per-orbit value bit for bit. All
+integrals run in the arc-length coordinate, where the Poisson law is a
+plain exponential and the integrands stay smooth.
 
-Each quantity has two entries: `*_coverage_conditional` maps linear
-thresholds (a scalar, or an array returned in its shape) to the
-visibility-conditioned coverage, and `*_coverage_curve` maps a dB grid
-to the unconditional `CoverageCurve`, the unclipped conditional value
-times the joint visibility probability. A single orbit is the one-orbit
-constellation under the same rule: when any orbit never enters the
-window the curve is 0, once its arguments are checked, while the
-conditional entries raise, as they condition on an impossible event.
+There are two kinds of entry. `coverage_conditional` maps linear
+thresholds (a scalar, or an array returned in its shape) to the best
+per-orbit SIR coverage, or SNR coverage under a link budget,
+conditioned on every orbit of the constellation having a visible
+satellite. The `*_coverage_curve` builders map a dB grid to the
+unconditional `CoverageCurve`, the unclipped conditional value times
+the joint visibility probability. Both check m and the thresholds
+before visibility; then, when any orbit never enters the window, the
+curve is 0 while `coverage_conditional` raises, as it conditions on an
+impossible event.
 
 A whole grid runs on one fixed tensor Gauss-Legendre rule: graded
 panels over tau, and for every tau one rule over the interferer arc
@@ -64,9 +67,7 @@ __all__ = [
     "CURVE_KINDS",
     "db_to_linear",
     "threshold_grid_db",
-    "sir_coverage_conditional",
-    "snr_coverage_conditional",
-    "max_sir_coverage_conditional",
+    "coverage_conditional",
     "sir_coverage_curve",
     "snr_coverage_curve",
     "max_sir_coverage_curve",
@@ -158,8 +159,8 @@ class ConstellationSpec:
             raise ValueError("a constellation needs at least one orbit")
         if len(self.orbits) != len(self.densities_per_km):
             raise ValueError("orbits and densities must have the same length")
-        if any(lam <= 0 for lam in self.densities_per_km):
-            raise ValueError("satellite density must be positive")
+        if not all(lam > 0 and math.isfinite(lam) for lam in self.densities_per_km):
+            raise ValueError("satellite density must be positive and finite")
         radius = self.orbits[0].radius_km
         if any(o.radius_km != radius for o in self.orbits):
             raise ValueError("all orbits must share one altitude shell")
@@ -227,42 +228,39 @@ def _shaped(values: np.ndarray, gamma):
     return float(values) if values.ndim == 0 else values
 
 
-def _checked(density_per_km: float, channel: ChannelParams, gammas, label: str) -> tuple[int, np.ndarray]:
-    """Integer m and the linear thresholds as a flat array, once the
-    density, m and thresholds are all valid."""
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
+def _checked(channel: ChannelParams, gammas, budget: LinkBudget | None) -> tuple[int, np.ndarray]:
+    """Integer m and the linear thresholds as a flat array, once m and
+    every SIR (or, under a budget, SNR) threshold are valid."""
     m = channel.integer_m
     gammas = np.asarray(gammas, dtype=float).ravel()
     if not np.all((gammas > 0) & np.isfinite(gammas)):
-        raise ValueError(f"{label} threshold must be positive and finite")
+        raise ValueError(f"{'SIR' if budget is None else 'SNR'} threshold must be positive and finite")
     return m, gammas
 
 
 def _serving_rule(orbit: OrbitGeometry, window: VisibilityWindow, density_per_km: float):
-    """Nodes tau, weights and arc L of the serving-arc average.
+    """Nodes tau, weights and arc L of the serving-arc average, for an
+    orbit that enters the window.
 
     Given at least one visible satellite, tau has the truncated
     exponential density lambda e^(-lambda tau) / (1 - e^(-lambda L)) on
     [0, L]; the weights carry that density, normalised so they sum to 1.
     """
     arc = visible_arc_length(orbit, window)
-    if arc <= 0.0:
-        raise ValueError("orbit never enters the visibility window")
     tau, weights = exponential_panels(arc, density_per_km, PANEL_NODES)
     weights = weights * np.exp(-density_per_km * tau)
     return tau, weights / weights.sum(), arc
 
 
-def _sir_conditional(orbit, window, density_per_km, channel, gammas) -> np.ndarray:
-    """P(SIR > gamma | visible) for an array of linear thresholds, unclipped.
+def _sir_conditional(orbit, window, density_per_km, channel, m, gammas) -> np.ndarray:
+    """P(SIR > gamma | visible) for checked m and a flat array of linear
+    thresholds, unclipped.
 
     With the serving satellite at tau, s a(t) = gamma g_i_bar
     (u(tau) / u(t))^alpha; the ratio stays in (0, 1] at any alpha. A
     tile of at most _BLOCK nodes holds several whole thresholds or, on a
     dense orbit, one threshold over a run of serving nodes.
     """
-    m, gammas = _checked(density_per_km, channel, gammas, "SIR")
     tau, weights, arc = _serving_rule(orbit, window, density_per_km)
     t, inner = gauss_legendre(tau, arc, ARC_NODES)
     ratio = (arc_to_distance(orbit, tau)[:, None] / arc_to_distance(orbit, t)) ** channel.alpha
@@ -278,13 +276,14 @@ def _sir_conditional(orbit, window, density_per_km, channel, gammas) -> np.ndarr
     return given_tau @ weights
 
 
-def _snr_conditional(orbit, window, density_per_km, channel, budget, gammas) -> np.ndarray:
-    """P(SNR > gamma | visible) for an array of linear thresholds, unclipped.
+def _snr_conditional(orbit, window, density_per_km, channel, m, gammas, budget) -> np.ndarray:
+    """P(SNR > gamma | visible) for checked m and a flat array of linear
+    thresholds, unclipped.
 
-    The serving fading power's gamma tail is e^(-q) sum_{t<m} q^t / t!,
-    summed in logs so a huge q gives 0, not NaN.
+    The serving fading power's gamma tail is e^(-q) sum_{t<m} q^t / t!
+    with q = m gamma sigma^2 u^alpha / (P G) and u in meters, summed in
+    logs so a huge q gives 0, not NaN.
     """
-    m, gammas = _checked(density_per_km, channel, gammas, "SNR")
     tau, weights, _ = _serving_rule(orbit, window, density_per_km)
     log_q = np.log(m * gammas / budget.snr_scale)[:, None] + channel.alpha * np.log(
         KM_IN_M * arc_to_distance(orbit, tau)
@@ -296,42 +295,13 @@ def _snr_conditional(orbit, window, density_per_km, channel, budget, gammas) -> 
     return tail @ weights
 
 
-def sir_coverage_conditional(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    density_per_km: float,
-    channel: ChannelParams,
-    gamma,
-):
-    """P(SIR > gamma | at least one satellite visible) for one orbit.
-
-    Requires integer m: the series in the Laplace derivatives has m terms.
-    """
-    return _shaped(_sir_conditional(orbit, window, density_per_km, channel, gamma), gamma)
-
-
-def snr_coverage_conditional(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    density_per_km: float,
-    channel: ChannelParams,
-    budget: LinkBudget,
-    gamma,
-):
-    """P(SNR > gamma | at least one satellite visible), interference-free.
-
-    The serving fading power's gamma tail gives e^(-q) sum_{t<m} q^t / t!
-    with q = m gamma sigma^2 u^alpha / (P G) and u in meters.
-    """
-    return _shaped(_snr_conditional(orbit, window, density_per_km, channel, budget, gamma), gamma)
-
-
-def _best_conditional(constellation: ConstellationSpec, gammas, budget: LinkBudget | None = None) -> np.ndarray:
+def _best_conditional(constellation: ConstellationSpec, m: int, gammas, budget: LinkBudget | None) -> np.ndarray:
     """P(best per-orbit SIR, or SNR under a budget, > gamma | every orbit
-    visible), unclipped: the union of the independent per-orbit successes
-    as c <- c + p_n - c p_n, which is p_1 for one orbit and, unlike
-    1 - prod_n (1 - p_n), does not cancel at small p. Orbits that differ
-    only in ascending node share one per-orbit curve."""
+    visible) for checked m and linear thresholds, unclipped: the union of
+    the independent per-orbit successes as c <- c + p_n - c p_n, which is
+    p_1 for one orbit and, unlike 1 - prod_n (1 - p_n), does not cancel
+    at small p. Orbits that differ only in ascending node share one
+    per-orbit curve."""
     kernel = _sir_conditional if budget is None else partial(_snr_conditional, budget=budget)
     curves: dict[tuple[float, float, float], np.ndarray] = {}
     covered = 0.0
@@ -340,33 +310,38 @@ def _best_conditional(constellation: ConstellationSpec, gammas, budget: LinkBudg
             raise ValueError(f"orbit {index} never enters the visibility window")
         key = (orbit.theta_rad, orbit.altitude_km, lam)
         if key not in curves:
-            curves[key] = kernel(orbit, constellation.window, lam, constellation.channel, gammas=gammas)
+            curves[key] = kernel(orbit, constellation.window, lam, constellation.channel, m, gammas)
         covered = covered + curves[key] - covered * curves[key]
     return covered
 
 
-def max_sir_coverage_conditional(constellation: ConstellationSpec, gamma):
-    """P(best per-orbit SIR > gamma | every orbit has a visible satellite).
+def coverage_conditional(constellation: ConstellationSpec, gamma, budget: LinkBudget | None = None):
+    """P(best per-orbit SIR > gamma | every orbit has a visible satellite),
+    or the best SNR when a link budget is given, interference-free.
 
     Interference is per-orbit, so conditioned on joint visibility the
-    per-orbit successes are independent: 1 - prod_n (1 - p_n).
+    per-orbit successes are independent; a single orbit is the one-orbit
+    constellation. Takes a linear threshold or an array of them and
+    returns coverage in the shape given. Requires integer m: the SIR
+    series in the Laplace derivatives and the SNR gamma tail have m
+    terms. Raises ValueError, after checking m and the thresholds, when
+    an orbit never enters the window.
     """
-    return _shaped(_best_conditional(constellation, gamma), gamma)
+    m, gammas = _checked(constellation.channel, gamma, budget)
+    return _shaped(_best_conditional(constellation, m, gammas, budget), gamma)
 
 
 def _coverage(constellation: ConstellationSpec, gammas, budget: LinkBudget | None = None) -> np.ndarray:
     """Unconditional best-satellite coverage at linear thresholds: the
     unclipped conditional combiner times prod_n P(orbit n has a visible
-    satellite) or, once the arguments are checked, zero when some orbit
-    never enters the window. SIR, or SNR under a link budget."""
+    satellite) or, once m and the thresholds are checked, zero when some
+    orbit never enters the window. SIR, or SNR under a link budget."""
+    m, gammas = _checked(constellation.channel, gammas, budget)
     arcs = [visible_arc_length(orbit, constellation.window) for orbit in constellation.orbits]
     if min(arcs) <= 0.0:
-        # the spec has checked every density; this checks m and the thresholds
-        label = "SIR" if budget is None else "SNR"
-        _checked(constellation.densities_per_km[0], constellation.channel, gammas, label)
-        return np.zeros(len(gammas))
+        return np.zeros(gammas.size)
     vis = math.prod(-math.expm1(-lam * arc) for lam, arc in zip(constellation.densities_per_km, arcs))
-    return _unit(_best_conditional(constellation, gammas, budget) * vis)
+    return _unit(_best_conditional(constellation, m, gammas, budget) * vis)
 
 
 def _coverage_curve(

@@ -13,8 +13,9 @@ All distance-domain quantities are obtained by pushing that law through
 the monotone map `arc_to_distance`, which keeps every formula free of
 the inverse-square-root endpoint singularities the raw distance density
 carries. This module evaluates the law; `montecarlo` draws from it by
-simulating the satellites, and the test suite restates the CCDF and the
-density in the distance domain as checks of the substitution.
+simulating the satellites, and the test suite holds the density and
+restates it and the CCDF in the distance domain as checks of the
+substitution.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .geometry import (
     OrbitGeometry,
     VisibilityWindow,
-    arc_to_distance,
     d_min,
     distance_to_arc,
     visible_arc_length,
@@ -36,7 +36,6 @@ from .geometry import (
 __all__ = [
     "NearestDistanceLaw",
     "nearest_ccdf",
-    "nearest_pdf",
 ]
 
 
@@ -55,8 +54,8 @@ class NearestDistanceLaw:
     arc_length_km: float = 0.0  # derived in __post_init__
 
     def __post_init__(self) -> None:
-        if self.density_per_km <= 0:
-            raise ValueError("satellite density must be positive")
+        if not (self.density_per_km > 0 and math.isfinite(self.density_per_km)):
+            raise ValueError("satellite density must be positive and finite")
         arc = visible_arc_length(self.orbit, self.window)
         if arc <= 0.0:
             raise ValueError("orbit never enters the visibility window")
@@ -92,29 +91,4 @@ def nearest_ccdf(law: NearestDistanceLaw, r):
     val = num / law.visibility_probability
     val = np.where(r <= lo, 1.0, np.where(r >= hi, 0.0, val))
     val = np.clip(val, 0.0, 1.0)
-    return val[()] if val.ndim == 0 else val
-
-
-def _arc_derivative(law: NearestDistanceLaw, r, ell):
-    # d ell / d r = 2 r / (R_E sin(theta) sin(ell / 2R)); finite on the
-    # open range because ell > 0 strictly inside it
-    orbit = law.orbit
-    re = orbit.earth.radius_km
-    sin_t = math.sin(orbit.theta_rad)
-    return 2.0 * r / (re * sin_t * np.sin(ell / (2.0 * orbit.radius_km)))
-
-
-def nearest_pdf(law: NearestDistanceLaw, r):
-    """Density of the nearest visible-satellite distance at r.
-
-    Defined on the open interval (d_min, d_max); raises outside it, where
-    the density is zero or the arc derivative degenerates.
-    """
-    r = np.asarray(r, dtype=float)
-    lo, hi = law.d_min_km, law.d_max_km
-    if np.any(r <= lo) or np.any(r >= hi):
-        raise ValueError("pdf is defined on the open interval (d_min, d_max)")
-    lam = law.density_per_km
-    ell = distance_to_arc(law.orbit, r)
-    val = lam * np.exp(-lam * ell) * _arc_derivative(law, r, ell) / law.visibility_probability
     return val[()] if val.ndim == 0 else val

@@ -50,7 +50,6 @@ __all__ = [
     "d_min",
     "arc_to_distance",
     "distance_to_arc",
-    "visibility_probability",
     "visible_time",
     "orbital_speed",
 ]
@@ -218,23 +217,6 @@ def distance_to_arc(orbit: OrbitGeometry, r):
         raise ValueError("distance outside the orbit's reachable range")
     ell = 2.0 * R * np.arccos(np.clip(x, -1.0, 1.0))
     return ell[()] if ell.ndim == 0 else ell
-
-
-def visibility_probability(lambdas, orbits, window: VisibilityWindow) -> float:
-    """Probability that at least one satellite is visible across the orbits.
-
-    Satellites form independent Poisson processes with per-orbit densities
-    ``lambdas`` (satellites per km), so this is one minus the void
-    probability of the union of visible arcs: 1 - exp(-sum_n lambda_n L_n).
-    """
-    if len(lambdas) != len(orbits):
-        raise ValueError("lambdas and orbits must have the same length")
-    total = 0.0
-    for lam, orbit in zip(lambdas, orbits):
-        if lam < 0:
-            raise ValueError("densities must be nonnegative")
-        total += lam * visible_arc_length(orbit, window)
-    return -math.expm1(-total)
 
 
 def orbital_speed(orbit: OrbitGeometry) -> float:

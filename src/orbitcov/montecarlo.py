@@ -390,8 +390,8 @@ def empirical_max_sir_coverage(
     quantity a receiver free to skip empty orbits would see. The orbits
     are independent and interference is counted per orbit, so it equals
     1 - prod_n (1 - p_vis,n p_n), with p_vis,n the visibility probability
-    of orbit n and p_n its `sir_coverage_conditional`. For one orbit the
-    any-visible curve is the joint one.
+    of orbit n and p_n the `coverage_conditional` of its one-orbit
+    constellation. For one orbit the any-visible curve is the joint one.
     """
     sir, _ = _coverage_pass(constellation, (), thresholds_db, cfg, "max")
     conditional, unconditional, any_visible = sir

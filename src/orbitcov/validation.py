@@ -48,12 +48,10 @@ import numpy as np
 from .coverage import (
     ConstellationSpec,
     LinkBudget,
+    coverage_conditional,
     db_to_linear,
-    max_sir_coverage_conditional,
     max_sir_coverage_curve,
-    sir_coverage_conditional,
     sir_coverage_curve,
-    snr_coverage_conditional,
     threshold_grid_db,
 )
 from .distance import NearestDistanceLaw, nearest_ccdf
@@ -369,8 +367,10 @@ def criterion_laplace(seed: int, scale: float = 1.0) -> CriterionResult:
     return CriterionResult(4, CRITERION_NAMES[4], bool(ok), lines)
 
 
-def _reference_constellation(theta: float, density: float, alpha: float, m: float) -> ConstellationSpec:
-    orbit = _orbit(theta)
+def _reference_constellation(
+    theta: float, density: float, alpha: float, m: float, altitude_km: float = ALTITUDE_KM
+) -> ConstellationSpec:
+    orbit = _orbit(theta, altitude_km=altitude_km)
     return ConstellationSpec(
         orbits=(orbit,),
         densities_per_km=(density,),
@@ -389,7 +389,7 @@ def criterion_sir_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
         spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, alpha, float(m))
         cfg = McConfig(trials=trials, seed=seed + 53 * index, batch=10_000)
         conditional, _ = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
-        analytic = sir_coverage_conditional(spec.orbits[0], spec.window, DENSITY_PER_KM, spec.channel, GAMMAS)
+        analytic = coverage_conditional(spec, GAMMAS)
         worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
         ok &= _check_bound(lines, f"max|coverage diff| alpha={_fmt(alpha)} m={m}", worst, tol)
     return CriterionResult(5, CRITERION_NAMES[5], bool(ok), lines)
@@ -409,7 +409,7 @@ def criterion_snr_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
     previous_sinr = None
     for budget, (snr_c, _, sinr_c, _) in zip(budgets, per_budget):
         bandwidth = budget.bandwidth_hz
-        analytic = snr_coverage_conditional(spec.orbits[0], spec.window, DENSITY_PER_KM, spec.channel, budget, GAMMAS)
+        analytic = coverage_conditional(spec, GAMMAS, budget)
         worst = max(abs(a - s) for a, s in zip(analytic, snr_c.values))
         ok &= _check_bound(lines, f"max|SNR diff| bandwidth={_fmt(bandwidth)}", worst, tol)
         # one pass scores all curves on the same draws, so these orderings
@@ -450,7 +450,7 @@ def criterion_orbit_diversity(seed: int, scale: float = 1.0) -> CriterionResult:
         spec = constellation(count)
         cfg = McConfig(trials=trials, seed=seed + 97 * count, batch=10_000)
         conditional, _, _ = empirical_max_sir_coverage(spec, GAMMA_GRID_DB, cfg)
-        analytic = max_sir_coverage_conditional(spec, GAMMAS)
+        analytic = coverage_conditional(spec, GAMMAS)
         worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
         ok &= _check_bound(lines, f"max|coverage diff| orbits={count}", worst, tol)
         if previous is not None:
@@ -527,25 +527,22 @@ def criterion_trends() -> CriterionResult:
     # coverage at 10 dB: improves with steeper path loss, sparser orbits,
     # lower shells, overhead inclination; symmetric in the tilt sign
     gamma = db_to_linear(10.0)
-    by_alpha = [
-        sir_coverage_conditional(base, window, DENSITY_PER_KM, ChannelParams(alpha=a, m=1.0), gamma)
-        for a in (2.0, 3.0, 4.0)
-    ]
+
+    def conditional(theta=math.pi / 2, density=DENSITY_PER_KM, alpha=2.0, altitude_km=ALTITUDE_KM) -> float:
+        return coverage_conditional(_reference_constellation(theta, density, alpha, 1.0, altitude_km), gamma)
+
+    by_alpha = [conditional(alpha=a) for a in (2.0, 3.0, 4.0)]
     ok &= _check_bound(lines, "coverage fell from alpha=2 to 3", by_alpha[0] - by_alpha[1], 0.0)
     ok &= _check_bound(lines, "coverage fell from alpha=3 to 4", by_alpha[1] - by_alpha[2], 0.0)
-    sparse = sir_coverage_conditional(base, window, 0.001, channel, gamma)
-    dense = sir_coverage_conditional(base, window, 0.01, channel, gamma)
+    sparse = conditional(density=0.001)
+    dense = conditional(density=0.01)
     ok &= _check_bound(lines, "coverage rose with density at 10 dB", dense - sparse, 0.0)
-    by_altitude = []
-    for altitude in (500.0, 1000.0, 1500.0):
-        orbit = _orbit(altitude_km=altitude)
-        shell_window = _window(orbit)
-        by_altitude.append(sir_coverage_conditional(orbit, shell_window, DENSITY_PER_KM, channel, gamma))
+    by_altitude = [conditional(altitude_km=altitude) for altitude in (500.0, 1000.0, 1500.0)]
     ok &= _check_bound(lines, "coverage rose with altitude 500->1000", by_altitude[1] - by_altitude[0], 0.0)
     ok &= _check_bound(lines, "coverage rose with altitude 1000->1500", by_altitude[2] - by_altitude[1], 0.0)
-    overhead = sir_coverage_conditional(base, window, DENSITY_PER_KM, channel, gamma)
-    up = sir_coverage_conditional(_orbit(math.pi / 2 + math.pi / 18), window, DENSITY_PER_KM, channel, gamma)
-    down = sir_coverage_conditional(_orbit(math.pi / 2 - math.pi / 18), window, DENSITY_PER_KM, channel, gamma)
+    overhead = conditional()
+    up = conditional(math.pi / 2 + math.pi / 18)
+    down = conditional(math.pi / 2 - math.pi / 18)
     ok &= _check_bound(lines, "tilted orbit beat overhead at 10 dB", max(up, down) - overhead, 0.0)
     ok &= _check_bound(lines, "tilt-sign asymmetry", abs(up - down), 1e-9)
     return CriterionResult(8, CRITERION_NAMES[8], bool(ok), lines)

@@ -9,9 +9,11 @@ Gauss-Kronrod `quad` behind explicit tolerances; the library's fixed
 Gauss-Legendre rule is checked against it. The adaptive coverage forms
 nest it the way the closed forms read: an outer integral over the
 serving arc coordinate, inner integrals over the interferer arc, and the
-alternating derivative series sum (-s)^t / t! L^(t)(s). The
-distance-domain forms evaluate the nearest-distance law and the
-interference transform directly in the distance variable, with the
+alternating derivative series sum (-s)^t / t! L^(t)(s). `nearest_pdf`
+is the nearest-distance density in the arc coordinate, the library's
+CCDF differentiated through d ell / d r; the library needs only the
+CCDF. The distance-domain forms evaluate the nearest-distance law and
+the interference transform directly in the distance variable, with the
 inverse-square-root endpoint weight the arc coordinate removes, so they
 check that substitution. `sample_orbit` builds explicit 3-D satellite
 positions on the whole circle and applies the elevation-angle test, so
@@ -43,6 +45,7 @@ from orbitcov import (
     VisibilityWindow,
     arc_to_distance,
     d_min,
+    distance_to_arc,
     visible_arc_length,
 )
 from orbitcov.geometry import KM_IN_M, TWO_PI, _window_half_angle
@@ -190,6 +193,31 @@ def visible_arc_double_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> 
     if abs(orbit.theta_rad - math.pi / 2) > band:
         return 0.0
     return R * math.acos(min(eta(R, orbit.theta_rad, window.cap_base_km), 1.0))
+
+
+def _arc_derivative(law: NearestDistanceLaw, r, ell):
+    # d ell / d r = 2 r / (R_E sin(theta) sin(ell / 2R)); finite on the
+    # open range because ell > 0 strictly inside it
+    orbit = law.orbit
+    re = orbit.earth.radius_km
+    sin_t = math.sin(orbit.theta_rad)
+    return 2.0 * r / (re * sin_t * np.sin(ell / (2.0 * orbit.radius_km)))
+
+
+def nearest_pdf(law: NearestDistanceLaw, r):
+    """Density of the nearest visible-satellite distance at r.
+
+    Defined on the open interval (d_min, d_max); raises outside it, where
+    the density is zero or the arc derivative degenerates.
+    """
+    r = np.asarray(r, dtype=float)
+    lo, hi = law.d_min_km, law.d_max_km
+    if np.any(r <= lo) or np.any(r >= hi):
+        raise ValueError("pdf is defined on the open interval (d_min, d_max)")
+    lam = law.density_per_km
+    ell = distance_to_arc(law.orbit, r)
+    val = lam * np.exp(-lam * ell) * _arc_derivative(law, r, ell) / law.visibility_probability
+    return val[()] if val.ndim == 0 else val
 
 
 def nearest_ccdf_distance_form(law: NearestDistanceLaw, r: float) -> float:

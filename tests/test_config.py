@@ -182,9 +182,9 @@ class TestRejection:
         data["orbits"][0]["theta_deg"] = 20.0
         cfg = parse_scenario(data)
         with pytest.raises(ValueError, match="window"):
-            from orbitcov.coverage import max_sir_coverage_conditional
+            from orbitcov.coverage import coverage_conditional
 
-            max_sir_coverage_conditional(cfg.constellation(), 1.0)
+            coverage_conditional(cfg.constellation(), 1.0)
 
     def test_thresholds_order(self):
         with pytest.raises(ConfigError, match="stop_db"):

@@ -14,19 +14,18 @@ from orbitcov import (
     CoverageCurve,
     LinkBudget,
     McConfig,
+    NearestDistanceLaw,
     OrbitGeometry,
     VisibilityWindow,
     arc_to_distance,
+    coverage_conditional,
     d_min,
     db_to_linear,
     empirical_sir_coverage,
     laplace_derivatives,
     log_laplace,
-    max_sir_coverage_conditional,
     max_sir_coverage_curve,
-    sir_coverage_conditional,
     sir_coverage_curve,
-    snr_coverage_conditional,
     snr_coverage_curve,
     threshold_grid_db,
     visible_arc_length,
@@ -50,6 +49,11 @@ def shell(altitude_km=500.0, theta_rad=math.pi / 2, omega_min_deg=10.0):
     return orbit, VisibilityWindow.from_min_elevation(math.radians(omega_min_deg), orbit)
 
 
+def one_orbit(orbit, window, lam, channel):
+    """A single orbit, which is the one-orbit constellation."""
+    return ConstellationSpec((orbit,), (lam,), window, channel)
+
+
 QUANTITIES = ["sir", "snr", "max_sir"]
 
 
@@ -60,15 +64,17 @@ def entries(quantity, channel, altitude_km=500.0, lam=LAM):
     repeated orbit."""
     orbit, window = shell(altitude_km)
     if quantity == "sir":
-        args = (orbit, window, lam, channel)
-        return partial(sir_coverage_conditional, *args), partial(sir_coverage_curve, *args), (orbit,)
+        spec = one_orbit(orbit, window, lam, channel)
+        return partial(coverage_conditional, spec), partial(sir_coverage_curve, orbit, window, lam, channel), (orbit,)
     if quantity == "snr":
-        args = (orbit, window, lam, channel, LinkBudget())
-        return partial(snr_coverage_conditional, *args), partial(snr_coverage_curve, *args), (orbit,)
+        spec = one_orbit(orbit, window, lam, channel)
+        budget = LinkBudget()
+        curve = partial(snr_coverage_curve, orbit, window, lam, channel, budget)
+        return partial(coverage_conditional, spec, budget=budget), curve, (orbit,)
     tilted = OrbitGeometry(altitude_km, math.pi / 2 + 0.1, phi_rad=1.0)
     orbits = (orbit, tilted, OrbitGeometry(altitude_km, math.pi / 2, phi_rad=2.0))
     spec = ConstellationSpec(orbits, (lam,) * 3, window, channel)
-    return partial(max_sir_coverage_conditional, spec), partial(max_sir_coverage_curve, spec), orbits
+    return partial(coverage_conditional, spec), partial(max_sir_coverage_curve, spec), orbits
 
 
 class TestDecibels:
@@ -93,18 +99,18 @@ class TestDecibels:
 
 class TestSirCoverage:
     def test_tiny_threshold_saturates(self, ref_orbit, ref_window, rayleigh):
-        p = sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, 1e-12)
+        p = coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), 1e-12)
         assert p >= 1.0 - 1e-6
 
     def test_monotone_in_threshold(self, ref_orbit, ref_window, rayleigh):
         vals = [
-            sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, db_to_linear(g))
+            coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), db_to_linear(g))
             for g in (-10.0, 0.0, 10.0, 20.0)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_unconditional_factor(self, ref_orbit, ref_window, rayleigh):
-        cond = sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, db_to_linear(5.0))
+        cond = coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), db_to_linear(5.0))
         arc = visible_arc_length(ref_orbit, ref_window)
         vis = -math.expm1(-LAM * arc)
         unc = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (5.0,)).values[0]
@@ -112,7 +118,7 @@ class TestSirCoverage:
 
     def test_dense_orbit_conditioning_washes_out(self, ref_orbit, ref_window, rayleigh):
         # at 10 satellites per km visibility is certain for all doubles
-        cond = sir_coverage_conditional(ref_orbit, ref_window, 10.0, rayleigh, db_to_linear(0.0))
+        cond = coverage_conditional(one_orbit(ref_orbit, ref_window, 10.0, rayleigh), db_to_linear(0.0))
         unc = sir_coverage_curve(ref_orbit, ref_window, 10.0, rayleigh, (0.0,)).values[0]
         assert abs(cond - unc) <= 1e-10
 
@@ -123,20 +129,20 @@ class TestSirCoverage:
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_threshold_validation(self, ref_orbit, ref_window, rayleigh, gamma):
         with pytest.raises(ValueError, match="SIR threshold"):
-            sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, gamma)
+            coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), gamma)
         with pytest.raises(ValueError, match="SNR threshold"):
-            snr_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, LinkBudget(), gamma)
+            coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), gamma, LinkBudget())
 
     def test_heavier_fading_figures_run(self, ref_orbit, ref_window):
         for m in (2.0, 3.0):
             ch = ChannelParams(alpha=2.0, m=m)
-            p = sir_coverage_conditional(ref_orbit, ref_window, LAM, ch, db_to_linear(10.0))
+            p = coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ch), db_to_linear(10.0))
             assert 0.0 < p < 1.0
 
     def test_non_integer_m_rejected(self, ref_orbit, ref_window):
         ch = ChannelParams(alpha=2.0, m=1.5)
         with pytest.raises(ValueError, match="integer"):
-            sir_coverage_conditional(ref_orbit, ref_window, LAM, ch, 1.0)
+            coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ch), 1.0)
 
 
 class TestSnrCoverage:
@@ -154,22 +160,18 @@ class TestSnrCoverage:
             return math.exp(-gamma * u_m**2 / scale) * lam * math.exp(-lam * tau)
 
         direct = adaptive(integrand, 0.0, arc, rel_tol=2e-14) / -math.expm1(-lam * arc)
-        got = snr_coverage_conditional(ref_orbit, ref_window, lam, rayleigh, budget, gamma)
+        got = coverage_conditional(one_orbit(ref_orbit, ref_window, lam, rayleigh), gamma, budget)
         assert got == pytest.approx(direct, rel=1e-12)
 
     def test_more_bandwidth_more_noise(self, ref_orbit, ref_window, rayleigh):
         gamma = db_to_linear(5.0)
-        vals = [
-            snr_coverage_conditional(
-                ref_orbit, ref_window, LAM, rayleigh, LinkBudget(bandwidth_hz=bw), gamma
-            )
-            for bw in (1e7, 1e8, 1e9)
-        ]
+        spec = one_orbit(ref_orbit, ref_window, LAM, rayleigh)
+        vals = [coverage_conditional(spec, gamma, LinkBudget(bandwidth_hz=bw)) for bw in (1e7, 1e8, 1e9)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_unconditional_factor(self, ref_orbit, ref_window, rayleigh):
         budget = LinkBudget()
-        cond = snr_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, budget, db_to_linear(5.0))
+        cond = coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), db_to_linear(5.0), budget)
         arc = visible_arc_length(ref_orbit, ref_window)
         unc = snr_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, budget, (5.0,)).values[0]
         assert unc == pytest.approx(cond * -math.expm1(-LAM * arc), rel=1e-12)
@@ -178,8 +180,8 @@ class TestSnrCoverage:
         a = ChannelParams(alpha=2.0, m=1.0, g_i_bar=10**-1.3)
         b = ChannelParams(alpha=2.0, m=1.0, g_i_bar=10**-3.0)
         budget = LinkBudget()
-        pa = snr_coverage_conditional(ref_orbit, ref_window, LAM, a, budget, 1.0)
-        pb = snr_coverage_conditional(ref_orbit, ref_window, LAM, b, budget, 1.0)
+        pa = coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, a), 1.0, budget)
+        pb = coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, b), 1.0, budget)
         assert pa == pb
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -187,7 +189,7 @@ class TestSnrCoverage:
         # at alpha = 60 the tail parameter q exceeds e^709 at every serving
         # distance: the coverage is 0, reached without an overflow warning
         ch = ChannelParams(alpha=60.0, m=float(m))
-        assert snr_coverage_conditional(ref_orbit, ref_window, LAM, ch, LinkBudget(), 1.0) == 0.0
+        assert coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ch), 1.0, LinkBudget()) == 0.0
         assert snr_coverage_curve(ref_orbit, ref_window, LAM, ch, LinkBudget(), (-10.0, 0.0, 10.0)).values == (0.0,) * 3
 
 
@@ -235,11 +237,20 @@ class TestInvisibleOrbitArguments:
 
     def test_conditional_combiner_raises(self, ref_window, rayleigh):
         # conditioning on every orbit being visible conditions on an
-        # event of probability zero
-        orbits = (OrbitGeometry(500.0, 0.3), OrbitGeometry(500.0, math.pi / 2))
-        spec = ConstellationSpec(orbits, (LAM, LAM), ref_window, rayleigh)
-        with pytest.raises(ValueError, match="orbit 0 never enters"):
-            max_sir_coverage_conditional(spec, 1.0)
+        # event of probability zero, for one orbit or several, SIR or SNR;
+        # a bad m or threshold is reported first, as on the curve path
+        hidden = OrbitGeometry(500.0, 0.3)
+        for orbits in ((hidden,), (hidden, OrbitGeometry(500.0, math.pi / 2))):
+            densities = (LAM,) * len(orbits)
+            spec = ConstellationSpec(orbits, densities, ref_window, rayleigh)
+            fractional_m = ConstellationSpec(orbits, densities, ref_window, ChannelParams(m=1.5))
+            for budget in (None, LinkBudget()):
+                with pytest.raises(ValueError, match="orbit 0 never enters"):
+                    coverage_conditional(spec, 1.0, budget)
+                with pytest.raises(ValueError, match="threshold"):
+                    coverage_conditional(spec, [1.0, 0.0], budget)
+                with pytest.raises(ValueError, match="integer"):
+                    coverage_conditional(fractional_m, 1.0, budget)
 
 
 class TestLinkBudget:
@@ -269,18 +280,19 @@ class TestConstellation:
         )
 
     def test_single_orbit_reduces_to_sir(self, ref_orbit, ref_window, rayleigh):
+        # the combiner returns the per-orbit kernel's value bit for bit
         spec = self.make([math.pi / 2])
         gamma = db_to_linear(10.0)
-        direct = sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, gamma)
-        assert max_sir_coverage_conditional(spec, gamma) == pytest.approx(direct, abs=1e-12)
+        (direct,) = coverage._sir_conditional(ref_orbit, ref_window, LAM, rayleigh, 1, np.array([gamma]))
+        assert coverage_conditional(spec, gamma) == direct
         unc = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (10.0,)).values
         assert max_sir_coverage_curve(spec, (10.0,)).values == pytest.approx(unc, abs=1e-12)
 
     def test_identical_orbits_combine_independently(self):
         gamma = db_to_linear(10.0)
-        p1 = max_sir_coverage_conditional(self.make([math.pi / 2]), gamma)
+        p1 = coverage_conditional(self.make([math.pi / 2]), gamma)
         for n in (2, 3, 4):
-            pn = max_sir_coverage_conditional(self.make([math.pi / 2] * n), gamma)
+            pn = coverage_conditional(self.make([math.pi / 2] * n), gamma)
             assert pn == pytest.approx(1.0 - (1.0 - p1) ** n, rel=1e-12)
 
     def test_more_orbits_help(self):
@@ -300,9 +312,9 @@ class TestConstellation:
         gamma = db_to_linear(gamma_db)
         miss = Fraction(1)
         for orbit in orbits:
-            miss *= 1 - Fraction(sir_coverage_conditional(orbit, window, 0.01, channel, gamma))
+            miss *= 1 - Fraction(coverage_conditional(one_orbit(orbit, window, 0.01, channel), gamma))
         exact = 1 - miss
-        assert abs(Fraction(max_sir_coverage_conditional(spec, gamma)) - exact) <= Fraction(1e-14) * exact
+        assert abs(Fraction(coverage_conditional(spec, gamma)) - exact) <= Fraction(1e-14) * exact
 
     def test_single_orbit_snr_is_the_one_orbit_constellation(self, ref_orbit, ref_window, rayleigh):
         # the combiner returns the per-orbit value bit for bit at N = 1
@@ -318,7 +330,19 @@ class TestConstellation:
     def test_invisible_member_is_an_error(self):
         spec = self.make([math.pi / 2, 0.3])
         with pytest.raises(ValueError, match="orbit 1"):
-            max_sir_coverage_conditional(spec, 1.0)
+            coverage_conditional(spec, 1.0)
+
+    @pytest.mark.parametrize("density", [math.inf, math.nan])
+    @pytest.mark.parametrize("build", ["spec", "law"])
+    def test_non_finite_density_rejected(self, ref_orbit, ref_window, rayleigh, build, density):
+        # lam <= 0 is False for both, so both were accepted: the curves
+        # then failed converting inf or nan to a panel count, and the
+        # nearest-distance CCDF gave 0 at inf and nan at nan
+        with pytest.raises(ValueError, match="positive and finite"):
+            if build == "spec":
+                ConstellationSpec((ref_orbit,), (density,), ref_window, rayleigh)
+            else:
+                NearestDistanceLaw(ref_orbit, ref_window, density)
 
     def test_validation(self, ref_window, rayleigh):
         with pytest.raises(ValueError):
@@ -377,11 +401,11 @@ class TestCurves:
             coverage.snr_coverage(hidden, ref_window, LAM, rayleigh, budget, -1.0)
 
     def test_conditional_flag_in_metadata(self, ref_orbit, ref_window, rayleigh):
-        # curves are unconditional; the conditioned values come from the
-        # *_conditional functions
+        # curves are unconditional; the conditioned values come from
+        # coverage_conditional
         u = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (0.0,))
         assert u.metadata["conditioning"] == "none"
-        assert sir_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, 1.0) > u.values[0]
+        assert coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), 1.0) > u.values[0]
 
     def test_snr_curve(self, ref_orbit, ref_window, rayleigh):
         curve = snr_coverage_curve(
@@ -444,7 +468,7 @@ class TestAgainstAdaptiveReference:
         for g in GAMMA_GRID_DB:
             gamma = db_to_linear(g)
             assert_matches_reference(
-                sir_coverage_conditional(ref_orbit, ref_window, LAM, ch, gamma),
+                coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ch), gamma),
                 sir_coverage_adaptive(ref_orbit, ref_window, LAM, ch, gamma),
             )
 
@@ -454,7 +478,7 @@ class TestAgainstAdaptiveReference:
             for g in GAMMA_GRID_DB:
                 gamma = db_to_linear(g)
                 assert_matches_reference(
-                    snr_coverage_conditional(ref_orbit, ref_window, LAM, rayleigh, budget, gamma),
+                    coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), gamma, budget),
                     snr_coverage_adaptive(ref_orbit, ref_window, LAM, rayleigh, budget, gamma),
                 )
 
@@ -466,7 +490,7 @@ class TestAgainstAdaptiveReference:
         cases += [(OrbitGeometry(500.0, math.pi / 2 + d), ref_window, LAM, rayleigh) for d in (-math.pi / 18, math.pi / 18)]
         for orbit, window, lam, ch in cases:
             assert_matches_reference(
-                sir_coverage_conditional(orbit, window, lam, ch, gamma),
+                coverage_conditional(one_orbit(orbit, window, lam, ch), gamma),
                 sir_coverage_adaptive(orbit, window, lam, ch, gamma),
             )
         lo = d_min(ref_orbit)
@@ -494,14 +518,14 @@ class TestAgainstAdaptiveReference:
         for g in (-10.0, 10.0, 30.0):
             gamma = db_to_linear(g)
             assert_matches_reference(
-                sir_coverage_conditional(orbit, window, lam, ch, gamma),
+                coverage_conditional(one_orbit(orbit, window, lam, ch), gamma),
                 sir_coverage_adaptive(orbit, window, lam, ch, gamma),
             )
         # SNR thresholds where the noise-limited coverage is neither 0 nor 1
         for g in (0.0, 20.0, 40.0, 60.0):
             gamma = db_to_linear(g)
             assert_matches_reference(
-                snr_coverage_conditional(orbit, window, lam, ch, budget, gamma),
+                coverage_conditional(one_orbit(orbit, window, lam, ch), gamma, budget),
                 snr_coverage_adaptive(orbit, window, lam, ch, budget, gamma),
             )
 
@@ -541,7 +565,7 @@ class TestBeyondTheAdaptiveReach:
         ch = ChannelParams(alpha=2.0, m=float(m))
         for g in thresholds_db:
             gamma = db_to_linear(g)
-            value = snr_coverage_conditional(orbit, window, lam, ch, budget, gamma)
+            value = coverage_conditional(one_orbit(orbit, window, lam, ch), gamma, budget)
             reference = snr_mpmath(orbit, window, lam, m, budget, gamma)
             assert value == pytest.approx(reference, rel=1e-9, abs=1e-12)
 
@@ -549,10 +573,10 @@ class TestBeyondTheAdaptiveReach:
     def test_steep_path_loss_heavy_fading(self, altitude, lam):
         orbit, window = shell(altitude)
         ch = ChannelParams(alpha=8.0, m=10.0)
-        values = [sir_coverage_conditional(orbit, window, lam, ch, db_to_linear(g)) for g in GAMMA_GRID_DB]
+        spec = one_orbit(orbit, window, lam, ch)
+        values = [coverage_conditional(spec, db_to_linear(g)) for g in GAMMA_GRID_DB]
         assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
-        spec = ConstellationSpec((orbit,), (lam,), window, ch)
         _, simulated = empirical_sir_coverage(spec, GAMMA_GRID_DB, McConfig(trials=20_000, seed=8, batch=10_000))
         analytic = sir_coverage_curve(orbit, window, lam, ch, GAMMA_GRID_DB)
         for a, p, lo, hi in zip(analytic.values, simulated.values, simulated.ci_low, simulated.ci_high):
@@ -576,7 +600,7 @@ class TestTaylorSeries:
     def test_non_finite_value_raises(self, ref_orbit, ref_window, monkeypatch):
         monkeypatch.setattr(coverage, "_taylor_sum", lambda load, *rest: np.full(load.shape[:-1], np.nan))
         with pytest.raises(ValueError, match="not finite"):
-            sir_coverage_conditional(ref_orbit, ref_window, LAM, ChannelParams(m=2.0), 1.0)
+            coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ChannelParams(m=2.0)), 1.0)
         with pytest.raises(ValueError, match="not finite"):
             sir_coverage_curve(ref_orbit, ref_window, LAM, ChannelParams(m=2.0), (0.0,))
 
@@ -654,11 +678,12 @@ class TestTiling:
             monkeypatch.setattr(coverage, "_BLOCK", block)
         if lam > 1.0:
             assert per_threshold > coverage._BLOCK
-        grid = sir_coverage_conditional(orbit, window, lam, ch, gammas)
-        single = [sir_coverage_conditional(orbit, window, lam, ch, g) for g in gammas]
+        spec = one_orbit(orbit, window, lam, ch)
+        grid = coverage_conditional(spec, gammas)
+        single = [coverage_conditional(spec, g) for g in gammas]
         assert grid == pytest.approx(single, rel=1e-15, abs=0.0)
         monkeypatch.setattr(coverage, "_BLOCK", len(gammas) * per_threshold)
-        whole = np.clip(coverage._sir_conditional(orbit, window, lam, ch, gammas), 0.0, 1.0)
+        whole = np.clip(coverage._sir_conditional(orbit, window, lam, ch, m, np.array(gammas)), 0.0, 1.0)
         assert grid == pytest.approx(whole, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("m", [1, 3, 10])

@@ -10,10 +10,9 @@ from orbitcov import (
     OrbitGeometry,
     VisibilityWindow,
     nearest_ccdf,
-    nearest_pdf,
     visible_arc_length,
 )
-from reference_forms import adaptive, nearest_ccdf_distance_form, nearest_pdf_distance_form
+from reference_forms import adaptive, nearest_ccdf_distance_form, nearest_pdf, nearest_pdf_distance_form
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from orbitcov import (
     d_min,
     distance_to_arc,
     orbital_speed,
-    visibility_probability,
     visible_arc_length,
     visible_time,
 )
@@ -178,31 +177,6 @@ def eta_of(orbit, r):
     h = (orbit.radius_km**2 + re**2 - r * r) / (2.0 * re)
     x = h / (orbit.radius_km * sin_theta)
     return 2.0 * x * x - 1.0
-
-
-class TestVisibilityProbability:
-    def test_single_orbit(self, ref_orbit, ref_window):
-        lam = 0.005
-        arc = visible_arc_length(ref_orbit, ref_window)
-        p = visibility_probability([lam], [ref_orbit], ref_window)
-        assert p == pytest.approx(-math.expm1(-lam * arc), rel=1e-15)
-
-    def test_independent_orbits_multiply(self, ref_orbit, ref_window):
-        tilted = OrbitGeometry(500.0, math.pi / 2 + 0.05)
-        p_both = visibility_probability([0.002, 0.002], [ref_orbit, tilted], ref_window)
-        p0 = visibility_probability([0.002], [ref_orbit], ref_window)
-        p1 = visibility_probability([0.002], [tilted], ref_window)
-        miss = (1.0 - p0) * (1.0 - p1)
-        assert p_both == pytest.approx(1.0 - miss, rel=1e-12)
-
-    def test_dense_orbit_saturates(self, ref_orbit, ref_window):
-        assert visibility_probability([10.0], [ref_orbit], ref_window) == 1.0
-
-    def test_validation(self, ref_orbit, ref_window):
-        with pytest.raises(ValueError):
-            visibility_probability([0.005, 0.005], [ref_orbit], ref_window)
-        with pytest.raises(ValueError):
-            visibility_probability([-0.005], [ref_orbit], ref_window)
 
 
 class TestKinematics:

@@ -21,13 +21,13 @@ from orbitcov import (
     OrbitGeometry,
     RandomSource,
     VisibilityWindow,
+    coverage_conditional,
     db_to_linear,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
     empirical_snr_sinr_coverage,
     nearest_ccdf,
-    sir_coverage_conditional,
     sir_coverage_curve,
     threshold_grid_db,
     visible_arc_length,
@@ -411,15 +411,11 @@ class TestNearestDistance:
 class TestCoverageEstimators:
     GRID = (-5.0, 0.0, 5.0, 10.0)
 
-    def test_sir_within_mc_error(self, ref_orbit, ref_window, rayleigh):
-        from orbitcov import sir_coverage_conditional, db_to_linear
-
+    def test_sir_within_mc_error(self):
         cfg = McConfig(trials=100_000, seed=14, batch=25_000)
         cond, unc = empirical_sir_coverage(single(), self.GRID, cfg)
         for g_db, v in zip(cond.thresholds_db, cond.values):
-            direct = sir_coverage_conditional(
-                ref_orbit, ref_window, LAM, rayleigh, db_to_linear(g_db)
-            )
+            direct = coverage_conditional(single(), db_to_linear(g_db))
             assert v == pytest.approx(direct, abs=0.01)
         assert all(u <= c for u, c in zip(unc.values, cond.values))
 
@@ -568,7 +564,7 @@ class TestCoverageEstimators:
             miss = 1.0
             for orbit in orbits:
                 p_vis = NearestDistanceLaw(orbit, window, lam).visibility_probability
-                p_n = sir_coverage_conditional(orbit, window, lam, channel, db_to_linear(gamma_db))
+                p_n = coverage_conditional(ConstellationSpec((orbit,), (lam,), window, channel), db_to_linear(gamma_db))
                 miss *= 1.0 - p_vis * p_n
             half_width = 0.5 * (any_vis.ci_high[k] - any_vis.ci_low[k])
             assert abs(any_vis.values[k] - (1.0 - miss)) <= 2.0 * half_width

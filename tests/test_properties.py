@@ -68,7 +68,7 @@ def assert_coverage_curve(raw, curve, p_vis):
 def test_sir_curve_properties(scenario):
     orbit, window, density, channel, thresholds_db = scenario
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
-    raw = _sir_conditional(orbit, window, density, channel, gammas)
+    raw = _sir_conditional(orbit, window, density, channel, channel.integer_m, gammas)
     curve = sir_coverage_curve(orbit, window, density, channel, thresholds_db)
     assert_coverage_curve(raw, curve, NearestDistanceLaw(orbit, window, density).visibility_probability)
 
@@ -79,7 +79,7 @@ def test_snr_curve_properties(scenario, bandwidth_hz):
     orbit, window, density, channel, thresholds_db = scenario
     budget = LinkBudget(bandwidth_hz=bandwidth_hz)
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
-    raw = _snr_conditional(orbit, window, density, channel, budget, gammas)
+    raw = _snr_conditional(orbit, window, density, channel, channel.integer_m, gammas, budget)
     curve = snr_coverage_curve(orbit, window, density, channel, budget, thresholds_db)
     assert_coverage_curve(raw, curve, NearestDistanceLaw(orbit, window, density).visibility_probability)
 
@@ -115,9 +115,9 @@ def test_curve_properties_at_vanishing_density(quantity, m, altitude, density):
     for fraction in (0.0, 0.5, -0.999999):
         orbit = OrbitGeometry(altitude, math.pi / 2 + fraction * band)
         if quantity == "SIR":
-            raw = _sir_conditional(orbit, window, density, channel, gammas)
+            raw = _sir_conditional(orbit, window, density, channel, channel.integer_m, gammas)
             curve = sir_coverage_curve(orbit, window, density, channel, thresholds_db)
         else:
-            raw = _snr_conditional(orbit, window, density, channel, budget, gammas)
+            raw = _snr_conditional(orbit, window, density, channel, channel.integer_m, gammas, budget)
             curve = snr_coverage_curve(orbit, window, density, channel, budget, thresholds_db)
         assert_coverage_curve(raw, curve, NearestDistanceLaw(orbit, window, density).visibility_probability)

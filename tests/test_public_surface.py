@@ -1,6 +1,8 @@
-"""The public surface: exports resolve, demos run, the README example
-holds, and the runtime needs numpy only."""
+"""The public surface: exports resolve, every export has a caller outside
+the tests, demos run, the README example holds, and the runtime needs
+numpy only."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -22,6 +24,38 @@ def test_every_export_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a file imports, reads as bare identifiers or looks up by an
+    exact string. Attributes do not count: `law.visibility_probability`
+    is another object than a module-level function of that name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name that only the tests use belongs in the tests
+    package = ROOT / "src" / "orbitcov"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = {path.resolve(): referenced_names(path) for path in sources}
+    uncalled = []
+    for name in orbitcov.__all__:
+        obj = getattr(orbitcov, name)
+        if name == "__version__" or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        defining = Path(sys.modules[obj.__module__].__file__).resolve()
+        if not any(name in names for path, names in used.items() if path != defining):
+            uncalled.append(name)
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
