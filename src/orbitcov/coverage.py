@@ -37,8 +37,8 @@ A whole grid runs on one fixed tensor Gauss-Legendre rule: graded
 panels over tau, and for every tau one rule over the interferer arc
 [tau, L]. The SIR tensor (thresholds x serving x interferer nodes) is
 evaluated in cache-sized tiles, each through the reciprocal-form
-nonnegative series of `interference`; a value that comes out non-finite
-raises ValueError.
+nonnegative series of `interference`, in one workspace allocated per
+curve; a value that comes out non-finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -89,10 +89,11 @@ CURVE_KINDS = frozenset(
 )
 
 # tensor nodes (thresholds x serving x interferer) per tile of the SIR
-# kernel. The kernel keeps five arrays of a tile's shape live; at 2^15
-# float64 nodes that is 1.25 MiB, inside a 2 MiB per-core L2 cache, where
-# 2^18 (2 MiB per array) made the kernel 1.9-3x slower. Tiles also bound
-# memory for any threshold grid and any orbit density.
+# kernel. A curve allocates one workspace of five tile-sized rows (load,
+# p, share, geometric, power) and every tile runs in it; at 2^15 float64
+# nodes that is 1.25 MiB, inside a 2 MiB per-core L2 cache, where 2^18
+# (2 MiB per row) made the kernel 1.9-3x slower. Tiles also bound memory
+# for any threshold grid and any orbit density.
 _BLOCK = 1 << 15
 
 
@@ -268,11 +269,17 @@ def _sir_conditional(orbit, window, density_per_km, channel, m, gammas) -> np.nd
     tau_step = min(tau.size, rows)
     gamma_step = max(1, rows // tau.size)
     given_tau = np.empty((gammas.size, tau.size))
+    # load, p, share, geometric and power rows of the largest tile; every tile
+    # runs in their leading part, so the curve faults no fresh pages in per tile
+    work = np.empty((5, min(gamma_step, gammas.size) * tau_step * ARC_NODES))
     for i in range(0, gammas.size, gamma_step):
         scale = gammas[i : i + gamma_step, None, None] * channel.g_i_bar
         for j in range(0, tau.size, tau_step):
             run = slice(j, j + tau_step)
-            given_tau[i : i + gamma_step, run] = _taylor_sum(scale * ratio[run], inner[run], density_per_km, m)
+            shape = (scale.shape[0], ratio[run].shape[0], ARC_NODES)
+            tile = work[:, : math.prod(shape)].reshape((5,) + shape)
+            np.multiply(scale, ratio[run], out=tile[0])
+            given_tau[i : i + gamma_step, run] = _taylor_sum(tile[0], inner[run], density_per_km, m, tile[1:])
     return given_tau @ weights
 
 

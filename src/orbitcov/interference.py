@@ -37,9 +37,13 @@ Each factor lies in [0, 1], and s a p = s a / (1 + s a) is a quotient,
 not a difference: at small loads the first form keeps full relative
 precision where 1 - (1 + s a)^-m would cancel, and at large loads it
 saturates at 1 without overflow. Only the reduced exponent goes through
-exp. `log_laplace` and `laplace_derivatives` accept any real m >= 0.5
-and keep the log1p form, which the tests use as an independent
-cross-check of the kernel.
+exp. The kernel writes every intermediate into a workspace that the
+caller passes in and reuses across tiles, and only reads the load, so a
+curve allocates no tensor-sized array per tile.
+
+`log_laplace` and `laplace_derivatives` accept any real m >= 0.5 and
+keep the log1p form, which the tests use as an independent cross-check
+of the kernel.
 """
 
 from __future__ import annotations
@@ -127,22 +131,26 @@ def _row_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", values, weights)
 
 
-def _taylor_sum(load: np.ndarray, weights: np.ndarray, density: float, m: int) -> np.ndarray:
+def _taylor_sum(
+    load: np.ndarray, weights: np.ndarray, density: float, m: int, work: np.ndarray | None = None
+) -> np.ndarray:
     """sum_{t<m} (-s)^t / t! * L^(t)(s) from the loads s a(t) on the inner
     rule (last axis): the probability that a unit-mean gamma(m) serving
     power beats s times the interference.
 
     Every integrand comes from p = 1 / (1 + s a) by products and sums
-    (see the module docstring); the work runs in place on a few arrays
-    of the load's shape.
+    (see the module docstring). The work runs in place in `work`, four
+    arrays of the load's shape that the caller reuses across tiles, or
+    in four fresh ones when none is given; `load` is only read.
     """
-    p = np.add(load, 1.0)
+    p, share, geometric, power = np.empty((4,) + load.shape) if work is None else work
+    np.add(load, 1.0, out=p)
     np.reciprocal(p, out=p)
-    share = np.multiply(load, p)
+    np.multiply(load, p, out=share)
     if m == 1:
         return np.exp(-density * _row_sums(share, weights))
-    geometric = p + 1.0
-    power = p * p
+    np.add(p, 1.0, out=geometric)
+    np.multiply(p, p, out=power)
     for _ in range(2, m):
         geometric += power
         power *= p
@@ -177,8 +185,8 @@ def log_laplace(
     """
     if s < 0:
         raise ValueError("transform variable must be nonnegative")
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
+    if not (density_per_km > 0 and math.isfinite(density_per_km)):
+        raise ValueError("satellite density must be positive and finite")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
     a, weights = _interferer_load(orbit, channel, ell0, arc)
     return float(_log_transform(np.log1p(s * a), weights, density_per_km, channel.m))
@@ -204,8 +212,8 @@ def laplace_derivatives(
         raise ValueError(f"derivative order must lie in [0, {MAX_DERIVATIVE_ORDER}]")
     if s < 0:
         raise ValueError("transform variable must be nonnegative")
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
+    if not (density_per_km > 0 and math.isfinite(density_per_km)):
+        raise ValueError("satellite density must be positive and finite")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
     a, weights = _interferer_load(orbit, channel, ell0, arc)
     m = channel.m

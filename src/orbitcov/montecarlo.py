@@ -216,8 +216,8 @@ def empirical_nearest_ccdf(
     Conditioned on at least one visible satellite; returns the CCDF
     values and the number of trials that survived the conditioning.
     """
-    if density_per_km <= 0:
-        raise ValueError("satellite density must be positive")
+    if not (density_per_km > 0 and math.isfinite(density_per_km)):
+        raise ValueError("satellite density must be positive and finite")
     grid = np.asarray(r_grid_km, dtype=float)
     exceed = np.zeros(grid.size, dtype=np.int64)
     survivors = 0

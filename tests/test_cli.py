@@ -385,12 +385,21 @@ class TestSweepVerb:
         )
         assert [r.lambda_per_km for r in rows] == [0.001] * 3 + [0.005] * 3 + [0.01] * 3
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        cfg = write_scenario(
-            tmp_path,
-            sweep={"parameter": "alpha", "values": [2.0, 3.0]},
-            mc={"trials": 2000, "seed": 3, "batch": 1000},
-        )
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"sweep": {"parameter": "alpha", "values": [2.0, 3.0]}, "mc": {"trials": 2000, "seed": 3, "batch": 1000}},
+            # analytic only: four threads, each running its curves in its own workspace
+            {
+                "sweep": {"parameter": "theta_deg", "values": [80.0, 85.0, 90.0, 95.0]},
+                "channel": {"m": 3},
+                "thresholds": {"start_db": -10.0, "stop_db": 30.0, "step_db": 1.0},
+            },
+        ],
+        ids=["mc", "analytic"],
+    )
+    def test_jobs_do_not_change_bytes(self, tmp_path, extra):
+        cfg = write_scenario(tmp_path, **extra)
         a = tmp_path / "a"
         b = tmp_path / "b"
         assert main(["sweep", "--config", str(cfg), "--out", str(a), "--jobs", "1"]) == 0

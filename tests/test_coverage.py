@@ -722,6 +722,30 @@ class TestTiling:
         assert max(sizes) <= coverage._BLOCK
         assert sum(sizes) == len(grid) * tau.size * ARC_NODES
 
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_one_workspace_serves_every_tile(self, monkeypatch, m):
+        # every tile writes its load and intermediates into the rows one
+        # workspace allocated for the curve, and the kernel only reads load
+        loads, works = [], []
+
+        def recording(load, weights, density, order, *work):
+            before = load.copy()
+            value = _taylor_sum(load, weights, density, order, *work)
+            assert np.array_equal(load, before)
+            loads.append(load)
+            works.extend(work)
+            return value
+
+        monkeypatch.setattr(coverage, "_taylor_sum", recording)
+        orbit, window = shell(35786.0)
+        tau, _, _ = coverage._serving_rule(orbit, window, 1e4)
+        assert tau.size * ARC_NODES > coverage._BLOCK
+        sir_coverage_curve(orbit, window, 1e4, ChannelParams(m=float(m)), threshold_grid_db(-110.0, -70.0, 1.0))
+        assert len(loads) > 41
+        assert all(np.shares_memory(load, loads[0]) for load in loads)
+        assert len(works) == len(loads)
+        assert all(np.shares_memory(work, works[0]) for work in works)
+
 
 class TestThresholdShapes:
     """Conditional coverage comes back in the shape of its thresholds."""

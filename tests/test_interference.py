@@ -62,6 +62,18 @@ class TestLogLaplace:
         with pytest.raises(ValueError):
             log_laplace(orbit, window, lam, ch, 700.0, -1.0)
 
+    @pytest.mark.parametrize("density", [math.inf, math.nan])
+    @pytest.mark.parametrize("function", ["log_laplace", "laplace_derivatives"])
+    def test_non_finite_density_rejected(self, setup, function, density):
+        # lam <= 0 is False for both: at s = 1e5 inf gave -inf and
+        # [0.0, nan], nan gave nan
+        orbit, window, _, ch = setup
+        with pytest.raises(ValueError, match="positive and finite"):
+            if function == "log_laplace":
+                log_laplace(orbit, window, density, ch, 600.0, 1e5)
+            else:
+                laplace_derivatives(orbit, window, density, ch, 600.0, 1e5, 1)
+
     def test_roundoff_slack_at_bounds(self, setup):
         # values a hair outside the window from rounding are clamped in
         orbit, window, lam, ch = setup

@@ -402,6 +402,13 @@ class TestNearestDistance:
         assert survivors == finite.size
         assert np.array_equal(emp, (finite.size - np.searchsorted(finite, grid, side="right")) / finite.size)
 
+    @pytest.mark.parametrize("density", [math.inf, math.nan])
+    def test_non_finite_density_rejected(self, ref_orbit, ref_window, density):
+        # lam <= 0 let both through to numpy's Poisson draw
+        cfg = McConfig(trials=1000, seed=13, batch=1000)
+        with pytest.raises(ValueError, match="positive and finite"):
+            empirical_nearest_ccdf(ref_orbit, ref_window, density, np.array([600.0]), cfg)
+
     def test_degenerate_conditioning(self, ref_orbit, ref_window):
         cfg = McConfig(trials=1000, seed=13, batch=1000)
         with pytest.raises(DegenerateSampleError):
