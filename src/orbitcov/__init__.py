@@ -9,10 +9,9 @@ both, a single orbit being the one-orbit constellation
 (`coverage_conditional` for threshold arrays, unconditional curves on
 dB grids), `montecarlo` the simulation twins of all of it, SINR
 included, and `validation` the acceptance criteria that hold the two
-sides together. `numerics` holds the fixed
-Gauss-Legendre rules every analytic integral runs on and the seeded
-random streams. `cli` wraps the lot for scenario files. The runtime
-needs numpy only. Independent reference forms (the double-angle arc,
+sides together. `numerics` holds the fixed Gauss-Legendre rules every
+analytic integral runs on. `cli` wraps the lot for scenario files. The
+runtime needs numpy only. Independent reference forms (the double-angle arc,
 the nearest-distance density, distance-domain integrals, explicit 3-D
 orbit snapshots) live in the test suite, not here.
 """
@@ -56,7 +55,6 @@ from .montecarlo import (
     empirical_sir_coverage,
     empirical_snr_sinr_coverage,
 )
-from .numerics import RandomSource
 
 __version__ = "0.1.0"
 
@@ -90,6 +88,5 @@ __all__ = [
     "empirical_nearest_ccdf",
     "empirical_sir_coverage",
     "empirical_snr_sinr_coverage",
-    "RandomSource",
     "__version__",
 ]

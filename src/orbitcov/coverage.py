@@ -127,6 +127,15 @@ class LinkBudget:
     bandwidth_hz: float = 1.0e7
 
     def __post_init__(self) -> None:
+        entries = (
+            self.tx_power_dbm,
+            self.serving_gain_db,
+            self.noise_density_dbm_hz,
+            self.noise_figure_db,
+            self.bandwidth_hz,
+        )
+        if not all(math.isfinite(x) for x in entries):
+            raise ValueError("link budget entries must be finite")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be positive")
 

@@ -64,10 +64,10 @@ class EarthConstants:
     mass_kg: float = 5.9736e24
 
     def __post_init__(self) -> None:
-        if self.radius_km <= 0:
-            raise ValueError("Earth radius must be positive")
-        if self.gravitational_constant <= 0 or self.mass_kg <= 0:
-            raise ValueError("gravitational parameters must be positive")
+        if not (self.radius_km > 0 and math.isfinite(self.radius_km)):
+            raise ValueError("Earth radius must be positive and finite")
+        if not all(x > 0 and math.isfinite(x) for x in (self.gravitational_constant, self.mass_kg)):
+            raise ValueError("gravitational parameters must be positive and finite")
 
     @property
     def mu_m3_s2(self) -> float:
@@ -86,8 +86,8 @@ class OrbitGeometry:
     earth: EarthConstants = EarthConstants()
 
     def __post_init__(self) -> None:
-        if self.altitude_km <= 0:
-            raise ValueError("orbit altitude must be positive")
+        if not (self.altitude_km > 0 and math.isfinite(self.altitude_km)):
+            raise ValueError("orbit altitude must be positive and finite")
         if not 0.0 <= self.theta_rad <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
         if not 0.0 <= self.phi_rad < TWO_PI:
@@ -115,8 +115,8 @@ class VisibilityWindow:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega_min_rad < math.pi / 2:
             raise ValueError("minimum elevation must lie in [0, pi/2)")
-        if self.d_max_km <= 0 or self.cap_base_km <= 0:
-            raise ValueError("window distances must be positive")
+        if not all(x > 0 and math.isfinite(x) for x in (self.d_max_km, self.cap_base_km)):
+            raise ValueError("window distances must be positive and finite")
 
     @classmethod
     def from_min_elevation(cls, omega_min_rad: float, orbit: OrbitGeometry) -> "VisibilityWindow":

@@ -86,10 +86,10 @@ class ChannelParams:
     g_i_bar: float = 10.0 ** -1.3
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("path-loss exponent must be positive")
-        if self.m < 0.5:
-            raise ValueError("fading parameter m must be at least 0.5")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError("path-loss exponent must be positive and finite")
+        if not (self.m >= 0.5 and math.isfinite(self.m)):
+            raise ValueError("fading parameter m must be finite and at least 0.5")
         if not 0.0 < self.g_i_bar <= 1.0:
             raise ValueError("mean interferer gain ratio must lie in (0, 1]")
 
@@ -131,19 +131,17 @@ def _row_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", values, weights)
 
 
-def _taylor_sum(
-    load: np.ndarray, weights: np.ndarray, density: float, m: int, work: np.ndarray | None = None
-) -> np.ndarray:
+def _taylor_sum(load: np.ndarray, weights: np.ndarray, density: float, m: int, work: np.ndarray) -> np.ndarray:
     """sum_{t<m} (-s)^t / t! * L^(t)(s) from the loads s a(t) on the inner
     rule (last axis): the probability that a unit-mean gamma(m) serving
     power beats s times the interference.
 
     Every integrand comes from p = 1 / (1 + s a) by products and sums
     (see the module docstring). The work runs in place in `work`, four
-    arrays of the load's shape that the caller reuses across tiles, or
-    in four fresh ones when none is given; `load` is only read.
+    arrays of the load's shape that the caller reuses across tiles;
+    `load` is only read.
     """
-    p, share, geometric, power = np.empty((4,) + load.shape) if work is None else work
+    p, share, geometric, power = work
     np.add(load, 1.0, out=p)
     np.reciprocal(p, out=p)
     np.multiply(load, p, out=share)

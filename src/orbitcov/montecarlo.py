@@ -33,9 +33,10 @@ scored against the thresholds, all on the same draws. A single orbit is
 the one-orbit constellation, whose any-visible curve is its joint one.
 
 Reproducibility contract: a run is determined by (seed, trials, batch).
-Each batch consumes its own child stream of the seed in the order above,
-so results do not depend on how batches are scheduled, only on how the
-work is split; the chunk size is a module constant, not an option.
+Batch i of n consumes the PCG64 stream of numpy's
+`SeedSequence(seed).spawn(n)[i]` in the order above, so results do not
+depend on how batches are scheduled, only on how the work is split; the
+chunk size is a module constant, not an option.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 from .coverage import ConstellationSpec, CoverageCurve, LinkBudget, db_to_linear
 from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _window_half_angle
 from .geometry import _distance_at_height, _squared_distance_at_height
-from .numerics import RandomSource
 
 __all__ = [
     "McConfig",
@@ -65,6 +65,9 @@ MIN_CONDITIONING_TRIALS = 100
 # satellites scored at once: a chunk's arrays stay cache-sized and a
 # batch's memory no longer grows with its satellites
 _CHUNK_SATELLITES = 2**14
+# below the smallest normal double a serving path loss loses precision
+# and the interferer weights, smaller still, go to 0 with it
+_TINY = np.finfo(float).tiny
 
 
 class DegenerateSampleError(RuntimeError):
@@ -76,7 +79,7 @@ class McConfig:
     """Trial count, seed and batch size for one estimator run.
 
     The batch size is part of the reproducibility contract: batches map
-    to child random streams one-to-one.
+    to spawned seed sequences one-to-one.
     """
 
     trials: int = 100_000
@@ -197,11 +200,11 @@ def _wilson_bounds(successes: np.ndarray, trials: int, z: float = 1.96) -> tuple
 
 
 def _batches(cfg: McConfig):
-    """(generator, size) per batch; batch i draws from child stream i of
-    the seed."""
-    rng = RandomSource(cfg.seed)
-    for index, size in enumerate(cfg.batch_sizes()):
-        yield rng.child(index).generator, size
+    """(generator, size) per batch; batch i draws from
+    `SeedSequence(seed).spawn(n)[i]`, n the batch count."""
+    sizes = cfg.batch_sizes()
+    for seq, size in zip(np.random.SeedSequence(cfg.seed).spawn(len(sizes)), sizes):
+        yield np.random.default_rng(seq), size
 
 
 def empirical_nearest_ccdf(
@@ -292,6 +295,10 @@ def _coverage_pass(
     checks it with `_conditioned`. The curves over all trials stay well
     defined when nothing survives, as for an orbit that never enters the
     window, where they are 0.
+
+    Raises ValueError when alpha is so steep that a visible trial's
+    serving path loss (r in km) underflows the smallest normal double:
+    its SIR would be 0 / 0 and the trial silently uncovered.
     """
     channel = constellation.channel
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
@@ -314,7 +321,13 @@ def _coverage_pass(
             )
             vis = np.isfinite(nearest)
             # 0 for a trial with no visible satellite of this orbit
-            signal = serving * nearest ** -channel.alpha
+            signal = nearest ** -channel.alpha
+            if np.any(vis & (signal < _TINY)):
+                raise ValueError(
+                    f"path-loss exponent alpha={channel.alpha!r} underflows the serving path loss: "
+                    "the simulated SIR would read 0"
+                )
+            signal *= serving
             with np.errstate(divide="ignore", invalid="ignore"):
                 sir = signal / (channel.g_i_bar * interference)
             best = np.maximum(best, np.where(vis, sir, -np.inf))

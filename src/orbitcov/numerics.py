@@ -1,5 +1,4 @@
-"""Quadrature rules and seeded randomness shared by the analytic and
-Monte-Carlo halves of the package.
+"""The quadrature rules of the package's analytic half.
 
 Every analytic integral in the package runs on a fixed Gauss-Legendre
 rule, evaluated as vectorised numpy passes: `gauss_legendre` maps the rule
@@ -12,10 +11,6 @@ to GEO, omega_min 0 to 85 degrees, theta from the band centre to its
 edge), doubling both moved no coverage value by more than 4e-12 for
 alpha <= 8 and 1.2e-10 at alpha = 10; steep path loss sets the inner
 count, as 32 inner nodes left errors of 4e-8 at alpha = 8.
-
-Randomness flows through `RandomSource`, which wraps a seeded PCG64
-generator and hands out independent child streams by seed-splitting, so
-parallel shards stay reproducible and merge-order independent.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ __all__ = [
     "ARC_NODES",
     "gauss_legendre",
     "exponential_panels",
-    "RandomSource",
 ]
 
 # nodes per panel of the serving-arc (outer) rule, and nodes of the
@@ -76,37 +70,3 @@ def exponential_panels(length: float, rate: float, order: int) -> tuple[np.ndarr
     edges = length * np.exp2(np.arange(-depth, 1.0))
     nodes, weights = gauss_legendre(np.concatenate(([0.0], edges[:-1])), edges, order)
     return nodes.ravel(), weights.ravel()
-
-
-class RandomSource:
-    """Seeded random stream with reproducible splitting.
-
-    Wraps numpy's PCG64 behind a `SeedSequence` so that `child(i)` yields
-    the i-th statistically independent substream of this source. Two
-    sources built from the same seed produce identical draws; children
-    with distinct indices never collide regardless of the order they are
-    consumed in, which is what makes sharded Monte-Carlo runs independent
-    of shard scheduling.
-    """
-
-    def __init__(self, seed, _sequence: np.random.SeedSequence | None = None):
-        self._sequence = _sequence if _sequence is not None else np.random.SeedSequence(seed)
-        self.seed = seed
-        self._generator: np.random.Generator | None = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy Generator (created lazily, then reused)."""
-        if self._generator is None:
-            self._generator = np.random.Generator(np.random.PCG64(self._sequence))
-        return self._generator
-
-    def child(self, index: int) -> "RandomSource":
-        """Independent substream number ``index`` of this source."""
-        if index < 0:
-            raise ValueError("child index must be nonnegative")
-        seq = np.random.SeedSequence(
-            entropy=self._sequence.entropy,
-            spawn_key=(*self._sequence.spawn_key, index),
-        )
-        return RandomSource(self.seed, _sequence=seq)

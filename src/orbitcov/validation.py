@@ -76,7 +76,6 @@ from .montecarlo import (
     empirical_nearest_ccdf,
     empirical_sir_coverage,
 )
-from .numerics import RandomSource
 
 __all__ = [
     "CriterionResult",
@@ -229,8 +228,7 @@ def criterion_arc_bruteforce(seed: int, scale: float = 1.0) -> CriterionResult:
     """Random (elevation, inclination) pairs vs indicator counting."""
     lines: list[str] = []
     points = _scaled_count(10_000_000, scale, 500_000)
-    rng = RandomSource(seed).child(2)
-    gen = rng.generator
+    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     ok = True
     worst = 0.0
     for _ in range(20):
@@ -324,7 +322,7 @@ def criterion_laplace(seed: int, scale: float = 1.0) -> CriterionResult:
     orbit = _orbit()
     window = _window(orbit)
     channel = ChannelParams(alpha=2.0, m=1.0)
-    gen = RandomSource(seed).child(4).generator
+    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     ok = True
     lo = d_min(orbit)
     mid = 0.5 * (lo + window.d_max_km)
@@ -557,8 +555,8 @@ def criterion_determinism(seed: int) -> CriterionResult:
     second, second_u = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
     same = first.values == second.values and first_u.values == second_u.values
     lines.append(f"  repeated run identical: {'yes' if same else 'NO'}")
-    child_a = RandomSource(seed).child(5).generator.random(8)
-    child_b = RandomSource(seed).child(5).generator.random(8)
+    child_a = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,))).random(8)
+    child_b = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,))).random(8)
     streams = bool(np.all(child_a == child_b))
     lines.append(f"  child streams identical: {'yes' if streams else 'NO'}")
     return CriterionResult(9, CRITERION_NAMES[9], bool(same and streams), lines)
@@ -599,13 +597,15 @@ def run_all(seed: int = DEFAULT_SEED, trials_scale: float = 1.0) -> ValidationRe
     may use, at most nine; one CPU runs them one after another in index
     order. Their heavy work is numpy calls that release the interpreter
     lock. The criteria share nothing they write: each draws from its own
-    `RandomSource(seed)` child or `McConfig` seeds, the Gauss-Legendre
-    rules `numerics` caches and `GAMMAS` here are read-only arrays, and
-    no other module-level state in the package is written after import,
-    so the results and the rendered report do not depend on the
-    scheduling. An exception raised by a criterion propagates from here.
-    Each `elapsed_s` is that criterion's own wall time, so concurrent
-    ones overlap.
+    `SeedSequence(seed, spawn_key=(k,))`, the stream
+    `SeedSequence(seed).spawn(n)[k]` would give (k = 2 for criterion 2,
+    4 for criterion 4, 5 for criterion 9), or from `McConfig` seeds. The
+    Gauss-Legendre rules `numerics` caches and `GAMMAS` here are
+    read-only arrays, and no other module-level state in the package is
+    written after import, so the results and the rendered report do not
+    depend on the scheduling. An exception raised by a criterion
+    propagates from here. Each `elapsed_s` is that criterion's own wall
+    time, so concurrent ones overlap.
     """
     indices = sorted(CRITERION_NAMES)
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(indices))) as pool:

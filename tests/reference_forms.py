@@ -41,7 +41,6 @@ from orbitcov import (
     LinkBudget,
     NearestDistanceLaw,
     OrbitGeometry,
-    RandomSource,
     VisibilityWindow,
     arc_to_distance,
     d_min,
@@ -343,7 +342,7 @@ def sample_orbit(
     orbit: OrbitGeometry,
     window: VisibilityWindow,
     density_per_km: float,
-    rng: RandomSource,
+    gen: np.random.Generator,
 ) -> SatelliteSnapshot:
     """Draw one Poisson snapshot of the orbit in explicit 3-D coordinates.
 
@@ -353,7 +352,6 @@ def sample_orbit(
     """
     if density_per_km <= 0:
         raise ValueError("satellite density must be positive")
-    gen = rng.generator
     R = orbit.radius_km
     re = orbit.earth.radius_km
     count = gen.poisson(TWO_PI * R * density_per_km)

@@ -459,6 +459,23 @@ class TestExitCodes:
         cfg = write_scenario(tmp_path, channel={"m": 2.5})
         assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    def test_steep_path_loss_fails_only_the_simulation(self, tmp_path, capsys):
+        # at alpha = 150 every simulated serving path loss underflows and
+        # SIR-MC would read 0 at every threshold, against an analytic
+        # 0.9988 at -10 dB; the analytic curve alone is well defined
+        grid = {"start_db": -10.0, "stop_db": 30.0, "step_db": 20.0}
+        cfg = write_scenario(tmp_path, channel={"alpha": 150.0}, thresholds=grid)
+        out = tmp_path / "o"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out), "--trials", "4000", "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert "alpha=150.0" in err
+        assert err.count("\n") == 1
+        assert not list(out.iterdir())
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_result_rows(out / "cli_test_coverage.csv")
+        assert [row.curve_kind for row in rows] == ["SIR-analytic"] * 3
+        assert rows[0].value == pytest.approx(0.9988, abs=1e-4)
+
     def test_config_error_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"orbits": []}))

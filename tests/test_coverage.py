@@ -267,6 +267,15 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget(bandwidth_hz=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name", ["tx_power_dbm", "serving_gain_db", "noise_density_dbm_hz", "noise_figure_db", "bandwidth_hz"]
+    )
+    def test_non_finite_rejected(self, name, value):
+        # a nan power would simulate to SNR coverage 0 and +inf to 1
+        with pytest.raises(ValueError, match="finite"):
+            LinkBudget(**{name: value})
+
 
 class TestConstellation:
     def make(self, thetas, lam=LAM):
@@ -595,7 +604,8 @@ class TestTaylorSeries:
         alternating = sum((-s) ** t / math.factorial(t) * d for t, d in enumerate(derivs))
         ell0, arc = _serving_arc(ref_orbit, ref_window, serving_km)
         load, weights = _interferer_load(ref_orbit, ch, ell0, arc)
-        assert float(_taylor_sum(s * load, weights, LAM, m)) == pytest.approx(alternating, rel=1e-9)
+        work = np.empty((4,) + load.shape)
+        assert float(_taylor_sum(s * load, weights, LAM, m, work)) == pytest.approx(alternating, rel=1e-9)
 
     def test_non_finite_value_raises(self, ref_orbit, ref_window, monkeypatch):
         monkeypatch.setattr(coverage, "_taylor_sum", lambda load, *rest: np.full(load.shape[:-1], np.nan))
@@ -638,7 +648,7 @@ class TestKernelAgainstMpmath:
         a, weights = _interferer_load(ref_orbit, ch, ell0, arc)
         load = a * (top / a.max())
         density = 1.0 / float(np.sum(weights * load / (1.0 + load)))
-        value = float(_taylor_sum(load, weights, density, m))
+        value = float(_taylor_sum(load, weights, density, m, np.empty((4,) + load.shape)))
         assert value == pytest.approx(taylor_sum_mpmath(load, weights, density, m), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
@@ -647,7 +657,7 @@ class TestKernelAgainstMpmath:
         load = np.logspace(-12.0, 6.0, ARC_NODES)
         _, weights = gauss_legendre(0.0, 1.0, ARC_NODES)
         for density in (1e-3, 1.0, 1e3):
-            value = float(_taylor_sum(load, weights, density, m))
+            value = float(_taylor_sum(load, weights, density, m, np.empty((4,) + load.shape)))
             assert value == pytest.approx(taylor_sum_mpmath(load, weights, density, m), rel=1e-12, abs=0.0)
 
 
@@ -728,12 +738,12 @@ class TestTiling:
         # workspace allocated for the curve, and the kernel only reads load
         loads, works = [], []
 
-        def recording(load, weights, density, order, *work):
+        def recording(load, weights, density, order, work):
             before = load.copy()
-            value = _taylor_sum(load, weights, density, order, *work)
+            value = _taylor_sum(load, weights, density, order, work)
             assert np.array_equal(load, before)
             loads.append(load)
-            works.extend(work)
+            works.append(work)
             return value
 
         monkeypatch.setattr(coverage, "_taylor_sum", recording)

@@ -5,6 +5,7 @@ trigonometry by hand plus a brute-force great-circle sampler) before the
 library existed, and are frozen here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,23 @@ class TestValidation:
             VisibilityWindow.from_min_elevation(math.pi / 2, ref_orbit)
         with pytest.raises(ValueError):
             VisibilityWindow.from_min_elevation(-0.1, ref_orbit)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_orbit_rejects_non_finite_altitude(self, value):
+        with pytest.raises(ValueError, match="altitude must be positive and finite"):
+            OrbitGeometry(value, math.pi / 2)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["cap_base_km", "d_max_km"])
+    def test_window_rejects_non_finite_distances(self, ref_window, name, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dataclasses.replace(ref_window, **{name: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["radius_km", "gravitational_constant", "mass_kg"])
+    def test_earth_constants_reject_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EarthConstants(**{name: value})
 
     def test_earth_constants_positive(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,10 @@
-"""Fixed Gauss-Legendre rules, the test-side adaptive reference and
-seeded random streams."""
+"""Fixed Gauss-Legendre rules and the test-side adaptive reference."""
 
 import math
 
 import numpy as np
 import pytest
 
-from orbitcov import RandomSource
 from orbitcov.numerics import _legendre, exponential_panels, gauss_legendre
 from reference_forms import ReferenceQuadratureError, adaptive
 
@@ -89,39 +87,3 @@ class TestExponentialPanels:
         nodes, weights = exponential_panels(3371.4, 0.005, 16)
         assert nodes.size == 8 * 16
         assert float(np.sum(weights)) == pytest.approx(3371.4, rel=1e-14)
-
-
-class TestRandomSource:
-    def test_same_seed_same_stream(self):
-        a = RandomSource(42).generator.random(8)
-        b = RandomSource(42).generator.random(8)
-        assert np.array_equal(a, b)
-
-    def test_children_are_deterministic(self):
-        a = RandomSource(42).child(3).generator.random(8)
-        b = RandomSource(42).child(3).generator.random(8)
-        assert np.array_equal(a, b)
-
-    def test_children_ignore_parent_consumption(self):
-        src = RandomSource(42)
-        first = src.child(1).generator.random(4)
-        src.generator.random(1000)  # burn the parent stream
-        again = RandomSource(42)
-        again.generator.random(3)
-        assert np.array_equal(first, again.child(1).generator.random(4))
-
-    def test_distinct_children_differ(self):
-        src = RandomSource(42)
-        a = src.child(0).generator.random(8)
-        b = src.child(1).generator.random(8)
-        assert not np.array_equal(a, b)
-
-    def test_nested_children(self):
-        a = RandomSource(7).child(2).child(5).generator.random(4)
-        b = RandomSource(7).child(2).child(5).generator.random(4)
-        assert np.array_equal(a, b)
-
-    def test_negative_child_index_rejected(self):
-        with pytest.raises(ValueError):
-            RandomSource(0).child(-1)
-
