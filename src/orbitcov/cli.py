@@ -9,12 +9,15 @@ Four verbs:
 * ``validate``  - the built-in acceptance criteria; writes a
   deterministic report and exits nonzero on any failure.
 * ``sweep``     - the coverage verb repeated over one swept parameter,
-  concatenated into a single file.
+  concatenated into a single file. ``--jobs 1`` runs the variants in
+  order on the calling thread; more jobs run them on a thread pool.
 
 Exit codes: 0 success, 1 computation or validation failure, 2 bad
 scenario file, 3 usage error. Output files are deterministic byte for
 byte for a fixed scenario and seed; floats are written with repr so
-parsing them back loses nothing.
+parsing them back loses nothing. Each verb imports only what it runs:
+``validation`` and ``concurrent.futures`` load inside the verbs that
+need them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import dataclasses
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +35,6 @@ from .config import ConfigError, ScenarioConfig, load_scenario
 from .coverage import CoverageCurve, _coverage_curve
 from .geometry import OrbitGeometry, VisibilityWindow, orbital_speed, visible_arc_length, visible_time
 from .montecarlo import McConfig, _coverage_pass
-from .validation import DEFAULT_SEED, render_report, run_all
 
 __all__ = [
     "ResultRow",
@@ -82,6 +83,8 @@ class ResultRow:
 
 
 def _cell(value) -> str:
+    """The one cell rule of every result file: empty for None, repr for a
+    float (so reading it back is exact), str for the rest."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -89,16 +92,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _row_line(row: ResultRow) -> str:
-    return ",".join(_cell(getattr(row, name)) for name in RESULT_FIELDS)
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join([RESULT_HEADER, *lines]) + "\n", encoding="utf-8")
 
 
 def write_result_rows(path, rows) -> None:
     """Write result rows; a fixed header and repr'd floats keep reruns
     byte-identical and round-trips lossless."""
-    lines = [RESULT_HEADER]
-    lines.extend(_row_line(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, (",".join(_cell(getattr(row, name)) for name in RESULT_FIELDS) for row in rows))
 
 
 def _parse_cell(text: str, kind):
@@ -142,35 +143,19 @@ def _shared(values) -> float | None:
     return unique.pop() if len(unique) == 1 else None
 
 
-def _curve_rows(cfg: ScenarioConfig, curve: CoverageCurve, seed: int | None) -> list[ResultRow]:
+def _curve_lines(
+    cfg: ScenarioConfig, kind: str, thresholds_db, values, seed: int | None, ci_low=None, ci_high=None
+) -> list[str]:
+    """One result line per threshold, by the rule of `_cell`: the constant
+    cells are formatted once per curve, each point's floats with repr."""
     theta = _shared(row.theta_deg for row in cfg.orbit_rows)
     density = _shared(row.density_per_km for row in cfg.orbit_rows)
-    rows = []
-    for i, gamma_db in enumerate(curve.thresholds_db):
-        rows.append(
-            ResultRow(
-                scenario_id=cfg.scenario_id,
-                curve_kind=curve.kind,
-                gamma_db=gamma_db,
-                value=curve.values[i],
-                ci_low=curve.ci_low[i] if curve.ci_low else None,
-                ci_high=curve.ci_high[i] if curve.ci_high else None,
-                theta_deg=theta,
-                lambda_per_km=density,
-                alpha=cfg.channel.alpha,
-                m=cfg.channel.m,
-                n_orbits=len(cfg.orbit_rows),
-                seed=seed,
-            )
-        )
-    return rows
-
-
-def _delta_rows(kind: str, analytic: list[ResultRow], simulated: list[ResultRow]) -> list[ResultRow]:
-    return [
-        dataclasses.replace(s, curve_kind=kind, value=a.value - s.value, ci_low=None, ci_high=None)
-        for a, s in zip(analytic, simulated)
-    ]
+    channel = cfg.channel
+    head = f"{cfg.scenario_id},{kind}"
+    tail = ",".join(map(_cell, (theta, density, channel.alpha, channel.m, len(cfg.orbit_rows), seed)))
+    if ci_low is None:
+        return [f"{head},{g!r},{v!r},,,{tail}" for g, v in zip(thresholds_db, values)]
+    return [f"{head},{g!r},{v!r},{lo!r},{hi!r},{tail}" for g, v, lo, hi in zip(thresholds_db, values, ci_low, ci_high)]
 
 
 def _effective_mc(cfg: ScenarioConfig, args) -> McConfig | None:
@@ -184,15 +169,16 @@ def _effective_mc(cfg: ScenarioConfig, args) -> McConfig | None:
     return base
 
 
-def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[ResultRow], list[str]]:
-    """All result rows for one scenario, plus human-readable notices.
+def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[str], list[str]]:
+    """All result lines for one scenario, plus human-readable notices.
 
     Curves are the unconditional coverage probabilities through the best
     visible satellite: SIR, plus SNR and SINR when the scenario has a
     link budget. Kinds carry a `max` prefix when there are several orbits.
     The library exposes the visibility-conditioned variants. Analytic
     curves need an integer Nakagami figure, otherwise the run downgrades
-    to simulation only and says so.
+    to simulation only and says so. Each line is one row of the result
+    file, as `write_result_rows` would write it.
     """
     constellation = cfg.constellation()
     analytic_ok = float(constellation.channel.m).is_integer()
@@ -206,22 +192,27 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[Result
     prefix = "" if constellation.n_orbits == 1 else "max"
     budgets = () if cfg.budget is None else (cfg.budget,)
     quantities = {"SIR": None} if cfg.budget is None else {"SIR": None, "SNR": cfg.budget}
-    analytic: dict[str, list[ResultRow]] = {}
+    analytic: dict[str, CoverageCurve] = {}
     if analytic_ok:
         for quantity, budget in quantities.items():
             kind = f"{prefix}{quantity}"
-            curve = _coverage_curve(constellation, cfg.thresholds_db, f"{kind}-analytic", budget)
-            analytic[kind] = _curve_rows(cfg, curve, None)
-    simulated: dict[str, list[ResultRow]] = {}
+            analytic[kind] = _coverage_curve(constellation, cfg.thresholds_db, f"{kind}-analytic", budget)
+    simulated: dict[str, CoverageCurve] = {}
     if mc is not None:
         (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc, prefix)
         for curve in (joint, *(c for _, snr, _, sinr in per_budget for c in (snr, sinr))):
-            simulated[curve.kind.removesuffix("-MC")] = _curve_rows(cfg, curve, mc.seed)
-    rows = [row for curve_rows in (*analytic.values(), *simulated.values()) for row in curve_rows]
-    for key in analytic:
+            simulated[curve.kind.removesuffix("-MC")] = curve
+    lines = []
+    for curve in analytic.values():
+        lines += _curve_lines(cfg, curve.kind, curve.thresholds_db, curve.values, None)
+    for curve in simulated.values():
+        lines += _curve_lines(cfg, curve.kind, curve.thresholds_db, curve.values, mc.seed, curve.ci_low, curve.ci_high)
+    for key, curve in analytic.items():
         if key in simulated:
-            rows.extend(_delta_rows(f"{key}-delta", analytic[key], simulated[key]))
-    return rows, notices
+            sim = simulated[key]
+            deltas = [a - s for a, s in zip(curve.values, sim.values)]
+            lines += _curve_lines(cfg, f"{key}-delta", sim.thresholds_db, deltas, mc.seed)
+    return lines, notices
 
 
 def cmd_geometry(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -258,37 +249,43 @@ def cmd_geometry(cfg: ScenarioConfig, out_dir: Path) -> int:
 
 
 def cmd_coverage(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int:
-    rows, notices = coverage_rows(cfg, mc)
+    lines, notices = coverage_rows(cfg, mc)
     for notice in notices:
         print(f"note: {notice}")
     path = out_dir / f"{cfg.scenario_id}_coverage.csv"
-    write_result_rows(path, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    _write_lines(path, lines)
+    print(f"wrote {len(lines)} rows to {path}")
     return 0
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None, jobs: int) -> int:
-    """Coverage over each value of the swept parameter, one combined file."""
+    """Coverage over each value of the swept parameter, one combined file.
+    One job runs the variants in order on the calling thread."""
     if cfg.sweep is None:
         raise ConfigError("sweep", "the sweep verb needs a sweep section")
-    rows: list[ResultRow] = []
-    notices: list[str] = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(coverage_rows, variant, mc) for variant in cfg.sweep.variants]
-        # collect in submission order: the output must not depend on timing
-        for future in futures:
-            variant_rows, variant_notices = future.result()
-            rows.extend(variant_rows)
-            notices.extend(variant_notices)
-    for notice in notices:
-        print(f"note: {notice}")
+    variants = cfg.sweep.variants
+    if jobs == 1:
+        results = [coverage_rows(variant, mc) for variant in variants]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(coverage_rows, variant, mc) for variant in variants]
+            # collect in submission order: the output must not depend on timing
+            results = [future.result() for future in futures]
+    for _, notices in results:
+        for notice in notices:
+            print(f"note: {notice}")
+    lines = [line for variant_lines, _ in results for line in variant_lines]
     path = out_dir / f"{cfg.scenario_id}_sweep.csv"
-    write_result_rows(path, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    _write_lines(path, lines)
+    print(f"wrote {len(lines)} rows to {path}")
     return 0
 
 
 def cmd_validate(out_dir: Path, seed: int | None, trials: int | None) -> int:
+    from .validation import DEFAULT_SEED, render_report, run_all
+
     scale = 1.0 if trials is None else trials / 1_000_000
     start = time.perf_counter()
     report = run_all(seed if seed is not None else DEFAULT_SEED, scale)

@@ -249,13 +249,17 @@ def _parse_budget(data: dict) -> LinkBudget | None:
     section = _require_mapping(data["budget"], "budget")
     allowed = {"tx_power_dbm", "serving_gain_db", "noise_density_dbm_hz", "noise_figure_db", "bandwidth_hz"}
     _check_keys(section, allowed, "budget")
-    budget = LinkBudget(
+    entries = dict(
         tx_power_dbm=_number(section, "tx_power_dbm", "budget", 40.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
         serving_gain_db=_number(section, "serving_gain_db", "budget", 30.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
         noise_density_dbm_hz=_number(section, "noise_density_dbm_hz", "budget", -174.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
         noise_figure_db=_number(section, "noise_figure_db", "budget", 11.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
         bandwidth_hz=_number(section, "bandwidth_hz", "budget", 1.0e7, lo=0.0, lo_open=True),
     )
+    try:
+        budget = LinkBudget(**entries)
+    except ValueError as exc:  # a linear P G / sigma^2 that no double holds
+        raise ConfigError("budget", str(exc)) from None
     if abs(budget.snr_scale_db) > _DB_LIMIT:
         raise ConfigError("budget", f"P G / sigma^2 of {budget.snr_scale_db:g} dB is not within +/-{_DB_LIMIT:g} dB")
     return budget

@@ -138,6 +138,12 @@ class LinkBudget:
             raise ValueError("link budget entries must be finite")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be positive")
+        try:
+            scale = self.snr_scale
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"P G / sigma^2 of {self.snr_scale_db:g} dB is not a finite, nonzero double")
 
     @property
     def noise_power_dbm(self) -> float:

@@ -3,11 +3,12 @@
 import json
 import math
 import re
+import threading
 from pathlib import Path
 
 import pytest
 
-from orbitcov import LinkBudget, empirical_sir_coverage, empirical_snr_sinr_coverage
+from orbitcov import LinkBudget, cli, empirical_sir_coverage, empirical_snr_sinr_coverage
 from orbitcov.cli import (
     GEOMETRY_HEADER,
     RESULT_HEADER,
@@ -95,6 +96,42 @@ class TestResultFile:
         path = tmp_path / "rows.csv"
         write_result_rows(path, [row])
         assert read_result_rows(path)[0].value == value
+
+    @pytest.mark.parametrize(
+        "verb,extra",
+        [
+            (
+                "coverage",
+                {
+                    "orbits": [
+                        {"altitude_km": 500.0, "theta_deg": theta, "density_per_km": 0.005} for theta in (90.0, 80.0)
+                    ],
+                    "budget": {"tx_power_dbm": 0.0},
+                    "mc": {"trials": 2000, "seed": 7, "batch": 1000},
+                },
+            ),
+            ("sweep", {"sweep": {"parameter": "theta_deg", "values": [80.0, 90.0]}, "channel": {"m": 3}}),
+        ],
+        ids=["two-orbit-budget-mc", "analytic-sweep"],
+    )
+    def test_writer_reproduces_the_verbs_bytes(self, tmp_path, verb, extra):
+        # the verbs format curves straight into lines; writing the rows read
+        # back from their file must give the same bytes (one cell rule)
+        cfg = write_scenario(tmp_path, **extra)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+        written = out / f"cli_test_{verb}.csv"
+        rows = read_result_rows(written)
+        if verb == "coverage":
+            assert all(r.theta_deg is None and r.lambda_per_km == 0.005 for r in rows)
+            assert any(r.ci_low is not None for r in rows)
+            deltas = [r for r in rows if r.curve_kind.endswith("-delta")]
+            assert deltas and all(r.seed == 7 and r.ci_low is None and r.ci_high is None for r in deltas)
+        else:
+            assert {r.theta_deg for r in rows} == {80.0, 90.0}
+        again = tmp_path / "again.csv"
+        write_result_rows(again, rows)
+        assert again.read_bytes() == written.read_bytes()
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -400,11 +437,29 @@ class TestSweepVerb:
     )
     def test_jobs_do_not_change_bytes(self, tmp_path, extra):
         cfg = write_scenario(tmp_path, **extra)
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        assert main(["sweep", "--config", str(cfg), "--out", str(a), "--jobs", "1"]) == 0
-        assert main(["sweep", "--config", str(cfg), "--out", str(b), "--jobs", "4"]) == 0
-        assert (a / "cli_test_sweep.csv").read_bytes() == (b / "cli_test_sweep.csv").read_bytes()
+        # one job runs on the calling thread, more on a pool
+        written = []
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / jobs
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+            written.append((out / "cli_test_sweep.csv").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def test_one_job_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        coverage_rows = cli.coverage_rows
+
+        def spy(cfg, mc):
+            threads.append(threading.get_ident())
+            return coverage_rows(cfg, mc)
+
+        monkeypatch.setattr(cli, "coverage_rows", spy)
+        cfg = write_scenario(tmp_path, sweep={"parameter": "alpha", "values": [2.0, 3.0, 4.0]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--jobs", "1"]) == 0
+        assert threads == [threading.get_ident()] * 3
+        threads.clear()
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
+        assert len(threads) == 3 and threading.get_ident() not in threads
 
     def test_sweep_needs_section(self, tmp_path):
         cfg = write_scenario(tmp_path)

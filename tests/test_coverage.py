@@ -276,6 +276,26 @@ class TestLinkBudget:
         with pytest.raises(ValueError, match="finite"):
             LinkBudget(**{name: value})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"tx_power_dbm": 4000.0},  # 10 ** 416.3 overflows
+            {"tx_power_dbm": -4000.0},  # underflows to 0
+            {"tx_power_dbm": 1e308, "serving_gain_db": 1e308},  # the dB sum is inf
+            {"tx_power_dbm": 1e308, "serving_gain_db": 1e308, "noise_density_dbm_hz": 1e308, "noise_figure_db": 1e308},
+        ],
+        ids=["overflow", "underflow", "inf-db", "nan-db"],
+    )
+    def test_linear_scale_must_be_a_finite_nonzero_double(self, entries):
+        # finite dB entries whose linear P G / sigma^2 is 0, inf or NaN
+        with pytest.raises(ValueError, match="finite, nonzero"):
+            LinkBudget(**entries)
+
+    def test_widest_parsed_budget_constructs(self):
+        # the scenario parser bounds P G / sigma^2 to +/-1000 dB
+        assert 0.0 < LinkBudget(tx_power_dbm=1000.0 - 163.0 + 40.0).snr_scale < math.inf
+        assert 0.0 < LinkBudget(tx_power_dbm=-1000.0 - 163.0 + 40.0).snr_scale < math.inf
+
 
 class TestConstellation:
     def make(self, thetas, lam=LAM):

@@ -78,10 +78,22 @@ def test_readme_example():
     assert namespace["p"] == pytest.approx(stated, abs=5e-5)
 
 
-def test_cli_imports_no_scipy():
+def modules_after_importing_cli() -> list[str]:
+    """The modules a fresh interpreter holds after `import orbitcov.cli`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    code = "import sys, orbitcov.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "import sys, orbitcov.cli; print(' '.join(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_cli_imports_no_scipy():
+    assert [m for m in modules_after_importing_cli() if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_imports_only_what_every_verb_runs():
+    # `validate` imports the criteria and `sweep --jobs N>1` the thread pool
+    loaded = set(modules_after_importing_cli())
+    assert "orbitcov.cli" in loaded
+    assert loaded.isdisjoint({"orbitcov.validation", "concurrent.futures"})
