@@ -21,12 +21,14 @@ state another reads and each draws from its own seeded streams, so the
 report does not depend on the scheduling. Each criterion's elapsed time
 is its own wall time, so those of concurrent criteria overlap.
 
-Criterion 2 counts its brute-force points in cache-sized chunks through
-one buffer; the generator spends one draw per double, so the stream and
-the counts are those of one full-size draw. Criterion 4 draws the
-interference sums once per serving radius and averages every transform
-variable s over them (common random numbers): its checks share their
-draws, and each value is what a run for that s alone would give.
+Criterion 2 draws and scores only the brute-force points in the few
+slices next to each band edge, counts the run between the edges by
+arithmetic and skips the generator over the rest: a pair draws ten
+doubles, not its 10^7, and gets the count and leaves the stream of one
+full-size draw. Criterion 4 draws the interference sums once per serving
+radius and averages every transform variable s over them (common random
+numbers): its checks share their draws, and each value is what a run for
+that s alone would give.
 
 Monte-Carlo tolerances are stated for the default trial counts; when a
 run is scaled down the tolerances widen by sqrt(default / actual), so a
@@ -109,8 +111,9 @@ THETA_GRID = (
 )
 DENSITY_GRID = (0.01, 0.001, 0.0001)
 
-# points per chunk of the brute-force arc count: a few cache-sized buffers
-_ARC_CHUNK = 1 << 16
+# least reach of the brute-force arc count's edge windows past each edge:
+# float noise in the height blurs an edge by ~2e-8 rad at the band edge
+_ARC_EDGE_RAD = 1e-6
 
 CRITERION_NAMES = {
     1: "closed-form geometry anchors",
@@ -201,26 +204,56 @@ def criterion_geometry_anchors() -> CriterionResult:
 
 
 def _arc_length_bruteforce(orbit: OrbitGeometry, window: VisibilityWindow, points: int, gen) -> float:
-    # jittered-stratified angles: one uniform point per equal slice of the
-    # circle, so the only error is the two slices the band edges fall in.
-    # Counted in chunks through one buffer; the generator spends one draw
-    # per double, so the stream and the count match a single full draw.
+    """Visible arc by jittered-stratified counting: one uniform angle
+    psi_i = (u_i + i) * step in each of `points` equal slices of the
+    circle, counted where the height reach * cos(psi_i) clears the cap.
+
+    `gen` must be a PCG64 `Generator`: it spends one 64-bit word per
+    double, so `bit_generator.advance(k)` skips k draws. The count, and
+    the state `gen` is left in, are those of drawing all `points` angles
+    at once, so the pairs drawn after this one see the same stream.
+
+    Only the slices next to the band edges psi = a and 2 pi - a, with
+    a = acos(cap / reach), depend on their draw: every slice further in
+    is inside and every slice further out is outside. So the slices
+    within a margin of each edge are drawn and scored with the float ops
+    of a full draw, the run between the two windows is counted by
+    arithmetic and the rest of the stream is skipped. The margin is two
+    slices, widened to _ARC_EDGE_RAD above ~1.26e7 points, where two
+    slices span less than that. Beyond the margin (in rad) the height is
+    off the cap by at least |reach| * margin^2 / 2 even where sin a -> 0
+    at the band edge: 8e-13 of |reach| for two slices at 10^7 points, some
+    7,000 ulps of cos, against a float error of a few ulps per slice.
+    Rounding cap / reach moves a by at most ~1.5e-8 rad in that same
+    worst case, 0.024 slice at 10^7 points.
+    """
     step = TWO_PI / points
+    # theta in [0, pi] makes reach <= 0: the inside run is around psi = pi
     reach = -orbit.radius_km * math.sin(orbit.theta_rad)
-    buf = np.empty(min(points, _ARC_CHUNK))
-    # slice indices as doubles, stepped in place: integers below 2^53 are
-    # exact, so each sum is the one an integer index would give
-    index = np.arange(buf.size, dtype=float)
-    inside = 0
-    for start in range(0, points, _ARC_CHUNK):
-        z = buf[: min(_ARC_CHUNK, points - start)]
-        gen.random(z.size, out=z)
-        z += index[: z.size]
-        index += _ARC_CHUNK
-        z *= step
-        np.cos(z, out=z)
-        z *= reach
-        inside += np.count_nonzero(z > window.cap_base_km)
+    cap = window.cap_base_km
+    bits = gen.bit_generator
+    if -reach <= cap:
+        # |height| <= |reach| <= cap at every angle
+        bits.advance(points)
+        return 0.0
+    edge = math.acos(cap / reach)
+    margin = max(2, math.ceil(_ARC_EDGE_RAD / step))
+    first, last = int(edge / step), int((TWO_PI - edge) / step)
+    # [lo, hi) slice ranges around the two edges, one range where they meet
+    lo, hi = max(0, first - margin), min(points, last + margin + 1)
+    inside = last - first - 2 * margin - 1
+    if inside > 0:
+        windows = ((lo, first + margin + 1), (last - margin, hi))
+    else:
+        windows = ((lo, hi),)
+        inside = 0
+    drawn = 0
+    for start, stop in windows:
+        bits.advance(start - drawn)
+        z = np.cos((gen.random(stop - start) + np.arange(start, stop)) * step) * reach
+        inside += int(np.count_nonzero(z > cap))
+        drawn = stop
+    bits.advance(points - drawn)
     return inside / points * TWO_PI * orbit.radius_km
 
 

@@ -20,7 +20,8 @@ positions on the whole circle and applies the elevation-angle test, so
 it checks the batch kernels' window draws, which work in the height
 coordinate alone. `arc_length_bruteforce_one_shot` is validation's
 brute-force arc count drawn and counted in one pass over full-size
-arrays, the form its chunked count must reproduce bit for bit.
+arrays, the count and generator state its skip-ahead count must
+reproduce bit for bit.
 `window_draw` draws a batch's window in one piece, without chunks;
 `satellite_distances` and `score_per_satellite` score drawn trials one
 satellite and one trial at a time, with the square root, r^-alpha and

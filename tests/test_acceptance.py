@@ -49,7 +49,7 @@ def test_criterion_1_geometry_anchors(capsys):
 
 
 def test_criterion_2_arc_bruteforce(capsys):
-    run_and_report(2, capsys, budget_s=12.0)
+    run_and_report(2, capsys, budget_s=1.0)
 
 
 def test_criterion_3_nearest_distance(capsys):

@@ -11,7 +11,6 @@ import pytest
 from orbitcov import ChannelParams, OrbitGeometry, VisibilityWindow, d_min
 from orbitcov import validation
 from orbitcov.validation import (
-    _ARC_CHUNK,
     CriterionResult,
     ValidationReport,
     _arc_length_bruteforce,
@@ -24,27 +23,91 @@ from orbitcov.validation import (
 from reference_forms import arc_length_bruteforce_one_shot
 
 
-def _shell(omega_deg, theta):
-    window = VisibilityWindow.from_min_elevation(math.radians(omega_deg), OrbitGeometry(500.0, math.pi / 2))
-    return OrbitGeometry(500.0, theta), window
+def _shell(omega_deg, theta, altitude_km=500.0):
+    window = VisibilityWindow.from_min_elevation(math.radians(omega_deg), OrbitGeometry(altitude_km, math.pi / 2))
+    return OrbitGeometry(altitude_km, theta), window
+
+
+def _band(omega_deg, altitude_km=500.0):
+    """Half-width of the visibility band in theta around pi/2."""
+    orbit, window = _shell(omega_deg, math.pi / 2, altitude_km)
+    return math.acos(window.cap_base_km / orbit.radius_km)
+
+
+GEO_KM = 35_786.0
+
+
+def _assert_skip_ahead_is_one_shot(orbit, window, points, seed):
+    # same count, and the generator left in the same state, so the
+    # pairs drawn after this one see the same stream
+    skipped, one_shot = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _arc_length_bruteforce(orbit, window, points, skipped) == arc_length_bruteforce_one_shot(
+        orbit, window, points, one_shot
+    )
+    assert skipped.bit_generator.state == one_shot.bit_generator.state
 
 
 class TestArcBruteforce:
-    @pytest.mark.parametrize("points", [1_000, _ARC_CHUNK, 3 * _ARC_CHUNK + 17])
+    @pytest.mark.parametrize("points", [1, 2, 7, 1_000, 3 * 2**16 + 17])
     @pytest.mark.parametrize(
-        "omega_deg, theta",
-        # three pairs inside the visibility band and one outside it
-        [(10.0, math.pi / 2), (0.0, math.pi / 2 + 0.3), (30.0, math.pi / 2 - 0.1), (45.0, 1.2)],
+        "omega_deg, theta, altitude_km",
+        [
+            (10.0, math.pi / 2, 500.0),
+            (0.0, math.pi / 2 + 0.3, 500.0),
+            (30.0, math.pi / 2 - 0.1, 500.0),
+            (85.0, math.pi / 2, 500.0),
+            (10.0, math.pi / 2 + 0.2, 1_200.0),
+            (10.0, math.pi / 2 - 1.0, GEO_KM),
+            # at the band edge the inside run is narrower than the margins
+            (10.0, math.pi / 2 + _band(10.0), 500.0),
+            (10.0, math.pi / 2 + (1 - 1e-12) * _band(10.0), 500.0),
+            (10.0, math.pi / 2 - (1 - 1e-12) * _band(10.0), 500.0),
+            # outside the band: nothing is inside
+            (45.0, 1.2, 500.0),
+        ],
     )
-    def test_chunked_count_is_the_one_shot_count(self, points, omega_deg, theta):
-        # same count, and the generator left in the same state, so the
-        # pairs drawn after this one see the same stream
-        orbit, window = _shell(omega_deg, theta)
-        chunked, one_shot = np.random.default_rng(31), np.random.default_rng(31)
-        assert _arc_length_bruteforce(orbit, window, points, chunked) == arc_length_bruteforce_one_shot(
-            orbit, window, points, one_shot
-        )
-        assert chunked.bit_generator.state == one_shot.bit_generator.state
+    def test_skip_ahead_count_is_the_one_shot_count(self, points, omega_deg, theta, altitude_km):
+        orbit, window = _shell(omega_deg, theta, altitude_km)
+        _assert_skip_ahead_is_one_shot(orbit, window, points, 31)
+
+    def test_skip_ahead_count_at_full_scale(self):
+        # criterion 2's point count at trial scale 1
+        orbit, window = _shell(10.0, math.pi / 2 + 0.5 * _band(10.0))
+        _assert_skip_ahead_is_one_shot(orbit, window, 10_000_000, 31)
+
+    def test_seeded_grid(self):
+        # fixed random cases over altitude, elevation floor, inclination
+        # (half of them near a band edge), point count and seed
+        grid = np.random.default_rng(2024)
+        for case in range(240):
+            altitude_km = float(grid.uniform(300.0, GEO_KM))
+            omega_deg = float(grid.uniform(0.0, 85.0))
+            band = _band(omega_deg, altitude_km)
+            if case % 2:
+                offset = band * (1.0 - 10.0 ** grid.uniform(-13.0, -1.0))
+            else:
+                offset = min(band * grid.uniform(0.0, 1.2), math.pi / 2)
+            theta = math.pi / 2 + float(grid.choice([-1.0, 1.0])) * offset
+            points = int(10.0 ** grid.uniform(0.0, 5.0))
+            orbit, window = _shell(omega_deg, theta, altitude_km)
+            _assert_skip_ahead_is_one_shot(orbit, window, points, int(grid.integers(2**32)))
+
+    @pytest.mark.parametrize(
+        "seed, scale, line",
+        # the lines of full-size draws, which the skip-ahead count reproduces
+        [
+            (7, 0.002, "(500000 points each): value=5.75348209e-05 bound=0.00223606798"),
+            (7, 0.01, "(500000 points each): value=5.75348209e-05 bound=0.00223606798"),
+            (7, 1.0, "(10000000 points each): value=6.22592056e-06 bound=0.0005"),
+            (1729, 0.002, "(500000 points each): value=0.000109456779 bound=0.00223606798"),
+            (1729, 0.01, "(500000 points each): value=0.000109456779 bound=0.00223606798"),
+            (1729, 1.0, "(10000000 points each): value=3.51470732e-06 bound=0.0005"),
+        ],
+    )
+    def test_report_lines_are_pinned(self, seed, scale, line):
+        result = criterion_arc_bruteforce(seed, scale)
+        assert result.passed
+        assert result.lines == [f"  worst relative error over 20 pairs {line} [ok]"]
 
 
 class TestSeedStreams:
