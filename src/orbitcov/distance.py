@@ -21,7 +21,7 @@ substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class NearestDistanceLaw:
     orbit: OrbitGeometry
     window: VisibilityWindow
     density_per_km: float
-    arc_length_km: float = 0.0  # derived in __post_init__
+    arc_length_km: float = field(init=False)  # derived in __post_init__
 
     def __post_init__(self) -> None:
         if not (self.density_per_km > 0 and math.isfinite(self.density_per_km)):

@@ -22,9 +22,13 @@ brute-force points of the circle against the arc length.
 A batch draws the counts of all its trials, then scores them in chunks
 of whole trials of at most _CHUNK_SATELLITES satellites, or one larger
 trial: each chunk draws its offsets, then its fadings, and the serving
-fadings come last. Only per-trial arrays grow with the batch. The
-nearest-distance estimator only reduces each chunk to its trials'
-smallest offsets and turns those into distances once per batch.
+fadings come last. Only per-trial arrays grow with the batch. Every
+estimator reduces each chunk to per-trial values, its trials' smallest
+offsets and the interference beyond a cut offset, and turns the offsets
+into distances once per batch. The SIR kernel cuts each trial at its
+own smallest offset, the serving satellite; validation criterion 4
+draws through the same chunks and cuts every trial at the offset of its
+fixed serving radius.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn, and each trial's best SIR
@@ -99,16 +103,11 @@ class McConfig:
         return [self.batch] * full + ([rem] if rem else [])
 
 
-def _segment_starts(counts: np.ndarray) -> np.ndarray:
-    starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return starts
-
-
 def _window_chunks(orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, n: int):
-    """Yield (trial slice, counts, offsets) per chunk of n trials, drawn
-    in the order the module docstring gives; a caller that draws more per
-    chunk does so before asking for the next one."""
+    """Yield (trial slice, counts, starts, offsets) per chunk of n trials,
+    starts each trial's first offset in the chunk's offsets, drawn in the
+    order the module docstring gives; a caller that draws more per chunk
+    does so before asking for the next one."""
     beta = _window_half_angle(orbit, window)
     counts = gen.poisson(2.0 * orbit.radius_km * beta * density, n)
     ends = np.cumsum(counts)
@@ -116,7 +115,8 @@ def _window_chunks(orbit: OrbitGeometry, window: VisibilityWindow, gen: np.rando
     while lo < n:
         before = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, before + _CHUNK_SATELLITES, side="right")))
-        yield slice(lo, hi), counts[lo:hi], gen.uniform(0.0, beta, int(ends[hi - 1]) - before)
+        starts = ends[lo:hi] - counts[lo:hi] - before
+        yield slice(lo, hi), counts[lo:hi], starts, gen.uniform(0.0, beta, int(ends[hi - 1]) - before)
         lo = hi
 
 
@@ -140,30 +140,18 @@ def _nearest_distance(orbit: OrbitGeometry, window: VisibilityWindow, closest: n
     return nearest
 
 
-def _nearest_by_angle(
-    orbit: OrbitGeometry, window: VisibilityWindow, counts: np.ndarray, starts: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial the smallest offset and the nearest visible distance
-    (km), both inf for an empty trial."""
-    closest = np.full(counts.size, np.inf)
-    _closest_offsets(counts, starts, offsets, closest)
-    return closest, _nearest_distance(orbit, window, closest)
-
-
-def _score(
-    orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts: np.ndarray, offsets: np.ndarray, fading
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (nearest_km, interference sum) of drawn trials: the sum
-    over visible satellites beyond the serving one of fading * (r^2)^(-alpha/2),
-    r in km; the caller applies units and the mean interferer gain."""
-    starts = _segment_starts(counts)
-    closest, nearest = _nearest_by_angle(orbit, window, counts, starts, offsets)
+def _interference(
+    orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts, starts, offsets, fading, cut: np.ndarray
+) -> np.ndarray:
+    """Per-trial sum over the visible satellites beyond the trial's offset
+    in `cut` of fading * (r^2)^(-alpha/2), r in km; the caller applies
+    units and the mean interferer gain."""
     interference = np.zeros(counts.size)
     if offsets.size:
         z = np.cos(offsets)
         z *= orbit.radius_km * math.sin(orbit.theta_rad)
-        # beyond the serving satellite and clear of the cap base
-        keep = offsets > np.repeat(closest, counts)
+        # beyond the trial's cut and clear of the cap base
+        keep = offsets > np.repeat(cut, counts)
         keep &= z > window.cap_base_km
         r2 = _squared_distance_at_height(orbit, z)
         weight = np.reciprocal(r2, out=r2) if alpha == 2.0 else np.power(r2, -0.5 * alpha, out=r2)
@@ -171,22 +159,26 @@ def _score(
         weight *= keep
         occupied = counts > 0
         interference[occupied] = np.add.reduceat(weight, starts[occupied])
-    return nearest, interference
+    return interference
 
 
 def _sir_batch(
     orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, m: float, alpha: float, n
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (nearest_km, serving fading power, interference sum) of
-    n trials: each chunk draws its fadings after its offsets, and the
-    serving fadings of all n trials come last."""
+    n trials, the interferers those beyond the serving satellite: each
+    chunk draws its fadings after its offsets, and the serving fadings of
+    all n trials come last."""
     # Gamma(1, 1) is the standard exponential: the same draws, sampled faster
     fading = gen.standard_exponential if m == 1.0 else lambda size: gen.gamma(m, 1.0 / m, size)
-    nearest = np.empty(n)
+    closest = np.full(n, np.inf)
     interference = np.empty(n)
-    for trials, counts, offsets in _window_chunks(orbit, window, gen, density, n):
-        nearest[trials], interference[trials] = _score(orbit, window, alpha, counts, offsets, fading(offsets.size))
-    return nearest, fading(n), interference
+    for trials, counts, starts, offsets in _window_chunks(orbit, window, gen, density, n):
+        _closest_offsets(counts, starts, offsets, closest[trials])
+        interference[trials] = _interference(
+            orbit, window, alpha, counts, starts, offsets, fading(offsets.size), closest[trials]
+        )
+    return _nearest_distance(orbit, window, closest), fading(n), interference
 
 
 def _wilson_bounds(successes: np.ndarray, trials: int, z: float = 1.96) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +219,8 @@ def empirical_nearest_ccdf(
     for gen, size in _batches(cfg):
         # chunks only reduce; the distances take one pass per batch
         closest = np.full(size, np.inf)
-        for trials, counts, offsets in _window_chunks(orbit, window, gen, density_per_km, size):
-            _closest_offsets(counts, _segment_starts(counts), offsets, closest[trials])
+        for trials, counts, starts, offsets in _window_chunks(orbit, window, gen, density_per_km, size):
+            _closest_offsets(counts, starts, offsets, closest[trials])
         nearest = _nearest_distance(orbit, window, closest)
         finite = np.sort(nearest[np.isfinite(nearest)])
         survivors += finite.size

@@ -25,7 +25,12 @@ Criterion 2 draws and scores only the brute-force points in the few
 slices next to each band edge, counts the run between the edges by
 arithmetic and skips the generator over the rest: a pair draws ten
 doubles, not its 10^7, and gets the count and leaves the stream of one
-full-size draw. Criterion 4 draws the interference sums once per serving
+full-size draw. Criterion 4 draws its interferers through the
+Monte-Carlo kernel's chunks, in batches of _DIRECT_BATCH trials: by
+Poisson restriction the window's satellites beyond the offset of the
+serving radius are those of the leftover arc, so the kernel's
+interference sum cut at that offset is the direct one, and its memory is
+that of one batch at any trial count. It draws the sums once per serving
 radius and averages every transform variable s over them (common random
 numbers): its checks share their draws, and each value is what a run for
 that s alone would give.
@@ -61,7 +66,6 @@ from .geometry import (
     TWO_PI,
     OrbitGeometry,
     VisibilityWindow,
-    arc_to_distance,
     d_min,
     distance_to_arc,
     orbital_speed,
@@ -73,7 +77,8 @@ from .montecarlo import (
     McConfig,
     _conditioned,
     _coverage_pass,
-    _segment_starts,
+    _interference,
+    _window_chunks,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
@@ -110,6 +115,10 @@ THETA_GRID = (
     math.pi / 2 + math.pi / 18,
 )
 DENSITY_GRID = (0.01, 0.001, 0.0001)
+
+# trials per batch of criterion 4's direct average: its per-trial sums
+# stay small next to the kernel's chunks
+_DIRECT_BATCH = 10_000
 
 # least reach of the brute-force arc count's edge windows past each edge:
 # float noise in the height blurs an edge by ~2e-8 rad at the band edge
@@ -318,33 +327,24 @@ def _laplace_direct_average(
     trials: int,
     gen,
 ) -> np.ndarray:
-    """E[exp(-s I)] for each s by simulating the interferers on the
+    """E[exp(-s I)] for each s by simulating the interferers with the
+    Monte-Carlo kernel: the satellites beyond the serving radius's offset
+    ell0 / 2R, which by Poisson restriction are exactly those on the
     leftover arc. Every s is averaged over the same interference sums
-    (common random numbers), one s at a time, so memory stays that of one
-    batch."""
-    ell0 = float(distance_to_arc(orbit, serving_km))
-    arc = visible_arc_length(orbit, window)
-    span = arc - ell0
-    total_mean = density * span
+    (common random numbers), drawn in batches of _DIRECT_BATCH trials, so
+    memory stays that of one batch."""
+    cut = float(distance_to_arc(orbit, serving_km)) / (2.0 * orbit.radius_km)
     s_values = np.asarray(s_values, dtype=float)
     acc = np.zeros(s_values.size)
-    done = 0
-    batch = 200_000
-    while done < trials:
-        n = min(batch, trials - done)
-        counts = gen.poisson(total_mean, n)
-        total = int(counts.sum())
-        positions = gen.uniform(ell0, arc, total)
-        radii = arc_to_distance(orbit, positions)
-        fading = gen.gamma(channel.m, 1.0 / channel.m, total)
-        weight = fading * radii ** -channel.alpha
-        sums = np.zeros(n)
-        occupied = counts > 0
-        if total:
-            sums[occupied] = np.add.reduceat(weight, _segment_starts(counts)[occupied])
+    for done in range(0, trials, _DIRECT_BATCH):
+        sums = np.empty(min(_DIRECT_BATCH, trials - done))
+        for chunk, counts, starts, offsets in _window_chunks(orbit, window, gen, density, sums.size):
+            fading = gen.gamma(channel.m, 1.0 / channel.m, offsets.size)
+            sums[chunk] = _interference(
+                orbit, window, channel.alpha, counts, starts, offsets, fading, np.full(counts.size, cut)
+            )
         for k, s in enumerate(s_values):
             acc[k] += float(np.exp(-s * channel.g_i_bar * sums).sum())
-        done += n
     return acc / trials
 
 

@@ -25,8 +25,8 @@ reproduce bit for bit.
 `window_draw` draws a batch's window in one piece, without chunks;
 `satellite_distances` and `score_per_satellite` score drawn trials one
 satellite and one trial at a time, with the square root, r^-alpha and
-exact sums, the form the chunked kernel's squared-distance weights must
-match.
+exact sums beyond a cut offset, the form the chunked kernel's
+squared-distance weights must match.
 """
 
 from __future__ import annotations
@@ -397,13 +397,16 @@ def satellite_distances(orbit: OrbitGeometry, window: VisibilityWindow, offsets)
     return np.where(z > window.cap_base_km, np.sqrt(R * R + re * re - 2.0 * re * z), np.inf)
 
 
-def score_per_satellite(orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts, offsets, fading):
+def score_per_satellite(
+    orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts, offsets, fading, cut=None
+):
     """Per-trial nearest distance (km) and interference sum of drawn
     trials, one trial at a time: the distances, their -alpha power, and
-    an exact sum over every satellite but the serving one, hidden ones
-    weighing inf^-alpha = 0. Near the top of the orbit many offsets round
-    to one distance, so the serving satellite is named by its offset,
-    the smallest, as it is nearest in exact arithmetic."""
+    an exact sum over the satellites beyond the trial's offset in `cut`,
+    hidden ones weighing inf^-alpha = 0. Without `cut` the sum is over
+    every satellite but the serving one. Near the top of the orbit many
+    offsets round to one distance, so the serving satellite is named by
+    its offset, the smallest, as it is nearest in exact arithmetic."""
     r = satellite_distances(orbit, window, offsets)
     nearest = np.full(len(counts), np.inf)
     interference = np.zeros(len(counts))
@@ -413,7 +416,9 @@ def score_per_satellite(orbit: OrbitGeometry, window: VisibilityWindow, alpha: f
         if count:
             nearest[i] = r[seg].min()
             weight = fading[seg] * r[seg] ** -alpha
-            serving = np.argmin(offsets[seg])
-            interference[i] = math.fsum(np.delete(weight, serving))
+            if cut is None:
+                interference[i] = math.fsum(np.delete(weight, np.argmin(offsets[seg])))
+            else:
+                interference[i] = math.fsum(weight[offsets[seg] > cut[i]])
         start += count
     return nearest, interference

@@ -1,5 +1,6 @@
 """Distribution of the nearest visible satellite distance."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,21 @@ class TestDistanceForms:
 class TestLawConstruction:
     def test_arc_length_derived(self, law, ref_orbit, ref_window):
         assert law.arc_length_km == visible_arc_length(ref_orbit, ref_window)
+
+    def test_arc_length_is_not_an_argument(self, ref_orbit, ref_window):
+        # the arc length is derived, so a passed one could only be dropped
+        with pytest.raises(TypeError):
+            NearestDistanceLaw(ref_orbit, ref_window, 0.005, 1.0)
+        with pytest.raises(TypeError):
+            NearestDistanceLaw(ref_orbit, ref_window, density_per_km=0.005, arc_length_km=1.0)
+
+    def test_replace_rederives_the_arc_length(self, law, ref_window):
+        denser = dataclasses.replace(law, density_per_km=0.01)
+        assert denser.arc_length_km == law.arc_length_km
+        assert denser.visibility_probability == pytest.approx(-math.expm1(-0.01 * law.arc_length_km), rel=1e-15)
+        tilted = dataclasses.replace(law, orbit=OrbitGeometry(500.0, math.pi / 2 + math.pi / 18))
+        assert tilted.arc_length_km == visible_arc_length(tilted.orbit, ref_window)
+        assert tilted.arc_length_km < law.arc_length_km
 
     def test_visibility_probability(self, law):
         expect = -math.expm1(-law.density_per_km * law.arc_length_km)

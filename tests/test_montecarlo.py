@@ -36,10 +36,10 @@ from orbitcov.geometry import TWO_PI, _window_half_angle
 from orbitcov import montecarlo
 from orbitcov.montecarlo import (
     _batches,
+    _closest_offsets,
     _coverage_pass,
-    _nearest_by_angle,
-    _score,
-    _segment_starts,
+    _interference,
+    _nearest_distance,
     _wilson_bounds,
     _window_chunks,
 )
@@ -53,6 +53,27 @@ from reference_forms import (
 )
 
 LAM = 0.005
+
+
+def cumsum_starts(counts):
+    """Each trial's first satellite in a run of trials laid end to end."""
+    return np.cumsum(counts) - counts
+
+
+class FixedCounts:
+    """A generator whose Poisson draw returns fixed counts; its other
+    draws come from a seeded generator."""
+
+    def __init__(self, counts, seed):
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.gen = np.random.default_rng(seed)
+
+    def poisson(self, lam, size):
+        assert size == self.counts.size
+        return self.counts
+
+    def uniform(self, low, high, size):
+        return self.gen.uniform(low, high, size)
 
 
 def single(theta=math.pi / 2, lam=LAM, m=1.0, alpha=2.0):
@@ -161,7 +182,7 @@ class TestVisibleWindow:
         orbit = OrbitGeometry(500.0, theta)
         n = 200_000
         chunks = _window_chunks(orbit, ref_window, np.random.default_rng(22), LAM, n)
-        r_vis = satellite_distances(orbit, ref_window, np.concatenate([offsets for _, _, offsets in chunks]))
+        r_vis = satellite_distances(orbit, ref_window, np.concatenate([offsets for _, _, _, offsets in chunks]))
         mean = LAM * visible_arc_length(orbit, ref_window)
         assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
 
@@ -173,10 +194,11 @@ class TestVisibleWindow:
         lam = 0.0005
         gen = np.random.default_rng(23)
         snapshots = np.array([sample_orbit(orbit, ref_window, lam, gen).nearest_visible_km for _ in range(4000)])
-        chunks = _window_chunks(orbit, ref_window, np.random.default_rng(24), lam, 20_000)
-        kernel = np.concatenate(
-            [_nearest_by_angle(orbit, ref_window, c, _segment_starts(c), offsets)[1] for _, c, offsets in chunks]
-        )
+        closest = np.full(20_000, np.inf)
+        chunks = _window_chunks(orbit, ref_window, np.random.default_rng(24), lam, closest.size)
+        for trials, counts, starts, offsets in chunks:
+            _closest_offsets(counts, starts, offsets, closest[trials])
+        kernel = _nearest_distance(orbit, ref_window, closest)
         p_vis = NearestDistanceLaw(orbit, ref_window, lam).visibility_probability
         for sample in (snapshots, kernel):
             seen = np.count_nonzero(np.isfinite(sample))
@@ -195,7 +217,7 @@ class TestVisibleWindow:
             (GEO_ALTITUDE_KM, 45.0, None),
         ],
     )
-    def test_nearest_by_angle_is_the_per_satellite_minimum(self, altitude_km, omega_deg, theta):
+    def test_closest_offset_is_the_per_satellite_minimum(self, altitude_km, omega_deg, theta):
         # on the same draws, the angle reduction must pick the satellite the
         # per-satellite distances put nearest; theta None sits at 0.999999
         # of the upper band edge, where the window is a sliver
@@ -207,12 +229,14 @@ class TestVisibleWindow:
         # about 3 satellites per trial, so most trials reduce over several
         density = 3.0 / visible_arc_length(orbit, window)
         counts, offsets = window_draw(orbit, window, np.random.default_rng(29), density, n)
-        starts = _segment_starts(counts)
+        starts = cumsum_starts(counts)
         r_vis = satellite_distances(orbit, window, offsets)
         expected = np.full(n, np.inf)
         occupied = counts > 0
         expected[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
-        _, nearest = _nearest_by_angle(orbit, window, counts, starts, offsets)
+        closest = np.full(n, np.inf)
+        _closest_offsets(counts, starts, offsets, closest)
+        nearest = _nearest_distance(orbit, window, closest)
         seen = np.isfinite(expected)
         assert np.array_equal(np.isfinite(nearest), seen)
         assert np.count_nonzero(seen) > n // 2
@@ -264,17 +288,30 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("alpha", [2.0, 3.5])
     @pytest.mark.parametrize("sliver", [False, True])
-    def test_score_matches_the_per_satellite_form(self, ref_window, alpha, sliver):
+    @pytest.mark.parametrize("cut", ["nearest", "mid-window"])
+    def test_score_matches_the_per_satellite_form(self, ref_window, alpha, sliver, cut):
         # squared-distance weights against sqrt, then r^-alpha, on the same
         # fixed arrays; the sliver sits 1e-12 of the band inside its edge,
-        # where the window is a few meters wide
+        # where the window is a few meters wide. The interferers are those
+        # beyond each trial's own nearest offset, as in the SIR kernel, or
+        # beyond half the window, as in a fixed serving radius's transform
         theta = math.pi / 2
         if sliver:
             theta += math.acos(ref_window.cap_base_km / OrbitGeometry(500.0, theta).radius_km) * (1.0 - 1e-12)
         orbit = OrbitGeometry(500.0, theta)
         counts, offsets, fading = self._fixed_trials(orbit, ref_window, 31)
-        nearest, interference = _score(orbit, ref_window, alpha, counts, offsets, fading)
-        expected_nearest, expected_interference = score_per_satellite(orbit, ref_window, alpha, counts, offsets, fading)
+        starts = cumsum_starts(counts)
+        closest = np.full(counts.size, np.inf)
+        _closest_offsets(counts, starts, offsets, closest)
+        nearest = _nearest_distance(orbit, ref_window, closest)
+        if cut == "nearest":
+            cuts, reference_cuts = closest, None
+        else:
+            cuts = reference_cuts = np.full(counts.size, 0.5 * _window_half_angle(orbit, ref_window))
+        interference = _interference(orbit, ref_window, alpha, counts, starts, offsets, fading, cuts)
+        expected_nearest, expected_interference = score_per_satellite(
+            orbit, ref_window, alpha, counts, offsets, fading, reference_cuts
+        )
         seen = np.isfinite(expected_nearest)
         assert np.array_equal(np.isfinite(nearest), seen)
         assert np.count_nonzero(seen) > 250
@@ -286,10 +323,11 @@ class TestChunkedKernel:
     def test_chunks_tile_the_batch(self, ref_orbit, ref_window, density):
         n = 3_000 if density < 1.0 else 4
         chunks = list(_window_chunks(ref_orbit, ref_window, np.random.default_rng(32), density, n))
-        assert [trials.start for trials, _, _ in chunks] == [0] + [trials.stop for trials, _, _ in chunks[:-1]]
+        assert [chunk[0].start for chunk in chunks] == [0] + [chunk[0].stop for chunk in chunks[:-1]]
         assert chunks[-1][0].stop == n
-        for trials, counts, offsets in chunks:
+        for trials, counts, starts, offsets in chunks:
             assert counts.size == trials.stop - trials.start
+            assert np.array_equal(starts, cumsum_starts(counts))
             assert offsets.size == counts.sum()
             assert offsets.size <= montecarlo._CHUNK_SATELLITES or counts.size == 1
         assert len(chunks) > 1
@@ -338,13 +376,39 @@ class TestChunkedKernel:
         assert peak_mb < 120.0
 
 
-class TestSegmentStarts:
+class TestChunkStarts:
+    @staticmethod
+    def _chunks(counts, seed=34):
+        orbit = OrbitGeometry(500.0, math.pi / 2)
+        window = VisibilityWindow.from_min_elevation(math.radians(10.0), orbit)
+        return list(_window_chunks(orbit, window, FixedCounts(counts, seed), LAM, len(counts)))
+
     def test_offsets(self):
-        counts = np.array([3, 0, 2, 5])
-        assert np.array_equal(_segment_starts(counts), np.array([0, 3, 3, 5]))
+        ((_, _, starts, _),) = self._chunks([3, 0, 2, 5])
+        assert np.array_equal(starts, np.array([0, 3, 3, 5]))
 
     def test_empty(self):
-        assert _segment_starts(np.array([], dtype=np.int64)).size == 0
+        assert self._chunks([]) == []
+        ((_, counts, starts, offsets),) = self._chunks([0, 0, 0])
+        assert np.array_equal(starts, np.zeros(3))
+        assert offsets.size == 0
+
+    def test_starts_are_the_cumulative_counts(self):
+        # runs of empty trials, one trial larger than a chunk between
+        # them, and chunk edges wherever the counts put them
+        gen = np.random.default_rng(35)
+        large = montecarlo._CHUNK_SATELLITES + 3_000
+        counts = np.concatenate([[0, 0], gen.poisson(3.0, 8_000), [0, large, 0, 0], gen.poisson(0.5, 300), [0]])
+        chunks = self._chunks(counts)
+        assert len(chunks) > 2
+        assert np.array_equal(np.concatenate([c for _, c, _, _ in chunks]), counts)
+        before = 0
+        for trials, chunk_counts, starts, offsets in chunks:
+            assert np.array_equal(starts, cumsum_starts(chunk_counts))
+            assert np.array_equal(starts + before, cumsum_starts(counts)[trials])
+            assert offsets.size == chunk_counts.sum()
+            before += offsets.size
+        assert any(c.size == 1 and c[0] > montecarlo._CHUNK_SATELLITES for _, c, _, _ in chunks)
 
 
 class TestWilson:
@@ -390,13 +454,13 @@ class TestNearestDistance:
         grid = np.linspace(law.d_min_km, law.d_max_km, 52)[1:-1]
         # batch i draws from child i of the seed's SeedSequence
         streams = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,))) for i in range(3)]
-        nearest = np.concatenate(
-            [
-                _nearest_by_angle(ref_orbit, ref_window, c, _segment_starts(c), offsets)[1]
-                for gen, size in zip(streams, cfg.batch_sizes(), strict=True)
-                for _, c, offsets in _window_chunks(ref_orbit, ref_window, gen, lam, size)
-            ]
-        )
+        nearest = []
+        for gen, size in zip(streams, cfg.batch_sizes(), strict=True):
+            for _, counts, starts, offsets in _window_chunks(ref_orbit, ref_window, gen, lam, size):
+                closest = np.full(counts.size, np.inf)
+                _closest_offsets(counts, starts, offsets, closest)
+                nearest.append(_nearest_distance(ref_orbit, ref_window, closest))
+        nearest = np.concatenate(nearest)
         finite = np.sort(nearest[np.isfinite(nearest)])
         emp, survivors = empirical_nearest_ccdf(ref_orbit, ref_window, lam, grid, cfg)
         assert survivors == finite.size

@@ -4,6 +4,7 @@ transform average, against the forms they replace, and the concurrent
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ class TestLaplaceDirectAverage:
                 orbit, window, 0.001, channel, serving, [s], trials, np.random.default_rng(33)
             )
             assert value == pytest.approx(alone[0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("trials", [210_000, 1_000_000])
+    def test_memory_is_that_of_one_batch(self, trials):
+        # the sums are drawn batch by batch and chunk by chunk through the
+        # Monte-Carlo kernel, so the peak does not grow with the trials
+        orbit, window = _shell(10.0, math.pi / 2)
+        serving = d_min(orbit)
+        scales = [0.1, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
+        gen = np.random.default_rng(34)
+        tracemalloc.start()
+        try:
+            _laplace_direct_average(orbit, window, 0.001, ChannelParams(alpha=2.0, m=1.0), serving, scales, trials, gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 SCALE = 0.002
