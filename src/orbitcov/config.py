@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .coverage import ConstellationSpec, LinkBudget, threshold_grid_db
-from .geometry import EarthConstants, OrbitGeometry, VisibilityWindow
+from .geometry import EarthConstants, OrbitGeometry, VisibilityWindow, orbital_speed
 from .interference import ChannelParams
 from .montecarlo import McConfig
 
@@ -392,6 +392,10 @@ def parse_scenario(data) -> ScenarioConfig:
         config.constellation()
     except ValueError as exc:
         raise ConfigError("orbits", str(exc)) from None
+    try:
+        orbital_speed(config.orbits()[0])
+    except ValueError as exc:
+        raise ConfigError("earth", str(exc)) from None
     if "sweep" in data:
         config = dataclasses.replace(config, sweep=_parse_sweep(data, scenario_id))
     return config

@@ -220,8 +220,13 @@ def distance_to_arc(orbit: OrbitGeometry, r):
 
 
 def orbital_speed(orbit: OrbitGeometry) -> float:
-    """Circular-orbit speed sqrt(GM/R) in m/s, with the orbit's planet."""
-    return math.sqrt(orbit.earth.mu_m3_s2 / (orbit.radius_km * KM_IN_M))
+    """Circular-orbit speed sqrt(GM/R) in m/s, with the orbit's planet.
+    Raises ValueError when G*M or the quotient over- or underflows, so
+    the speed is not a finite, positive double."""
+    speed = math.sqrt(orbit.earth.mu_m3_s2 / (orbit.radius_km * KM_IN_M))
+    if not 0.0 < speed < math.inf:
+        raise ValueError(f"orbital speed sqrt(GM/R) = {speed!r} m/s is not a finite, positive double")
+    return speed
 
 
 def visible_time(orbit: OrbitGeometry, window: VisibilityWindow) -> float:

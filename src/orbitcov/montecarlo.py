@@ -27,8 +27,8 @@ estimator reduces each chunk to per-trial values, its trials' smallest
 offsets and the interference beyond a cut offset, and turns the offsets
 into distances once per batch. The SIR kernel cuts each trial at its
 own smallest offset, the serving satellite; validation criterion 4
-draws through the same chunks and cuts every trial at the offset of its
-fixed serving radius.
+draws through the same chunks only the offsets beyond that of its fixed
+serving radius, and cuts every trial there.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn, and each trial's best SIR
@@ -103,20 +103,30 @@ class McConfig:
         return [self.batch] * full + ([rem] if rem else [])
 
 
-def _window_chunks(orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, n: int):
+def _window_chunks(
+    orbit: OrbitGeometry,
+    window: VisibilityWindow,
+    gen: np.random.Generator,
+    density: float,
+    n: int,
+    lowest: float = 0.0,
+):
     """Yield (trial slice, counts, starts, offsets) per chunk of n trials,
     starts each trial's first offset in the chunk's offsets, drawn in the
     order the module docstring gives; a caller that draws more per chunk
-    does so before asking for the next one."""
+    does so before asking for the next one. Only the satellites with
+    offsets in (lowest, beta) are drawn, `lowest` clamped to beta: by
+    Poisson restriction those of the whole window beyond `lowest`."""
     beta = _window_half_angle(orbit, window)
-    counts = gen.poisson(2.0 * orbit.radius_km * beta * density, n)
+    lowest = min(lowest, beta)
+    counts = gen.poisson(2.0 * orbit.radius_km * (beta - lowest) * density, n)
     ends = np.cumsum(counts)
     lo = 0
     while lo < n:
         before = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, before + _CHUNK_SATELLITES, side="right")))
         starts = ends[lo:hi] - counts[lo:hi] - before
-        yield slice(lo, hi), counts[lo:hi], starts, gen.uniform(0.0, beta, int(ends[hi - 1]) - before)
+        yield slice(lo, hi), counts[lo:hi], starts, gen.uniform(lowest, beta, int(ends[hi - 1]) - before)
         lo = hi
 
 

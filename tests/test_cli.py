@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -18,6 +21,8 @@ from orbitcov.cli import (
     write_result_rows,
 )
 from orbitcov.config import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_scenario(tmp_path, name="scn.json", **extra):
@@ -178,11 +183,14 @@ class TestGeometryVerb:
         assert arc == pytest.approx(3371.3636249080196, abs=1e-6)
 
     def test_default_grid_spans_everything(self, tmp_path):
-        cfg = write_scenario(tmp_path)
-        out = tmp_path / "out"
-        assert main(["geometry", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "cli_test_geometry.csv").read_text().splitlines()
-        assert len(lines) == 1 + 181
+        # the default 1 degree grid and a 0.1 degree one: both end on 180
+        for geometry, rows in (({}, 181), ({"geometry": {"theta_step_deg": 0.1}}, 1801)):
+            cfg = write_scenario(tmp_path, **geometry)
+            out = tmp_path / str(rows)
+            assert main(["geometry", "--config", str(cfg), "--out", str(out)]) == 0
+            lines = (out / "cli_test_geometry.csv").read_text().splitlines()
+            assert len(lines) == 1 + rows
+            assert lines[1].split(",")[2] == "0.0" and lines[-1].split(",")[2] == "180.0"
 
     def test_empty_section_is_the_default_grid(self, tmp_path):
         bare = write_scenario(tmp_path, "bare.json")
@@ -384,6 +392,39 @@ class TestCoverageVerb:
         b = (out_b / "cli_test_coverage.csv").read_bytes()
         assert a == b
 
+    def test_seeded_reruns_in_separate_processes_match(self, tmp_path):
+        # a budget on two orbits: fresh interpreters draw the same streams
+        # for maxSIR, maxSNR and maxSINR and write the same bytes
+        cfg = tmp_path / "two.json"
+        orbits = [{"altitude_km": 500.0, "theta_deg": theta, "density_per_km": 0.005} for theta in (90.0, 80.0)]
+        cfg.write_text(
+            json.dumps(
+                {
+                    "scenario_id": "two",
+                    "window": {"omega_min_deg": 10.0},
+                    "orbits": orbits,
+                    "budget": {"tx_power_dbm": 0.0},
+                    "mc": {"trials": 2000, "seed": 7},
+                }
+            )
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            done = subprocess.run(
+                [sys.executable, "-m", "orbitcov.cli", "coverage", "--config", str(cfg), "--out", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            written.append((out / "two_coverage.csv").read_bytes())
+        assert written[0] == written[1]
+        assert "maxSINR-MC" in {r.curve_kind for r in read_result_rows(tmp_path / "a" / "two_coverage.csv")}
+
     def test_seed_changes_simulated_rows(self, tmp_path):
         cfg = write_scenario(tmp_path, mc={"trials": 3000, "seed": 11, "batch": 1000})
         out = tmp_path / "out"
@@ -493,7 +534,7 @@ class TestSweepVerb:
 
 class TestReadmeScenario:
     def test_documented_scenario_sweeps(self, tmp_path, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Scenario files", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         path = tmp_path / "readme.json"
@@ -565,6 +606,18 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
         assert path in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("verb", ["geometry", "coverage"])
+    @pytest.mark.parametrize("constant", [1e-300, 1e300])
+    def test_earth_without_a_finite_orbital_speed_is_two(self, tmp_path, capsys, verb, constant):
+        # G M underflows to 0 (the geometry verb once died dividing by the
+        # speed) or overflows to inf (it once wrote an inf speed)
+        cfg = write_scenario(tmp_path, earth={"gravitational_constant": constant, "mass_kg": constant})
+        out = tmp_path / "o"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "earth: " in err
         assert not list(out.iterdir())
 
     def test_budget_on_several_orbits_is_zero(self, tmp_path):

@@ -186,6 +186,14 @@ class TestRejection:
 
             coverage_conditional(cfg.constellation(), 1.0)
 
+    @pytest.mark.parametrize("constant", [1e-300, 1e300])
+    def test_earth_whose_orbital_speed_is_not_finite_and_positive(self, constant):
+        # each constant is legal, but G M underflows to 0 or overflows to
+        # inf: the geometry verb would divide by a zero speed or write inf
+        with pytest.raises(ConfigError, match="not a finite, positive double") as caught:
+            parse_scenario(minimal(earth={"gravitational_constant": constant, "mass_kg": constant}))
+        assert caught.value.path == "earth"
+
     def test_thresholds_order(self):
         with pytest.raises(ConfigError, match="stop_db"):
             parse_scenario(minimal(thresholds={"start_db": 10.0, "stop_db": 0.0}))

@@ -197,6 +197,13 @@ class TestKinematics:
             arc_m / orbital_speed(ref_orbit), rel=1e-12
         )
 
+    @pytest.mark.parametrize("constant,speed", [(1e-300, "0.0"), (1e300, "inf")])
+    def test_speed_must_be_a_finite_positive_double(self, constant, speed):
+        # G M underflows to 0 or overflows to inf although both factors are legal
+        earth = EarthConstants(gravitational_constant=constant, mass_kg=constant)
+        with pytest.raises(ValueError, match=f"= {speed} m/s is not a finite, positive double"):
+            orbital_speed(OrbitGeometry(500.0, math.pi / 2, earth=earth))
+
 
 class TestPlaneBasis:
     def test_orthonormal_frame(self):

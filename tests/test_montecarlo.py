@@ -1,5 +1,6 @@
 """Simulation kernels: snapshots, nearest-distance and coverage estimators."""
 
+import json
 import math
 import os
 import subprocess
@@ -186,6 +187,27 @@ class TestVisibleWindow:
         mean = LAM * visible_arc_length(orbit, ref_window)
         assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
 
+    def test_lowest_offset_draws_only_beyond_it(self, ref_orbit, ref_window):
+        # offsets in (lowest, beta) at the Poisson mean 2 R (beta - lowest)
+        # lambda; lowest 0 is the whole window's draw, bit for bit, and a
+        # lowest past beta draws nothing
+        beta = _window_half_angle(ref_orbit, ref_window)
+        n = 50_000
+
+        def draw(*lowest):
+            chunks = list(_window_chunks(ref_orbit, ref_window, np.random.default_rng(36), LAM, n, *lowest))
+            return np.concatenate([c for _, c, _, _ in chunks]), np.concatenate([o for _, _, _, o in chunks])
+
+        for got, want in zip(draw(0.0), draw()):
+            assert np.array_equal(got, want)
+        counts, offsets = draw(0.5 * beta)
+        mean = ref_orbit.radius_km * beta * LAM
+        assert counts.mean() == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
+        assert offsets.min() >= 0.5 * beta and offsets.max() < beta
+        assert stats.kstest(offsets, stats.uniform(0.5 * beta, 0.5 * beta).cdf).pvalue > 1e-3
+        counts, offsets = draw(1.5 * beta)
+        assert not counts.any() and offsets.size == 0
+
     def test_nearest_agrees_with_snapshots(self, ref_window):
         # whole-circle 3-D snapshots with the elevation test against the
         # kernel's window draws, at a density where a third of trials see
@@ -344,20 +366,28 @@ class TestChunkedKernel:
         assert np.all(np.abs(analytic - np.asarray(simulated.values)) <= 4.0 * half_width)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-    def test_dense_batch_memory_is_bounded(self):
+    def test_dense_batch_memory_is_bounded(self, tmp_path):
         # 10 satellites per km at omega_min 0 put ~52,700 satellites in each
         # trial's window: scored all at once, 200 trials of one batch
-        # peaked at 368 MB; in chunks they stay near the interpreter's own
+        # peaked at 368 MB; in chunks they stay near the interpreter's own.
+        # The run goes through the coverage verb, which simulates them in
+        # one batch next to the analytic curve
+        scenario = {
+            "scenario_id": "dense",
+            "window": {"omega_min_deg": 0.0},
+            "orbits": [{"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 10.0}],
+            "thresholds": {"start_db": -10.0, "stop_db": 10.0, "step_db": 10.0},
+            "mc": {"trials": 200, "seed": 7},
+        }
+        config = tmp_path / "dense.json"
+        config.write_text(json.dumps(scenario))
         code = textwrap.dedent(
             """
-            import math, resource
-            from orbitcov import ChannelParams, ConstellationSpec, McConfig, OrbitGeometry, VisibilityWindow
-            from orbitcov import empirical_sir_coverage
-            orbit = OrbitGeometry(500.0, math.pi / 2)
-            window = VisibilityWindow.from_min_elevation(0.0, orbit)
-            spec = ConstellationSpec((orbit,), (10.0,), window, ChannelParams(alpha=2.0, m=1.0))
-            empirical_sir_coverage(spec, (-10.0, 0.0, 10.0), McConfig(trials=200, seed=3, batch=10_000))
+            import resource, sys
+            from orbitcov.cli import main
+            rc = main(["coverage", "--config", sys.argv[1], "--out", sys.argv[2]])
             print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            sys.exit(rc)
             """
         )
         env = dict(os.environ)
@@ -367,12 +397,18 @@ class TestChunkedKernel:
         # process's ru_maxrss, so a child of this (large) test process
         # would report its peak: the run is a grandchild, under a small
         # interpreter
-        launcher = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+        launcher = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)"
         done = subprocess.run(
-            [sys.executable, "-c", launcher, code], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", launcher, code, str(config), str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        peak_mb = int(done.stdout) / 1024.0
+        # SIR-analytic, SIR-MC and SIR-delta at three thresholds
+        assert len((tmp_path / "out" / "dense_coverage.csv").read_text().splitlines()) == 1 + 9
+        peak_mb = int(done.stdout.splitlines()[-1]) / 1024.0
         assert peak_mb < 120.0
 
 
