@@ -36,9 +36,9 @@ impossible event.
 A whole grid runs on one fixed tensor Gauss-Legendre rule: graded
 panels over tau, and for every tau one rule over the interferer arc
 [tau, L]. The SIR tensor (thresholds x serving x interferer nodes) is
-evaluated in cache-sized tiles, each through the reciprocal-form
-nonnegative series of `interference`, in one workspace allocated per
-curve; a value that comes out non-finite raises ValueError.
+evaluated in cache-sized tiles that only integrate, in one workspace per
+curve; the Taylor recursion of `interference` runs once per bounded group
+of thresholds. A non-finite value, or one off [0, 1] beyond rounding, raises.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from .geometry import (
     arc_to_distance,
     visible_arc_length,
 )
-from .interference import ChannelParams, _taylor_sum
-from .numerics import ARC_NODES, PANEL_NODES, exponential_panels, gauss_legendre
+from .interference import ChannelParams, _taylor_integrals, _taylor_terms
+from .numerics import ARC_NODES, PANEL_NODES, _legendre, exponential_panels, gauss_legendre
 
 __all__ = [
     "LinkBudget",
@@ -231,10 +231,12 @@ class CoverageCurve:
 
 
 def _unit(values: np.ndarray) -> np.ndarray:
-    """Coverage values clipped to [0, 1]; a non-finite value is an error,
-    never a silent 0 or 1."""
+    """Coverage values clipped to [0, 1] from within 1e-12 of rounding; a
+    non-finite value or a larger overshoot is an error, never a silent 0 or 1."""
     if not np.all(np.isfinite(values)):
         raise ValueError("analytic coverage is not finite")
+    if np.any((values < -1e-12) | (values > 1.0 + 1e-12)):
+        raise ValueError("analytic coverage leaves [0, 1] by more than 1e-12")
     return np.clip(values, 0.0, 1.0)
 
 
@@ -274,27 +276,38 @@ def _sir_conditional(orbit, window, density_per_km, channel, m, gammas) -> np.nd
 
     With the serving satellite at tau, s a(t) = gamma g_i_bar
     (u(tau) / u(t))^alpha; the ratio stays in (0, 1] at any alpha. A
-    tile of at most _BLOCK nodes holds several whole thresholds or, on a
-    dense orbit, one threshold over a run of serving nodes.
+    group holds at most _BLOCK (threshold, serving) rows or one threshold,
+    a tile at most _BLOCK nodes: several whole thresholds or, on a dense
+    orbit, one threshold over a run of serving nodes.
     """
     tau, weights, arc = _serving_rule(orbit, window, density_per_km)
-    t, inner = gauss_legendre(tau, arc, ARC_NODES)
+    t, _ = gauss_legendre(tau, arc, ARC_NODES)
     ratio = (arc_to_distance(orbit, tau)[:, None] / arc_to_distance(orbit, t)) ** channel.alpha
+    _, unit = _legendre(ARC_NODES)
     rows = _BLOCK // ARC_NODES
     tau_step = min(tau.size, rows)
     gamma_step = max(1, rows // tau.size)
+    group = max(1, _BLOCK // tau.size)
     given_tau = np.empty((gammas.size, tau.size))
     # load, p, share, geometric and power rows of the largest tile; every tile
     # runs in their leading part, so the curve faults no fresh pages in per tile
     work = np.empty((5, min(gamma_step, gammas.size) * tau_step * ARC_NODES))
-    for i in range(0, gammas.size, gamma_step):
-        scale = gammas[i : i + gamma_step, None, None] * channel.g_i_bar
-        for j in range(0, tau.size, tau_step):
-            run = slice(j, j + tau_step)
-            shape = (scale.shape[0], ratio[run].shape[0], ARC_NODES)
-            tile = work[:, : math.prod(shape)].reshape((5,) + shape)
-            np.multiply(scale, ratio[run], out=tile[0])
-            given_tau[i : i + gamma_step, run] = _taylor_sum(tile[0], inner[run], density_per_km, m, tile[1:])
+    integrals = np.empty((m, min(group, gammas.size) * tau.size))
+    for g in range(0, gammas.size, group):
+        end = min(g + group, gammas.size)
+        for i in range(g, end, gamma_step):
+            scale = gammas[i : min(i + gamma_step, end), None, None] * channel.g_i_bar
+            for j in range(0, tau.size, tau_step):
+                run = ratio[j : j + tau_step]
+                n = scale.shape[0] * run.shape[0]
+                tile = work[:, : n * ARC_NODES].reshape(5, n, ARC_NODES)
+                np.multiply(scale, run, out=tile[0].reshape(scale.shape[0], -1, ARC_NODES))
+                start = (i - g) * tau.size + j
+                _taylor_integrals(tile[0], unit, m, integrals[:, start : start + n], tile[1:])
+        scaled = integrals[:, : (end - g) * tau.size].reshape(m, end - g, tau.size)
+        # the rule on [tau, L] is the standard rule times its half-length
+        scaled *= density_per_km * 0.5 * (arc - tau)
+        given_tau[g:end] = sum(_taylor_terms(scaled, m))
     return given_tau @ weights
 
 

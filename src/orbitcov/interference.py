@@ -27,8 +27,8 @@ recursion gives as c_t = (1/t) sum_{j<t} psi_{t-j} c_j with
 Every psi_k and c_t is nonnegative and c_t <= 1, so that form neither
 cancels nor overflows at any threshold.
 
-For integer m the coverage kernel `_taylor_sum` evaluates every
-integrand from one reciprocal p = 1 / (1 + s a) per node:
+For integer m the coverage kernel evaluates every integrand from one
+reciprocal p = 1 / (1 + s a) per node:
 
     1 - (1 + s a)^-m = (s a p) sum_{j<m} p^j,
     (s a)^k (1 + s a)^(-m-k) = p^m (s a p)^k.
@@ -36,10 +36,10 @@ integrand from one reciprocal p = 1 / (1 + s a) per node:
 Each factor lies in [0, 1], and s a p = s a / (1 + s a) is a quotient,
 not a difference: at small loads the first form keeps full relative
 precision where 1 - (1 + s a)^-m would cancel, and at large loads it
-saturates at 1 without overflow. Only the reduced exponent goes through
-exp. The kernel writes every intermediate into a workspace that the
-caller passes in and reuses across tiles, and only reads the load, so a
-curve allocates no tensor-sized array per tile.
+saturates at 1 without overflow. `_taylor_integrals` reduces a tile of
+loads to the m integrals, in a workspace the caller reuses across tiles;
+`_taylor_terms` turns them into the c_t, once per group of thresholds.
+Only the reduced exponent goes through exp.
 
 `log_laplace` and `laplace_derivatives` accept any real m >= 0.5 and
 keep the log1p form, which the tests use as an independent cross-check
@@ -126,45 +126,47 @@ def _log_transform(log1p_load: np.ndarray, weights: np.ndarray, density: float, 
     return density * np.sum(weights * np.expm1(-m * log1p_load), axis=-1)
 
 
-def _row_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The inner rule applied along the last axis."""
-    return np.einsum("...i,...i->...", values, weights)
-
-
-def _taylor_sum(load: np.ndarray, weights: np.ndarray, density: float, m: int, work: np.ndarray) -> np.ndarray:
-    """sum_{t<m} (-s)^t / t! * L^(t)(s) from the loads s a(t) on the inner
-    rule (last axis): the probability that a unit-mean gamma(m) serving
-    power beats s times the interference.
-
-    Every integrand comes from p = 1 / (1 + s a) by products and sums
-    (see the module docstring). The work runs in place in `work`, four
-    arrays of the load's shape that the caller reuses across tiles;
-    `load` is only read.
+def _taylor_integrals(load: np.ndarray, weights: np.ndarray, m: int, out: np.ndarray, work: np.ndarray) -> None:
+    """Write out[0] = int (s a p) sum_{j<m} p^j and out[k] = int p^m (s a p)^k,
+    k < m, for a (rows x nodes) tile of loads s a(t), each as one
+    matrix-vector product against `weights`; the caller applies the
+    density and any per-row factor of the rule. The work runs in place in
+    `work`, four arrays of the load's shape; `load` is only read.
     """
     p, share, geometric, power = work
     np.add(load, 1.0, out=p)
     np.reciprocal(p, out=p)
     np.multiply(load, p, out=share)
-    if m == 1:
-        return np.exp(-density * _row_sums(share, weights))
-    np.add(p, 1.0, out=geometric)
-    np.multiply(p, p, out=power)
-    for _ in range(2, m):
-        geometric += power
-        power *= p
-    # geometric = sum_{j<m} p^j, power = p^m
-    geometric *= share
-    terms = [np.exp(-density * _row_sums(geometric, weights))]
+    if m > 1:
+        np.add(p, 1.0, out=geometric)
+        np.multiply(p, p, out=power)
+        for _ in range(2, m):
+            geometric += power
+            power *= p
+        # geometric = sum_{j<m} p^j, power = p^m
+        geometric *= share
+    np.matmul(share if m == 1 else geometric, weights, out=out[0])
+    for k in range(1, m):
+        power *= share
+        np.matmul(power, weights, out=out[k])
+
+
+def _taylor_terms(integrals: np.ndarray, m: int) -> list[np.ndarray]:
+    """c_t = (-s)^t / t! * L^(t)(s), t < m, from `_taylor_integrals` scaled
+    by the density; coverage sums them, the chance that a unit-mean gamma(m)
+    serving power beats s I. Validation's criterion 4 is to check single
+    terms (c_0 = L, L^(t) = t! c_t / (-s)^t), and SINR's noise q to enter
+    here, as e^(-q) on c_0 and +q on psi_1."""
+    terms = [np.exp(-integrals[0])]
     psi = [None]
-    coef = density * m
+    coef = float(m)
     for k in range(1, m):
         if k > 1:
             coef *= (m + k - 1) / (k - 1)
-        power *= share
-        psi.append(coef * _row_sums(power, weights))
+        psi.append(coef * integrals[k])
     for t in range(1, m):
         terms.append(sum(psi[t - j] * terms[j] for j in range(t)) / t)
-    return sum(terms)
+    return terms
 
 
 def log_laplace(

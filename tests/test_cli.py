@@ -9,8 +9,10 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import orbitcov.coverage as coverage
 from orbitcov import LinkBudget, cli, empirical_sir_coverage, empirical_snr_sinr_coverage
 from orbitcov.cli import (
     GEOMETRY_HEADER,
@@ -425,6 +427,43 @@ class TestCoverageVerb:
         assert written[0] == written[1]
         assert "maxSINR-MC" in {r.curve_kind for r in read_result_rows(tmp_path / "a" / "two_coverage.csv")}
 
+    def test_blas_threads_do_not_change_bytes(self, tmp_path):
+        # the analytic kernel reduces its tiles through BLAS matrix-vector
+        # products; one BLAS thread or the library's default must write the
+        # same m = 3 sweep, byte for byte
+        cfg = tmp_path / "map.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "scenario_id": "map",
+                    "window": {"omega_min_deg": 10.0},
+                    "orbits": [{"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 0.005}],
+                    "channel": {"alpha": 2.0, "m": 3, "g_i_bar_db": -13.0},
+                    "budget": {"tx_power_dbm": 40.0},
+                    "thresholds": {"start_db": -10.0, "stop_db": 30.0, "step_db": 1.0},
+                    "sweep": {"parameter": "theta_deg", "values": [76.5 + 3.0 * k for k in range(10)]},
+                }
+            )
+        )
+        written = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+            if threads is not None:
+                env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = tmp_path / f"threads-{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "orbitcov.cli", "sweep", "--config", str(cfg), "--out", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            written.append((out / "map_sweep.csv").read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"SIR-analytic") == 41 * 10
+
     def test_seed_changes_simulated_rows(self, tmp_path):
         cfg = write_scenario(tmp_path, mc={"trials": 3000, "seed": 11, "batch": 1000})
         out = tmp_path / "out"
@@ -554,6 +593,17 @@ class TestExitCodes:
         # a visible-window mismatch surfaces during the computation
         cfg = write_scenario(tmp_path, channel={"m": 2.5})
         assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_analytic_overshoot_is_one(self, tmp_path, capsys, monkeypatch):
+        # a raw analytic value beyond the 1e-12 rounding slack of [0, 1]
+        # fails the run rather than being clipped into the result file
+        monkeypatch.setattr(coverage, "_sir_conditional", lambda *args: np.full(args[-1].size, 1.5))
+        cfg = write_scenario(tmp_path)
+        out = tmp_path / "o"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "leaves [0, 1]" in err and err.count("\n") == 1
+        assert not list(out.iterdir())
 
     def test_steep_path_loss_fails_only_the_simulation(self, tmp_path, capsys):
         # at alpha = 150 every simulated serving path loss underflows and

@@ -1,6 +1,7 @@
 """Analytic coverage probabilities and threshold curves."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -31,7 +32,7 @@ from orbitcov import (
     visible_arc_length,
 )
 import orbitcov.coverage as coverage
-from orbitcov.interference import _interferer_load, _serving_arc, _taylor_sum
+from orbitcov.interference import _interferer_load, _serving_arc, _taylor_integrals, _taylor_terms
 from orbitcov.numerics import ARC_NODES, gauss_legendre
 from reference_forms import (
     adaptive,
@@ -42,6 +43,15 @@ from reference_forms import (
 
 
 LAM = 0.005
+
+
+def taylor_sum(load, weights, density, m):
+    """The coverage kernel on one row of loads: the tile integrals against
+    `weights`, scaled by the density, then the sum of the Taylor terms."""
+    rows = np.reshape(load, (1, -1))
+    integrals = np.empty((m, 1))
+    _taylor_integrals(rows, weights, m, integrals, np.empty((4,) + rows.shape))
+    return float(sum(_taylor_terms(density * integrals, m))[0])
 
 
 def shell(altitude_km=500.0, theta_rad=math.pi / 2, omega_min_deg=10.0):
@@ -624,11 +634,10 @@ class TestTaylorSeries:
         alternating = sum((-s) ** t / math.factorial(t) * d for t, d in enumerate(derivs))
         ell0, arc = _serving_arc(ref_orbit, ref_window, serving_km)
         load, weights = _interferer_load(ref_orbit, ch, ell0, arc)
-        work = np.empty((4,) + load.shape)
-        assert float(_taylor_sum(s * load, weights, LAM, m, work)) == pytest.approx(alternating, rel=1e-9)
+        assert taylor_sum(s * load, weights, LAM, m) == pytest.approx(alternating, rel=1e-9)
 
     def test_non_finite_value_raises(self, ref_orbit, ref_window, monkeypatch):
-        monkeypatch.setattr(coverage, "_taylor_sum", lambda load, *rest: np.full(load.shape[:-1], np.nan))
+        monkeypatch.setattr(coverage, "_taylor_integrals", lambda load, weights, m, out, work: out.fill(np.nan))
         with pytest.raises(ValueError, match="not finite"):
             coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ChannelParams(m=2.0)), 1.0)
         with pytest.raises(ValueError, match="not finite"):
@@ -668,7 +677,7 @@ class TestKernelAgainstMpmath:
         a, weights = _interferer_load(ref_orbit, ch, ell0, arc)
         load = a * (top / a.max())
         density = 1.0 / float(np.sum(weights * load / (1.0 + load)))
-        value = float(_taylor_sum(load, weights, density, m, np.empty((4,) + load.shape)))
+        value = taylor_sum(load, weights, density, m)
         assert value == pytest.approx(taylor_sum_mpmath(load, weights, density, m), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
@@ -677,7 +686,7 @@ class TestKernelAgainstMpmath:
         load = np.logspace(-12.0, 6.0, ARC_NODES)
         _, weights = gauss_legendre(0.0, 1.0, ARC_NODES)
         for density in (1e-3, 1.0, 1e3):
-            value = float(_taylor_sum(load, weights, density, m, np.empty((4,) + load.shape)))
+            value = taylor_sum(load, weights, density, m)
             assert value == pytest.approx(taylor_sum_mpmath(load, weights, density, m), rel=1e-12, abs=0.0)
 
 
@@ -742,9 +751,9 @@ class TestTiling:
 
         def recording(load, *rest):
             sizes.append(load.size)
-            return _taylor_sum(load, *rest)
+            return _taylor_integrals(load, *rest)
 
-        monkeypatch.setattr(coverage, "_taylor_sum", recording)
+        monkeypatch.setattr(coverage, "_taylor_integrals", recording)
         orbit, window = shell(altitude)
         grid = threshold_grid_db(-10.0, 30.0, 1.0)
         sir_coverage_curve(orbit, window, lam, ChannelParams(m=3.0), grid)
@@ -758,15 +767,14 @@ class TestTiling:
         # workspace allocated for the curve, and the kernel only reads load
         loads, works = [], []
 
-        def recording(load, weights, density, order, work):
+        def recording(load, weights, order, out, work):
             before = load.copy()
-            value = _taylor_sum(load, weights, density, order, work)
+            _taylor_integrals(load, weights, order, out, work)
             assert np.array_equal(load, before)
             loads.append(load)
             works.append(work)
-            return value
 
-        monkeypatch.setattr(coverage, "_taylor_sum", recording)
+        monkeypatch.setattr(coverage, "_taylor_integrals", recording)
         orbit, window = shell(35786.0)
         tau, _, _ = coverage._serving_rule(orbit, window, 1e4)
         assert tau.size * ARC_NODES > coverage._BLOCK
@@ -775,6 +783,112 @@ class TestTiling:
         assert all(np.shares_memory(load, loads[0]) for load in loads)
         assert len(works) == len(loads)
         assert all(np.shares_memory(work, works[0]) for work in works)
+
+
+    @pytest.mark.parametrize(
+        "altitude,lam,block",
+        [
+            # one group of eleven tiles
+            (500.0, LAM, None),
+            # groups of 25 thresholds, three tiles per threshold
+            (500.0, LAM, 50 * ARC_NODES),
+            # one group, several tiles per threshold
+            (35786.0, 1e4, None),
+        ],
+    )
+    def test_taylor_terms_run_once_per_threshold_group(self, monkeypatch, altitude, lam, block):
+        if block is not None:
+            monkeypatch.setattr(coverage, "_BLOCK", block)
+        tiles, groups = [], []
+
+        def integrals(load, *rest):
+            tiles.append(load.size)
+            return _taylor_integrals(load, *rest)
+
+        def terms(scaled, order):
+            groups.append(scaled.shape[1])
+            return _taylor_terms(scaled, order)
+
+        monkeypatch.setattr(coverage, "_taylor_integrals", integrals)
+        monkeypatch.setattr(coverage, "_taylor_terms", terms)
+        orbit, window = shell(altitude)
+        grid = threshold_grid_db(-10.0, 30.0, 1.0)
+        sir_coverage_curve(orbit, window, lam, ChannelParams(m=3.0), grid)
+        tau, _, _ = coverage._serving_rule(orbit, window, lam)
+        size = max(1, coverage._BLOCK // tau.size)
+        assert groups == [min(size, len(grid) - g) for g in range(0, len(grid), size)]
+        assert len(tiles) > len(groups)
+
+    def test_curve_rows_match_mpmath(self, monkeypatch, ref_orbit, ref_window):
+        # three (threshold, serving node) rows of a real m = 5 curve, read
+        # from the terms the kernel sums, against the 50-digit series on
+        # the same inner rule
+        m = 5
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        rows = []
+
+        def recording(scaled, order):
+            values = _taylor_terms(scaled, order)
+            rows.append(sum(values))
+            return values
+
+        monkeypatch.setattr(coverage, "_taylor_terms", recording)
+        grid = threshold_grid_db(-10.0, 30.0, 1.0)
+        sir_coverage_curve(ref_orbit, ref_window, LAM, ch, grid)
+        (given_tau,) = rows
+        tau, _, arc = coverage._serving_rule(ref_orbit, ref_window, LAM)
+        for i, j in [(0, 0), (20, tau.size // 2), (40, tau.size - 1)]:
+            t, weights = gauss_legendre(tau[j], arc, ARC_NODES)
+            ratio = (arc_to_distance(ref_orbit, tau[j]) / arc_to_distance(ref_orbit, t)) ** ch.alpha
+            load = db_to_linear(grid[i]) * ch.g_i_bar * ratio
+            reference = taylor_sum_mpmath(load, weights, LAM, m)
+            assert given_tau[i, j] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        # a group holds at most _BLOCK (threshold, serving node) rows, so
+        # beyond the (thresholds x serving) output a curve holds a few
+        # m x _BLOCK arrays (integrals, psi, terms) however long its grid.
+        # Integrals for the whole grid would take m times the output.
+        monkeypatch.setattr(coverage, "_BLOCK", 1 << 12)
+        m = 10
+        orbit, window = shell()
+        tau, _, _ = coverage._serving_rule(orbit, window, 1e-4)
+        gammas = np.logspace(-3.0, 3.0, 1500)
+        output = gammas.size * tau.size * 8
+        tracemalloc.start()
+        try:
+            coverage._sir_conditional(orbit, window, 1e-4, ChannelParams(m=float(m)), m, gammas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = output + 5 * m * coverage._BLOCK * 8
+        assert m * output > 2 * bound
+        assert peak <= bound
+
+
+class TestOvershoot:
+    """A raw analytic value is clipped into [0, 1] only from within 1e-12,
+    the rounding slack the property tests assert on raw values; further
+    out it is an error, never a silent 0 or 1."""
+
+    @pytest.mark.parametrize("raw,clipped", [(1.0 + 5e-13, 1.0), (-5e-13, 0.0)])
+    def test_rounding_is_clipped(self, monkeypatch, ref_orbit, ref_window, raw, clipped):
+        monkeypatch.setattr(coverage, "_sir_conditional", lambda *args: np.full(args[-1].size, raw))
+        assert coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ChannelParams()), [1.0, 10.0]).tolist() == [
+            clipped,
+            clipped,
+        ]
+
+    @pytest.mark.parametrize("raw", [1.0 + 2e-12, -2e-12])
+    def test_overshoot_raises(self, monkeypatch, ref_orbit, ref_window, raw):
+        monkeypatch.setattr(coverage, "_sir_conditional", lambda *args: np.full(args[-1].size, raw))
+        with pytest.raises(ValueError, match=r"leaves \[0, 1\] by more than 1e-12"):
+            coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ChannelParams()), 1.0)
+
+    def test_curve_overshoot_raises(self, monkeypatch, ref_orbit, ref_window):
+        monkeypatch.setattr(coverage, "_sir_conditional", lambda *args: np.full(args[-1].size, -1e-9))
+        with pytest.raises(ValueError, match="leaves"):
+            sir_coverage_curve(ref_orbit, ref_window, LAM, ChannelParams(), (0.0, 10.0))
 
 
 class TestThresholdShapes:
