@@ -9,15 +9,17 @@ Four verbs:
 * ``validate``  - the built-in acceptance criteria; writes a
   deterministic report and exits nonzero on any failure.
 * ``sweep``     - the coverage verb repeated over one swept parameter,
-  concatenated into a single file. ``--jobs 1`` runs the variants in
-  order on the calling thread; more jobs run them on a thread pool.
+  concatenated into a single file. The variants run in order on the
+  calling thread; ``--jobs`` caps the threads that run one variant's
+  simulation batches, the calling thread included.
 
 Exit codes: 0 success, 1 computation or validation failure, 2 bad
 scenario file, 3 usage error. Output files are deterministic byte for
-byte for a fixed scenario and seed; floats are written with repr so
-parsing them back loses nothing. Each verb imports only what it runs:
-``validation`` and ``concurrent.futures`` load inside the verbs that
-need them.
+byte for a fixed scenario and seed, whatever the thread count; floats
+are written with repr so parsing them back loses nothing. Each verb
+imports only what it runs: ``validation`` loads inside ``validate``, and
+``concurrent.futures`` with the first simulation that runs on more than
+one thread.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _effective_mc(cfg: ScenarioConfig, args) -> McConfig | None:
     return base
 
 
-def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[str], list[str]]:
+def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None, jobs: int | None = None) -> tuple[list[str], list[str]]:
     """All result lines for one scenario, plus human-readable notices.
 
     Curves are the unconditional coverage probabilities through the best
@@ -178,7 +180,9 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[str], 
     The library exposes the visibility-conditioned variants. Analytic
     curves need an integer Nakagami figure, otherwise the run downgrades
     to simulation only and says so. Each line is one row of the result
-    file, as `write_result_rows` would write it.
+    file, as `write_result_rows` would write it. At most `jobs` threads
+    run the simulation's batches, every usable CPU's by default; the
+    lines do not depend on it.
     """
     constellation = cfg.constellation()
     analytic_ok = float(constellation.channel.m).is_integer()
@@ -199,7 +203,7 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[str], 
             analytic[kind] = _coverage_curve(constellation, cfg.thresholds_db, f"{kind}-analytic", budget)
     simulated: dict[str, CoverageCurve] = {}
     if mc is not None:
-        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc, prefix)
+        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc, prefix, jobs)
         for curve in (joint, *(c for _, snr, _, sinr in per_budget for c in (snr, sinr))):
             simulated[curve.kind.removesuffix("-MC")] = curve
     lines = []
@@ -260,19 +264,11 @@ def cmd_coverage(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int
 
 def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None, jobs: int) -> int:
     """Coverage over each value of the swept parameter, one combined file.
-    One job runs the variants in order on the calling thread."""
+    The variants run in order on the calling thread; at most `jobs`
+    threads run each one's simulation batches."""
     if cfg.sweep is None:
         raise ConfigError("sweep", "the sweep verb needs a sweep section")
-    variants = cfg.sweep.variants
-    if jobs == 1:
-        results = [coverage_rows(variant, mc) for variant in variants]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(coverage_rows, variant, mc) for variant in variants]
-            # collect in submission order: the output must not depend on timing
-            results = [future.result() for future in futures]
+    results = [coverage_rows(variant, mc, jobs) for variant in cfg.sweep.variants]
     for _, notices in results:
         for notice in notices:
             print(f"note: {notice}")
@@ -330,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("validate", help="run the built-in acceptance criteria"), config_required=False)
     sweep = sub.add_parser("sweep", help="coverage swept over one parameter")
     common(sweep)
-    sweep.add_argument("--jobs", type=int, default=4, help="parallel variants (default 4)")
+    sweep.add_argument("--jobs", type=int, default=4, help="most threads running simulation batches at once (default 4)")
     return parser
 
 

@@ -213,9 +213,8 @@ class CoverageCurve:
             raise ValueError(f"unknown curve kind {self.kind!r}")
         if len(self.thresholds_db) != len(self.values):
             raise ValueError("thresholds and values must have the same length")
-        if any(not -1e-9 <= v <= 1.0 + 1e-9 for v in self.values):
+        if any(not 0.0 <= v <= 1.0 for v in self.values):
             raise ValueError("coverage values must lie in [0, 1]")
-        object.__setattr__(self, "values", tuple(min(1.0, max(0.0, v)) for v in self.values))
         if (self.ci_low is None) != (self.ci_high is None):
             raise ValueError("confidence bounds must be given together")
         for name in ("ci_low", "ci_high"):

@@ -37,15 +37,23 @@ scored against the thresholds, all on the same draws. A single orbit is
 the one-orbit constellation, whose any-visible curve is its joint one.
 
 Reproducibility contract: a run is determined by (seed, trials, batch).
-Batch i of n consumes the PCG64 stream of numpy's
-`SeedSequence(seed).spawn(n)[i]` in the order above, so results do not
-depend on how batches are scheduled, only on how the work is split; the
-chunk size is a module constant, not an option.
+Batch i consumes the PCG64 stream of numpy's
+`SeedSequence(seed, spawn_key=(i,))`, which is
+`SeedSequence(seed).spawn(n)[i]` for any batch count n, in the order
+above; each stream is made when its batch is reached. Batches run on the
+package's one thread pool, one thread per CPU the process may use, the
+calling thread among them. Each batch reduces to integer counts that
+are summed in batch order, so results do not depend on how batches are
+scheduled or on how many threads run them, only on how the work is
+split; the chunk size is a module constant, not an option.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +80,9 @@ _CHUNK_SATELLITES = 2**14
 # below the smallest normal double a serving path loss loses precision
 # and the interferer weights, smaller still, go to 0 with it
 _TINY = np.finfo(float).tiny
+# the package's one thread pool, made on first use by _workers
+_pool = None
+_pool_lock = threading.Lock()
 
 
 class DegenerateSampleError(RuntimeError):
@@ -91,16 +102,16 @@ class McConfig:
     batch: int = 10_000
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.batch < 1:
             raise ValueError("batch size must be at least 1")
-
-    def batch_sizes(self) -> list[int]:
-        full, rem = divmod(self.trials, self.batch)
-        return [self.batch] * full + ([rem] if rem else [])
 
 
 def _window_chunks(
@@ -202,11 +213,129 @@ def _wilson_bounds(successes: np.ndarray, trials: int, z: float = 1.96) -> tuple
 
 
 def _batches(cfg: McConfig):
-    """(generator, size) per batch; batch i draws from
-    `SeedSequence(seed).spawn(n)[i]`, n the batch count."""
-    sizes = cfg.batch_sizes()
-    for seq, size in zip(np.random.SeedSequence(cfg.seed).spawn(len(sizes)), sizes):
-        yield np.random.default_rng(seq), size
+    """(generator, size) per batch, each made when it is reached: batch i
+    draws from `SeedSequence(seed, spawn_key=(i,))`, the stream
+    `SeedSequence(seed).spawn(n)[i]` gives, so no batch count's worth of
+    streams is built before the first trial."""
+    full, rem = divmod(cfg.trials, cfg.batch)
+    for i in range(full + (rem > 0)):
+        yield np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,))), cfg.batch if i < full else rem
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers():
+    """The package's one thread pool, made on first use so that importing
+    the package starts no thread. Every map's calling thread works too, so
+    one worker fewer than the usable CPUs keeps each CPU to one thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1), thread_name_prefix="orbitcov")
+        return _pool
+
+
+def _parallel_map(fn, items, limit: int | None = None):
+    """Yield fn(item) for each item, in item order, with at most `limit`
+    items running at once, the calling thread's included, and never more
+    than the usable CPUs; None means all of them.
+
+    The calling thread takes the first item and runs it at once: a pool
+    thread that has just been handed work can wait milliseconds for the
+    interpreter lock, so the caller works rather than waits. limit - 1
+    helper tasks on the shared pool take the items after it, one at a
+    time and in order, as do the caller and the helpers whenever they
+    finish one, so a long item holds back no other and items are pulled
+    only as threads free up. A result waits for those before it. The
+    caller waits only when every item is taken and the next result is
+    still running on a helper, and helpers no pool thread has started by
+    the end are cancelled. So a map nested in an item of another never
+    waits on queued work and cannot deadlock, however busy the pool is.
+    After an item raises, no further item is taken, and the first
+    exception in item order propagates.
+    """
+    cpus = _usable_cpus()
+    limit = cpus if limit is None else min(limit, cpus)
+    if limit <= 1:
+        yield from map(fn, items)
+        return
+    tasks = enumerate(items)
+    finished = {}  # index -> (result, exception) of the items not yet yielded
+    lock = threading.Condition()
+    stopped = False
+    taken = 0
+
+    def finish(index, outcome) -> None:
+        """Record an item's (result, exception); an exception stops the taking."""
+        nonlocal stopped
+        with lock:
+            finished[index] = outcome
+            stopped |= outcome[1] is not None
+            lock.notify_all()
+
+    def take():
+        """The next (index, item), or None once the items are spent or one raised."""
+        nonlocal taken
+        with lock:
+            if stopped:
+                return None
+            try:
+                task = next(tasks, None)
+            except Exception as exc:  # the items' own failure takes the next index
+                finish(taken, (None, exc))
+                task = None
+                taken += 1
+            taken += task is not None
+            return task
+
+    def run(index, item) -> None:
+        try:
+            outcome = (fn(item), None)
+        except BaseException as exc:  # handed to the caller in item order
+            outcome = (None, exc)
+        finish(index, outcome)
+        if outcome[1] is not None and not isinstance(outcome[1], Exception):
+            raise outcome[1]  # an interrupt or exit stops this thread at once
+
+    def help() -> None:
+        while (task := take()) is not None:
+            run(*task)
+
+    helpers = []
+    try:
+        index = 0
+        while True:
+            with lock:
+                ready = index in finished
+            if not ready:
+                task = take()
+                if task is not None:
+                    if not helpers:  # once the caller holds the first item
+                        helpers = [_workers().submit(help) for _ in range(limit - 1)]
+                    run(*task)
+                    continue
+                with lock:
+                    if index == taken:
+                        return
+                    while index not in finished:
+                        lock.wait()
+            result, exc = finished.pop(index)
+            if exc is not None:
+                raise exc
+            yield result
+            index += 1
+    finally:
+        with lock:
+            stopped = True
+        for helper in helpers:
+            helper.cancel()
 
 
 def empirical_nearest_ccdf(
@@ -224,17 +353,23 @@ def empirical_nearest_ccdf(
     if not (density_per_km > 0 and math.isfinite(density_per_km)):
         raise ValueError("satellite density must be positive and finite")
     grid = np.asarray(r_grid_km, dtype=float)
-    exceed = np.zeros(grid.size, dtype=np.int64)
-    survivors = 0
-    for gen, size in _batches(cfg):
+
+    def count(batch) -> tuple[int, np.ndarray]:
+        """A batch's survivors and, per radius, how many lie beyond it."""
+        gen, size = batch
         # chunks only reduce; the distances take one pass per batch
         closest = np.full(size, np.inf)
         for trials, counts, starts, offsets in _window_chunks(orbit, window, gen, density_per_km, size):
             _closest_offsets(counts, starts, offsets, closest[trials])
         nearest = _nearest_distance(orbit, window, closest)
         finite = np.sort(nearest[np.isfinite(nearest)])
-        survivors += finite.size
-        exceed += finite.size - np.searchsorted(finite, grid, side="right")
+        return finite.size, finite.size - np.searchsorted(finite, grid, side="right")
+
+    exceed = np.zeros(grid.size, dtype=np.int64)
+    survivors = 0
+    for batch_survivors, batch_exceed in _parallel_map(count, _batches(cfg)):
+        survivors += batch_survivors
+        exceed += batch_exceed
     if survivors < MIN_CONDITIONING_TRIALS:
         raise DegenerateSampleError(
             f"only {survivors} of {cfg.trials} trials had a visible satellite; "
@@ -276,7 +411,7 @@ def _conditioned(curve: CoverageCurve) -> CoverageCurve:
 
 
 def _coverage_pass(
-    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, prefix: str = ""
+    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, prefix: str = "", jobs: int | None = None
 ) -> tuple[tuple[CoverageCurve, CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
     """Best-satellite SIR coverage and, per link budget, best-satellite
     SNR and SINR coverage, all scored on the same draws: per batch, one
@@ -290,7 +425,9 @@ def _coverage_pass(
     unconditional) tuple per budget; curve kinds carry `prefix`. A budget
     only rescales the noise term, and shared draws make SINR <= SIR and
     SINR <= SNR hold trial by trial, orbit by orbit and so for the best.
-    Distances enter the SNR path loss in meters.
+    Distances enter the SNR path loss in meters. At most `jobs` threads
+    run the batches, every usable CPU's by default; the curves do not
+    depend on it.
 
     The pass never raises for a thin sample: the conditional curves carry
     their survivor count in the metadata, and each view that returns one
@@ -306,12 +443,12 @@ def _coverage_pass(
     gammas = np.array([db_to_linear(g) for g in thresholds_db])
     unit = KM_IN_M ** -channel.alpha
     scales = [budget.snr_scale for budget in budgets]
-    covered_all = np.zeros(gammas.size, dtype=np.int64)
-    covered_any = np.zeros_like(covered_all)
-    snr_cond = np.zeros((len(budgets), gammas.size), dtype=np.int64)
-    sinr_cond = np.zeros_like(snr_cond)
-    survivors = 0
-    for gen, size in _batches(cfg):
+
+    def score(batch) -> tuple[int, np.ndarray]:
+        """A batch's survivors, and its covered counts per threshold in
+        rows: SIR over all visible, SIR over any visible, then SNR and
+        SINR over all visible per budget."""
+        gen, size = batch
         best = np.full(size, -np.inf)
         best_snr = np.zeros((len(budgets), size))
         best_sinr = np.zeros_like(best_snr)
@@ -341,12 +478,16 @@ def _coverage_pass(
                 for j, scale in enumerate(scales):
                     np.maximum(best_snr[j], signal * scale, out=best_snr[j])
                     np.maximum(best_sinr[j], signal / (noise + 1.0 / scale), out=best_sinr[j])
-        survivors += int(np.count_nonzero(all_vis))
-        covered_all += _covered(all_vis, best, gammas)
-        covered_any += _covered(any_vis, best, gammas)
-        for j in range(len(budgets)):
-            snr_cond[j] += _covered(all_vis, best_snr[j], gammas)
-            sinr_cond[j] += _covered(all_vis, best_sinr[j], gammas)
+        rows = [(all_vis, best), (any_vis, best), *((all_vis, v) for v in (*best_snr, *best_sinr))]
+        return int(np.count_nonzero(all_vis)), np.array([_covered(vis, v, gammas) for vis, v in rows])
+
+    survivors = 0
+    covered = np.zeros((2 + 2 * len(budgets), gammas.size), dtype=np.int64)
+    for batch_survivors, batch_covered in _parallel_map(score, _batches(cfg), jobs):
+        survivors += batch_survivors
+        covered += batch_covered
+    covered_all, covered_any = covered[:2]
+    snr_cond, sinr_cond = covered[2 : 2 + len(budgets)], covered[2 + len(budgets) :]
 
     meta = {"n_orbits": constellation.n_orbits}
 

@@ -15,11 +15,12 @@ Nine criteria, each a function returning a `CriterionResult`:
 8. parameter-trend orderings the closed forms imply
 9. seeded rerun determinism
 
-`run_all` runs the nine criteria concurrently, one thread per CPU the
-process may use, and reports them in index order. No criterion writes
-state another reads and each draws from its own seeded streams, so the
-report does not depend on the scheduling. Each criterion's elapsed time
-is its own wall time, so those of concurrent criteria overlap.
+`run_all` runs the nine criteria concurrently on the Monte-Carlo
+module's one thread pool, whose threads also run the criteria's batches,
+and reports them in index order. No criterion writes state another reads
+and each draws from its own seeded streams, so the report does not
+depend on the scheduling. Each criterion's elapsed time is its own wall
+time, so those of concurrent criteria overlap.
 
 Criterion 2 draws and scores only the brute-force points in the few
 slices next to each band edge, counts the run between the edges by
@@ -45,9 +46,7 @@ byte-identical report text.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +77,7 @@ from .montecarlo import (
     _conditioned,
     _coverage_pass,
     _interference,
+    _parallel_map,
     _window_chunks,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
@@ -616,33 +616,29 @@ def run_criterion(index: int, seed: int = DEFAULT_SEED, trials_scale: float = 1.
     return result
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_all(seed: int = DEFAULT_SEED, trials_scale: float = 1.0) -> ValidationReport:
     """Run all nine criteria concurrently and report them in index order.
 
-    The criteria run on a thread pool of one worker per CPU this process
-    may use, at most nine; one CPU runs them one after another in index
-    order. Their heavy work is numpy calls that release the interpreter
-    lock. The criteria share nothing they write: each draws from its own
+    The criteria are mapped over the Monte-Carlo module's one thread pool,
+    as many at once as this process may use CPUs: the calling thread and the
+    pool's helpers take them one at a time in index order, each taking the
+    next as it finishes one, so a long criterion holds back no other. The
+    same threads run the simulation batches inside the criteria, and a
+    thread waits only for work already running, so the nesting cannot
+    deadlock. One CPU runs everything in index order on the calling thread.
+    Their heavy work is numpy calls that release the interpreter lock. The
+    criteria share nothing they write: each draws from its own
     `SeedSequence(seed, spawn_key=(k,))`, the stream
-    `SeedSequence(seed).spawn(n)[k]` would give (k = 2 for criterion 2,
-    4 for criterion 4, 5 for criterion 9), or from `McConfig` seeds. The
-    Gauss-Legendre rules `numerics` caches and `GAMMAS` here are
-    read-only arrays, and no other module-level state in the package is
-    written after import, so the results and the rendered report do not
-    depend on the scheduling. An exception raised by a criterion
-    propagates from here. Each `elapsed_s` is that criterion's own wall
-    time, so concurrent ones overlap.
+    `SeedSequence(seed).spawn(n)[k]` would give (k = 2 for criterion 2, 4
+    for criterion 4, 5 for criterion 9), or from `McConfig` seeds. The
+    Gauss-Legendre rules `numerics` caches and `GAMMAS` here are read-only
+    arrays, and no other module-level state in the package is written after
+    import but the pool itself, so the results and the rendered report do
+    not depend on the scheduling. The first exception a criterion raises, in
+    index order, propagates from here. Each `elapsed_s` is that criterion's
+    own wall time, so concurrent ones overlap.
     """
-    indices = sorted(CRITERION_NAMES)
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(indices))) as pool:
-        results = list(pool.map(lambda index: run_criterion(index, seed, trials_scale), indices))
+    results = list(_parallel_map(lambda index: run_criterion(index, seed, trials_scale), sorted(CRITERION_NAMES)))
     return ValidationReport(seed=seed, trials_scale=trials_scale, results=results)
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from orbitcov import ChannelParams, OrbitGeometry, VisibilityWindow
+from orbitcov import ChannelParams, OrbitGeometry, VisibilityWindow, montecarlo
 
 
 @pytest.fixture
@@ -22,3 +22,23 @@ def ref_window(ref_orbit) -> VisibilityWindow:
 @pytest.fixture
 def rayleigh() -> ChannelParams:
     return ChannelParams(alpha=2.0, m=1.0)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Call with n: the Monte-Carlo pool then sees n usable CPUs and is
+    made afresh, with n - 1 workers beside each calling thread, on its
+    next use. Pools made this way are shut down at the end of the test."""
+    original = montecarlo._pool
+
+    def shut_down_ours():
+        if montecarlo._pool is not None and montecarlo._pool is not original:
+            montecarlo._pool.shutdown()
+
+    def set_workers(cpus: int) -> None:
+        shut_down_ours()
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_pool", None)
+
+    yield set_workers
+    shut_down_ours()

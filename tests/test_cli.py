@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import orbitcov.coverage as coverage
-from orbitcov import LinkBudget, cli, empirical_sir_coverage, empirical_snr_sinr_coverage
+from orbitcov import LinkBudget, cli, empirical_sir_coverage, empirical_snr_sinr_coverage, montecarlo
 from orbitcov.cli import (
     GEOMETRY_HEADER,
     RESULT_HEADER,
@@ -506,7 +506,7 @@ class TestSweepVerb:
         "extra",
         [
             {"sweep": {"parameter": "alpha", "values": [2.0, 3.0]}, "mc": {"trials": 2000, "seed": 3, "batch": 1000}},
-            # analytic only: four threads, each running its curves in its own workspace
+            # analytic only: --jobs draws no batches here, so it must change nothing
             {
                 "sweep": {"parameter": "theta_deg", "values": [80.0, 85.0, 90.0, 95.0]},
                 "channel": {"m": 3},
@@ -517,7 +517,7 @@ class TestSweepVerb:
     )
     def test_jobs_do_not_change_bytes(self, tmp_path, extra):
         cfg = write_scenario(tmp_path, **extra)
-        # one job runs on the calling thread, more on a pool
+        # one job simulates on the calling thread, more also on the pool
         written = []
         for jobs in ("1", "2", "4"):
             out = tmp_path / jobs
@@ -525,21 +525,64 @@ class TestSweepVerb:
             written.append((out / "cli_test_sweep.csv").read_bytes())
         assert written[1] == written[0] and written[2] == written[0]
 
-    def test_one_job_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
-        threads = []
-        coverage_rows = cli.coverage_rows
+    def test_variants_run_in_order_on_the_calling_thread(self, tmp_path, monkeypatch, set_workers):
+        # the variants never leave the calling thread; --jobs caps the
+        # threads that run one variant's batches, and one is this thread
+        set_workers(3)
+        variants, batch_threads, running = [], set(), [0, 0]  # now, most at once
+        lock = threading.Lock()
+        coverage_rows, sir_batch = cli.coverage_rows, montecarlo._sir_batch
 
-        def spy(cfg, mc):
-            threads.append(threading.get_ident())
-            return coverage_rows(cfg, mc)
+        def spy(cfg, mc, jobs):
+            variants.append((cfg.channel.alpha, threading.get_ident()))
+            return coverage_rows(cfg, mc, jobs)
+
+        def batch_spy(*args):
+            with lock:
+                batch_threads.add(threading.get_ident())
+                running[0] += 1
+                running[1] = max(running)
+            try:
+                return sir_batch(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
 
         monkeypatch.setattr(cli, "coverage_rows", spy)
-        cfg = write_scenario(tmp_path, sweep={"parameter": "alpha", "values": [2.0, 3.0, 4.0]})
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--jobs", "1"]) == 0
-        assert threads == [threading.get_ident()] * 3
-        threads.clear()
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
-        assert len(threads) == 3 and threading.get_ident() not in threads
+        monkeypatch.setattr(montecarlo, "_sir_batch", batch_spy)
+        mc = {"trials": 3000, "seed": 3, "batch": 500}
+        cfg = write_scenario(tmp_path, sweep={"parameter": "alpha", "values": [2.0, 3.0, 4.0]}, mc=mc)
+        me = threading.get_ident()
+        for jobs in ("1", "2"):
+            variants.clear()
+            batch_threads.clear()
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+            assert variants == [(2.0, me), (3.0, me), (4.0, me)]
+            if jobs == "1":
+                assert batch_threads == {me}
+        assert running[1] <= 2
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, set_workers):
+        # a two-orbit coverage with a budget over six batches, and an MC
+        # sweep, at one, two and nine workers
+        orbits = [
+            {"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 0.005},
+            {"altitude_km": 500.0, "theta_deg": 84.0, "density_per_km": 0.002},
+        ]
+        budget = {"tx_power_dbm": 40.0, "serving_gain_db": 30.0, "bandwidth_hz": 1.0e7}
+        mc = {"trials": 3000, "seed": 5, "batch": 500}
+        coverage_cfg = write_scenario(tmp_path, "two.json", orbits=orbits, budget=budget, mc=mc)
+        sweep = {"parameter": "density_per_km", "values": [0.001, 0.005]}
+        sweep_cfg = write_scenario(tmp_path, "sweep.json", sweep=sweep, mc=mc)
+        written = []
+        for workers in (1, 2, 9):
+            set_workers(workers)
+            out = tmp_path / str(workers)
+            assert main(["coverage", "--config", str(coverage_cfg), "--out", str(out)]) == 0
+            assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out), "--jobs", "9"]) == 0
+            written.append([(out / name).read_bytes() for name in ("cli_test_coverage.csv", "cli_test_sweep.csv")])
+        assert written[1] == written[0] and written[2] == written[0]
+        assert b"maxSINR-MC" in written[0][0]
 
     def test_sweep_needs_section(self, tmp_path):
         cfg = write_scenario(tmp_path)

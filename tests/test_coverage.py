@@ -476,11 +476,12 @@ class TestCurves:
                 ci_high=None,
             )
 
-    def test_curve_clips_rounding_noise(self):
-        curve = CoverageCurve(
-            thresholds_db=(0.0,), values=(1.0 + 5e-10,), kind="SIR-analytic"
-        )
-        assert curve.values[0] == 1.0
+    @pytest.mark.parametrize("value", [1.0 + 5e-10, -5e-10, math.nan])
+    def test_curve_rejects_rounding_noise(self, value):
+        # analytic values reach a curve through _unit and MC values are
+        # k/n, so anything outside [0, 1] is a defect, never clipped
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            CoverageCurve(thresholds_db=(0.0,), values=(value,), kind="SIR-analytic")
 
 
 def band_edge_theta(altitude_km, omega_min_deg, fraction):

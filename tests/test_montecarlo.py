@@ -6,7 +6,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ from orbitcov.montecarlo import (
     _coverage_pass,
     _interference,
     _nearest_distance,
+    _parallel_map,
     _wilson_bounds,
     _window_chunks,
 )
@@ -491,7 +495,7 @@ class TestNearestDistance:
         # batch i draws from child i of the seed's SeedSequence
         streams = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,))) for i in range(3)]
         nearest = []
-        for gen, size in zip(streams, cfg.batch_sizes(), strict=True):
+        for gen, size in zip(streams, (5_000, 5_000, 2_000), strict=True):
             for _, counts, starts, offsets in _window_chunks(ref_orbit, ref_window, gen, lam, size):
                 closest = np.full(counts.size, np.inf)
                 _closest_offsets(counts, starts, offsets, closest)
@@ -688,11 +692,41 @@ class TestCoverageEstimators:
             McConfig(seed=-1)
         McConfig(seed=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 2500.5), ("trials", True), ("seed", True), ("seed", 7.0), ("batch", 1000.0), ("batch", False)],
+    )
+    def test_non_integer_field_rejected(self, field, value):
+        # a float trial count once failed deep in the batch layout with a
+        # TypeError, and seed=True ran as seed 1
+        with pytest.raises(ValueError, match=field):
+            McConfig(**{field: value})
+        McConfig(**{field: np.int64(5)})
+
+    def test_batch_streams_are_the_spawned_streams(self):
+        cfg = McConfig(trials=6_500, seed=1729, batch=1_000)
+        spawned = np.random.SeedSequence(cfg.seed).spawn(7)
+        batches = list(_batches(cfg))
+        assert [size for _, size in batches] == [1_000] * 6 + [500]
+        for (gen, _), seq in zip(batches, spawned, strict=True):
+            assert np.array_equal(gen.bit_generator.random_raw(8), np.random.default_rng(seq).bit_generator.random_raw(8))
+
+    def test_first_batch_arrives_at_once(self):
+        # spawning every stream first took 0.59 s and 45 MB at 10^5
+        # batches; here there are 10^12
+        cfg = McConfig(trials=10**12, seed=3, batch=1)
+        start = time.perf_counter()
+        gen, size = next(_batches(cfg))
+        assert time.perf_counter() - start < 0.5
+        assert size == 1
+        assert np.array_equal(
+            gen.bit_generator.random_raw(4),
+            np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,))).bit_generator.random_raw(4),
+        )
+
     def test_batch_layout(self):
         cfg = McConfig(trials=10_500, seed=1, batch=4_000)
-        sizes = cfg.batch_sizes()
-        assert sum(sizes) == 10_500
-        assert sizes == [4_000, 4_000, 2_500]
+        assert [size for _, size in _batches(cfg)] == [4_000, 4_000, 2_500]
 
     def test_seed_to_stream_map_is_pinned(self):
         # PCG64's raw output is stable across numpy releases, so these
@@ -712,3 +746,115 @@ class TestCoverageEstimators:
             10732758887181439999,
             7382602035231607526,
         ]
+
+
+class TestWorkerPool:
+    """`_parallel_map` and the estimators on the shared pool: results in
+    item order, the same bytes at any worker count, no deadlock when maps
+    nest, the first exception in item order."""
+
+    def test_results_in_item_order(self, set_workers):
+        set_workers(3)
+
+        def uneven(i):
+            time.sleep(0.02 if i % 3 == 1 else 0.0)
+            return i * i
+
+        assert list(_parallel_map(uneven, range(20))) == [i * i for i in range(20)]
+        assert list(_parallel_map(uneven, range(20), 2)) == [i * i for i in range(20)]
+
+    def test_nested_maps_under_fine_switching(self, set_workers):
+        # nine workers on fewer cores, switching threads every 10 us: a lost
+        # or reordered result changes the sums
+        set_workers(9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sums = list(_parallel_map(lambda i: sum(_parallel_map(lambda j: i * j, range(50))), range(60)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sums == [i * sum(range(50)) for i in range(60)]
+
+    def test_one_thread_is_the_calling_thread(self, set_workers):
+        set_workers(4)
+        threads = list(_parallel_map(lambda _: threading.get_ident(), range(6), 1))
+        assert threads == [threading.get_ident()] * 6
+        assert montecarlo._pool is None
+
+    def test_nested_map_on_one_worker_completes(self, monkeypatch):
+        # every outer item maps its own items over the same one-worker
+        # pool; waiting on queued inner items would hang here
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(montecarlo, "_pool", pool)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+
+        def inner(j):
+            time.sleep(0.002)
+            return j
+
+        def outer(i):
+            return sum(_parallel_map(lambda j: inner(10 * i + j), range(5)))
+
+        results = []
+        thread = threading.Thread(target=lambda: results.append(list(_parallel_map(outer, range(6)))), daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        pool.shutdown(wait=False, cancel_futures=True)
+        assert not thread.is_alive(), "nested map deadlocked"
+        assert results == [[sum(10 * i + j for j in range(5)) for i in range(6)]]
+
+    def test_first_exception_in_item_order_cancels_queued_items(self, monkeypatch):
+        # the caller runs item 0, which fails while the one worker's helper
+        # holds item 1; no item after that is taken, and the two helpers
+        # still queued are cancelled
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(montecarlo, "_pool", pool)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        started = []
+        release = threading.Event()
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise ValueError("item 0")
+            release.wait(5)
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            list(_parallel_map(fn, range(10)))
+        release.set()
+        pool.shutdown(wait=True)
+        assert set(started) <= {0, 1}
+
+        # a later item's earlier failure does not overtake an earlier item's
+        def late(i):
+            if i == 1:
+                time.sleep(0.05)
+            if i in (1, 2):
+                raise ValueError(f"item {i}")
+            return i
+
+        pool = ThreadPoolExecutor(max_workers=2)
+        monkeypatch.setattr(montecarlo, "_pool", pool)
+        with pytest.raises(ValueError, match="item 1"):
+            list(_parallel_map(late, range(10), 3))
+        pool.shutdown(wait=True)
+
+    @pytest.mark.parametrize("workers", [2, 9])
+    def test_batch_exception_propagates(self, set_workers, workers):
+        # every batch's serving path loss underflows at alpha = 150
+        set_workers(workers)
+        spec = single(alpha=150.0)
+        with pytest.raises(ValueError, match="alpha=150.0"):
+            _coverage_pass(spec, (), (0.0,), McConfig(trials=4_000, seed=7, batch=500))
+
+    def test_nearest_ccdf_does_not_depend_on_the_workers(self, set_workers, ref_orbit, ref_window):
+        law = NearestDistanceLaw(ref_orbit, ref_window, LAM)
+        grid = np.linspace(law.d_min_km, law.d_max_km, 42)[1:-1]
+        cfg = McConfig(trials=9_000, seed=41, batch=1_000)
+        runs = []
+        for workers in (1, 2, 9):
+            set_workers(workers)
+            emp, survivors = empirical_nearest_ccdf(ref_orbit, ref_window, LAM, grid, cfg)
+            runs.append((emp.tobytes(), survivors))
+        assert runs[1] == runs[0] and runs[2] == runs[0]

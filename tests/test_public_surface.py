@@ -93,7 +93,7 @@ def test_cli_imports_no_scipy():
 
 
 def test_cli_imports_only_what_every_verb_runs():
-    # `validate` imports the criteria and `sweep --jobs N>1` the thread pool
+    # `validate` imports the criteria, and the first simulation on more than one thread the pool
     loaded = set(modules_after_importing_cli())
     assert "orbitcov.cli" in loaded
     assert loaded.isdisjoint({"orbitcov.validation", "concurrent.futures"})

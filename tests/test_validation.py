@@ -188,11 +188,12 @@ class TestRunAll:
     def test_report_is_the_sequential_report(self, sequential_reports, seed):
         assert render_report(run_all(seed, SCALE)) == sequential_reports[seed]
 
-    @pytest.mark.parametrize("cpus", [1, 9])
-    def test_report_does_not_depend_on_the_worker_count(self, sequential_reports, monkeypatch, cpus):
-        # one worker runs the criteria in order; nine on fewer cores, with a
-        # short switch interval, interleave them as finely as they get
-        monkeypatch.setattr(validation, "_usable_cpus", lambda: cpus)
+    @pytest.mark.parametrize("cpus", [1, 2, 9])
+    def test_report_does_not_depend_on_the_worker_count(self, sequential_reports, set_workers, cpus):
+        # one CPU runs the criteria and their batches in order on this
+        # thread; nine on fewer cores, with a short switch interval,
+        # interleave criteria and batches as finely as they get
+        set_workers(cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
