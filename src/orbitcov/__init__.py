@@ -3,7 +3,8 @@ Poisson point processes on inclined circular orbits.
 
 The package splits along the math: `geometry` holds the closed-form
 visibility geometry, `distance` the nearest-satellite law, `interference`
-the aggregate-interference Laplace transform, `coverage` the SIR/SNR
+the Taylor kernel of the aggregate-interference Laplace transform that
+SIR and SNR coverage and the validation share, `coverage` the SIR/SNR
 coverage integrals and the best-satellite combiner that joins orbits for
 both, a single orbit being the one-orbit constellation
 (`coverage_conditional` for threshold arrays, unconditional curves on
@@ -12,8 +13,9 @@ included, and `validation` the acceptance criteria that hold the two
 sides together. `numerics` holds the fixed Gauss-Legendre rules every
 analytic integral runs on. `cli` wraps the lot for scenario files. The
 runtime needs numpy only. Independent reference forms (the double-angle arc,
-the nearest-distance density, distance-domain integrals, explicit 3-D
-orbit snapshots) live in the test suite, not here.
+the nearest-distance density, the log1p transform and the log-domain SNR
+tail, distance-domain integrals, explicit 3-D orbit snapshots) live in the
+test suite, not here.
 """
 
 from .coverage import (
@@ -42,11 +44,7 @@ from .geometry import (
     visible_arc_length,
     visible_time,
 )
-from .interference import (
-    ChannelParams,
-    laplace_derivatives,
-    log_laplace,
-)
+from .interference import ChannelParams
 from .montecarlo import (
     DegenerateSampleError,
     McConfig,
@@ -80,8 +78,6 @@ __all__ = [
     "visible_arc_length",
     "visible_time",
     "ChannelParams",
-    "laplace_derivatives",
-    "log_laplace",
     "DegenerateSampleError",
     "McConfig",
     "empirical_max_sir_coverage",

@@ -53,6 +53,9 @@ _MAX_GRID_POINTS = 10_000
 _MAX_M = 10.0
 _MAX_DENSITY = 10.0
 _MAX_ALTITUDE_KM = 35786.0
+# least altitude in earth radii: below it r^2 = R^2 + R_E^2 - 2 R_E z cancels
+# near d_min, and serving distances of 0 divided 0/0 and 1/0 in the kernels
+_MIN_ALTITUDE_RATIO = 1e-6
 # trials per Monte-Carlo batch: the simulation scores satellites in
 # bounded chunks, so a batch costs a few 8-byte arrays per trial
 _MAX_BATCH = 1_000_000
@@ -207,7 +210,7 @@ def _parse_earth(data: dict) -> EarthConstants:
     )
 
 
-def _parse_orbits(data: dict) -> tuple[OrbitRow, ...]:
+def _parse_orbits(data: dict, earth: EarthConstants) -> tuple[OrbitRow, ...]:
     if "orbits" not in data:
         raise ConfigError("orbits", "missing required value")
     rows = data["orbits"]
@@ -218,9 +221,14 @@ def _parse_orbits(data: dict) -> tuple[OrbitRow, ...]:
         path = f"orbits[{i}]"
         row = _require_mapping(row, path)
         _check_keys(row, {"altitude_km", "theta_deg", "phi_deg", "density_per_km"}, path)
+        altitude = _number(row, "altitude_km", path, lo=0.0, hi=_MAX_ALTITUDE_KM, lo_open=True)
+        least = _MIN_ALTITUDE_RATIO * earth.radius_km
+        if altitude < least:
+            message = f"must be >= {_MIN_ALTITUDE_RATIO:g} x earth.radius_km ({least:g} km)"
+            raise ConfigError(f"{path}.altitude_km", message)
         parsed.append(
             OrbitRow(
-                altitude_km=_number(row, "altitude_km", path, lo=0.0, hi=_MAX_ALTITUDE_KM, lo_open=True),
+                altitude_km=altitude,
                 theta_deg=_number(row, "theta_deg", path, lo=0.0, hi=180.0),
                 phi_deg=_number(row, "phi_deg", path, 0.0, lo=0.0, hi=360.0, hi_open=True),
                 density_per_km=_number(row, "density_per_km", path, lo=0.0, hi=_MAX_DENSITY, lo_open=True),
@@ -376,11 +384,12 @@ def parse_scenario(data) -> ScenarioConfig:
     window = _require_mapping(data.get("window", {}), "window")
     _check_keys(window, {"omega_min_deg"}, "window")
     omega = _number(window, "omega_min_deg", "window", 0.0, lo=0.0, hi=90.0, hi_open=True)
+    earth = _parse_earth(data)
     config = ScenarioConfig(
         scenario_id=scenario_id,
-        earth=_parse_earth(data),
+        earth=earth,
         omega_min_deg=omega,
-        orbit_rows=_parse_orbits(data),
+        orbit_rows=_parse_orbits(data, earth),
         channel=_parse_channel(data),
         budget=_parse_budget(data),
         thresholds_db=_parse_thresholds(data),

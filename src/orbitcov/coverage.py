@@ -11,7 +11,9 @@ serving power against the interference Laplace transform gives
 with s = m gamma u(tau)^alpha evaluated at the serving distance u(tau).
 The SNR expression replaces the Laplace factors by the gamma-tail sum
 e^(-q) sum q^t / t! with q = m gamma sigma^2 u^alpha / (P G); path-loss
-distances there are in meters, the one place absolute units matter.
+distances there are in meters, the one place absolute units matter. The
+tail runs through the same Taylor recursion as SIR, with e^(-q) in place
+of the transform and no interferer load.
 
 SIR and SNR alike combine orbits through the best visible satellite:
 conditioned on every orbit being visible the per-orbit successes are
@@ -314,19 +316,18 @@ def _snr_conditional(orbit, window, density_per_km, channel, m, gammas, budget) 
     """P(SNR > gamma | visible) for checked m and a flat array of linear
     thresholds, unclipped.
 
-    The serving fading power's gamma tail is e^(-q) sum_{t<m} q^t / t!
-    with q = m gamma sigma^2 u^alpha / (P G) and u in meters, summed in
-    logs so a huge q gives 0, not NaN.
+    The serving fading power's gamma tail e^(-q) sum_{t<m} q^t / t!, with
+    q = m gamma sigma^2 u^alpha / (P G) and u in meters, is the Taylor
+    recursion of the SIR kernel with no interferer load.
     """
     tau, weights, _ = _serving_rule(orbit, window, density_per_km)
     log_q = np.log(m * gammas / budget.snr_scale)[:, None] + channel.alpha * np.log(
         KM_IN_M * arc_to_distance(orbit, tau)
     )
     # past q = e^700 every tail term is 0 in double precision: capping
-    # log q there keeps exp from overflowing without changing a value
+    # log q there keeps q finite, so c_1 = q c_0 reads 0, not inf * 0 = NaN
     q = np.exp(np.minimum(log_q, 700.0))
-    tail = sum(np.exp(t * log_q - q - math.lgamma(t + 1)) for t in range(m))
-    return tail @ weights
+    return sum(_taylor_terms(np.zeros(2), m, q)) @ weights
 
 
 def _best_conditional(constellation: ConstellationSpec, m: int, gammas, budget: LinkBudget | None) -> np.ndarray:

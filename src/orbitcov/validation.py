@@ -7,7 +7,9 @@ Nine criteria, each a function returning a `CriterionResult`:
 2. visible arc length vs brute-force circle sampling
 3. nearest-distance law vs simulation on a parameter grid
 4. interference Laplace transform vs direct averaging, plus
-   finite-difference checks of its derivative recursion
+   finite-difference checks of its derivatives; both read the Taylor
+   terms c_t of the kernel coverage runs, L = c_0 and
+   L^(t) = t! c_t / (-s)^t
 5. SIR coverage vs simulation across path-loss/fading combinations
 6. SNR and SINR coverage vs simulation across bandwidths
 7. the multi-orbit combiner: analytic identity at N = 1, simulation
@@ -71,7 +73,7 @@ from .geometry import (
     visible_arc_length,
     visible_time,
 )
-from .interference import ChannelParams, laplace_derivatives, log_laplace
+from .interference import ChannelParams, _point_terms
 from .montecarlo import (
     McConfig,
     _conditioned,
@@ -366,35 +368,32 @@ def criterion_laplace(seed: int, scale: float = 1.0) -> CriterionResult:
         scales = [0.1, 1.0, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
         directs = _laplace_direct_average(orbit, window, DENSITY_PER_KM, channel, serving, scales, trials, gen)
         for s, direct in zip(scales, directs):
-            analytic = math.exp(log_laplace(orbit, window, DENSITY_PER_KM, channel, serving, s))
+            analytic = _point_terms(orbit, window, DENSITY_PER_KM, channel, serving, s)[0]
             ok &= _check(
                 lines, f"transform r={_fmt(serving)} s={_fmt(s)}", analytic, direct, tol
             )
-    # first derivative, m = 2, against a central difference
-    ch2 = ChannelParams(alpha=2.0, m=2.0)
-    s0 = 2.0 * 1.0 * lo**2
-    h = 1e-5 * s0
-    derivs = laplace_derivatives(orbit, window, DENSITY_PER_KM, ch2, lo, s0, 1)
-    fd = (
-        math.exp(log_laplace(orbit, window, DENSITY_PER_KM, ch2, lo, s0 + h))
-        - math.exp(log_laplace(orbit, window, DENSITY_PER_KM, ch2, lo, s0 - h))
-    ) / (2.0 * h)
-    ok &= _check_bound(
-        lines, "order-1 derivative rel error (m=2)", abs(derivs[1] - fd) / abs(fd), 1e-4
-    )
-    # third derivative, m = 4, five-point stencil
-    ch4 = ChannelParams(alpha=2.0, m=4.0)
-    s0 = 4.0 * 1.0 * lo**2
-    h = 2e-4 * s0
-    derivs = laplace_derivatives(orbit, window, DENSITY_PER_KM, ch4, lo, s0, 3)
+    # the kernel's derivative L^(t) = t! c_t / (-s)^t, t = m - 1, against
+    # finite differences of its transform c_0: the first at m = 2 (central
+    # difference), the third at m = 4 (five-point stencil)
+    def transform(ch: ChannelParams, s: float) -> float:
+        return _point_terms(orbit, window, DENSITY_PER_KM, ch, lo, s)[0]
 
-    def lap4(s: float) -> float:
-        return math.exp(log_laplace(orbit, window, DENSITY_PER_KM, ch4, lo, s))
-
-    fd3 = (-lap4(s0 - 2 * h) + 2 * lap4(s0 - h) - 2 * lap4(s0 + h) + lap4(s0 + 2 * h)) / (2.0 * h**3)
-    ok &= _check_bound(
-        lines, "order-3 derivative rel error (m=4)", abs(derivs[3] - fd3) / abs(fd3), 1e-3
-    )
+    for m, step, bound in ((2, 1e-5, 1e-4), (4, 2e-4, 1e-3)):
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        t = m - 1
+        s0 = m * 1.0 * lo**2
+        h = step * s0
+        deriv = math.factorial(t) * _point_terms(orbit, window, DENSITY_PER_KM, ch, lo, s0)[t] / (-s0) ** t
+        if t == 1:
+            fd = (transform(ch, s0 + h) - transform(ch, s0 - h)) / (2.0 * h)
+        else:
+            fd = (
+                -transform(ch, s0 - 2 * h)
+                + 2 * transform(ch, s0 - h)
+                - 2 * transform(ch, s0 + h)
+                + transform(ch, s0 + 2 * h)
+            ) / (2.0 * h**3)
+        ok &= _check_bound(lines, f"order-{t} derivative rel error (m={m})", abs(deriv - fd) / abs(fd), bound)
     return CriterionResult(4, CRITERION_NAMES[4], bool(ok), lines)
 
 
@@ -552,8 +551,8 @@ def criterion_trends() -> CriterionResult:
     channel = ChannelParams(alpha=2.0, m=1.0)
     lo = d_min(base)
     for s in (1.0e4, 1.0e5, 1.0e6):
-        sparse = log_laplace(base, window, 0.005, channel, lo, s)
-        dense = log_laplace(base, window, 0.01, channel, lo, s)
+        sparse = math.log(_point_terms(base, window, 0.005, channel, lo, s)[0])
+        dense = math.log(_point_terms(base, window, 0.01, channel, lo, s)[0])
         ok &= _check_bound(lines, f"transform rose with density at s={_fmt(s)}", dense - sparse, 0.0)
     # coverage at 10 dB: improves with steeper path loss, sparser orbits,
     # lower shells, overhead inclination; symmetric in the tilt sign

@@ -12,7 +12,10 @@ serving arc coordinate, inner integrals over the interferer arc, and the
 alternating derivative series sum (-s)^t / t! L^(t)(s). `nearest_pdf`
 is the nearest-distance density in the arc coordinate, the library's
 CCDF differentiated through d ell / d r; the library needs only the
-CCDF. The distance-domain forms evaluate the nearest-distance law and
+CCDF. `log_laplace` is the interference transform in the log1p form for
+real m, and `snr_conditional_log_tail` the SNR coverage with its gamma
+tail summed in logs; the library runs both through its Taylor recursion.
+The distance-domain forms evaluate the nearest-distance law and
 the interference transform directly in the distance variable, with the
 inverse-square-root endpoint weight the arc coordinate removes, so they
 check that substitution. `sample_orbit` builds explicit 3-D satellite
@@ -49,7 +52,8 @@ from orbitcov import (
     visible_arc_length,
 )
 from orbitcov.geometry import KM_IN_M, TWO_PI, _window_half_angle
-from orbitcov.interference import _serving_arc
+from orbitcov.coverage import _serving_rule
+from orbitcov.interference import _interferer_load, _serving_arc
 
 # band-edge rounding window of eta, never real overshoot
 _CLAMP_TOL = 1e-12
@@ -263,6 +267,44 @@ def nearest_pdf_distance_form(law: NearestDistanceLaw, r: float) -> float:
         * math.exp(-lam * R * math.acos(e))
         / (R * re * re * sin_t * sin_t * p_vis * math.sqrt(1.0 - e * e))
     )
+
+
+def log_laplace(
+    orbit: OrbitGeometry,
+    window: VisibilityWindow,
+    density_per_km: float,
+    channel: ChannelParams,
+    serving_distance_km: float,
+    s: float,
+) -> float:
+    """ln of the interference Laplace transform at transform variable s,
+    on the library's inner rule but in the log1p form
+    -lambda int (1 - exp(-m log1p(s a))) dt, for any real m >= 0.5.
+
+    s carries units of km^alpha (it multiplies g_i_bar * u^-alpha with u
+    in km). Always <= 0, exactly 0 at s = 0 or when the serving satellite
+    sits on the far window rim and no interferer can exist.
+    """
+    if s < 0:
+        raise ValueError("transform variable must be nonnegative")
+    if not (density_per_km > 0 and math.isfinite(density_per_km)):
+        raise ValueError("satellite density must be positive and finite")
+    ell0, arc = _serving_arc(orbit, window, serving_distance_km)
+    a, weights = _interferer_load(orbit, channel, ell0, arc)
+    return float(density_per_km * np.sum(weights * np.expm1(-channel.m * np.log1p(s * a))))
+
+
+def snr_conditional_log_tail(orbit, window, density: float, channel: ChannelParams, m: int, gammas, budget: LinkBudget):
+    """P(SNR > gamma | visible) on the library's serving rule, with the
+    gamma tail summed term by term in logs, exp(t log q - q - ln t!): a
+    huge q gives 0, not NaN."""
+    tau, weights, _ = _serving_rule(orbit, window, density)
+    log_q = np.log(m * np.asarray(gammas, dtype=float) / budget.snr_scale)[:, None] + channel.alpha * np.log(
+        KM_IN_M * arc_to_distance(orbit, tau)
+    )
+    q = np.exp(np.minimum(log_q, 700.0))
+    tail = sum(np.exp(t * log_q - q - math.lgamma(t + 1)) for t in range(m))
+    return tail @ weights
 
 
 def log_laplace_distance_form(

@@ -713,6 +713,18 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "earth: " in err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("earth,altitude_km", [({}, 1e-12), ({"radius_km": 1e6}, 0.01), ({"radius_km": 1e9}, 10.0)])
+    def test_orbit_too_low_for_its_earth_radius_is_two(self, tmp_path, capsys, earth, altitude_km):
+        # these once printed a numpy warning and exited 1, or exited 0 after
+        # a divide by zero in the simulation
+        orbits = [{"altitude_km": altitude_km, "theta_deg": 90.0, "density_per_km": 0.005}]
+        cfg = write_scenario(tmp_path, earth=earth, window={"omega_min_deg": 0.0}, orbits=orbits, mc={"trials": 1000})
+        out = tmp_path / "o"
+        assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "orbits[0].altitude_km: must be >= 1e-06 x earth.radius_km" in err
+        assert not list(out.iterdir())
+
     def test_budget_on_several_orbits_is_zero(self, tmp_path):
         # the budget was once dropped without notice, then refused; now it
         # adds the best-satellite SNR and SINR curves

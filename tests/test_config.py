@@ -194,6 +194,31 @@ class TestRejection:
             parse_scenario(minimal(earth={"gravitational_constant": constant, "mass_kg": constant}))
         assert caught.value.path == "earth"
 
+    @pytest.mark.parametrize(
+        "radius_km,altitude_km,least",
+        [(None, 1e-12, "0.006371 km"), (1e6, 0.01, "1 km"), (1e9, 10.0, "1000 km")],
+    )
+    def test_orbit_too_low_for_its_earth_radius(self, radius_km, altitude_km, least):
+        # below 1e-6 earth radii the distance from the orbit cancels near
+        # d_min: these ran into 0/0 or 1/0 in the coverage kernels
+        earth = {} if radius_km is None else {"radius_km": radius_km}
+        data = minimal(earth=earth, window={"omega_min_deg": 0.0})
+        data["orbits"][0]["altitude_km"] = altitude_km
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(data)
+        assert caught.value.path == "orbits[0].altitude_km"
+        assert str(caught.value) == f"orbits[0].altitude_km: must be >= 1e-06 x earth.radius_km ({least})"
+        # a swept altitude meets the bound through the variant's parse
+        data["orbits"][0]["altitude_km"] = 5000.0
+        data["sweep"] = {"parameter": "altitude_km", "values": [5000.0, altitude_km]}
+        with pytest.raises(ConfigError, match=r"^sweep.values\[1\]: orbits\[0\].altitude_km: must be >= 1e-06"):
+            parse_scenario(data)
+
+    def test_least_altitude_is_accepted(self):
+        data = minimal(earth={"radius_km": 1e6})
+        data["orbits"][0]["altitude_km"] = 1.0
+        assert parse_scenario(data).orbit_rows[0].altitude_km == 1.0
+
     def test_thresholds_order(self):
         with pytest.raises(ConfigError, match="stop_db"):
             parse_scenario(minimal(thresholds={"start_db": 10.0, "stop_db": 0.0}))
@@ -311,8 +336,9 @@ class TestSweepVariants:
         assert caught.value.path == "sweep.values[1]"
 
     def test_value_that_breaks_the_constellation(self):
-        # a 1e-300 km shell is a legal altitude but has no visibility cap
-        data = minimal(window={"omega_min_deg": 10.0}, sweep={"parameter": "altitude_km", "values": [500.0, 1e-300]})
+        # a 1 km shell is a legal altitude, but under an 89.999 degree floor
+        # its window has no cap in double precision
+        data = minimal(window={"omega_min_deg": 89.999}, sweep={"parameter": "altitude_km", "values": [500.0, 1.0]})
         with pytest.raises(ConfigError) as caught:
             parse_scenario(data)
         assert str(caught.value) == "sweep.values[1]: orbits: degenerate visibility cap"

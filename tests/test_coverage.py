@@ -23,8 +23,6 @@ from orbitcov import (
     d_min,
     db_to_linear,
     empirical_sir_coverage,
-    laplace_derivatives,
-    log_laplace,
     max_sir_coverage_curve,
     sir_coverage_curve,
     snr_coverage_curve,
@@ -32,12 +30,20 @@ from orbitcov import (
     visible_arc_length,
 )
 import orbitcov.coverage as coverage
-from orbitcov.interference import _interferer_load, _serving_arc, _taylor_integrals, _taylor_terms
+from orbitcov.interference import (
+    _interferer_load,
+    _point_terms,
+    _serving_arc,
+    _taylor_integrals,
+    _taylor_terms,
+    laplace_derivatives,
+)
 from orbitcov.numerics import ARC_NODES, gauss_legendre
 from reference_forms import (
     adaptive,
     laplace_derivatives_adaptive,
     sir_coverage_adaptive,
+    snr_conditional_log_tail,
     snr_coverage_adaptive,
 )
 
@@ -194,13 +200,37 @@ class TestSnrCoverage:
         pb = coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, b), 1.0, budget)
         assert pa == pb
 
-    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("m", [1, 3, 10])
     def test_steep_path_loss_tail_underflows_quietly(self, ref_orbit, ref_window, m):
         # at alpha = 60 the tail parameter q exceeds e^709 at every serving
-        # distance: the coverage is 0, reached without an overflow warning
+        # distance: the coverage is 0, reached without an overflow warning;
+        # q is capped at e^700, where q = inf would make c_1 = inf * 0 = NaN
         ch = ChannelParams(alpha=60.0, m=float(m))
         assert coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, ch), 1.0, LinkBudget()) == 0.0
         assert snr_coverage_curve(ref_orbit, ref_window, LAM, ch, LinkBudget(), (-10.0, 0.0, 10.0)).values == (0.0,) * 3
+
+
+class TestSnrTail:
+    """The gamma tail e^(-q) sum_{t<m} q^t / t! runs through the SIR
+    kernel's Taylor recursion with no interferer load; held here to the
+    tail summed term by term in logs."""
+
+    GAMMAS = np.array([db_to_linear(g) for g in threshold_grid_db(-40.0, 60.0, 1.0)])
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    @pytest.mark.parametrize("altitude", [500.0, 2000.0, 35786.0])
+    def test_matches_log_tail(self, altitude, m):
+        orbit, window = shell(altitude)
+        for lam in (1e-6, 0.005, 10.0):
+            for alpha in (0.5, 2.0, 8.0):
+                ch = ChannelParams(alpha=alpha, m=float(m))
+                for tx in (-60.0, 0.0, 40.0, 90.0):
+                    budget = LinkBudget(tx_power_dbm=tx)
+                    value = coverage._snr_conditional(orbit, window, lam, ch, m, self.GAMMAS, budget)
+                    reference = snr_conditional_log_tail(orbit, window, lam, ch, m, self.GAMMAS, budget)
+                    assert np.all(np.abs(value - reference) <= 1e-15)
+                    big = reference >= 1e-290
+                    assert np.all(np.abs(value[big] - reference[big]) <= 1e-12 * reference[big])
 
 
 class TestInvisibleOrbitArguments:
@@ -538,7 +568,7 @@ class TestAgainstAdaptiveReference:
         for lam in (0.005, 0.01):
             for s in (1.0e4, 1.0e5, 1.0e6):
                 reference = laplace_derivatives_adaptive(ref_orbit, lam, rayleigh, ell0, arc, s, 0)[0]
-                value = log_laplace(ref_orbit, ref_window, lam, rayleigh, lo, s)
+                value = math.log(_point_terms(ref_orbit, ref_window, lam, rayleigh, lo, s)[0])
                 assert value == pytest.approx(math.log(reference), rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -623,7 +653,27 @@ class TestBeyondTheAdaptiveReach:
             assert abs(a - p) <= 4.0 * 0.5 * (hi - lo), (a, p, lo, hi)
 
 
+def criterion_4_points():
+    """(serving km, s, m) where validation's criterion 4 reads the kernel's
+    terms: the transform at m = 1 at d_min and mid-range, six s each, and
+    the order-1 (m = 2) and order-3 (m = 4) derivatives at d_min."""
+    orbit, window = shell()
+    lo = d_min(orbit)
+    mid = 0.5 * (lo + window.d_max_km)
+    points = [(r, s, 1) for r in (lo, mid) for s in (0.1, 1.0, 10.0, 0.1 * r**2, r**2, 10.0 * r**2)]
+    return points + [(lo, m * lo**2, m) for m in (2, 4)]
+
+
 class TestTaylorSeries:
+    @pytest.mark.parametrize("serving_km,s,m", criterion_4_points())
+    def test_single_terms_match_derivatives(self, ref_orbit, ref_window, serving_km, s, m):
+        # the single-term identities L = c_0 and L^(t) = t! c_t / (-s)^t
+        ch = ChannelParams(alpha=2.0, m=float(m))
+        terms = _point_terms(ref_orbit, ref_window, LAM, ch, serving_km, s)
+        identities = [terms[0]] + [math.factorial(t) * terms[t] / (-s) ** t for t in range(1, m)]
+        derivs = laplace_derivatives(ref_orbit, ref_window, LAM, ch, serving_km, s, m - 1)
+        assert identities == pytest.approx(derivs, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("m", [2, 3, 5])
     @pytest.mark.parametrize("serving_km,gamma_db", [(500.0, 0.0), (800.0, 10.0), (1200.0, -5.0)])
     def test_matches_derivative_series(self, ref_orbit, ref_window, m, serving_km, gamma_db):

@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from orbitcov import (
-    ChannelParams,
-    OrbitGeometry,
-    laplace_derivatives,
-    log_laplace,
-)
-from reference_forms import log_laplace_distance_form
+from orbitcov import ChannelParams, OrbitGeometry
+from orbitcov.interference import laplace_derivatives
+from reference_forms import log_laplace, log_laplace_distance_form
 
 
 @pytest.fixture

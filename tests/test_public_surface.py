@@ -1,6 +1,6 @@
 """The public surface: exports resolve, every export has a caller outside
-the tests, demos run, the README example holds, and the runtime needs
-numpy only."""
+the tests, every name the benchmark looks up exists, demos run, the
+README example holds, and the runtime needs numpy only."""
 
 import ast
 import importlib
@@ -56,6 +56,26 @@ def test_every_export_has_a_caller_outside_the_tests():
         if not any(name in names for path, names in used.items() if path != defining):
             uncalled.append(name)
     assert uncalled == []
+
+
+def lookup_names(path: Path) -> set[str]:
+    """The string names a file passes to `lookup(module, name)`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "lookup":
+            name = node.args[1]
+            assert isinstance(name, ast.Constant) and isinstance(name.value, str), ast.dump(node)
+            names.add(name.value)
+    return names
+
+
+def test_every_benchmark_lookup_resolves():
+    # the benchmark reaches private and unexported names by string, so a
+    # rename in the package would otherwise fail only its own smoke run
+    names = set().union(*(lookup_names(path) for path in (ROOT / "perfbench").glob("*.py")))
+    modules = [importlib.import_module(name) for name in MODULES]
+    assert names
+    assert sorted(name for name in names if not any(hasattr(module, name) for module in modules)) == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
