@@ -152,12 +152,15 @@ def _window_half_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
     return math.acos(window.cap_base_km / reach)
 
 
-def _squared_distance_at_height(orbit: OrbitGeometry, z):
+def _squared_distance_at_height(orbit: OrbitGeometry, z, out=None):
     """Squared distance (km^2) from the user to orbit points at height z
-    above the equatorial plane of the cap axis: the law of cosines."""
+    above the equatorial plane of the cap axis: the law of cosines,
+    written into `out` (which may be z) when given."""
     R = orbit.radius_km
     re = orbit.earth.radius_km
-    return R * R + re * re - 2.0 * re * z
+    r2 = np.multiply(z, -2.0 * re, out=out)
+    r2 += R * R + re * re
+    return r2
 
 
 def _distance_at_height(orbit: OrbitGeometry, z):

@@ -10,25 +10,26 @@ the law of cosines that turns z into the squared distance r^2 come from
 `geometry`, the same rules the analytic side reads. By the Poisson
 restriction theorem the satellites in the window are themselves Poisson
 with density lambda, so the kernel draws only the window: a
-Poisson(2 R beta lambda) count per trial and offsets o = |psi - pi|
+Poisson(2 R beta lambda) count N per trial and offsets o = |psi - pi|
 uniform in (0, beta), the same law since cos(pi +- o) = -cos(o). The
-distance grows with o, so a min-reduce on o finds the nearest satellite.
+distance grows with o, so the nearest satellite has the smallest
+offset, which exceeds x with probability (1 - x / beta)^N: it is drawn
+first, from one uniform, and the other N - 1 uniform beyond it.
 Interferers weigh (r^2)^(-alpha/2), a reciprocal at alpha = 2, with no
 square root per satellite. The independent checks of the window are
 elsewhere: the tests build explicit 3-D positions on the whole circle
 with the elevation-angle test, and validation criterion 2 counts
 brute-force points of the circle against the arc length.
 
-A batch draws the counts of all its trials, then scores them in chunks
-of whole trials of at most _CHUNK_SATELLITES satellites, or one larger
-trial: each chunk draws its offsets, then its fadings, and the serving
-fadings come last. Only per-trial arrays grow with the batch. Every
-estimator reduces each chunk to per-trial values, its trials' smallest
-offsets and the interference beyond a cut offset, and turns the offsets
-into distances once per batch. The SIR kernel cuts each trial at its
-own smallest offset, the serving satellite; validation criterion 4
-draws through the same chunks only the offsets beyond that of its fixed
-serving radius, and cuts every trial there.
+Per orbit a batch draws (1) the counts of all its trials, (2) one
+uniform per occupied trial for its nearest offset, (3) per chunk of
+whole trials with at most _CHUNK_SATELLITES interferers, their offsets
+cut + (beta - cut) V, the cut a trial's nearest offset, then their
+fadings, and (4) the serving fadings of all its trials. A larger trial
+is drawn in pieces of that size, so only per-trial arrays grow with the
+batch or the window. The nearest-distance estimator draws (1) and (2)
+only; validation criterion 4 draws its own counts beyond a fixed
+serving radius, then the same chunks beyond that one cut.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn, and each trial's best SIR
@@ -114,46 +115,55 @@ class McConfig:
             raise ValueError("batch size must be at least 1")
 
 
-def _window_chunks(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    gen: np.random.Generator,
-    density: float,
-    n: int,
-    lowest: float = 0.0,
-):
-    """Yield (trial slice, counts, starts, offsets) per chunk of n trials,
-    starts each trial's first offset in the chunk's offsets, drawn in the
-    order the module docstring gives; a caller that draws more per chunk
-    does so before asking for the next one. Only the satellites with
-    offsets in (lowest, beta) are drawn, `lowest` clamped to beta: by
-    Poisson restriction those of the whole window beyond `lowest`."""
-    beta = _window_half_angle(orbit, window)
-    lowest = min(lowest, beta)
-    counts = gen.poisson(2.0 * orbit.radius_km * (beta - lowest) * density, n)
+def _nearest_first(orbit: OrbitGeometry, beta: float, gen: np.random.Generator, density: float, n: int):
+    """Per trial of n, its smallest window offset (inf for an empty
+    trial) and how many satellites lie beyond it. Of N offsets uniform on
+    (0, beta) the smallest exceeds x with probability (1 - x / beta)^N:
+    one uniform U per occupied trial gives it as -beta expm1(log1p(-U) / N)."""
+    counts = gen.poisson(2.0 * orbit.radius_km * beta * density, n)
+    occupied = counts > 0
+    closest = np.full(n, np.inf)
+    u = np.log1p(-gen.random(np.count_nonzero(occupied)))
+    u /= counts[occupied]
+    closest[occupied] = -beta * np.expm1(u, out=u)
+    counts[occupied] -= 1
+    return closest, counts
+
+
+def _window_chunks(gen: np.random.Generator, beta: float, counts: np.ndarray, cut):
+    """Yield (trial slice, counts, starts, offsets) per chunk, counts[i]
+    offsets uniform on (cut_i, beta) for trial i, `cut` one offset per
+    trial or one for all; starts is each trial's first offset in the
+    chunk. A trial larger than a chunk comes in pieces, chunks of that
+    one trial whose sums the caller adds; a caller that draws more per
+    chunk does so before asking for the next one."""
+
+    def draw(trials: slice, sizes: np.ndarray) -> np.ndarray:
+        low = cut if np.ndim(cut) == 0 else np.repeat(cut[trials], sizes)
+        offsets = gen.random(int(sizes.sum()))
+        offsets *= beta - low
+        offsets += low
+        return offsets
+
     ends = np.cumsum(counts)
     lo = 0
-    while lo < n:
+    while lo < counts.size:
         before = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, before + _CHUNK_SATELLITES, side="right")))
-        starts = ends[lo:hi] - counts[lo:hi] - before
-        yield slice(lo, hi), counts[lo:hi], starts, gen.uniform(lowest, beta, int(ends[hi - 1]) - before)
+        trials = slice(lo, hi)
+        if counts[lo] <= _CHUNK_SATELLITES:
+            yield trials, counts[trials], ends[trials] - counts[trials] - before, draw(trials, counts[trials])
+        else:  # one trial, in pieces
+            for done in range(0, int(counts[lo]), _CHUNK_SATELLITES):
+                piece = np.minimum(counts[trials] - done, _CHUNK_SATELLITES)
+                yield trials, piece, np.zeros(1, dtype=np.int64), draw(trials, piece)
         lo = hi
 
 
-def _closest_offsets(counts: np.ndarray, starts: np.ndarray, offsets: np.ndarray, closest: np.ndarray) -> None:
-    """Write each occupied trial's smallest offset into `closest`; an
-    empty trial's entry is left as it is."""
-    if offsets.size:
-        occupied = counts > 0
-        closest[occupied] = np.minimum.reduceat(offsets, starts[occupied])
-
-
 def _nearest_distance(orbit: OrbitGeometry, window: VisibilityWindow, closest: np.ndarray) -> np.ndarray:
-    """Nearest visible distance (km) per trial from its smallest offset:
-    cos, the cap test and sqrt run once per trial. inf for an empty trial
-    (offset inf), and when rounding put that satellite on or below the
-    cap base."""
+    """Nearest visible distance (km) per trial from its smallest offset,
+    one cos, cap test and sqrt per trial: inf for an empty trial (offset
+    inf) and where rounding put that satellite on or below the cap base."""
     nearest = np.full(closest.size, np.inf)
     occupied = closest < np.inf
     z = orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(closest[occupied])
@@ -161,23 +171,19 @@ def _nearest_distance(orbit: OrbitGeometry, window: VisibilityWindow, closest: n
     return nearest
 
 
-def _interference(
-    orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts, starts, offsets, fading, cut: np.ndarray
-) -> np.ndarray:
-    """Per-trial sum over the visible satellites beyond the trial's offset
-    in `cut` of fading * (r^2)^(-alpha/2), r in km; the caller applies
-    units and the mean interferer gain."""
+def _interference(orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts, starts, offsets, fading):
+    """Per-trial sum over the satellites at `offsets` of
+    fading * (r^2)^(-alpha/2), r in km; the caller applies units and the
+    mean interferer gain."""
     interference = np.zeros(counts.size)
     if offsets.size:
         z = np.cos(offsets)
         z *= orbit.radius_km * math.sin(orbit.theta_rad)
-        # beyond the trial's cut and clear of the cap base
-        keep = offsets > np.repeat(cut, counts)
-        keep &= z > window.cap_base_km
-        r2 = _squared_distance_at_height(orbit, z)
+        hidden = z <= window.cap_base_km  # by rounding, on the window's rim
+        r2 = _squared_distance_at_height(orbit, z, out=z)
         weight = np.reciprocal(r2, out=r2) if alpha == 2.0 else np.power(r2, -0.5 * alpha, out=r2)
         weight *= fading
-        weight *= keep
+        weight[hidden] = 0.0
         occupied = counts > 0
         interference[occupied] = np.add.reduceat(weight, starts[occupied])
     return interference
@@ -187,18 +193,14 @@ def _sir_batch(
     orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, m: float, alpha: float, n
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (nearest_km, serving fading power, interference sum) of
-    n trials, the interferers those beyond the serving satellite: each
-    chunk draws its fadings after its offsets, and the serving fadings of
-    all n trials come last."""
+    n trials, drawn in the order the module docstring gives."""
     # Gamma(1, 1) is the standard exponential: the same draws, sampled faster
     fading = gen.standard_exponential if m == 1.0 else lambda size: gen.gamma(m, 1.0 / m, size)
-    closest = np.full(n, np.inf)
-    interference = np.empty(n)
-    for trials, counts, starts, offsets in _window_chunks(orbit, window, gen, density, n):
-        _closest_offsets(counts, starts, offsets, closest[trials])
-        interference[trials] = _interference(
-            orbit, window, alpha, counts, starts, offsets, fading(offsets.size), closest[trials]
-        )
+    beta = _window_half_angle(orbit, window)
+    closest, others = _nearest_first(orbit, beta, gen, density, n)
+    interference = np.zeros(n)
+    for trials, counts, starts, offsets in _window_chunks(gen, beta, others, closest):
+        interference[trials] += _interference(orbit, window, alpha, counts, starts, offsets, fading(offsets.size))
     return _nearest_distance(orbit, window, closest), fading(n), interference
 
 
@@ -353,14 +355,12 @@ def empirical_nearest_ccdf(
     if not (density_per_km > 0 and math.isfinite(density_per_km)):
         raise ValueError("satellite density must be positive and finite")
     grid = np.asarray(r_grid_km, dtype=float)
+    beta = _window_half_angle(orbit, window)
 
     def count(batch) -> tuple[int, np.ndarray]:
         """A batch's survivors and, per radius, how many lie beyond it."""
         gen, size = batch
-        # chunks only reduce; the distances take one pass per batch
-        closest = np.full(size, np.inf)
-        for trials, counts, starts, offsets in _window_chunks(orbit, window, gen, density_per_km, size):
-            _closest_offsets(counts, starts, offsets, closest[trials])
+        closest, _ = _nearest_first(orbit, beta, gen, density_per_km, size)
         nearest = _nearest_distance(orbit, window, closest)
         finite = np.sort(nearest[np.isfinite(nearest)])
         return finite.size, finite.size - np.searchsorted(finite, grid, side="right")

@@ -28,15 +28,17 @@ Criterion 2 draws and scores only the brute-force points in the few
 slices next to each band edge, counts the run between the edges by
 arithmetic and skips the generator over the rest: a pair draws ten
 doubles, not its 10^7, and gets the count and leaves the stream of one
-full-size draw. Criterion 4 draws its interferers through the
-Monte-Carlo kernel's chunks, in batches of _DIRECT_BATCH trials: by
+full-size draw. Criterion 3 draws only each trial's nearest satellite,
+as the Monte-Carlo kernel does first. Criterion 4 draws its interferers
+through the kernel's chunks, in batches of _DIRECT_BATCH trials: by
 Poisson restriction the window's satellites beyond the offset of the
-serving radius are those of the leftover arc, so it draws only those and
-the kernel's interference sum cut at that offset is the direct one, and
-its memory is that of one batch at any trial count. It draws the sums
-once per serving radius and averages every transform variable s over
-them (common random numbers): its checks share their draws, and each
-value is what a run for that s alone would give.
+serving radius are those of the leftover arc, so it draws a Poisson
+count for that arc and only those offsets, whose kernel interference
+sum is the direct one, and its memory is that of one batch at any trial
+count. It draws the sums once per serving radius and averages every
+transform variable s over them (common random numbers): its checks
+share their draws, and each value is what a run for that s alone would
+give.
 
 Monte-Carlo tolerances are stated for the default trial counts; when a
 run is scaled down the tolerances widen by sqrt(default / actual), so a
@@ -67,6 +69,7 @@ from .geometry import (
     TWO_PI,
     OrbitGeometry,
     VisibilityWindow,
+    _window_half_angle,
     d_min,
     distance_to_arc,
     orbital_speed,
@@ -330,21 +333,22 @@ def _laplace_direct_average(
     gen,
 ) -> np.ndarray:
     """E[exp(-s I)] for each s by simulating the interferers with the
-    Monte-Carlo kernel: it draws only the satellites beyond the serving
-    radius's offset ell0 / 2R, which by Poisson restriction are exactly
-    those on the leftover arc. Every s is averaged over the same
-    interference sums (common random numbers), drawn in batches of
-    _DIRECT_BATCH trials, so memory stays that of one batch."""
-    cut = float(distance_to_arc(orbit, serving_km)) / (2.0 * orbit.radius_km)
+    Monte-Carlo kernel: each trial draws a Poisson count for the leftover
+    arc beyond the serving radius's offset ell0 / 2R and only the offsets
+    there, which by Poisson restriction are exactly its satellites. Every
+    s is averaged over the same interference sums (common random
+    numbers), drawn in batches of _DIRECT_BATCH trials, so memory stays
+    that of one batch."""
+    beta = _window_half_angle(orbit, window)
+    cut = min(float(distance_to_arc(orbit, serving_km)) / (2.0 * orbit.radius_km), beta)
     s_values = np.asarray(s_values, dtype=float)
     acc = np.zeros(s_values.size)
     for done in range(0, trials, _DIRECT_BATCH):
-        sums = np.empty(min(_DIRECT_BATCH, trials - done))
-        for chunk, counts, starts, offsets in _window_chunks(orbit, window, gen, density, sums.size, cut):
+        sums = np.zeros(min(_DIRECT_BATCH, trials - done))
+        counts = gen.poisson(2.0 * orbit.radius_km * (beta - cut) * density, sums.size)
+        for chunk, chunk_counts, starts, offsets in _window_chunks(gen, beta, counts, cut):
             fading = gen.gamma(channel.m, 1.0 / channel.m, offsets.size)
-            sums[chunk] = _interference(
-                orbit, window, channel.alpha, counts, starts, offsets, fading, np.full(counts.size, cut)
-            )
+            sums[chunk] += _interference(orbit, window, channel.alpha, chunk_counts, starts, offsets, fading)
         for k, s in enumerate(s_values):
             acc[k] += float(np.exp(-s * channel.g_i_bar * sums).sum())
     return acc / trials

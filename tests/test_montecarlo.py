@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -36,15 +37,16 @@ from orbitcov import (
     visible_arc_length,
 )
 from orbitcov.distance import NearestDistanceLaw
-from orbitcov.geometry import TWO_PI, _window_half_angle
+from orbitcov.geometry import TWO_PI, EarthConstants, _window_half_angle
 from orbitcov import montecarlo
 from orbitcov.montecarlo import (
     _batches,
-    _closest_offsets,
     _coverage_pass,
     _interference,
     _nearest_distance,
+    _nearest_first,
     _parallel_map,
+    _sir_batch,
     _wilson_bounds,
     _window_chunks,
 )
@@ -66,19 +68,43 @@ def cumsum_starts(counts):
 
 
 class FixedCounts:
-    """A generator whose Poisson draw returns fixed counts; its other
-    draws come from a seeded generator."""
+    """A generator whose Poisson draw returns (a copy of) fixed counts;
+    its other draws come from a seeded generator, each logged as
+    (method, copy of the array) in `draws`."""
 
     def __init__(self, counts, seed):
         self.counts = np.asarray(counts, dtype=np.int64)
         self.gen = np.random.default_rng(seed)
+        self.draws = []
 
     def poisson(self, lam, size):
         assert size == self.counts.size
-        return self.counts
+        return self.counts.copy()
 
-    def uniform(self, low, high, size):
-        return self.gen.uniform(low, high, size)
+    def __getattr__(self, name):
+        def draw(*args):
+            values = getattr(self.gen, name)(*args)
+            self.draws.append((name, values.copy()))
+            return values
+
+        return draw
+
+
+def kernel_draw(orbit, window, gen, density, n):
+    """A batch's satellites as the SIR kernel draws them: each trial's
+    nearest offset (inf when empty), then per chunk its other offsets."""
+    beta = _window_half_angle(orbit, window)
+    closest, others = _nearest_first(orbit, beta, gen, density, n)
+    return closest, others, list(_window_chunks(gen, beta, others, closest))
+
+
+def per_trial(chunks, n):
+    """Each trial's offsets gathered from the chunks, split trials whole."""
+    offsets = [[] for _ in range(n)]
+    for trials, counts, starts, chunk_offsets in chunks:
+        for i, start, count in zip(range(trials.start, trials.stop), starts, counts):
+            offsets[i].append(chunk_offsets[start : start + count])
+    return [np.concatenate(o) if o else np.empty(0) for o in offsets]
 
 
 def single(theta=math.pi / 2, lam=LAM, m=1.0, alpha=2.0):
@@ -186,31 +212,33 @@ class TestVisibleWindow:
     def test_mean_visible_count(self, ref_window, theta):
         orbit = OrbitGeometry(500.0, theta)
         n = 200_000
-        chunks = _window_chunks(orbit, ref_window, np.random.default_rng(22), LAM, n)
-        r_vis = satellite_distances(orbit, ref_window, np.concatenate([offsets for _, _, _, offsets in chunks]))
+        closest, _, chunks = kernel_draw(orbit, ref_window, np.random.default_rng(22), LAM, n)
+        offsets = np.concatenate([closest[np.isfinite(closest)], *(offsets for _, _, _, offsets in chunks)])
+        r_vis = satellite_distances(orbit, ref_window, offsets)
         mean = LAM * visible_arc_length(orbit, ref_window)
         assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
 
     def test_lowest_offset_draws_only_beyond_it(self, ref_orbit, ref_window):
-        # offsets in (lowest, beta) at the Poisson mean 2 R (beta - lowest)
-        # lambda; lowest 0 is the whole window's draw, bit for bit, and a
-        # lowest past beta draws nothing
+        # each trial's offsets uniform on (cut, beta), for one cut and for
+        # a cut per trial; a cut of 0 is the whole window's draw, bit for
+        # bit, and a cut on beta puts every offset there
         beta = _window_half_angle(ref_orbit, ref_window)
-        n = 50_000
+        counts = np.random.default_rng(36).poisson(2.0 * ref_orbit.radius_km * beta * LAM, 50_000)
 
-        def draw(*lowest):
-            chunks = list(_window_chunks(ref_orbit, ref_window, np.random.default_rng(36), LAM, n, *lowest))
-            return np.concatenate([c for _, c, _, _ in chunks]), np.concatenate([o for _, _, _, o in chunks])
+        def draw(cut):
+            chunks = _window_chunks(np.random.default_rng(37), beta, counts, cut)
+            return np.concatenate([o for _, _, _, o in chunks])
 
-        for got, want in zip(draw(0.0), draw()):
-            assert np.array_equal(got, want)
-        counts, offsets = draw(0.5 * beta)
-        mean = ref_orbit.radius_km * beta * LAM
-        assert counts.mean() == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
+        assert np.array_equal(draw(0.0), np.random.default_rng(37).uniform(0.0, beta, counts.sum()))
+        offsets = draw(0.5 * beta)
         assert offsets.min() >= 0.5 * beta and offsets.max() < beta
         assert stats.kstest(offsets, stats.uniform(0.5 * beta, 0.5 * beta).cdf).pvalue > 1e-3
-        counts, offsets = draw(1.5 * beta)
-        assert not counts.any() and offsets.size == 0
+        cuts = np.random.default_rng(38).uniform(0.0, beta, counts.size)
+        low = np.repeat(cuts, counts)
+        offsets = draw(cuts)
+        assert np.all(offsets >= low) and offsets.max() < beta
+        assert stats.kstest((offsets - low) / (beta - low), stats.uniform().cdf).pvalue > 1e-3
+        assert np.all(draw(beta) == beta)
 
     def test_nearest_agrees_with_snapshots(self, ref_window):
         # whole-circle 3-D snapshots with the elevation test against the
@@ -220,10 +248,9 @@ class TestVisibleWindow:
         lam = 0.0005
         gen = np.random.default_rng(23)
         snapshots = np.array([sample_orbit(orbit, ref_window, lam, gen).nearest_visible_km for _ in range(4000)])
-        closest = np.full(20_000, np.inf)
-        chunks = _window_chunks(orbit, ref_window, np.random.default_rng(24), lam, closest.size)
-        for trials, counts, starts, offsets in chunks:
-            _closest_offsets(counts, starts, offsets, closest[trials])
+        # the nearest-distance estimator's draw: the nearest offsets alone
+        beta = _window_half_angle(orbit, ref_window)
+        closest, _ = _nearest_first(orbit, beta, np.random.default_rng(24), lam, 20_000)
         kernel = _nearest_distance(orbit, ref_window, closest)
         p_vis = NearestDistanceLaw(orbit, ref_window, lam).visibility_probability
         for sample in (snapshots, kernel):
@@ -244,26 +271,24 @@ class TestVisibleWindow:
         ],
     )
     def test_closest_offset_is_the_per_satellite_minimum(self, altitude_km, omega_deg, theta):
-        # on the same draws, the angle reduction must pick the satellite the
-        # per-satellite distances put nearest; theta None sits at 0.999999
-        # of the upper band edge, where the window is a sliver
+        # on the same draws, the offset drawn first must be the satellite
+        # the per-satellite distances put nearest; theta None sits at
+        # 0.999999 of the upper band edge, where the window is a sliver
         window = VisibilityWindow.from_min_elevation(math.radians(omega_deg), OrbitGeometry(altitude_km, math.pi / 2))
         if theta is None:
             theta = _band_thetas(altitude_km, window)[1]
         orbit = OrbitGeometry(altitude_km, theta)
         n = 20_000
-        # about 3 satellites per trial, so most trials reduce over several
+        # about 3 satellites per trial, so most trials have others
         density = 3.0 / visible_arc_length(orbit, window)
-        counts, offsets = window_draw(orbit, window, np.random.default_rng(29), density, n)
-        starts = cumsum_starts(counts)
-        r_vis = satellite_distances(orbit, window, offsets)
+        closest, _, chunks = kernel_draw(orbit, window, np.random.default_rng(29), density, n)
+        others = per_trial(chunks, n)
         expected = np.full(n, np.inf)
-        occupied = counts > 0
-        expected[occupied] = np.minimum.reduceat(r_vis, starts[occupied])
-        closest = np.full(n, np.inf)
-        _closest_offsets(counts, starts, offsets, closest)
+        for i in np.flatnonzero(np.isfinite(closest)):
+            expected[i] = satellite_distances(orbit, window, np.append(others[i], closest[i])).min()
         nearest = _nearest_distance(orbit, window, closest)
         seen = np.isfinite(expected)
+        assert sum(o.size > 0 for o in others) > n // 2
         assert np.array_equal(np.isfinite(nearest), seen)
         assert np.count_nonzero(seen) > n // 2
         assert np.allclose(nearest[seen], expected[seen], rtol=1e-12, atol=0.0)
@@ -318,23 +343,32 @@ class TestChunkedKernel:
     def test_score_matches_the_per_satellite_form(self, ref_window, alpha, sliver, cut):
         # squared-distance weights against sqrt, then r^-alpha, on the same
         # fixed arrays; the sliver sits 1e-12 of the band inside its edge,
-        # where the window is a few meters wide. The interferers are those
-        # beyond each trial's own nearest offset, as in the SIR kernel, or
-        # beyond half the window, as in a fixed serving radius's transform
+        # where the window is a few meters wide. The kernel is handed the
+        # interferers: those beyond each trial's own nearest offset, as in
+        # the SIR kernel, or beyond half the window, as in a fixed serving
+        # radius's transform
         theta = math.pi / 2
         if sliver:
             theta += math.acos(ref_window.cap_base_km / OrbitGeometry(500.0, theta).radius_km) * (1.0 - 1e-12)
         orbit = OrbitGeometry(500.0, theta)
         counts, offsets, fading = self._fixed_trials(orbit, ref_window, 31)
-        starts = cumsum_starts(counts)
         closest = np.full(counts.size, np.inf)
-        _closest_offsets(counts, starts, offsets, closest)
+        beyond = np.zeros(offsets.size, dtype=bool)
+        for i, start in enumerate(cumsum_starts(counts)):
+            seg = slice(start, start + counts[i])
+            if counts[i]:
+                closest[i] = offsets[seg].min()
+                beyond[seg] = np.arange(counts[i]) != np.argmin(offsets[seg])
         nearest = _nearest_distance(orbit, ref_window, closest)
         if cut == "nearest":
-            cuts, reference_cuts = closest, None
+            reference_cuts = None
         else:
-            cuts = reference_cuts = np.full(counts.size, 0.5 * _window_half_angle(orbit, ref_window))
-        interference = _interference(orbit, ref_window, alpha, counts, starts, offsets, fading, cuts)
+            reference_cuts = np.full(counts.size, 0.5 * _window_half_angle(orbit, ref_window))
+            beyond = offsets > np.repeat(reference_cuts, counts)
+        kept = np.bincount(np.repeat(np.arange(counts.size), counts)[beyond], minlength=counts.size)
+        interference = _interference(
+            orbit, ref_window, alpha, kept, cumsum_starts(kept), offsets[beyond], fading[beyond]
+        )
         expected_nearest, expected_interference = score_per_satellite(
             orbit, ref_window, alpha, counts, offsets, fading, reference_cuts
         )
@@ -347,15 +381,19 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("density", [LAM, 0.05, 10.0])
     def test_chunks_tile_the_batch(self, ref_orbit, ref_window, density):
+        # whole trials together up to _CHUNK_SATELLITES satellites, and a
+        # larger trial in pieces: at 10 per km each of the 4 trials has
+        # ~33,700 satellites beyond its nearest
         n = 3_000 if density < 1.0 else 4
-        chunks = list(_window_chunks(ref_orbit, ref_window, np.random.default_rng(32), density, n))
-        assert [chunk[0].start for chunk in chunks] == [0] + [chunk[0].stop for chunk in chunks[:-1]]
-        assert chunks[-1][0].stop == n
-        for trials, counts, starts, offsets in chunks:
-            assert counts.size == trials.stop - trials.start
+        _, others, chunks = kernel_draw(ref_orbit, ref_window, np.random.default_rng(32), density, n)
+        trials = list(dict.fromkeys((chunk[0].start, chunk[0].stop) for chunk in chunks))
+        assert [start for start, _ in trials] == [0] + [stop for _, stop in trials[:-1]]
+        assert trials[-1][1] == n
+        for trial, counts, starts, offsets in chunks:
+            assert counts.size == trial.stop - trial.start
             assert np.array_equal(starts, cumsum_starts(counts))
-            assert offsets.size == counts.sum()
-            assert offsets.size <= montecarlo._CHUNK_SATELLITES or counts.size == 1
+            assert offsets.size == counts.sum() <= montecarlo._CHUNK_SATELLITES
+        assert [o.size for o in per_trial(chunks, n)] == others.tolist()
         assert len(chunks) > 1
 
     def test_small_chunks_keep_the_law(self, monkeypatch):
@@ -368,6 +406,60 @@ class TestChunkedKernel:
         analytic = sir_coverage_curve(spec.orbits[0], spec.window, LAM, spec.channel, grid).values
         half_width = (np.asarray(simulated.ci_high) - np.asarray(simulated.ci_low)) / 2.0
         assert np.all(np.abs(analytic - np.asarray(simulated.values)) <= 4.0 * half_width)
+
+    def test_split_trial_matches_the_per_satellite_form(self, monkeypatch, ref_orbit, ref_window):
+        # at chunks of 64 satellites a trial with 1,000 interferers is
+        # scored in 16 pieces whose sums the kernel adds up. The draws,
+        # logged in their order, rebuild every satellite: one uniform per
+        # occupied trial for its nearest offset, per chunk the other
+        # offsets and then their fadings, the serving fadings last
+        monkeypatch.setattr(montecarlo, "_CHUNK_SATELLITES", 64)
+        counts = np.array([3, 0, 1_001, 5, 0, 40, 30, 2])
+        gen = FixedCounts(counts, 39)
+        nearest, serving, interference = _sir_batch(ref_orbit, ref_window, gen, LAM, 2.0, 3.5, counts.size)
+        (first, u), *chunk_draws, (last, serving_draw) = gen.draws
+        assert (first, u.size, last) == ("random", 6, "gamma")
+        assert np.array_equal(serving, serving_draw)
+        assert [name for name, _ in chunk_draws] == ["random", "gamma"] * (len(chunk_draws) // 2)
+        assert len(chunk_draws) // 2 > 16
+        beta = _window_half_angle(ref_orbit, ref_window)
+        occupied = counts > 0
+        closest = -beta * np.expm1(np.log1p(-u) / counts[occupied])
+        beyond = np.concatenate([v for name, v in chunk_draws if name == "random"])
+        low = np.repeat(closest, counts[occupied] - 1)
+        beyond = low + (beta - low) * beyond
+        fading = np.concatenate([v for name, v in chunk_draws if name == "gamma"])
+        # each trial's satellites with its nearest first; the form scores
+        # all but that one as interferers
+        ends = np.cumsum(counts[occupied] - 1)
+        offsets = np.concatenate([np.append(c, b) for c, b in zip(closest, np.split(beyond, ends[:-1]))])
+        fading = np.concatenate([np.append(1.0, f) for f in np.split(fading, ends[:-1])])
+        expected_nearest, expected_interference = score_per_satellite(
+            ref_orbit, ref_window, 3.5, counts, offsets, fading
+        )
+        assert np.array_equal(np.isfinite(nearest), occupied)
+        assert np.allclose(nearest[occupied], expected_nearest[occupied], rtol=1e-12, atol=0.0)
+        assert np.array_equal(interference == 0.0, expected_interference == 0.0)
+        assert np.allclose(interference, expected_interference, rtol=1e-12, atol=0.0)
+
+    def test_huge_trial_memory_is_bounded(self):
+        # an Earth radius of 1e7 km puts ~2.8e6 satellites in each trial's
+        # window at 10 per km, 1000 km up with omega_min 0: one such
+        # trial's 8-byte array takes ~22.6 MB. Scored in pieces, a pass
+        # over 3 trials peaks under a quarter of that
+        orbit = OrbitGeometry(1000.0, math.pi / 2, earth=EarthConstants(radius_km=1e7))
+        window = VisibilityWindow.from_min_elevation(0.0, orbit)
+        spec = ConstellationSpec((orbit,), (10.0,), window, ChannelParams(alpha=2.0, m=1.0))
+        unsplit_bytes = 8.0 * 2.0 * orbit.radius_km * _window_half_angle(orbit, window) * 10.0
+        assert unsplit_bytes > 2e7
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _coverage_pass(spec, (), (0.0,), McConfig(trials=3, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * unsplit_bytes
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
     def test_dense_batch_memory_is_bounded(self, tmp_path):
@@ -416,12 +508,59 @@ class TestChunkedKernel:
         assert peak_mb < 120.0
 
 
+class TestWholeWindowLaw:
+    """The SIR kernel draws each trial's nearest offset first and its
+    others uniform beyond it; the whole-window draw of the reference
+    forms draws every offset uniform on (0, beta) and scores each trial
+    one satellite at a time. Both must give one law of SIR coverage.
+
+    4 densities x 2 fadings x 9 thresholds make 72 comparisons of
+    covered counts over all trials. A false failure of at most 1e-6 per
+    run leaves 1e-6 / 72 = 1.4e-8 to each (Bonferroni). Each is Fisher's
+    exact test, whose two-sided p-value falls below a level with at most
+    that probability when both samples share one coverage probability.
+    A normal two-sample z would be as strict (|z| <= 5.67) only where
+    counts are large: near the top thresholds a sample covers a handful
+    of trials, and there 4 reference successes against none give |z| 6.3
+    but p 7e-5.
+    """
+
+    GRID = threshold_grid_db(-10.0, 30.0, 5.0)
+    DENSITIES = (1e-4, 0.001, 0.005, 0.02)
+    FADINGS = (1.0, 2.0)
+    LEVEL = 1e-6 / (len(DENSITIES) * len(FADINGS) * len(GRID))
+    KERNEL_TRIALS = 200_000
+    REFERENCE_TRIALS = 20_000
+
+    @pytest.mark.parametrize("m", FADINGS)
+    @pytest.mark.parametrize("lam", DENSITIES)
+    def test_nearest_first_keeps_the_whole_window_law(self, lam, m):
+        spec = single(lam=lam, m=m)
+        orbit, window, channel = spec.orbits[0], spec.window, spec.channel
+        seed = 50 + 2 * self.DENSITIES.index(lam) + self.FADINGS.index(m)
+        cfg = McConfig(trials=self.KERNEL_TRIALS, seed=seed, batch=50_000)
+        _, kernel = empirical_sir_coverage(spec, self.GRID, cfg)
+        gen = np.random.default_rng(seed)
+        n = self.REFERENCE_TRIALS
+        counts, offsets = window_draw(orbit, window, gen, lam, n)
+        fading = gen.gamma(m, 1.0 / m, offsets.size)
+        nearest, interference = score_per_satellite(orbit, window, channel.alpha, counts, offsets, fading)
+        seen = np.isfinite(nearest)
+        # the serving fading is independent of every offset
+        signal = gen.gamma(m, 1.0 / m, n)[seen] * nearest[seen] ** -channel.alpha
+        with np.errstate(divide="ignore"):
+            sir = signal / (channel.g_i_bar * interference[seen])
+        reference = np.array([np.count_nonzero(sir > db_to_linear(g)) for g in self.GRID])
+        covered = np.rint(np.asarray(kernel.values) * cfg.trials).astype(int)
+        for k, r in zip(covered, reference):
+            assert stats.fisher_exact([[k, cfg.trials - k], [r, n - r]])[1] >= self.LEVEL
+        assert reference[0] > n // 4
+
+
 class TestChunkStarts:
     @staticmethod
     def _chunks(counts, seed=34):
-        orbit = OrbitGeometry(500.0, math.pi / 2)
-        window = VisibilityWindow.from_min_elevation(math.radians(10.0), orbit)
-        return list(_window_chunks(orbit, window, FixedCounts(counts, seed), LAM, len(counts)))
+        return list(_window_chunks(np.random.default_rng(seed), 0.2, np.asarray(counts, dtype=np.int64), 0.0))
 
     def test_offsets(self):
         ((_, _, starts, _),) = self._chunks([3, 0, 2, 5])
@@ -435,20 +574,39 @@ class TestChunkStarts:
 
     def test_starts_are_the_cumulative_counts(self):
         # runs of empty trials, one trial larger than a chunk between
-        # them, and chunk edges wherever the counts put them
+        # them, which comes in pieces, and chunk edges wherever the counts
+        # put them
         gen = np.random.default_rng(35)
-        large = montecarlo._CHUNK_SATELLITES + 3_000
+        large = 2 * montecarlo._CHUNK_SATELLITES + 3_000
         counts = np.concatenate([[0, 0], gen.poisson(3.0, 8_000), [0, large, 0, 0], gen.poisson(0.5, 300), [0]])
         chunks = self._chunks(counts)
-        assert len(chunks) > 2
-        assert np.array_equal(np.concatenate([c for _, c, _, _ in chunks]), counts)
+        assert len(chunks) > 4
         before = 0
+        drawn = np.zeros_like(counts)
         for trials, chunk_counts, starts, offsets in chunks:
             assert np.array_equal(starts, cumsum_starts(chunk_counts))
-            assert np.array_equal(starts + before, cumsum_starts(counts)[trials])
-            assert offsets.size == chunk_counts.sum()
+            assert np.array_equal(starts + before, cumsum_starts(counts)[trials] + drawn[trials])
+            assert offsets.size == chunk_counts.sum() <= montecarlo._CHUNK_SATELLITES
+            drawn[trials] += chunk_counts
             before += offsets.size
-        assert any(c.size == 1 and c[0] > montecarlo._CHUNK_SATELLITES for _, c, _, _ in chunks)
+        assert np.array_equal(drawn, counts)
+        pieces = [c[0] for t, c, _, _ in chunks if counts[t.start] == large]
+        assert pieces == [montecarlo._CHUNK_SATELLITES] * 2 + [3_000]
+
+    def test_one_cut_draws_numpys_uniform(self):
+        # validation criterion 4's draws: one cut for all trials and a
+        # gamma fading draw after each chunk's offsets. Each chunk's
+        # offsets are gen.uniform(cut, beta, k) on the same stream, bit
+        # for bit
+        beta, cut = 0.2, 0.07
+        counts = np.random.default_rng(40).poisson(8.0, 6_000)
+        gen, twin = np.random.default_rng(41), np.random.default_rng(41)
+        chunks = 0
+        for _, _, _, offsets in _window_chunks(gen, beta, counts, cut):
+            assert np.array_equal(offsets, twin.uniform(cut, beta, offsets.size))
+            assert np.array_equal(gen.gamma(2.0, 0.5, offsets.size), twin.gamma(2.0, 0.5, offsets.size))
+            chunks += 1
+        assert chunks > 1
 
 
 class TestWilson:
@@ -485,21 +643,23 @@ class TestNearestDistance:
         assert sup < 0.01
 
     def test_batch_distances_are_the_per_chunk_distances(self, ref_orbit, ref_window):
-        # chunks reduce into one array and the distances take one pass per
-        # batch: the same draws give the same CCDF, bit for bit, as scoring
-        # each chunk's nearest distances on its own; about ten chunks a batch
+        # pins the estimator's draws bit for bit: per batch the counts of
+        # its trials, then one uniform U per occupied trial, whose nearest
+        # offset of N is -beta expm1(log1p(-U) / N), and nothing more; the
+        # per-satellite form turns the offsets into distances
         lam = 0.01
         cfg = McConfig(trials=12_000, seed=19, batch=5_000)
         law = NearestDistanceLaw(ref_orbit, ref_window, lam)
         grid = np.linspace(law.d_min_km, law.d_max_km, 52)[1:-1]
+        beta = _window_half_angle(ref_orbit, ref_window)
         # batch i draws from child i of the seed's SeedSequence
         streams = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,))) for i in range(3)]
         nearest = []
         for gen, size in zip(streams, (5_000, 5_000, 2_000), strict=True):
-            for _, counts, starts, offsets in _window_chunks(ref_orbit, ref_window, gen, lam, size):
-                closest = np.full(counts.size, np.inf)
-                _closest_offsets(counts, starts, offsets, closest)
-                nearest.append(_nearest_distance(ref_orbit, ref_window, closest))
+            counts = gen.poisson(2.0 * ref_orbit.radius_km * beta * lam, size)
+            counts = counts[counts > 0]
+            closest = -beta * np.expm1(np.log1p(-gen.random(counts.size)) / counts)
+            nearest.append(satellite_distances(ref_orbit, ref_window, closest))
         nearest = np.concatenate(nearest)
         finite = np.sort(nearest[np.isfinite(nearest)])
         emp, survivors = empirical_nearest_ccdf(ref_orbit, ref_window, lam, grid, cfg)
