@@ -30,6 +30,7 @@ import dataclasses
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,22 +47,6 @@ __all__ = [
     "coverage_rows",
     "main",
 ]
-
-RESULT_FIELDS = (
-    "scenario_id",
-    "curve_kind",
-    "gamma_db",
-    "value",
-    "ci_low",
-    "ci_high",
-    "theta_deg",
-    "lambda_per_km",
-    "alpha",
-    "m",
-    "n_orbits",
-    "seed",
-)
-RESULT_HEADER = ",".join(RESULT_FIELDS)
 
 GEOMETRY_HEADER = "scenario_id,omega_min_deg,theta_deg,arc_length_km,visible_time_s,orbital_speed_m_s"
 
@@ -84,6 +69,10 @@ class ResultRow:
     seed: int | None = None
 
 
+RESULT_FIELDS = tuple(field.name for field in dataclasses.fields(ResultRow))
+RESULT_HEADER = ",".join(RESULT_FIELDS)
+
+
 def _cell(value) -> str:
     """The one cell rule of every result file: empty for None, repr for a
     float (so reading it back is exact), str for the rest."""
@@ -104,39 +93,34 @@ def write_result_rows(path, rows) -> None:
     _write_lines(path, (",".join(_cell(getattr(row, name)) for name in RESULT_FIELDS) for row in rows))
 
 
-def _parse_cell(text: str, kind):
-    if text == "":
-        return None
-    return kind(text)
+def _cell_reader(hint):
+    """The reader of a field's cells: its declared type, where a blank
+    cell is None only if the field allows None."""
+    kinds = typing.get_args(hint) or (hint,)
+    kind = kinds[0]
+    if type(None) not in kinds:
+        return kind
+    return lambda text: None if text == "" else kind(text)
+
+
+# resolved once: resolving the string annotations compiles each of them
+_CELL_READERS = tuple(map(_cell_reader, typing.get_type_hints(ResultRow).values()))
 
 
 def read_result_rows(path) -> list[ResultRow]:
     """Read rows written by `write_result_rows`."""
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != list(RESULT_FIELDS):
+        reader = csv.reader(handle)
+        if next(reader, None) != list(RESULT_FIELDS):
             raise ValueError(f"unexpected result header in {path}")
         rows = []
-        for record in reader:
-            # DictReader files extra cells under None and fills missing ones with None
-            if None in record or None in record.values():
+        for cells in filter(None, reader):  # skip blank lines
+            if len(cells) != len(RESULT_FIELDS):
                 raise ValueError(f"{path} line {reader.line_num}: expected {len(RESULT_FIELDS)} cells")
-            rows.append(
-                ResultRow(
-                    scenario_id=record["scenario_id"],
-                    curve_kind=record["curve_kind"],
-                    gamma_db=float(record["gamma_db"]),
-                    value=float(record["value"]),
-                    ci_low=_parse_cell(record["ci_low"], float),
-                    ci_high=_parse_cell(record["ci_high"], float),
-                    theta_deg=_parse_cell(record["theta_deg"], float),
-                    lambda_per_km=_parse_cell(record["lambda_per_km"], float),
-                    alpha=_parse_cell(record["alpha"], float),
-                    m=_parse_cell(record["m"], float),
-                    n_orbits=_parse_cell(record["n_orbits"], int),
-                    seed=_parse_cell(record["seed"], int),
-                )
-            )
+            try:
+                rows.append(ResultRow(*[read(text) for read, text in zip(_CELL_READERS, cells)]))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return rows
 
 

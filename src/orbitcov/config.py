@@ -5,12 +5,14 @@ channel, optional link budget, the threshold grid, optional Monte-Carlo
 settings and optional geometry/sweep sections. Validation is strict on
 purpose: unknown keys and out-of-range values raise `ConfigError` with
 the dotted path of the offending field, because a silently ignored typo
-in a scenario file is a corrupted study, not a convenience.
+in a scenario file is a corrupted study, not a convenience. A section
+of numbers is one table of keys and bounds, read by `_given`: a key left
+out of `earth`, `channel`, `budget` or `mc` takes its type's default.
 
 This module is the only one that knows what a scenario file means. It
 also resolves the two derived parts the verbs run over: the geometry
-grid (inclinations start + i step, omega defaulting to the window's)
-and the sweep variants. Each sweep value is written into a copy of the
+grid (inclinations start + i step, each omega checked like the window's
+and defaulting to it) and the sweep variants. Each sweep value is written into a copy of the
 decoded file, which is parsed again; an error there is re-raised under
 `sweep.values[i]`, so a swept value meets exactly the bounds of the
 field it replaces.
@@ -27,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .coverage import ConstellationSpec, LinkBudget, threshold_grid_db
+from .coverage import ConstellationSpec, LinkBudget, db_to_linear, threshold_grid_db
 from .geometry import EarthConstants, OrbitGeometry, VisibilityWindow, orbital_speed
 from .interference import ChannelParams
 from .montecarlo import McConfig
@@ -60,14 +62,29 @@ _MIN_ALTITUDE_RATIO = 1e-6
 # bounded chunks, so a batch costs a few 8-byte arrays per trial
 _MAX_BATCH = 1_000_000
 
-SWEEP_PARAMETERS = (
-    "density_per_km",
-    "altitude_km",
-    "theta_deg",
-    "omega_min_deg",
-    "alpha",
-    "m",
-)
+# each field a sweep may vary, and the section that holds it
+SWEEP_PARAMETERS = {
+    "density_per_km": "orbits",
+    "altitude_km": "orbits",
+    "theta_deg": "orbits",
+    "omega_min_deg": "window",
+    "alpha": "channel",
+    "m": "channel",
+}
+
+# the bounds of a section's keys, in the order they are read; a key with
+# no `default` here takes the default of the type built from the section
+_POSITIVE = {"lo": 0.0, "lo_open": True}
+_DB = {"lo": -_DB_LIMIT, "hi": _DB_LIMIT}
+_WINDOW = {"omega_min_deg": {"lo": 0.0, "hi": 90.0, "hi_open": True, "default": 0.0}}
+_EARTH = dict.fromkeys(("radius_km", "gravitational_constant", "mass_kg"), _POSITIVE)
+_CHANNEL = {"g_i_bar_db": {"lo": -_DB_LIMIT, "hi": 0.0}, "alpha": _POSITIVE, "m": {"lo": 0.5, "hi": _MAX_M}}
+_BUDGET = dict.fromkeys(("tx_power_dbm", "serving_gain_db", "noise_density_dbm_hz", "noise_figure_db"), _DB)
+_BUDGET["bandwidth_hz"] = _POSITIVE
+_THRESHOLDS = {
+    "start_db": {**_DB, "default": -10.0}, "stop_db": {**_DB, "default": 30.0}, "step_db": {**_POSITIVE, "default": 5.0}
+}
+_MC = {"trials": {"lo": 1}, "seed": {"lo": 0}, "batch": {"lo": 1, "hi": _MAX_BATCH}}
 
 
 class ConfigError(ValueError):
@@ -116,12 +133,8 @@ def _number(container, key, path: str, default=None, *, lo=None, hi=None, lo_ope
     return value
 
 
-def _integer(mapping: dict, key: str, path: str, default=None, *, lo=None, hi=None):
+def _integer(mapping: dict, key: str, path: str, *, lo=None, hi=None):
     where = _where(path, key)
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(where, "missing required value")
-        return default
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(where, "expected an integer")
@@ -130,6 +143,15 @@ def _integer(mapping: dict, key: str, path: str, default=None, *, lo=None, hi=No
     if hi is not None and value > hi:
         raise ConfigError(where, f"must be <= {hi}")
     return value
+
+
+def _given(data: dict, name: str, table: dict, read=_number) -> dict:
+    """Section `name` of `data` checked against `table`: its given keys,
+    and those with a default in `table`, read in table order."""
+    section = _require_mapping(data.get(name, {}), name)
+    _check_keys(section, set(table), name)
+    read_keys = [key for key, limits in table.items() if key in section or "default" in limits]
+    return {key: read(section, key, name, **table[key]) for key in read_keys}
 
 
 @dataclass(frozen=True)
@@ -198,18 +220,6 @@ class ScenarioConfig:
         )
 
 
-def _parse_earth(data: dict) -> EarthConstants:
-    section = _require_mapping(data.get("earth", {}), "earth")
-    _check_keys(section, {"radius_km", "gravitational_constant", "mass_kg"}, "earth")
-    return EarthConstants(
-        radius_km=_number(section, "radius_km", "earth", 6371.0, lo=0.0, lo_open=True),
-        gravitational_constant=_number(
-            section, "gravitational_constant", "earth", 6.67259e-11, lo=0.0, lo_open=True
-        ),
-        mass_kg=_number(section, "mass_kg", "earth", 5.9736e24, lo=0.0, lo_open=True),
-    )
-
-
 def _parse_orbits(data: dict, earth: EarthConstants) -> tuple[OrbitRow, ...]:
     if "orbits" not in data:
         raise ConfigError("orbits", "missing required value")
@@ -241,31 +251,18 @@ def _parse_orbits(data: dict, earth: EarthConstants) -> tuple[OrbitRow, ...]:
 
 
 def _parse_channel(data: dict) -> ChannelParams:
-    section = _require_mapping(data.get("channel", {}), "channel")
-    _check_keys(section, {"alpha", "m", "g_i_bar_db"}, "channel")
-    g_db = _number(section, "g_i_bar_db", "channel", -13.0, lo=-_DB_LIMIT, hi=0.0)
-    return ChannelParams(
-        alpha=_number(section, "alpha", "channel", 2.0, lo=0.0, lo_open=True),
-        m=_number(section, "m", "channel", 1.0, lo=0.5, hi=_MAX_M),
-        g_i_bar=10.0 ** (g_db / 10.0),
-    )
+    given = _given(data, "channel", _CHANNEL)
+    if "g_i_bar_db" in given:
+        given["g_i_bar"] = db_to_linear(given.pop("g_i_bar_db"))
+    return ChannelParams(**given)
 
 
 def _parse_budget(data: dict) -> LinkBudget | None:
     if "budget" not in data:
         return None
-    section = _require_mapping(data["budget"], "budget")
-    allowed = {"tx_power_dbm", "serving_gain_db", "noise_density_dbm_hz", "noise_figure_db", "bandwidth_hz"}
-    _check_keys(section, allowed, "budget")
-    entries = dict(
-        tx_power_dbm=_number(section, "tx_power_dbm", "budget", 40.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
-        serving_gain_db=_number(section, "serving_gain_db", "budget", 30.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
-        noise_density_dbm_hz=_number(section, "noise_density_dbm_hz", "budget", -174.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
-        noise_figure_db=_number(section, "noise_figure_db", "budget", 11.0, lo=-_DB_LIMIT, hi=_DB_LIMIT),
-        bandwidth_hz=_number(section, "bandwidth_hz", "budget", 1.0e7, lo=0.0, lo_open=True),
-    )
+    given = _given(data, "budget", _BUDGET)
     try:
-        budget = LinkBudget(**entries)
+        budget = LinkBudget(**given)
     except ValueError as exc:  # a linear P G / sigma^2 that no double holds
         raise ConfigError("budget", str(exc)) from None
     if abs(budget.snr_scale_db) > _DB_LIMIT:
@@ -281,26 +278,10 @@ def _grid(start: float, stop: float, step: float, step_path: str) -> tuple[float
 
 
 def _parse_thresholds(data: dict) -> tuple[float, ...]:
-    section = _require_mapping(data.get("thresholds", {}), "thresholds")
-    _check_keys(section, {"start_db", "stop_db", "step_db"}, "thresholds")
-    start = _number(section, "start_db", "thresholds", -10.0, lo=-_DB_LIMIT, hi=_DB_LIMIT)
-    stop = _number(section, "stop_db", "thresholds", 30.0, lo=-_DB_LIMIT, hi=_DB_LIMIT)
-    step = _number(section, "step_db", "thresholds", 5.0, lo=0.0, lo_open=True)
+    start, stop, step = _given(data, "thresholds", _THRESHOLDS).values()
     if stop < start:
         raise ConfigError("thresholds.stop_db", "must be >= start_db")
     return _grid(start, stop, step, "thresholds.step_db")
-
-
-def _parse_mc(data: dict) -> McConfig | None:
-    if "mc" not in data:
-        return None
-    section = _require_mapping(data["mc"], "mc")
-    _check_keys(section, {"trials", "seed", "batch"}, "mc")
-    return McConfig(
-        trials=_integer(section, "trials", "mc", 100_000, lo=1),
-        seed=_integer(section, "seed", "mc", 1729, lo=0),
-        batch=_integer(section, "batch", "mc", 10_000, lo=1, hi=_MAX_BATCH),
-    )
 
 
 def _parse_geometry(data: dict, window_omega_deg: float) -> GeometryGrid:
@@ -326,10 +307,10 @@ def _parse_geometry(data: dict, window_omega_deg: float) -> GeometryGrid:
 def _sweep_copy(data: dict, parameter: str, value: float) -> dict:
     """The decoded scenario with `value` in the swept field and no sweep section."""
     copy = {key: section for key, section in data.items() if key != "sweep"}
-    if parameter in ("density_per_km", "altitude_km", "theta_deg"):
+    section = SWEEP_PARAMETERS[parameter]
+    if section == "orbits":
         copy["orbits"] = [{**row, parameter: value} for row in data["orbits"]]
     else:
-        section = "window" if parameter == "omega_min_deg" else "channel"
         copy[section] = {**data.get(section, {}), parameter: value}
     return copy
 
@@ -338,7 +319,7 @@ def _parse_sweep(data: dict, scenario_id: str) -> SweepSpec:
     section = _require_mapping(data["sweep"], "sweep")
     _check_keys(section, {"parameter", "values"}, "sweep")
     parameter = section.get("parameter")
-    if parameter not in SWEEP_PARAMETERS:
+    if not isinstance(parameter, str) or parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep.parameter", f"expected one of {', '.join(SWEEP_PARAMETERS)}")
     values = section.get("values")
     if not isinstance(values, list) or not values:
@@ -381,10 +362,8 @@ def parse_scenario(data) -> ScenarioConfig:
     scenario_id = data.get("scenario_id", "scenario")
     if not isinstance(scenario_id, str) or not _ID_PATTERN.fullmatch(scenario_id):
         raise ConfigError("scenario_id", "expected a name of letters, digits, '._-'")
-    window = _require_mapping(data.get("window", {}), "window")
-    _check_keys(window, {"omega_min_deg"}, "window")
-    omega = _number(window, "omega_min_deg", "window", 0.0, lo=0.0, hi=90.0, hi_open=True)
-    earth = _parse_earth(data)
+    omega = _given(data, "window", _WINDOW)["omega_min_deg"]
+    earth = EarthConstants(**_given(data, "earth", _EARTH))
     config = ScenarioConfig(
         scenario_id=scenario_id,
         earth=earth,
@@ -393,7 +372,7 @@ def parse_scenario(data) -> ScenarioConfig:
         channel=_parse_channel(data),
         budget=_parse_budget(data),
         thresholds_db=_parse_thresholds(data),
-        mc=_parse_mc(data),
+        mc=McConfig(**_given(data, "mc", _MC, _integer)) if "mc" in data else None,
         geometry=_parse_geometry(data, omega),
         sweep=None,
     )
@@ -401,10 +380,16 @@ def parse_scenario(data) -> ScenarioConfig:
         config.constellation()
     except ValueError as exc:
         raise ConfigError("orbits", str(exc)) from None
+    reference = config.orbits()[0]
     try:
-        orbital_speed(config.orbits()[0])
+        orbital_speed(reference)
     except ValueError as exc:
         raise ConfigError("earth", str(exc)) from None
+    for i, omega_deg in enumerate(config.geometry.omega_min_deg):
+        try:  # the geometry verb builds each grid angle's window on the reference orbit
+            VisibilityWindow.from_min_elevation(math.radians(omega_deg), reference)
+        except ValueError as exc:
+            raise ConfigError(f"geometry.omega_min_deg[{i}]", str(exc)) from None
     if "sweep" in data:
         config = dataclasses.replace(config, sweep=_parse_sweep(data, scenario_id))
     return config

@@ -90,6 +90,13 @@ class DegenerateSampleError(RuntimeError):
     """Raised when conditioning leaves too few trials to estimate from."""
 
 
+def _require_survivors(survivors: int, trials: int, what: str) -> None:
+    """Raise unless at least MIN_CONDITIONING_TRIALS of the trials `what`."""
+    if survivors < MIN_CONDITIONING_TRIALS:
+        message = f"only {survivors} of {trials} trials {what}; need at least {MIN_CONDITIONING_TRIALS}"
+        raise DegenerateSampleError(message)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Trial count, seed and batch size for one estimator run.
@@ -370,11 +377,7 @@ def empirical_nearest_ccdf(
     for batch_survivors, batch_exceed in _parallel_map(count, _batches(cfg)):
         survivors += batch_survivors
         exceed += batch_exceed
-    if survivors < MIN_CONDITIONING_TRIALS:
-        raise DegenerateSampleError(
-            f"only {survivors} of {cfg.trials} trials had a visible satellite; "
-            f"need at least {MIN_CONDITIONING_TRIALS}"
-        )
+    _require_survivors(survivors, cfg.trials, "had a visible satellite")
     return exceed / survivors, survivors
 
 
@@ -401,12 +404,7 @@ def _curve(
 def _conditioned(curve: CoverageCurve) -> CoverageCurve:
     """The conditional curve of a pass, if enough trials survived the
     conditioning to estimate it from."""
-    survivors = curve.metadata["survivors"]
-    if survivors < MIN_CONDITIONING_TRIALS:
-        raise DegenerateSampleError(
-            f"only {survivors} of {curve.metadata['trials']} trials survived conditioning; "
-            f"need at least {MIN_CONDITIONING_TRIALS}"
-        )
+    _require_survivors(curve.metadata["survivors"], curve.metadata["trials"], "survived conditioning")
     return curve
 
 

@@ -161,6 +161,24 @@ class TestResultFile:
         with pytest.raises(ValueError, match="line 3"):
             read_result_rows(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "x,SIR-analytic,,0.25,,,90.0,0.005,2.0,1.0,1,",
+            "x,SIR-analytic,0.0,,,,90.0,0.005,2.0,1.0,1,",
+            "x,SIR-analytic,0.0,0.25,,,90.0,0.005,2.0,1.0,x,",
+            "x,SIR-MC,0.0,0.25,0.2,0.3,90.0,0.005,2.0,1.0,1,1.5",
+        ],
+        ids=["blank-gamma_db", "blank-value", "text-n_orbits", "float-seed"],
+    )
+    def test_rejects_unreadable_cell_naming_its_line(self, tmp_path, line):
+        # a blank cell is None only where the field allows None
+        path = tmp_path / "rows.csv"
+        good = "x,SIR-analytic,-10.0,0.5,,,90.0,0.005,2.0,1.0,1,"
+        path.write_text(f"{RESULT_HEADER}\n{good}\n{line}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_result_rows(path)
+
 
 class TestGeometryVerb:
     def test_writes_grid(self, tmp_path):
@@ -723,6 +741,16 @@ class TestExitCodes:
         assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "orbits[0].altitude_km: must be >= 1e-06 x earth.radius_km" in err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("verb", ["geometry", "coverage"])
+    def test_geometry_angle_without_a_window_is_two(self, tmp_path, capsys, verb):
+        # the geometry verb once exited 1 with no field path
+        cfg = write_scenario(tmp_path, geometry={"omega_min_deg": [10.0, 89.99999]})
+        out = tmp_path / "o"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "scenario error: geometry.omega_min_deg[1]: degenerate visibility cap\n"
         assert not list(out.iterdir())
 
     def test_budget_on_several_orbits_is_zero(self, tmp_path):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from orbitcov import LinkBudget
+from orbitcov import ChannelParams, EarthConstants, LinkBudget, McConfig
 from orbitcov.config import ConfigError, load_scenario, parse_scenario
 
 
@@ -32,6 +32,12 @@ class TestParse:
         assert cfg.thresholds_db[0] == -10.0
         assert cfg.thresholds_db[-1] == 30.0
         assert len(cfg.thresholds_db) == 9
+        # left-out keys take the library types' defaults, every one of them
+        assert cfg.earth == EarthConstants()
+        assert cfg.channel == ChannelParams()
+        given = parse_scenario(minimal(budget={}, mc={}))
+        assert given.budget == LinkBudget()
+        assert given.mc == McConfig()
 
     def test_constellation_round_trip(self):
         cfg = parse_scenario(
@@ -389,6 +395,15 @@ class TestGeometryGrid:
         with pytest.raises(ConfigError) as caught:
             parse_scenario(minimal(geometry={"omega_min_deg": [10.0, bad]}))
         assert caught.value.path == "geometry.omega_min_deg[1]"
+
+    def test_omega_without_a_window_is_rejected(self):
+        # below 90 degrees, yet a 500 km shell's window has no cap in double
+        # precision: the same angle in window.omega_min_deg is rejected too
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(geometry={"omega_min_deg": [10.0, 89.99999]}))
+        assert str(caught.value) == "geometry.omega_min_deg[1]: degenerate visibility cap"
+        with pytest.raises(ConfigError, match="degenerate visibility cap"):
+            parse_scenario(minimal(window={"omega_min_deg": 89.99999}))
 
 
 class TestLoad:
