@@ -55,8 +55,9 @@ _MAX_GRID_POINTS = 10_000
 _MAX_M = 10.0
 _MAX_DENSITY = 10.0
 _MAX_ALTITUDE_KM = 35786.0
-# least altitude in earth radii: below it r^2 = R^2 + R_E^2 - 2 R_E z cancels
-# near d_min, and serving distances of 0 divided 0/0 and 1/0 in the kernels
+# least altitude in earth radii: below it the window's cap base and d_max, and
+# so beta, lose their digits to cancellation, and serving distances of 0
+# divided 0/0 and 1/0 in the kernels
 _MIN_ALTITUDE_RATIO = 1e-6
 # trials per Monte-Carlo batch: the simulation scores satellites in
 # bounded chunks, so a batch costs a few 8-byte arrays per trial

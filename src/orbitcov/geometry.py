@@ -10,20 +10,27 @@ statistic downstream (satellite counts, nearest-distance law, coverage).
 
 Everything here reduces to two coordinates:
 
-* the height z of an orbit point above the equatorial plane of the cap
-  axis, since the user-to-point distance is r^2 = R^2 + R_E^2 - 2 R_E z
-  by the law of cosines (`_squared_distance_at_height`, the one place
-  that formula is written), and
-* the arc-length coordinate ell = (length of the orbit arc within
-  distance r of the user), in which a homogeneous Poisson process on the
-  orbit stays homogeneous. `arc_to_distance` / `distance_to_arc` convert
-  between the two and are the backbone of all quadrature in this package.
+* the window offset o = |psi - pi| of an orbit point, the angle along
+  the orbit from its highest point, in which the user-to-point distance
+  is r^2 = (R - R_E)^2 + 2 R R_E (1 - sin(theta) cos o) by the law of
+  cosines. `_squared_distance` writes it as a sum of nonnegative terms,
+  r^2 = (R - R_E)^2 + 2 R R_E cos^2(theta) / (1 + sin(theta))
+  + 4 R R_E sin(theta) t^2 / (1 + t^2) with t = tan(o / 2), so no
+  digits cancel near d_min, and it is the one place that rule is
+  written; and
+* the arc-length coordinate ell = 2 R o (the length of the orbit arc
+  within distance r of the user), in which a homogeneous Poisson
+  process on the orbit stays homogeneous. `arc_to_distance` /
+  `distance_to_arc` convert between the two and are the backbone of all
+  quadrature in this package.
 
-A point at orbit angle psi sits at height z = -R sin(theta) cos(psi), so
-the cap cuts the orbit in the window (pi - beta, pi + beta) with
-beta = arccos(cap_base / (R sin(theta))) (`_window_half_angle`). The
-visible arc is 2 R beta, and the Monte-Carlo kernels draw satellites in
-that same window: both sides read beta and the distance from here.
+A point at orbit angle psi sits at height -R sin(theta) cos(psi) above
+the plane through the Earth's centre normal to the user's zenith, so
+the cap cuts the orbit in the window (pi - beta, pi + beta), offsets
+below beta = arccos(cap_base / (R sin(theta))) (`_window_half_angle`).
+The visible arc is 2 R beta, and the Monte-Carlo kernels draw satellite
+offsets in that same window: both sides read beta and the distance
+from here.
 
 All lengths are kilometers and all angles radians unless a name says
 otherwise; `visible_time` and `orbital_speed` convert to meters/seconds
@@ -152,20 +159,33 @@ def _window_half_angle(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
     return math.acos(window.cap_base_km / reach)
 
 
-def _squared_distance_at_height(orbit: OrbitGeometry, z, out=None):
-    """Squared distance (km^2) from the user to orbit points at height z
-    above the equatorial plane of the cap axis: the law of cosines,
-    written into `out` (which may be z) when given."""
+def _squared_d_min(orbit: OrbitGeometry) -> float:
+    """Squared distance (km^2) from the user to the orbit's highest point,
+    offset 0: (R - R_E)^2 + 2 R R_E cos^2(theta) / (1 + sin(theta)), the
+    2 R R_E (1 - sin(theta)) of the law of cosines without its
+    cancellation."""
     R = orbit.radius_km
     re = orbit.earth.radius_km
-    r2 = np.multiply(z, -2.0 * re, out=out)
-    r2 += R * R + re * re
+    cos_t = math.cos(orbit.theta_rad)
+    return (R - re) ** 2 + 2.0 * R * re * cos_t * cos_t / (1.0 + math.sin(orbit.theta_rad))
+
+
+def _squared_distance(orbit: OrbitGeometry, offsets, out=None):
+    """Squared distance (km^2) from the user to the orbit points at window
+    offsets o in [0, pi], written into `out` (which may be `offsets`)
+    when given: `_squared_d_min` + 4 R R_E sin(theta) / (1 + 1 / t^2),
+    t = tan(o / 2), the 2 R R_E sin(theta) (1 - cos o) of the law of
+    cosines. Both terms are nonnegative, so the sum keeps its digits down
+    to d_min; o = 0 gives 1 / 0 = inf and adds exactly nothing."""
+    r2 = np.multiply(offsets, 0.5, out=np.empty(np.shape(offsets)) if out is None else out)
+    np.tan(r2, out=r2)
+    r2 *= r2
+    with np.errstate(divide="ignore", over="ignore"):
+        np.reciprocal(r2, out=r2)
+    r2 += 1.0
+    np.divide(4.0 * orbit.radius_km * orbit.earth.radius_km * math.sin(orbit.theta_rad), r2, out=r2)
+    r2 += _squared_d_min(orbit)
     return r2
-
-
-def _distance_at_height(orbit: OrbitGeometry, z):
-    """Distance (km) from the user to orbit points at height z."""
-    return np.sqrt(_squared_distance_at_height(orbit, z))
 
 
 def visible_arc_length(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
@@ -180,9 +200,9 @@ def visible_arc_length(orbit: OrbitGeometry, window: VisibilityWindow) -> float:
 
 def d_min(orbit: OrbitGeometry) -> float:
     """Minimum possible user-to-satellite distance (km) on this orbit,
-    reached at the highest orbit point, z = R sin(theta); the same
-    height as arc_to_distance(0), so the two agree bit for bit."""
-    return float(_distance_at_height(orbit, orbit.radius_km * math.sin(orbit.theta_rad)))
+    reached at the highest orbit point, offset 0; the same offset as
+    arc_to_distance(0), so the two agree bit for bit."""
+    return math.sqrt(_squared_d_min(orbit))
 
 
 def arc_to_distance(orbit: OrbitGeometry, ell):
@@ -191,11 +211,12 @@ def arc_to_distance(orbit: OrbitGeometry, ell):
     Inverse of `distance_to_arc`. Accepts scalars or arrays with
     0 <= ell <= 2*pi*R; ell = 0 gives d_min, ell = 2*pi*R the far point.
     """
-    ell = np.asarray(ell, dtype=float)
+    ell = np.array(ell, dtype=float)
     R = orbit.radius_km
     if np.any(ell < 0.0) or np.any(ell > TWO_PI * R):
         raise ValueError("arc length outside [0, 2*pi*R]")
-    r = _distance_at_height(orbit, R * math.sin(orbit.theta_rad) * np.cos(ell / (2.0 * R)))
+    ell /= 2.0 * R  # the offset, then r^2 and r in the same array
+    r = np.sqrt(_squared_distance(orbit, ell, out=ell), out=ell)
     return r[()] if r.ndim == 0 else r
 
 

@@ -3,33 +3,39 @@
 Each estimator simulates the actual point process: Poisson satellites at
 density lambda along each orbit circle, independent unit-mean gamma
 fading powers, the user served by the nearest visible satellite. A point
-at orbit angle psi sits at height z = -R sin(theta) cos(psi) above the
-user's horizon plane, and it is visible when z clears the cap base, that
-is for psi in the window (pi - beta, pi + beta). The half-angle beta and
-the law of cosines that turns z into the squared distance r^2 come from
-`geometry`, the same rules the analytic side reads. By the Poisson
-restriction theorem the satellites in the window are themselves Poisson
-with density lambda, so the kernel draws only the window: a
-Poisson(2 R beta lambda) count N per trial and offsets o = |psi - pi|
-uniform in (0, beta), the same law since cos(pi +- o) = -cos(o). The
-distance grows with o, so the nearest satellite has the smallest
-offset, which exceeds x with probability (1 - x / beta)^N: it is drawn
-first, from one uniform, and the other N - 1 uniform beyond it.
-Interferers weigh (r^2)^(-alpha/2), a reciprocal at alpha = 2, with no
-square root per satellite. The independent checks of the window are
-elsewhere: the tests build explicit 3-D positions on the whole circle
-with the elevation-angle test, and validation criterion 2 counts
-brute-force points of the circle against the arc length.
+at orbit angle psi is visible for psi in the window (pi - beta, pi + beta)
+about the orbit's highest point, and its offset o = |psi - pi| fixes its
+distance. The half-angle beta and the rule that turns an offset into the
+squared distance r^2 come from `geometry`, the same ones the analytic
+side reads. By the Poisson restriction theorem the satellites in the
+window are themselves Poisson with density lambda, so the kernel draws
+only the window: a Poisson(2 R beta lambda) count N per trial and
+offsets uniform on [0, beta], the same law on both sides of pi. Every
+offset drawn is visible, so no trial needs a rim test, and a trial sees
+a satellite exactly when N > 0. The distance grows with o, so the
+nearest satellite has the smallest offset, which exceeds x with
+probability (1 - x / beta)^N: it is drawn first, from one uniform, and
+the other N - 1 down from beta, at beta - U (beta - o_1). Interferers
+weigh (r^2)^(-alpha/2), a division at alpha = 2, with no square root
+per satellite. The independent checks of the window are elsewhere: the
+tests build explicit 3-D positions on the whole circle with the
+elevation-angle test, and validation criterion 2 counts brute-force
+points of the circle against the arc length.
 
-Per orbit a batch draws (1) the counts of all its trials, (2) one
-uniform per occupied trial for its nearest offset, (3) per chunk of
-whole trials with at most _CHUNK_SATELLITES interferers, their offsets
-cut + (beta - cut) V, the cut a trial's nearest offset, then their
-fadings, and (4) the serving fadings of all its trials. A larger trial
-is drawn in pieces of that size, so only per-trial arrays grow with the
-batch or the window. The nearest-distance estimator draws (1) and (2)
-only; validation criterion 4 draws its own counts beyond a fixed
-serving radius, then the same chunks beyond that one cut.
+Per orbit a batch draws (1) the counts of all its trials as one
+multinomial histogram over the Poisson pmf, laid out in ascending
+order, and shuffled with `Generator.shuffle` for every orbit after a
+pass's first, (2) one uniform per occupied trial for its nearest
+offset, (3) per chunk of whole trials with at most _CHUNK_SATELLITES
+interferers, their offsets and then their fadings, and (4) the serving
+fadings of all its trials. A larger trial is drawn in pieces of that
+size, so only per-trial arrays grow with the batch or the window. Every
+estimator sums over trials, so the order of one orbit's trials changes
+nothing; only the pairing of trials across orbits does, and the shuffle
+makes that pairing uniformly random. The nearest-distance estimator
+draws (1) and (2) only; validation criterion 4 draws its own counts
+beyond a fixed serving radius, unshuffled, then the same chunks beyond
+that one cut.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn, and each trial's best SIR
@@ -60,8 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import ConstellationSpec, CoverageCurve, LinkBudget, db_to_linear
-from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _window_half_angle
-from .geometry import _distance_at_height, _squared_distance_at_height
+from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _squared_distance, _window_half_angle
 
 __all__ = [
     "McConfig",
@@ -122,35 +127,67 @@ class McConfig:
             raise ValueError("batch size must be at least 1")
 
 
-def _nearest_first(orbit: OrbitGeometry, beta: float, gen: np.random.Generator, density: float, n: int):
-    """Per trial of n, its smallest window offset (inf for an empty
-    trial) and how many satellites lie beyond it. Of N offsets uniform on
-    (0, beta) the smallest exceeds x with probability (1 - x / beta)^N:
-    one uniform U per occupied trial gives it as -beta expm1(log1p(-U) / N)."""
-    counts = gen.poisson(2.0 * orbit.radius_km * beta * density, n)
+def _poisson_table(mean: float) -> tuple[int, np.ndarray]:
+    """The lowest count and the Poisson(mean) pmf over
+    mean +- (12 sqrt(mean) + 40), clipped at 0 and normalised: the counts
+    it leaves out weigh under 1e-30 together. Built outward from the
+    mode floor(mean) by cumulative log ratios log(mean / k), each within
+    an ulp or two, so the table keeps its digits at any mean, and its
+    size grows as sqrt(mean)."""
+    if mean == 0.0:
+        return 0, np.ones(1)
+    spread = 12.0 * math.sqrt(mean) + 40.0
+    lo = max(0, math.ceil(mean - spread))
+    mode = math.floor(mean) - lo
+    step = np.log(mean / np.arange(lo + 1, math.floor(mean + spread) + 1))  # log p_k - log p_(k-1)
+    log_pmf = np.zeros(step.size + 1)
+    np.cumsum(step[mode:], out=log_pmf[mode + 1 :])
+    log_pmf[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    pmf = np.exp(log_pmf, out=log_pmf)
+    pmf /= pmf.sum()
+    return lo, pmf
+
+
+def _poisson_counts(gen: np.random.Generator, mean: float, n: int, shuffle: bool = False) -> np.ndarray:
+    """n Poisson(mean) counts, drawn as one multinomial histogram over
+    `_poisson_table` and laid out in ascending order; in random order
+    when `shuffle`, one draw of `gen.shuffle` after the histogram."""
+    lo, pmf = _poisson_table(mean)
+    counts = np.repeat(np.arange(lo, lo + pmf.size), gen.multinomial(n, pmf))
+    if shuffle:
+        gen.shuffle(counts)
+    return counts
+
+
+def _nearest_first(gen: np.random.Generator, beta: float, counts: np.ndarray):
+    """Per trial, its smallest window offset (inf for an empty trial) and
+    how many satellites lie beyond it, written over `counts`. Of N
+    offsets uniform on (0, beta) the smallest exceeds x with probability
+    (1 - x / beta)^N: one uniform U per occupied trial gives it as
+    -beta expm1(log1p(-U) / N), which never exceeds beta."""
     occupied = counts > 0
-    closest = np.full(n, np.inf)
+    closest = np.full(counts.size, np.inf)
     u = np.log1p(-gen.random(np.count_nonzero(occupied)))
     u /= counts[occupied]
     closest[occupied] = -beta * np.expm1(u, out=u)
-    counts[occupied] -= 1
+    counts -= occupied
     return closest, counts
 
 
 def _window_chunks(gen: np.random.Generator, beta: float, counts: np.ndarray, cut):
     """Yield (trial slice, counts, starts, offsets) per chunk, counts[i]
-    offsets uniform on (cut_i, beta) for trial i, `cut` one offset per
-    trial or one for all; starts is each trial's first offset in the
-    chunk. A trial larger than a chunk comes in pieces, chunks of that
-    one trial whose sums the caller adds; a caller that draws more per
-    chunk does so before asking for the next one."""
+    offsets beta - U (beta - cut_i) for trial i, U uniform on [0, 1), so
+    uniform on (cut_i, beta] and never past beta; `cut` is one offset
+    per trial or one for all, and starts is each trial's first offset in
+    the chunk. A trial larger than a chunk comes in pieces, chunks of
+    that one trial whose sums the caller adds; a caller that draws more
+    per chunk does so before asking for the next one."""
 
     def draw(trials: slice, sizes: np.ndarray) -> np.ndarray:
-        low = cut if np.ndim(cut) == 0 else np.repeat(cut[trials], sizes)
+        span = beta - cut if np.ndim(cut) == 0 else np.repeat(beta - cut[trials], sizes)
         offsets = gen.random(int(sizes.sum()))
-        offsets *= beta - low
-        offsets += low
-        return offsets
+        offsets *= span
+        return np.subtract(beta, offsets, out=offsets)
 
     ends = np.cumsum(counts)
     lo = 0
@@ -167,48 +204,55 @@ def _window_chunks(gen: np.random.Generator, beta: float, counts: np.ndarray, cu
         lo = hi
 
 
-def _nearest_distance(orbit: OrbitGeometry, window: VisibilityWindow, closest: np.ndarray) -> np.ndarray:
-    """Nearest visible distance (km) per trial from its smallest offset,
-    one cos, cap test and sqrt per trial: inf for an empty trial (offset
-    inf) and where rounding put that satellite on or below the cap base."""
+def _nearest_distance(orbit: OrbitGeometry, closest: np.ndarray) -> np.ndarray:
+    """Nearest distance (km) per trial from its smallest offset, inf for
+    an empty trial (offset inf)."""
     nearest = np.full(closest.size, np.inf)
     occupied = closest < np.inf
-    z = orbit.radius_km * math.sin(orbit.theta_rad) * np.cos(closest[occupied])
-    nearest[occupied] = np.where(z > window.cap_base_km, _distance_at_height(orbit, z), np.inf)
+    r2 = closest[occupied]
+    nearest[occupied] = np.sqrt(_squared_distance(orbit, r2, out=r2), out=r2)
     return nearest
 
 
-def _interference(orbit: OrbitGeometry, window: VisibilityWindow, alpha: float, counts, starts, offsets, fading):
+def _interference(orbit: OrbitGeometry, alpha: float, counts, starts, offsets, fading):
     """Per-trial sum over the satellites at `offsets` of
     fading * (r^2)^(-alpha/2), r in km; the caller applies units and the
     mean interferer gain."""
     interference = np.zeros(counts.size)
     if offsets.size:
-        z = np.cos(offsets)
-        z *= orbit.radius_km * math.sin(orbit.theta_rad)
-        hidden = z <= window.cap_base_km  # by rounding, on the window's rim
-        r2 = _squared_distance_at_height(orbit, z, out=z)
-        weight = np.reciprocal(r2, out=r2) if alpha == 2.0 else np.power(r2, -0.5 * alpha, out=r2)
-        weight *= fading
-        weight[hidden] = 0.0
+        r2 = _squared_distance(orbit, offsets)
+        if alpha == 2.0:
+            weight = np.divide(fading, r2, out=r2)
+        else:
+            weight = np.power(r2, -0.5 * alpha, out=r2)
+            weight *= fading
         occupied = counts > 0
         interference[occupied] = np.add.reduceat(weight, starts[occupied])
     return interference
 
 
 def _sir_batch(
-    orbit: OrbitGeometry, window: VisibilityWindow, gen: np.random.Generator, density: float, m: float, alpha: float, n
+    orbit: OrbitGeometry,
+    window: VisibilityWindow,
+    gen: np.random.Generator,
+    density: float,
+    m: float,
+    alpha: float,
+    n: int,
+    shuffle: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (nearest_km, serving fading power, interference sum) of
-    n trials, drawn in the order the module docstring gives."""
+    n trials, drawn in the order the module docstring gives, the counts
+    shuffled when `shuffle`."""
     # Gamma(1, 1) is the standard exponential: the same draws, sampled faster
     fading = gen.standard_exponential if m == 1.0 else lambda size: gen.gamma(m, 1.0 / m, size)
     beta = _window_half_angle(orbit, window)
-    closest, others = _nearest_first(orbit, beta, gen, density, n)
+    counts = _poisson_counts(gen, 2.0 * orbit.radius_km * beta * density, n, shuffle)
+    closest, others = _nearest_first(gen, beta, counts)
     interference = np.zeros(n)
     for trials, counts, starts, offsets in _window_chunks(gen, beta, others, closest):
-        interference[trials] += _interference(orbit, window, alpha, counts, starts, offsets, fading(offsets.size))
-    return _nearest_distance(orbit, window, closest), fading(n), interference
+        interference[trials] += _interference(orbit, alpha, counts, starts, offsets, fading(offsets.size))
+    return _nearest_distance(orbit, closest), fading(n), interference
 
 
 def _wilson_bounds(successes: np.ndarray, trials: int, z: float = 1.96) -> tuple[np.ndarray, np.ndarray]:
@@ -363,12 +407,13 @@ def empirical_nearest_ccdf(
         raise ValueError("satellite density must be positive and finite")
     grid = np.asarray(r_grid_km, dtype=float)
     beta = _window_half_angle(orbit, window)
+    mean = 2.0 * orbit.radius_km * beta * density_per_km
 
     def count(batch) -> tuple[int, np.ndarray]:
         """A batch's survivors and, per radius, how many lie beyond it."""
         gen, size = batch
-        closest, _ = _nearest_first(orbit, beta, gen, density_per_km, size)
-        nearest = _nearest_distance(orbit, window, closest)
+        closest, _ = _nearest_first(gen, beta, _poisson_counts(gen, mean, size))
+        nearest = _nearest_distance(orbit, closest)
         finite = np.sort(nearest[np.isfinite(nearest)])
         return finite.size, finite.size - np.searchsorted(finite, grid, side="right")
 
@@ -452,9 +497,13 @@ def _coverage_pass(
         best_sinr = np.zeros_like(best_snr)
         all_vis = np.ones(size, dtype=bool)
         any_vis = np.zeros(size, dtype=bool)
-        for orbit, density in zip(constellation.orbits, constellation.densities_per_km):
+        for index, (orbit, density) in enumerate(zip(constellation.orbits, constellation.densities_per_km)):
+            # the counts come sorted: a later orbit's are shuffled, so that
+            # its trials pair with the earlier orbits' at random; the first
+            # orbit pairs with nothing, and at 20 ns a count its shuffle
+            # would add 40 % to a sparse orbit's kernel
             nearest, serving, interference = _sir_batch(
-                orbit, constellation.window, gen, density, channel.m, channel.alpha, size
+                orbit, constellation.window, gen, density, channel.m, channel.alpha, size, index > 0
             )
             vis = np.isfinite(nearest)
             # 0 for a trial with no visible satellite of this orbit

@@ -32,13 +32,13 @@ full-size draw. Criterion 3 draws only each trial's nearest satellite,
 as the Monte-Carlo kernel does first. Criterion 4 draws its interferers
 through the kernel's chunks, in batches of _DIRECT_BATCH trials: by
 Poisson restriction the window's satellites beyond the offset of the
-serving radius are those of the leftover arc, so it draws a Poisson
-count for that arc and only those offsets, whose kernel interference
-sum is the direct one, and its memory is that of one batch at any trial
-count. It draws the sums once per serving radius and averages every
-transform variable s over them (common random numbers): its checks
-share their draws, and each value is what a run for that s alone would
-give.
+serving radius are those of the leftover arc, so it draws Poisson
+counts for that arc, one histogram a batch as the kernel does, and only
+those offsets, whose kernel interference sum is the direct one, and its
+memory is that of one batch at any trial count. It draws the sums once
+per serving radius and averages every transform variable s over them
+(common random numbers): its checks share their draws, and each value
+is what a run for that s alone would give.
 
 Monte-Carlo tolerances are stated for the default trial counts; when a
 run is scaled down the tolerances widen by sqrt(default / actual), so a
@@ -83,6 +83,7 @@ from .montecarlo import (
     _coverage_pass,
     _interference,
     _parallel_map,
+    _poisson_counts,
     _window_chunks,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
@@ -333,22 +334,22 @@ def _laplace_direct_average(
     gen,
 ) -> np.ndarray:
     """E[exp(-s I)] for each s by simulating the interferers with the
-    Monte-Carlo kernel: each trial draws a Poisson count for the leftover
-    arc beyond the serving radius's offset ell0 / 2R and only the offsets
-    there, which by Poisson restriction are exactly its satellites. Every
-    s is averaged over the same interference sums (common random
-    numbers), drawn in batches of _DIRECT_BATCH trials, so memory stays
-    that of one batch."""
+    Monte-Carlo kernel: each batch draws its trials' Poisson counts for
+    the leftover arc beyond the serving radius's offset ell0 / 2R, and
+    each trial only the offsets there, which by Poisson restriction are
+    exactly its satellites. Every s is averaged over the same
+    interference sums (common random numbers), drawn in batches of
+    _DIRECT_BATCH trials, so memory stays that of one batch."""
     beta = _window_half_angle(orbit, window)
     cut = min(float(distance_to_arc(orbit, serving_km)) / (2.0 * orbit.radius_km), beta)
     s_values = np.asarray(s_values, dtype=float)
     acc = np.zeros(s_values.size)
     for done in range(0, trials, _DIRECT_BATCH):
         sums = np.zeros(min(_DIRECT_BATCH, trials - done))
-        counts = gen.poisson(2.0 * orbit.radius_km * (beta - cut) * density, sums.size)
+        counts = _poisson_counts(gen, 2.0 * orbit.radius_km * (beta - cut) * density, sums.size)
         for chunk, chunk_counts, starts, offsets in _window_chunks(gen, beta, counts, cut):
             fading = gen.gamma(channel.m, 1.0 / channel.m, offsets.size)
-            sums[chunk] += _interference(orbit, window, channel.alpha, chunk_counts, starts, offsets, fading)
+            sums[chunk] += _interference(orbit, channel.alpha, chunk_counts, starts, offsets, fading)
         for k, s in enumerate(s_values):
             acc[k] += float(np.exp(-s * channel.g_i_bar * sums).sum())
     return acc / trials

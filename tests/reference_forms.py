@@ -27,9 +27,9 @@ arrays, the count and generator state its skip-ahead count must
 reproduce bit for bit.
 `window_draw` draws a batch's window in one piece, without chunks;
 `satellite_distances` and `score_per_satellite` score drawn trials one
-satellite and one trial at a time, with the square root, r^-alpha and
-exact sums beyond a cut offset, the form the chunked kernel's
-squared-distance weights must match.
+satellite and one trial at a time, with the law of cosines' cosine, the
+square root, r^-alpha and exact sums beyond a cut offset, the form the
+chunked kernel's half-angle squared-distance weights must match.
 """
 
 from __future__ import annotations
@@ -431,12 +431,16 @@ def window_draw(orbit: OrbitGeometry, window: VisibilityWindow, gen, density: fl
 
 
 def satellite_distances(orbit: OrbitGeometry, window: VisibilityWindow, offsets) -> np.ndarray:
-    """Distance (km) of each satellite at its offset from pi, inf when
-    its height z = R sin(theta) cos(offset) is not above the cap base."""
+    """Distance (km) of each satellite at its offset from pi by the law
+    of cosines, inf when the offset lies outside the window [0, beta].
+    The kernel draws offsets in that window, beta itself included, and
+    by the window rule a satellite there is visible; the cap-height test
+    would hide some of those on the rim by rounding."""
     R = orbit.radius_km
     re = orbit.earth.radius_km
     z = R * math.sin(orbit.theta_rad) * np.cos(offsets)
-    return np.where(z > window.cap_base_km, np.sqrt(R * R + re * re - 2.0 * re * z), np.inf)
+    inside = (offsets >= 0.0) & (offsets <= _window_half_angle(orbit, window))
+    return np.where(inside, np.sqrt(R * R + re * re - 2.0 * re * z), np.inf)
 
 
 def score_per_satellite(
@@ -445,7 +449,7 @@ def score_per_satellite(
     """Per-trial nearest distance (km) and interference sum of drawn
     trials, one trial at a time: the distances, their -alpha power, and
     an exact sum over the satellites beyond the trial's offset in `cut`,
-    hidden ones weighing inf^-alpha = 0. Without `cut` the sum is over
+    ones outside the window weighing inf^-alpha = 0. Without `cut` the sum is over
     every satellite but the serving one. Near the top of the orbit many
     offsets round to one distance, so the serving satellite is named by
     its offset, the smallest, as it is nearest in exact arithmetic."""

@@ -8,6 +8,7 @@ library existed, and are frozen here.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from orbitcov import (
     visible_arc_length,
     visible_time,
 )
-from orbitcov.geometry import TWO_PI
+from orbitcov.geometry import TWO_PI, _squared_distance, _window_half_angle
 from reference_forms import eta, orbit_plane_basis
 
 
@@ -169,6 +170,58 @@ class TestArcDistanceMaps:
         out = arc_to_distance(ref_orbit, 100.0)
         assert isinstance(out, float)
         assert isinstance(distance_to_arc(ref_orbit, out), float)
+
+
+class TestSquaredDistance:
+    """The one r^2 rule, `_squared_distance`, against the law of cosines
+    R^2 + R_E^2 - 2 R R_E sin(theta) cos(o) evaluated at 50 digits from
+    the same doubles R, R_E, theta and o."""
+
+    # the parser's floor (1e-6 Earth radii), 1 m below it, up to GEO
+    ALTITUDES_KM = (1e-3, 6.371e-3, 1.0, 500.0, 2000.0, 35786.0)
+
+    @staticmethod
+    def exact(orbit, offsets):
+        with mpmath.workdps(50):
+            R = mpmath.mpf(orbit.radius_km)
+            re = mpmath.mpf(orbit.earth.radius_km)
+            c = 2 * R * re * mpmath.sin(mpmath.mpf(orbit.theta_rad))
+            return [R * R + re * re - c * mpmath.cos(mpmath.mpf(float(o))) for o in offsets]
+
+    @pytest.mark.parametrize("altitude_km", ALTITUDES_KM)
+    def test_matches_the_law_of_cosines(self, altitude_km):
+        # theta over the horizon window's band, 1e-12 of it inside both
+        # edges included, and the poles; offsets from 0 to pi, the
+        # window's edge beta among them
+        window = VisibilityWindow.from_min_elevation(0.0, OrbitGeometry(altitude_km, math.pi / 2))
+        band = math.acos(window.cap_base_km / (EarthConstants().radius_km + altitude_km))
+        thetas = [math.pi / 2 + f * band for f in (0.0, 0.5, -0.5, 1.0 - 1e-12, -(1.0 - 1e-12))]
+        worst = 0.0
+        for theta in (*thetas, 0.0, math.pi):
+            orbit = OrbitGeometry(altitude_km, theta)
+            beta = _window_half_angle(orbit, window)
+            offsets = np.concatenate(
+                [[0.0, 1e-300, 1e-150, 1e-12, 1e-6, beta, beta * (1.0 - 1e-12)], np.linspace(0.0, math.pi, 41)]
+            )
+            got = _squared_distance(orbit, offsets)
+            for g, e in zip(got, self.exact(orbit, offsets)):
+                worst = max(worst, float(abs(g - e) / e))
+            assert arc_to_distance(orbit, 0.0) == d_min(orbit)
+        assert worst <= 1e-13
+
+    def test_keeps_its_digits_at_d_min(self):
+        # 1 m overhead, where the cosine form's r^2 is off by 1.6e-3
+        orbit = OrbitGeometry(1e-3, math.pi / 2)
+        (exact,) = self.exact(orbit, [0.0])
+        R, re = orbit.radius_km, orbit.earth.radius_km
+        assert float(abs(R * R + re * re - 2.0 * R * re - exact) / exact) > 1e-3
+        assert float(abs(_squared_distance(orbit, 0.0) - exact) / exact) <= 1e-15
+
+    def test_writes_into_out(self, ref_orbit):
+        offsets = np.linspace(0.0, 1.0, 5)
+        expected = _squared_distance(ref_orbit, offsets)
+        assert _squared_distance(ref_orbit, offsets, out=offsets) is offsets
+        assert np.array_equal(offsets, expected)
 
 
 def eta_of(orbit, r):

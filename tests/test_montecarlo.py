@@ -13,6 +13,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -46,6 +47,8 @@ from orbitcov.montecarlo import (
     _nearest_distance,
     _nearest_first,
     _parallel_map,
+    _poisson_counts,
+    _poisson_table,
     _sir_batch,
     _wilson_bounds,
     _window_chunks,
@@ -68,17 +71,18 @@ def cumsum_starts(counts):
 
 
 class FixedCounts:
-    """A generator whose Poisson draw returns (a copy of) fixed counts;
-    its other draws come from a seeded generator, each logged as
-    (method, copy of the array) in `draws`."""
+    """A generator whose draws come from a seeded generator, each logged
+    as (method, copy of the array) in `draws`, with the kernel's count
+    draw patched to return (a copy of) fixed counts in their order."""
 
-    def __init__(self, counts, seed):
+    def __init__(self, counts, seed, monkeypatch):
         self.counts = np.asarray(counts, dtype=np.int64)
         self.gen = np.random.default_rng(seed)
         self.draws = []
+        monkeypatch.setattr(montecarlo, "_poisson_counts", self.poisson_counts)
 
-    def poisson(self, lam, size):
-        assert size == self.counts.size
+    def poisson_counts(self, gen, mean, n, shuffle=False):
+        assert gen is self and n == self.counts.size
         return self.counts.copy()
 
     def __getattr__(self, name):
@@ -94,7 +98,8 @@ def kernel_draw(orbit, window, gen, density, n):
     """A batch's satellites as the SIR kernel draws them: each trial's
     nearest offset (inf when empty), then per chunk its other offsets."""
     beta = _window_half_angle(orbit, window)
-    closest, others = _nearest_first(orbit, beta, gen, density, n)
+    counts = _poisson_counts(gen, 2.0 * orbit.radius_km * beta * density, n)
+    closest, others = _nearest_first(gen, beta, counts)
     return closest, others, list(_window_chunks(gen, beta, others, closest))
 
 
@@ -219,9 +224,10 @@ class TestVisibleWindow:
         assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
 
     def test_lowest_offset_draws_only_beyond_it(self, ref_orbit, ref_window):
-        # each trial's offsets uniform on (cut, beta), for one cut and for
-        # a cut per trial; a cut of 0 is the whole window's draw, bit for
-        # bit, and a cut on beta puts every offset there
+        # each trial's offsets beta - U (beta - cut), uniform on
+        # (cut, beta] and never past beta, for one cut and for a cut per
+        # trial; a cut of 0 is the whole window's draw down from beta, bit
+        # for bit, and a cut on beta puts every offset there
         beta = _window_half_angle(ref_orbit, ref_window)
         counts = np.random.default_rng(36).poisson(2.0 * ref_orbit.radius_km * beta * LAM, 50_000)
 
@@ -229,14 +235,14 @@ class TestVisibleWindow:
             chunks = _window_chunks(np.random.default_rng(37), beta, counts, cut)
             return np.concatenate([o for _, _, _, o in chunks])
 
-        assert np.array_equal(draw(0.0), np.random.default_rng(37).uniform(0.0, beta, counts.sum()))
+        assert np.array_equal(draw(0.0), beta - beta * np.random.default_rng(37).random(counts.sum()))
         offsets = draw(0.5 * beta)
-        assert offsets.min() >= 0.5 * beta and offsets.max() < beta
+        assert offsets.min() >= 0.5 * beta and offsets.max() <= beta
         assert stats.kstest(offsets, stats.uniform(0.5 * beta, 0.5 * beta).cdf).pvalue > 1e-3
         cuts = np.random.default_rng(38).uniform(0.0, beta, counts.size)
         low = np.repeat(cuts, counts)
         offsets = draw(cuts)
-        assert np.all(offsets >= low) and offsets.max() < beta
+        assert np.all(offsets >= low) and offsets.max() <= beta
         assert stats.kstest((offsets - low) / (beta - low), stats.uniform().cdf).pvalue > 1e-3
         assert np.all(draw(beta) == beta)
 
@@ -250,8 +256,9 @@ class TestVisibleWindow:
         snapshots = np.array([sample_orbit(orbit, ref_window, lam, gen).nearest_visible_km for _ in range(4000)])
         # the nearest-distance estimator's draw: the nearest offsets alone
         beta = _window_half_angle(orbit, ref_window)
-        closest, _ = _nearest_first(orbit, beta, np.random.default_rng(24), lam, 20_000)
-        kernel = _nearest_distance(orbit, ref_window, closest)
+        gen = np.random.default_rng(24)
+        closest, _ = _nearest_first(gen, beta, _poisson_counts(gen, 2.0 * orbit.radius_km * beta * lam, 20_000))
+        kernel = _nearest_distance(orbit, closest)
         p_vis = NearestDistanceLaw(orbit, ref_window, lam).visibility_probability
         for sample in (snapshots, kernel):
             seen = np.count_nonzero(np.isfinite(sample))
@@ -286,7 +293,7 @@ class TestVisibleWindow:
         expected = np.full(n, np.inf)
         for i in np.flatnonzero(np.isfinite(closest)):
             expected[i] = satellite_distances(orbit, window, np.append(others[i], closest[i])).min()
-        nearest = _nearest_distance(orbit, window, closest)
+        nearest = _nearest_distance(orbit, closest)
         seen = np.isfinite(expected)
         assert sum(o.size > 0 for o in others) > n // 2
         assert np.array_equal(np.isfinite(nearest), seen)
@@ -328,7 +335,7 @@ class TestChunkedKernel:
     @staticmethod
     def _fixed_trials(orbit, window, seed):
         # empty trials, one trial larger than a chunk, and satellites on
-        # the window's rim, where rounding decides the cap test
+        # the window's rim, beta itself among them, all of them visible
         gen = np.random.default_rng(seed)
         beta = _window_half_angle(orbit, window)
         counts = np.concatenate([gen.poisson(3.0, 300), [0, 0, montecarlo._CHUNK_SATELLITES + 3_000, 0, 1, 0]])
@@ -341,12 +348,12 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("sliver", [False, True])
     @pytest.mark.parametrize("cut", ["nearest", "mid-window"])
     def test_score_matches_the_per_satellite_form(self, ref_window, alpha, sliver, cut):
-        # squared-distance weights against sqrt, then r^-alpha, on the same
-        # fixed arrays; the sliver sits 1e-12 of the band inside its edge,
-        # where the window is a few meters wide. The kernel is handed the
-        # interferers: those beyond each trial's own nearest offset, as in
-        # the SIR kernel, or beyond half the window, as in a fixed serving
-        # radius's transform
+        # half-angle squared-distance weights against the cosine form's
+        # sqrt, then r^-alpha, on the same fixed arrays; the sliver sits
+        # 1e-12 of the band inside its edge, where the window is a few
+        # meters wide. The kernel is handed the interferers: those beyond
+        # each trial's own nearest offset, as in the SIR kernel, or beyond
+        # half the window, as in a fixed serving radius's transform
         theta = math.pi / 2
         if sliver:
             theta += math.acos(ref_window.cap_base_km / OrbitGeometry(500.0, theta).radius_km) * (1.0 - 1e-12)
@@ -359,16 +366,14 @@ class TestChunkedKernel:
             if counts[i]:
                 closest[i] = offsets[seg].min()
                 beyond[seg] = np.arange(counts[i]) != np.argmin(offsets[seg])
-        nearest = _nearest_distance(orbit, ref_window, closest)
+        nearest = _nearest_distance(orbit, closest)
         if cut == "nearest":
             reference_cuts = None
         else:
             reference_cuts = np.full(counts.size, 0.5 * _window_half_angle(orbit, ref_window))
             beyond = offsets > np.repeat(reference_cuts, counts)
         kept = np.bincount(np.repeat(np.arange(counts.size), counts)[beyond], minlength=counts.size)
-        interference = _interference(
-            orbit, ref_window, alpha, kept, cumsum_starts(kept), offsets[beyond], fading[beyond]
-        )
+        interference = _interference(orbit, alpha, kept, cumsum_starts(kept), offsets[beyond], fading[beyond])
         expected_nearest, expected_interference = score_per_satellite(
             orbit, ref_window, alpha, counts, offsets, fading, reference_cuts
         )
@@ -410,12 +415,13 @@ class TestChunkedKernel:
     def test_split_trial_matches_the_per_satellite_form(self, monkeypatch, ref_orbit, ref_window):
         # at chunks of 64 satellites a trial with 1,000 interferers is
         # scored in 16 pieces whose sums the kernel adds up. The draws,
-        # logged in their order, rebuild every satellite: one uniform per
-        # occupied trial for its nearest offset, per chunk the other
-        # offsets and then their fadings, the serving fadings last
+        # logged in their order, rebuild every satellite: after the
+        # counts, one uniform per occupied trial for its nearest offset,
+        # per chunk the other offsets, down from beta, and then their
+        # fadings, the serving fadings last
         monkeypatch.setattr(montecarlo, "_CHUNK_SATELLITES", 64)
         counts = np.array([3, 0, 1_001, 5, 0, 40, 30, 2])
-        gen = FixedCounts(counts, 39)
+        gen = FixedCounts(counts, 39, monkeypatch)
         nearest, serving, interference = _sir_batch(ref_orbit, ref_window, gen, LAM, 2.0, 3.5, counts.size)
         (first, u), *chunk_draws, (last, serving_draw) = gen.draws
         assert (first, u.size, last) == ("random", 6, "gamma")
@@ -427,7 +433,7 @@ class TestChunkedKernel:
         closest = -beta * np.expm1(np.log1p(-u) / counts[occupied])
         beyond = np.concatenate([v for name, v in chunk_draws if name == "random"])
         low = np.repeat(closest, counts[occupied] - 1)
-        beyond = low + (beta - low) * beyond
+        beyond = beta - (beta - low) * beyond
         fading = np.concatenate([v for name, v in chunk_draws if name == "gamma"])
         # each trial's satellites with its nearest first; the form scores
         # all but that one as interferers
@@ -593,20 +599,113 @@ class TestChunkStarts:
         pieces = [c[0] for t, c, _, _ in chunks if counts[t.start] == large]
         assert pieces == [montecarlo._CHUNK_SATELLITES] * 2 + [3_000]
 
-    def test_one_cut_draws_numpys_uniform(self):
+    def test_one_cut_draws_down_from_beta(self):
         # validation criterion 4's draws: one cut for all trials and a
         # gamma fading draw after each chunk's offsets. Each chunk's
-        # offsets are gen.uniform(cut, beta, k) on the same stream, bit
-        # for bit
+        # offsets are beta - (beta - cut) gen.random(k) on the same
+        # stream, bit for bit
         beta, cut = 0.2, 0.07
         counts = np.random.default_rng(40).poisson(8.0, 6_000)
         gen, twin = np.random.default_rng(41), np.random.default_rng(41)
         chunks = 0
         for _, _, _, offsets in _window_chunks(gen, beta, counts, cut):
-            assert np.array_equal(offsets, twin.uniform(cut, beta, offsets.size))
+            assert np.array_equal(offsets, beta - (beta - cut) * twin.random(offsets.size))
             assert np.array_equal(gen.gamma(2.0, 0.5, offsets.size), twin.gamma(2.0, 0.5, offsets.size))
             chunks += 1
         assert chunks > 1
+
+
+class TestPoissonCounts:
+    """The count sampler: one multinomial histogram per batch over the
+    Poisson table, laid out in ascending order.
+
+    The means run from 0, an orbit that never enters the window, and
+    1e-300, where a count above 0 has probability 1e-300, to ~2.8e6, the
+    satellites of a trial on a 1e7 km Earth. The histogram checks are 5
+    chi-square tests and 2 exact ones; a false failure of at most 1e-6
+    per run leaves 2e-7 to each chi-square test (Bonferroni). The exact
+    ones fail only when a count above 0 comes up, with probability at
+    most n mean <= 2e-295.
+    """
+
+    MEANS = (0.0, 1e-300, 0.34, 3.4, 34.0, 3.4e4, 2.8e6)
+    LEVEL = 1e-6 / 5
+    TRIALS = 200_000
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_table_matches_mpmath(self, mean):
+        # up to ~400 entries on a stride, both ends and the mode, against
+        # e^-mean mean^k / k! at 50 digits; entries below the smallest
+        # normal double may read 0
+        lo, pmf = _poisson_table(mean)
+        picked = {0, pmf.size - 1, math.floor(mean) - lo, *range(0, pmf.size, max(1, pmf.size // 400))}
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(50):
+            m = mpmath.mpf(mean)
+            for i in sorted(picked):
+                k = lo + i
+                if mean:
+                    exact = mpmath.exp(k * mpmath.log(m) - m - mpmath.loggamma(k + 1))
+                else:
+                    exact = mpmath.mpf(k == 0)
+                if exact >= tiny:
+                    assert float(abs(pmf[i] - exact) / exact) <= 1e-11, k
+                else:
+                    assert pmf[i] < tiny, k
+            # the counts below and above the table
+            hi = lo + pmf.size - 1
+            dropped = mpmath.gammainc(lo, m, mpmath.inf, regularized=True) if lo else 0
+            if mean:
+                dropped += mpmath.gammainc(hi + 1, 0, m, regularized=True)
+            assert dropped <= 1e-30
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_histogram_is_poisson(self, mean):
+        n = self.TRIALS
+        counts = _poisson_counts(np.random.default_rng(60 + self.MEANS.index(mean)), mean, n)
+        assert counts.size == n and np.all(np.diff(counts) >= 0)
+        if mean < 1e-200:
+            assert not counts.any()
+            return
+        # cells split at the law's percentiles, so each expects >= 0.5 % of n
+        law = stats.poisson(mean)
+        edges = np.unique(law.ppf(np.linspace(0.01, 0.99, 99)))
+        expected = np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]]))
+        observed = np.bincount(np.searchsorted(edges, counts, side="left"), minlength=expected.size)
+        assert stats.chisquare(observed, n * expected / expected.sum()).pvalue >= self.LEVEL
+
+    @pytest.mark.parametrize("mean", [0.34, 34.0])
+    def test_shuffle_only_reorders(self, mean):
+        # from one stream state the shuffled counts are the sorted ones in
+        # another order
+        sorted_counts = _poisson_counts(np.random.default_rng(67), mean, 10_000)
+        shuffled = _poisson_counts(np.random.default_rng(67), mean, 10_000, shuffle=True)
+        assert np.array_equal(np.sort(shuffled), sorted_counts)
+        assert not np.array_equal(shuffled, sorted_counts)
+
+    def test_orbits_pair_at_random(self, monkeypatch):
+        # a pass over two identical orbits: each batch's counts come
+        # sorted, and a later orbit's must be independent of the first's.
+        # Under independence Spearman's rho times sqrt(n - 1) is about
+        # standard normal, so each of the 3 batches exceeds the bound with
+        # probability 5.7e-7; sorted counts for both would read rho ~ 1
+        drawn = []
+
+        def logged(gen, mean, n, shuffle=False):
+            counts = _poisson_counts(gen, mean, n, shuffle)
+            drawn.append(counts)
+            return counts
+
+        monkeypatch.setattr(montecarlo, "_poisson_counts", logged)
+        orbits = (OrbitGeometry(500.0, math.pi / 2),) * 2
+        window = VisibilityWindow.from_min_elevation(math.radians(10.0), orbits[0])
+        spec = ConstellationSpec(orbits, (LAM, LAM), window, ChannelParams(alpha=2.0, m=1.0))
+        n = 10_000
+        _coverage_pass(spec, (), (0.0,), McConfig(trials=3 * n, seed=68, batch=n), jobs=1)
+        assert len(drawn) == 6
+        for first, second in zip(drawn[::2], drawn[1::2]):
+            assert np.all(np.diff(first) >= 0)
+            assert abs(stats.spearmanr(first, second)[0]) <= 5.0 / math.sqrt(n - 1)
 
 
 class TestWilson:
@@ -644,19 +743,22 @@ class TestNearestDistance:
 
     def test_batch_distances_are_the_per_chunk_distances(self, ref_orbit, ref_window):
         # pins the estimator's draws bit for bit: per batch the counts of
-        # its trials, then one uniform U per occupied trial, whose nearest
-        # offset of N is -beta expm1(log1p(-U) / N), and nothing more; the
-        # per-satellite form turns the offsets into distances
+        # its trials, one multinomial histogram over the Poisson table laid
+        # out in ascending order, then one uniform U per occupied trial,
+        # whose nearest offset of N is -beta expm1(log1p(-U) / N), and
+        # nothing more; the per-satellite form turns the offsets into
+        # distances
         lam = 0.01
         cfg = McConfig(trials=12_000, seed=19, batch=5_000)
         law = NearestDistanceLaw(ref_orbit, ref_window, lam)
         grid = np.linspace(law.d_min_km, law.d_max_km, 52)[1:-1]
         beta = _window_half_angle(ref_orbit, ref_window)
+        lo, pmf = _poisson_table(2.0 * ref_orbit.radius_km * beta * lam)
         # batch i draws from child i of the seed's SeedSequence
         streams = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,))) for i in range(3)]
         nearest = []
         for gen, size in zip(streams, (5_000, 5_000, 2_000), strict=True):
-            counts = gen.poisson(2.0 * ref_orbit.radius_km * beta * lam, size)
+            counts = np.repeat(np.arange(lo, lo + pmf.size), gen.multinomial(size, pmf))
             counts = counts[counts > 0]
             closest = -beta * np.expm1(np.log1p(-gen.random(counts.size)) / counts)
             nearest.append(satellite_distances(ref_orbit, ref_window, closest))
