@@ -47,10 +47,10 @@ Reproducibility contract: a run is determined by (seed, trials, batch).
 Batch i consumes the PCG64 stream of numpy's
 `SeedSequence(seed, spawn_key=(i,))`, which is
 `SeedSequence(seed).spawn(n)[i]` for any batch count n, in the order
-above; each stream is made when its batch is reached. Batches run on the
-package's one thread pool, one thread per CPU the process may use, the
-calling thread among them. Each batch reduces to integer counts that
-are summed in batch order, so results do not depend on how batches are
+above; each stream is made when its batch is reached. Only coverage
+passes run batches on the package's one thread pool, one thread per
+CPU the process may use, the calling thread among them. Each batch
+reduces to integer counts, so results do not depend on how batches are
 scheduled or on how many threads run them, only on how the work is
 split; the chunk size is a module constant, not an option.
 """
@@ -295,100 +295,67 @@ def _workers():
         return _pool
 
 
-def _parallel_map(fn, items, limit: int | None = None):
-    """Yield fn(item) for each item, in item order, with at most `limit`
-    items running at once, the calling thread's included, and never more
-    than the usable CPUs; None means all of them.
+def _parallel_map(fn, items, limit: int | None = None) -> list:
+    """[fn(item) for item in items] on at most `limit` threads, the calling
+    thread's included, and never more than the usable CPUs (None: all).
 
-    The calling thread takes the first item and runs it at once: a pool
-    thread that has just been handed work can wait milliseconds for the
-    interpreter lock, so the caller works rather than waits. limit - 1
-    helper tasks on the shared pool take the items after it, one at a
-    time and in order, as do the caller and the helpers whenever they
-    finish one, so a long item holds back no other and items are pulled
-    only as threads free up. A result waits for those before it. The
-    caller waits only when every item is taken and the next result is
-    still running on a helper, and helpers no pool thread has started by
-    the end are cancelled. So a map nested in an item of another never
-    waits on queued work and cannot deadlock, however busy the pool is.
-    After an item raises, no further item is taken, and the first
-    exception in item order propagates.
+    The caller takes the first item, then it and limit - 1 helpers on the
+    shared pool loop: take the next item under the lock, run it. No item
+    is taken after one has raised. At the end the caller cancels the
+    helpers no pool thread has started and waits only for items already
+    taken, so a nested map never waits on queued work. The first
+    exception in item order propagates once the items before it have run.
     """
     cpus = _usable_cpus()
     limit = cpus if limit is None else min(limit, cpus)
     if limit <= 1:
-        yield from map(fn, items)
-        return
-    tasks = enumerate(items)
-    finished = {}  # index -> (result, exception) of the items not yet yielded
-    lock = threading.Condition()
-    stopped = False
-    taken = 0
-
-    def finish(index, outcome) -> None:
-        """Record an item's (result, exception); an exception stops the taking."""
-        nonlocal stopped
-        with lock:
-            finished[index] = outcome
-            stopped |= outcome[1] is not None
-            lock.notify_all()
+        return list(map(fn, items))
+    items = iter(items)
+    pending = object()
+    results = []  # one slot per item taken, `pending` until it has run
+    errors = {}  # index -> exception
+    done = threading.Condition()
 
     def take():
         """The next (index, item), or None once the items are spent or one raised."""
-        nonlocal taken
-        with lock:
-            if stopped:
+        with done:
+            if errors:
                 return None
+            index = len(results)
             try:
-                task = next(tasks, None)
+                item = next(items)
+            except StopIteration:
+                return None
             except Exception as exc:  # the items' own failure takes the next index
-                finish(taken, (None, exc))
-                task = None
-                taken += 1
-            taken += task is not None
-            return task
+                errors[index] = exc
+                return None
+            results.append(pending)
+            return index, item
 
-    def run(index, item) -> None:
-        try:
-            outcome = (fn(item), None)
-        except BaseException as exc:  # handed to the caller in item order
-            outcome = (None, exc)
-        finish(index, outcome)
-        if outcome[1] is not None and not isinstance(outcome[1], Exception):
-            raise outcome[1]  # an interrupt or exit stops this thread at once
+    def work(task) -> None:
+        while task is not None:
+            index, item = task
+            try:
+                results[index] = fn(item)
+            except BaseException as exc:  # raised by the caller in item order
+                errors[index] = exc
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt or exit stops this thread at once
+            finally:
+                with done:
+                    done.notify_all()
+            task = take()
 
-    def help() -> None:
-        while (task := take()) is not None:
-            run(*task)
-
-    helpers = []
-    try:
-        index = 0
-        while True:
-            with lock:
-                ready = index in finished
-            if not ready:
-                task = take()
-                if task is not None:
-                    if not helpers:  # once the caller holds the first item
-                        helpers = [_workers().submit(help) for _ in range(limit - 1)]
-                    run(*task)
-                    continue
-                with lock:
-                    if index == taken:
-                        return
-                    while index not in finished:
-                        lock.wait()
-            result, exc = finished.pop(index)
-            if exc is not None:
-                raise exc
-            yield result
-            index += 1
-    finally:
-        with lock:
-            stopped = True
-        for helper in helpers:
-            helper.cancel()
+    task = take()
+    helpers = [] if task is None else [_workers().submit(lambda: work(take())) for _ in range(limit - 1)]
+    work(task)
+    for helper in helpers:
+        helper.cancel()
+    with done:
+        done.wait_for(lambda: all(r is not pending for r in results[: min(errors, default=len(results))]))
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def empirical_nearest_ccdf(
@@ -409,19 +376,14 @@ def empirical_nearest_ccdf(
     beta = _window_half_angle(orbit, window)
     mean = 2.0 * orbit.radius_km * beta * density_per_km
 
-    def count(batch) -> tuple[int, np.ndarray]:
-        """A batch's survivors and, per radius, how many lie beyond it."""
-        gen, size = batch
+    exceed = np.zeros(grid.size, dtype=np.int64)
+    survivors = 0
+    for gen, size in _batches(cfg):
         closest, _ = _nearest_first(gen, beta, _poisson_counts(gen, mean, size))
         nearest = _nearest_distance(orbit, closest)
         finite = np.sort(nearest[np.isfinite(nearest)])
-        return finite.size, finite.size - np.searchsorted(finite, grid, side="right")
-
-    exceed = np.zeros(grid.size, dtype=np.int64)
-    survivors = 0
-    for batch_survivors, batch_exceed in _parallel_map(count, _batches(cfg)):
-        survivors += batch_survivors
-        exceed += batch_exceed
+        survivors += finite.size
+        exceed += finite.size - np.searchsorted(finite, grid, side="right")
     _require_survivors(survivors, cfg.trials, "had a visible satellite")
     return exceed / survivors, survivors
 

@@ -17,12 +17,9 @@ Nine criteria, each a function returning a `CriterionResult`:
 8. parameter-trend orderings the closed forms imply
 9. seeded rerun determinism
 
-`run_all` runs the nine criteria concurrently on the Monte-Carlo
-module's one thread pool, whose threads also run the criteria's batches,
-and reports them in index order. No criterion writes state another reads
-and each draws from its own seeded streams, so the report does not
-depend on the scheduling. Each criterion's elapsed time is its own wall
-time, so those of concurrent criteria overlap.
+`run_all` runs the nine criteria in index order on the calling thread;
+only their coverage passes spread batches over the Monte-Carlo module's
+thread pool, and the report does not depend on the thread count.
 
 Criterion 2 draws and scores only the brute-force points in the few
 slices next to each band edge, counts the run between the edges by
@@ -82,7 +79,6 @@ from .montecarlo import (
     _conditioned,
     _coverage_pass,
     _interference,
-    _parallel_map,
     _poisson_counts,
     _window_chunks,
     empirical_max_sir_coverage,
@@ -108,7 +104,7 @@ OMEGA_MIN_RAD = math.radians(10.0)
 DENSITY_PER_KM = 0.005
 GAMMA_GRID_DB = threshold_grid_db(-10.0, 30.0, 5.0)
 GAMMAS = np.array([db_to_linear(g) for g in GAMMA_GRID_DB])  # the same grid, linear
-GAMMAS.setflags(write=False)  # read by criteria running concurrently
+GAMMAS.setflags(write=False)  # shared by every criterion
 
 # path-loss / fading combinations exercised by the coverage criteria
 ALPHA_M_COMBOS = ((2.0, 1), (3.0, 1), (4.0, 1), (2.0, 2), (2.0, 3))
@@ -621,28 +617,8 @@ def run_criterion(index: int, seed: int = DEFAULT_SEED, trials_scale: float = 1.
 
 
 def run_all(seed: int = DEFAULT_SEED, trials_scale: float = 1.0) -> ValidationReport:
-    """Run all nine criteria concurrently and report them in index order.
-
-    The criteria are mapped over the Monte-Carlo module's one thread pool,
-    as many at once as this process may use CPUs: the calling thread and the
-    pool's helpers take them one at a time in index order, each taking the
-    next as it finishes one, so a long criterion holds back no other. The
-    same threads run the simulation batches inside the criteria, and a
-    thread waits only for work already running, so the nesting cannot
-    deadlock. One CPU runs everything in index order on the calling thread.
-    Their heavy work is numpy calls that release the interpreter lock. The
-    criteria share nothing they write: each draws from its own
-    `SeedSequence(seed, spawn_key=(k,))`, the stream
-    `SeedSequence(seed).spawn(n)[k]` would give (k = 2 for criterion 2, 4
-    for criterion 4, 5 for criterion 9), or from `McConfig` seeds. The
-    Gauss-Legendre rules `numerics` caches and `GAMMAS` here are read-only
-    arrays, and no other module-level state in the package is written after
-    import but the pool itself, so the results and the rendered report do
-    not depend on the scheduling. The first exception a criterion raises, in
-    index order, propagates from here. Each `elapsed_s` is that criterion's
-    own wall time, so concurrent ones overlap.
-    """
-    results = list(_parallel_map(lambda index: run_criterion(index, seed, trials_scale), sorted(CRITERION_NAMES)))
+    """Run all nine criteria in index order and report them."""
+    results = [run_criterion(index, seed, trials_scale) for index in sorted(CRITERION_NAMES)]
     return ValidationReport(seed=seed, trials_scale=trials_scale, results=results)
 
 

@@ -1110,6 +1110,14 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="alpha=150.0"):
             _coverage_pass(spec, (), (0.0,), McConfig(trials=4_000, seed=7, batch=500))
 
+    def test_nearest_ccdf_runs_on_the_calling_thread(self, set_workers, ref_orbit, ref_window):
+        # its batches are small numpy calls that lose to the interpreter
+        # lock on threads, so it never makes the pool
+        set_workers(9)
+        law = NearestDistanceLaw(ref_orbit, ref_window, LAM)
+        empirical_nearest_ccdf(ref_orbit, ref_window, LAM, [law.d_min_km], McConfig(trials=4_000, seed=3, batch=500))
+        assert montecarlo._pool is None
+
     def test_nearest_ccdf_does_not_depend_on_the_workers(self, set_workers, ref_orbit, ref_window):
         law = NearestDistanceLaw(ref_orbit, ref_window, LAM)
         grid = np.linspace(law.d_min_km, law.d_max_km, 42)[1:-1]

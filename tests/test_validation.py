@@ -1,9 +1,10 @@
 """Validation internals: the brute-force arc count and the direct
-transform average, against the forms they replace, and the concurrent
-`run_all` against the criteria run one after another."""
+transform average, against the forms they replace, and `run_all`, which
+runs the criteria one after another on the calling thread."""
 
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -192,7 +193,7 @@ class TestRunAll:
     def test_report_does_not_depend_on_the_worker_count(self, sequential_reports, set_workers, cpus):
         # one CPU runs the criteria and their batches in order on this
         # thread; nine on fewer cores, with a short switch interval,
-        # interleave criteria and batches as finely as they get
+        # interleave the coverage passes' batches as finely as they get
         set_workers(cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -202,6 +203,19 @@ class TestRunAll:
             sys.setswitchinterval(interval)
         assert [r.index for r in report.results] == list(range(1, 10))
         assert render_report(report) == sequential_reports[7]
+
+    def test_criteria_run_in_order_on_the_calling_thread(self, monkeypatch, set_workers):
+        set_workers(4)
+        calls = []
+
+        def run_criterion(index, seed, trials_scale):
+            calls.append((index, threading.get_ident()))
+            return CriterionResult(index, validation.CRITERION_NAMES[index], True)
+
+        monkeypatch.setattr(validation, "run_criterion", run_criterion)
+        report = run_all(7, SCALE)
+        assert calls == [(index, threading.get_ident()) for index in range(1, 10)]
+        assert [r.index for r in report.results] == list(range(1, 10))
 
     def test_criterion_exception_propagates(self, monkeypatch):
         def run_criterion(index, seed, trials_scale):
