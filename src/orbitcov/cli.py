@@ -9,17 +9,16 @@ Four verbs:
 * ``validate``  - the built-in acceptance criteria; writes a
   deterministic report and exits nonzero on any failure.
 * ``sweep``     - the coverage verb repeated over one swept parameter,
-  concatenated into a single file. The variants run in order on the
-  calling thread; ``--jobs`` caps the threads that run one variant's
-  simulation batches, the calling thread included.
+  concatenated into a single file, the variants in order on the calling
+  thread. ``--jobs`` is accepted and has no effect.
 
 Exit codes: 0 success, 1 computation or validation failure, 2 bad
 scenario file, 3 usage error. Output files are deterministic byte for
-byte for a fixed scenario and seed, whatever the thread count; floats
-are written with repr so parsing them back loses nothing. Each verb
-imports only what it runs: ``validation`` loads inside ``validate``, and
-``concurrent.futures`` with the first simulation that runs on more than
-one thread.
+byte for a fixed scenario and seed, whatever the thread count: one per
+CPU in the process's affinity. Floats are written with repr so parsing
+them back loses nothing. Each verb imports only what it runs:
+``validation`` loads inside ``validate``, and ``concurrent.futures``
+with the first simulation that runs on more than one thread.
 """
 
 from __future__ import annotations
@@ -156,7 +155,7 @@ def _effective_mc(cfg: ScenarioConfig, args) -> McConfig | None:
     return base
 
 
-def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None, jobs: int | None = None) -> tuple[list[str], list[str]]:
+def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[str], list[str]]:
     """All result lines for one scenario, plus human-readable notices.
 
     Curves are the unconditional coverage probabilities through the best
@@ -165,9 +164,7 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None, jobs: int | None = N
     The library exposes the visibility-conditioned variants. Analytic
     curves need an integer Nakagami figure, otherwise the run downgrades
     to simulation only and says so. Each line is one row of the result
-    file, as `write_result_rows` would write it. At most `jobs` threads
-    run the simulation's batches, every usable CPU's by default; the
-    lines do not depend on it.
+    file, as `write_result_rows` would write it.
     """
     constellation = cfg.constellation()
     analytic_ok = float(constellation.channel.m).is_integer()
@@ -188,7 +185,7 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None, jobs: int | None = N
             analytic[kind] = _coverage_curve(constellation, cfg.thresholds_db, f"{kind}-analytic", budget)
     simulated: dict[str, CoverageCurve] = {}
     if mc is not None:
-        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc, prefix, jobs)
+        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc, prefix)
         for curve in (joint, *(c for _, snr, _, sinr in per_budget for c in (snr, sinr))):
             simulated[curve.kind.removesuffix("-MC")] = curve
     lines = []
@@ -214,7 +211,7 @@ def cmd_geometry(cfg: ScenarioConfig, out_dir: Path) -> int:
         for theta_deg in cfg.geometry.theta_deg:
             orbit = OrbitGeometry(
                 altitude_km=reference.altitude_km,
-                theta_rad=min(math.radians(theta_deg), math.pi),
+                theta_rad=math.radians(theta_deg),
                 earth=cfg.earth,
             )
             arc = visible_arc_length(orbit, window)
@@ -247,13 +244,11 @@ def cmd_coverage(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int
     return 0
 
 
-def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None, jobs: int) -> int:
-    """Coverage over each value of the swept parameter, one combined file.
-    The variants run in order on the calling thread; at most `jobs`
-    threads run each one's simulation batches."""
+def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int:
+    """Coverage over each value of the swept parameter, one combined file."""
     if cfg.sweep is None:
         raise ConfigError("sweep", "the sweep verb needs a sweep section")
-    results = [coverage_rows(variant, mc, jobs) for variant in cfg.sweep.variants]
+    results = [coverage_rows(variant, mc) for variant in cfg.sweep.variants]
     for _, notices in results:
         for notice in notices:
             print(f"note: {notice}")
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("validate", help="run the built-in acceptance criteria"), config_required=False)
     sweep = sub.add_parser("sweep", help="coverage swept over one parameter")
     common(sweep)
-    sweep.add_argument("--jobs", type=int, default=4, help="most threads running simulation batches at once (default 4)")
+    sweep.add_argument("--jobs", type=int, default=4, help="accepted for compatibility; no effect")
     return parser
 
 
@@ -349,7 +344,7 @@ def main(argv=None) -> int:
             return cmd_geometry(cfg, out_dir)
         if args.verb == "coverage":
             return cmd_coverage(cfg, out_dir, mc)
-        return cmd_sweep(cfg, out_dir, mc, args.jobs)
+        return cmd_sweep(cfg, out_dir, mc)
     except ConfigError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -195,11 +195,10 @@ class ScenarioConfig:
     sweep: SweepSpec | None
 
     def orbits(self) -> tuple[OrbitGeometry, ...]:
-        # radians(180) can round one ulp past pi; keep the boundary legal
         return tuple(
             OrbitGeometry(
                 altitude_km=row.altitude_km,
-                theta_rad=min(math.radians(row.theta_deg), math.pi),
+                theta_rad=math.radians(row.theta_deg),
                 phi_rad=math.radians(row.phi_deg),
                 earth=self.earth,
             )

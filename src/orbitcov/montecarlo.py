@@ -48,11 +48,12 @@ Batch i consumes the PCG64 stream of numpy's
 `SeedSequence(seed, spawn_key=(i,))`, which is
 `SeedSequence(seed).spawn(n)[i]` for any batch count n, in the order
 above; each stream is made when its batch is reached. Only coverage
-passes run batches on the package's one thread pool, one thread per
-CPU the process may use, the calling thread among them. Each batch
-reduces to integer counts, so results do not depend on how batches are
-scheduled or on how many threads run them, only on how the work is
-split; the chunk size is a module constant, not an option.
+passes run batches on threads: one per CPU in the process's affinity,
+the calling thread and helpers from the package's one pool. Each batch
+reduces to integer counts that every thread adds to its own total, so
+results do not depend on how batches are scheduled or on how many
+threads run them, only on how the work is split; the chunk size is a
+module constant, not an option.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def _usable_cpus() -> int:
 
 def _workers():
     """The package's one thread pool, made on first use so that importing
-    the package starts no thread. Every map's calling thread works too, so
+    the package starts no thread. Every sum's calling thread works too, so
     one worker fewer than the usable CPUs keeps each CPU to one thread."""
     global _pool
     with _pool_lock:
@@ -295,67 +296,46 @@ def _workers():
         return _pool
 
 
-def _parallel_map(fn, items, limit: int | None = None) -> list:
-    """[fn(item) for item in items] on at most `limit` threads, the calling
-    thread's included, and never more than the usable CPUs (None: all).
+def _parallel_sum(fn, items):
+    """sum(map(fn, items)) on the calling thread and one pool helper per
+    other usable CPU, each adding the next item, taken under one lock, to
+    its own running total until the items run out or one has raised. The
+    caller then waits for every helper and raises the first exception in
+    item order. fn returns integers or integer arrays, so the sum does not
+    depend on which thread ran which item.
 
-    The caller takes the first item, then it and limit - 1 helpers on the
-    shared pool loop: take the next item under the lock, run it. No item
-    is taken after one has raised. At the end the caller cancels the
-    helpers no pool thread has started and waits only for items already
-    taken, so a nested map never waits on queued work. The first
-    exception in item order propagates once the items before it have run.
+    Must not be called from inside an item: a pool thread would wait for
+    helpers queued behind it on the same pool.
     """
-    cpus = _usable_cpus()
-    limit = cpus if limit is None else min(limit, cpus)
-    if limit <= 1:
-        return list(map(fn, items))
-    items = iter(items)
-    pending = object()
-    results = []  # one slot per item taken, `pending` until it has run
-    errors = {}  # index -> exception
-    done = threading.Condition()
+    items = enumerate(items)
+    lock = threading.Lock()
+    errors = {}  # item index -> its exception
 
     def take():
-        """The next (index, item), or None once the items are spent or one raised."""
-        with done:
-            if errors:
-                return None
-            index = len(results)
-            try:
-                item = next(items)
-            except StopIteration:
-                return None
-            except Exception as exc:  # the items' own failure takes the next index
-                errors[index] = exc
-                return None
-            results.append(pending)
-            return index, item
+        with lock:
+            return None if errors else next(items, None)
 
-    def work(task) -> None:
+    def run(task):
+        total = 0
         while task is not None:
             index, item = task
             try:
-                results[index] = fn(item)
-            except BaseException as exc:  # raised by the caller in item order
+                total += fn(item)
+            except BaseException as exc:  # raised by the caller, in item order
                 errors[index] = exc
-                if not isinstance(exc, Exception):
-                    raise  # an interrupt or exit stops this thread at once
-            finally:
-                with done:
-                    done.notify_all()
             task = take()
+        return total
 
+    # the caller's first item is taken before any helper starts, so a pass
+    # of one batch grows no pool thread's malloc arena (+0.5 MB peak RSS)
     task = take()
-    helpers = [] if task is None else [_workers().submit(lambda: work(take())) for _ in range(limit - 1)]
-    work(task)
+    helpers = [_workers().submit(lambda: run(take())) for _ in range(_usable_cpus() - 1)]
+    total = run(task)
     for helper in helpers:
-        helper.cancel()
-    with done:
-        done.wait_for(lambda: all(r is not pending for r in results[: min(errors, default=len(results))]))
+        total += helper.result()
     if errors:
         raise errors[min(errors)]
-    return results
+    return total
 
 
 def empirical_nearest_ccdf(
@@ -416,7 +396,7 @@ def _conditioned(curve: CoverageCurve) -> CoverageCurve:
 
 
 def _coverage_pass(
-    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, prefix: str = "", jobs: int | None = None
+    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, prefix: str = ""
 ) -> tuple[tuple[CoverageCurve, CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
     """Best-satellite SIR coverage and, per link budget, best-satellite
     SNR and SINR coverage, all scored on the same draws: per batch, one
@@ -430,9 +410,8 @@ def _coverage_pass(
     unconditional) tuple per budget; curve kinds carry `prefix`. A budget
     only rescales the noise term, and shared draws make SINR <= SIR and
     SINR <= SNR hold trial by trial, orbit by orbit and so for the best.
-    Distances enter the SNR path loss in meters. At most `jobs` threads
-    run the batches, every usable CPU's by default; the curves do not
-    depend on it.
+    Distances enter the SNR path loss in meters. The batches run on
+    `_parallel_sum`, whose thread count the curves do not depend on.
 
     The pass never raises for a thin sample: the conditional curves carry
     their survivor count in the metadata, and each view that returns one
@@ -449,8 +428,8 @@ def _coverage_pass(
     unit = KM_IN_M ** -channel.alpha
     scales = [budget.snr_scale for budget in budgets]
 
-    def score(batch) -> tuple[int, np.ndarray]:
-        """A batch's survivors, and its covered counts per threshold in
+    def score(batch) -> np.ndarray:
+        """A batch's survivors, then its covered counts per threshold in
         rows: SIR over all visible, SIR over any visible, then SNR and
         SINR over all visible per budget."""
         gen, size = batch
@@ -488,13 +467,10 @@ def _coverage_pass(
                     np.maximum(best_snr[j], signal * scale, out=best_snr[j])
                     np.maximum(best_sinr[j], signal / (noise + 1.0 / scale), out=best_sinr[j])
         rows = [(all_vis, best), (any_vis, best), *((all_vis, v) for v in (*best_snr, *best_sinr))]
-        return int(np.count_nonzero(all_vis)), np.array([_covered(vis, v, gammas) for vis, v in rows])
+        return np.concatenate([[np.count_nonzero(all_vis)], *(_covered(vis, v, gammas) for vis, v in rows)])
 
-    survivors = 0
-    covered = np.zeros((2 + 2 * len(budgets), gammas.size), dtype=np.int64)
-    for batch_survivors, batch_covered in _parallel_map(score, _batches(cfg), jobs):
-        survivors += batch_survivors
-        covered += batch_covered
+    total = _parallel_sum(score, _batches(cfg))
+    survivors, covered = int(total[0]), total[1:].reshape(2 + 2 * len(budgets), gammas.size)
     covered_all, covered_any = covered[:2]
     snr_cond, sinr_cond = covered[2 : 2 + len(budgets)], covered[2 + len(budgets) :]
 

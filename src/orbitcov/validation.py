@@ -18,8 +18,8 @@ Nine criteria, each a function returning a `CriterionResult`:
 9. seeded rerun determinism
 
 `run_all` runs the nine criteria in index order on the calling thread;
-only their coverage passes spread batches over the Monte-Carlo module's
-thread pool, and the report does not depend on the thread count.
+only their coverage passes spread batches over one thread per CPU in
+the process's affinity, and the report does not depend on how many.
 
 Criterion 2 draws and scores only the brute-force points in the few
 slices next to each band edge, counts the run between the edges by

@@ -524,7 +524,7 @@ class TestSweepVerb:
         "extra",
         [
             {"sweep": {"parameter": "alpha", "values": [2.0, 3.0]}, "mc": {"trials": 2000, "seed": 3, "batch": 1000}},
-            # analytic only: --jobs draws no batches here, so it must change nothing
+            # analytic only
             {
                 "sweep": {"parameter": "theta_deg", "values": [80.0, 85.0, 90.0, 95.0]},
                 "channel": {"m": 3},
@@ -535,7 +535,7 @@ class TestSweepVerb:
     )
     def test_jobs_do_not_change_bytes(self, tmp_path, extra):
         cfg = write_scenario(tmp_path, **extra)
-        # one job simulates on the calling thread, more also on the pool
+        # the flag is still accepted, and it changes nothing
         written = []
         for jobs in ("1", "2", "4"):
             out = tmp_path / jobs
@@ -544,20 +544,19 @@ class TestSweepVerb:
         assert written[1] == written[0] and written[2] == written[0]
 
     def test_variants_run_in_order_on_the_calling_thread(self, tmp_path, monkeypatch, set_workers):
-        # the variants never leave the calling thread; --jobs caps the
-        # threads that run one variant's batches, and one is this thread
+        # the variants never leave the calling thread; one variant's
+        # batches run on at most the usable CPUs' threads
         set_workers(3)
-        variants, batch_threads, running = [], set(), [0, 0]  # now, most at once
+        variants, running = [], [0, 0]  # now, most at once
         lock = threading.Lock()
         coverage_rows, sir_batch = cli.coverage_rows, montecarlo._sir_batch
 
-        def spy(cfg, mc, jobs):
+        def spy(cfg, mc):
             variants.append((cfg.channel.alpha, threading.get_ident()))
-            return coverage_rows(cfg, mc, jobs)
+            return coverage_rows(cfg, mc)
 
         def batch_spy(*args):
             with lock:
-                batch_threads.add(threading.get_ident())
                 running[0] += 1
                 running[1] = max(running)
             try:
@@ -571,18 +570,14 @@ class TestSweepVerb:
         mc = {"trials": 3000, "seed": 3, "batch": 500}
         cfg = write_scenario(tmp_path, sweep={"parameter": "alpha", "values": [2.0, 3.0, 4.0]}, mc=mc)
         me = threading.get_ident()
-        for jobs in ("1", "2"):
-            variants.clear()
-            batch_threads.clear()
-            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
-            assert variants == [(2.0, me), (3.0, me), (4.0, me)]
-            if jobs == "1":
-                assert batch_threads == {me}
-        assert running[1] <= 2
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert variants == [(2.0, me), (3.0, me), (4.0, me)]
+        assert running[1] <= 3
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, set_workers):
-        # a two-orbit coverage with a budget over six batches, and an MC
-        # sweep, at one, two and nine workers
+        # a two-orbit coverage with a budget over six batches, a one-orbit
+        # m = 2 one over six, whose gamma draws let threads overlap, and an
+        # MC sweep, at one, two and nine workers
         orbits = [
             {"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 0.005},
             {"altitude_km": 500.0, "theta_deg": 84.0, "density_per_km": 0.002},
@@ -590,6 +585,7 @@ class TestSweepVerb:
         budget = {"tx_power_dbm": 40.0, "serving_gain_db": 30.0, "bandwidth_hz": 1.0e7}
         mc = {"trials": 3000, "seed": 5, "batch": 500}
         coverage_cfg = write_scenario(tmp_path, "two.json", orbits=orbits, budget=budget, mc=mc)
+        m2_cfg = write_scenario(tmp_path, "m2.json", scenario_id="m2", channel={"m": 2}, budget=budget, mc=mc)
         sweep = {"parameter": "density_per_km", "values": [0.001, 0.005]}
         sweep_cfg = write_scenario(tmp_path, "sweep.json", sweep=sweep, mc=mc)
         written = []
@@ -597,10 +593,12 @@ class TestSweepVerb:
             set_workers(workers)
             out = tmp_path / str(workers)
             assert main(["coverage", "--config", str(coverage_cfg), "--out", str(out)]) == 0
+            assert main(["coverage", "--config", str(m2_cfg), "--out", str(out)]) == 0
             assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out), "--jobs", "9"]) == 0
-            written.append([(out / name).read_bytes() for name in ("cli_test_coverage.csv", "cli_test_sweep.csv")])
+            names = ("cli_test_coverage.csv", "m2_coverage.csv", "cli_test_sweep.csv")
+            written.append([(out / name).read_bytes() for name in names])
         assert written[1] == written[0] and written[2] == written[0]
-        assert b"maxSINR-MC" in written[0][0]
+        assert b"maxSINR-MC" in written[0][0] and b"SINR-MC" in written[0][1]
 
     def test_sweep_needs_section(self, tmp_path):
         cfg = write_scenario(tmp_path)

@@ -10,7 +10,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -46,7 +45,7 @@ from orbitcov.montecarlo import (
     _interference,
     _nearest_distance,
     _nearest_first,
-    _parallel_map,
+    _parallel_sum,
     _poisson_counts,
     _poisson_table,
     _sir_batch,
@@ -683,7 +682,7 @@ class TestPoissonCounts:
         assert np.array_equal(np.sort(shuffled), sorted_counts)
         assert not np.array_equal(shuffled, sorted_counts)
 
-    def test_orbits_pair_at_random(self, monkeypatch):
+    def test_orbits_pair_at_random(self, monkeypatch, set_workers):
         # a pass over two identical orbits: each batch's counts come
         # sorted, and a later orbit's must be independent of the first's.
         # Under independence Spearman's rho times sqrt(n - 1) is about
@@ -701,7 +700,8 @@ class TestPoissonCounts:
         window = VisibilityWindow.from_min_elevation(math.radians(10.0), orbits[0])
         spec = ConstellationSpec(orbits, (LAM, LAM), window, ChannelParams(alpha=2.0, m=1.0))
         n = 10_000
-        _coverage_pass(spec, (), (0.0,), McConfig(trials=3 * n, seed=68, batch=n), jobs=1)
+        set_workers(1)  # one thread draws the batches, each orbit's counts in turn
+        _coverage_pass(spec, (), (0.0,), McConfig(trials=3 * n, seed=68, batch=n))
         assert len(drawn) == 6
         for first, second in zip(drawn[::2], drawn[1::2]):
             assert np.all(np.diff(first) >= 0)
@@ -1011,96 +1011,99 @@ class TestCoverageEstimators:
 
 
 class TestWorkerPool:
-    """`_parallel_map` and the estimators on the shared pool: results in
-    item order, the same bytes at any worker count, no deadlock when maps
-    nest, the first exception in item order."""
+    """`_parallel_sum` and the estimators on the shared pool: every item
+    summed once, the same bytes at any worker count, the first exception
+    in item order, and no batch left running when a pass raises."""
 
-    def test_results_in_item_order(self, set_workers):
+    def test_sums_every_item_once(self, set_workers):
         set_workers(3)
 
         def uneven(i):
             time.sleep(0.02 if i % 3 == 1 else 0.0)
-            return i * i
+            return np.array([1, i * i])
 
-        assert list(_parallel_map(uneven, range(20))) == [i * i for i in range(20)]
-        assert list(_parallel_map(uneven, range(20), 2)) == [i * i for i in range(20)]
-
-    def test_nested_maps_under_fine_switching(self, set_workers):
-        # nine workers on fewer cores, switching threads every 10 us: a lost
-        # or reordered result changes the sums
-        set_workers(9)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            sums = list(_parallel_map(lambda i: sum(_parallel_map(lambda j: i * j, range(50))), range(60)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sums == [i * sum(range(50)) for i in range(60)]
+        assert _parallel_sum(uneven, range(20)).tolist() == [20, sum(i * i for i in range(20))]
 
     def test_one_thread_is_the_calling_thread(self, set_workers):
-        set_workers(4)
-        threads = list(_parallel_map(lambda _: threading.get_ident(), range(6), 1))
+        set_workers(1)
+        threads = []
+        assert _parallel_sum(lambda _: threads.append(threading.get_ident()) or 1, range(6)) == 6
         assert threads == [threading.get_ident()] * 6
         assert montecarlo._pool is None
 
-    def test_nested_map_on_one_worker_completes(self, monkeypatch):
-        # every outer item maps its own items over the same one-worker
-        # pool; waiting on queued inner items would hang here
-        pool = ThreadPoolExecutor(max_workers=1)
-        monkeypatch.setattr(montecarlo, "_pool", pool)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    @staticmethod
+    def spy_batches(monkeypatch, behave):
+        """Run `behave(index)` in each batch's kernel call before the kernel;
+        a batch is known by the generator `_batches` made for it."""
+        batches, sir_batch = montecarlo._batches, montecarlo._sir_batch
+        index_of = {}
 
-        def inner(j):
-            time.sleep(0.002)
-            return j
+        def numbered(cfg):
+            for index, (gen, size) in enumerate(batches(cfg)):
+                index_of[id(gen)] = index
+                yield gen, size
 
-        def outer(i):
-            return sum(_parallel_map(lambda j: inner(10 * i + j), range(5)))
+        def spy(orbit, window, gen, *args):
+            behave(index_of[id(gen)])
+            return sir_batch(orbit, window, gen, *args)
 
-        results = []
-        thread = threading.Thread(target=lambda: results.append(list(_parallel_map(outer, range(6)))), daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        pool.shutdown(wait=False, cancel_futures=True)
-        assert not thread.is_alive(), "nested map deadlocked"
-        assert results == [[sum(10 * i + j for j in range(5)) for i in range(6)]]
+        monkeypatch.setattr(montecarlo, "_batches", numbered)
+        monkeypatch.setattr(montecarlo, "_sir_batch", spy)
 
-    def test_first_exception_in_item_order_cancels_queued_items(self, monkeypatch):
-        # the caller runs item 0, which fails while the one worker's helper
-        # holds item 1; no item after that is taken, and the two helpers
-        # still queued are cancelled
-        pool = ThreadPoolExecutor(max_workers=1)
-        monkeypatch.setattr(montecarlo, "_pool", pool)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-        started = []
-        release = threading.Event()
+    def test_failed_pass_leaves_no_batch_running(self, monkeypatch, set_workers):
+        # one of the two threads fails batch 0 50 ms after the other has
+        # taken batch 1, which runs for 300 ms: the pass raises only once
+        # batch 1 is done, and no thread takes a batch after batch 0 failed
+        set_workers(2)
+        started, finished = [], []
+        one_started = threading.Event()
 
-        def fn(i):
-            started.append(i)
-            if i == 0:
-                raise ValueError("item 0")
-            release.wait(5)
-            return i
-
-        with pytest.raises(ValueError, match="item 0"):
-            list(_parallel_map(fn, range(10)))
-        release.set()
-        pool.shutdown(wait=True)
-        assert set(started) <= {0, 1}
-
-        # a later item's earlier failure does not overtake an earlier item's
-        def late(i):
-            if i == 1:
+        def behave(index):
+            started.append(index)
+            if index == 0:
+                one_started.wait(5)
                 time.sleep(0.05)
-            if i in (1, 2):
-                raise ValueError(f"item {i}")
-            return i
+                raise ValueError("batch 0")
+            one_started.set()
+            time.sleep(0.3)
+            finished.append(index)
 
-        pool = ThreadPoolExecutor(max_workers=2)
-        monkeypatch.setattr(montecarlo, "_pool", pool)
-        with pytest.raises(ValueError, match="item 1"):
-            list(_parallel_map(late, range(10), 3))
-        pool.shutdown(wait=True)
+        self.spy_batches(monkeypatch, behave)
+        with pytest.raises(ValueError, match="batch 0"):
+            _coverage_pass(single(), (), (0.0,), McConfig(trials=5_000, seed=7, batch=500))
+        assert sorted(finished) == sorted(started)[1:] == [1]
+
+    def test_first_exception_in_batch_order(self, monkeypatch, set_workers):
+        # a later batch's earlier failure does not overtake an earlier one's
+        set_workers(3)
+
+        def behave(index):
+            if index == 1:
+                time.sleep(0.05)
+            if index in (1, 2):
+                raise ValueError(f"batch {index}")
+
+        self.spy_batches(monkeypatch, behave)
+        with pytest.raises(ValueError, match="batch 1"):
+            _coverage_pass(single(), (), (0.0,), McConfig(trials=5_000, seed=7, batch=500))
+
+    def test_interrupt_in_a_batch_reaches_the_caller(self, monkeypatch, set_workers):
+        # an interrupt is not an Exception, but it stops the pass the same
+        # way: the other batches in flight finish, then the caller raises it
+        set_workers(2)
+        started, finished = [], []
+
+        def behave(index):
+            started.append(index)
+            if index == 2:
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+            finished.append(index)
+
+        self.spy_batches(monkeypatch, behave)
+        with pytest.raises(KeyboardInterrupt):
+            _coverage_pass(single(), (), (0.0,), McConfig(trials=5_000, seed=7, batch=500))
+        assert sorted(finished) == [i for i in sorted(started) if i != 2]
 
     @pytest.mark.parametrize("workers", [2, 9])
     def test_batch_exception_propagates(self, set_workers, workers):
