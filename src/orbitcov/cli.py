@@ -17,8 +17,7 @@ scenario file, 3 usage error. Output files are deterministic byte for
 byte for a fixed scenario and seed, whatever the thread count: one per
 CPU in the process's affinity. Floats are written with repr so parsing
 them back loses nothing. Each verb imports only what it runs:
-``validation`` loads inside ``validate``, and ``concurrent.futures``
-with the first simulation that runs on more than one thread.
+``validation`` loads inside ``validate``.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ import numpy as np
 
 from .geometry import (
     KM_IN_M,
-    EarthConstants,
     OrbitGeometry,
     VisibilityWindow,
     arc_to_distance,
@@ -186,10 +185,6 @@ class ConstellationSpec:
     @property
     def n_orbits(self) -> int:
         return len(self.orbits)
-
-    @property
-    def earth(self) -> EarthConstants:
-        return self.orbits[0].earth
 
 
 @dataclass(frozen=True)

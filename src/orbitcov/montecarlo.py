@@ -48,12 +48,12 @@ Batch i consumes the PCG64 stream of numpy's
 `SeedSequence(seed, spawn_key=(i,))`, which is
 `SeedSequence(seed).spawn(n)[i]` for any batch count n, in the order
 above; each stream is made when its batch is reached. Only coverage
-passes run batches on threads: one per CPU in the process's affinity,
-the calling thread and helpers from the package's one pool. Each batch
-reduces to integer counts that every thread adds to its own total, so
-results do not depend on how batches are scheduled or on how many
-threads run them, only on how the work is split; the chunk size is a
-module constant, not an option.
+passes run batches on threads: up to one per CPU in the process's
+affinity, the calling thread and helpers it starts and joins within the
+pass. Each batch reduces to integer counts that every thread adds to
+its own total, so results do not depend on how batches are scheduled or
+on how many threads run them, only on how the work is split; the chunk
+size is a module constant, not an option.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ _CHUNK_SATELLITES = 2**14
 # below the smallest normal double a serving path loss loses precision
 # and the interferer weights, smaller still, go to 0 with it
 _TINY = np.finfo(float).tiny
-# the package's one thread pool, made on first use by _workers
-_pool = None
-_pool_lock = threading.Lock()
 
 
 class DegenerateSampleError(RuntimeError):
@@ -283,33 +280,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers():
-    """The package's one thread pool, made on first use so that importing
-    the package starts no thread. Every sum's calling thread works too, so
-    one worker fewer than the usable CPUs keeps each CPU to one thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1), thread_name_prefix="orbitcov")
-        return _pool
-
-
 def _parallel_sum(fn, items):
-    """sum(map(fn, items)) on the calling thread and one pool helper per
-    other usable CPU, each adding the next item, taken under one lock, to
-    its own running total until the items run out or one has raised. The
-    caller then waits for every helper and raises the first exception in
-    item order. fn returns integers or integer arrays, so the sum does not
-    depend on which thread ran which item.
-
-    Must not be called from inside an item: a pool thread would wait for
-    helpers queued behind it on the same pool.
+    """sum(map(fn, items)) on the calling thread and up to one helper
+    thread per other usable CPU. The caller takes the first item, then
+    starts a helper for each further item it can take, handing it that
+    item, so a pass never starts more threads than it has items. Every
+    thread adds the next item, taken under one lock, to its own running
+    total until the items run out or one has raised. The caller then
+    joins every helper and raises the first exception in item order. fn
+    returns integers or integer arrays, so the sum does not depend on
+    which thread ran which item.
     """
     items = enumerate(items)
     lock = threading.Lock()
     errors = {}  # item index -> its exception
+    totals = []
 
     def take():
         with lock:
@@ -324,18 +309,23 @@ def _parallel_sum(fn, items):
             except BaseException as exc:  # raised by the caller, in item order
                 errors[index] = exc
             task = take()
-        return total
+        totals.append(total)
 
-    # the caller's first item is taken before any helper starts, so a pass
-    # of one batch grows no pool thread's malloc arena (+0.5 MB peak RSS)
-    task = take()
-    helpers = [_workers().submit(lambda: run(take())) for _ in range(_usable_cpus() - 1)]
-    total = run(task)
+    first = take()
+    helpers = []
+    for _ in range(_usable_cpus() - 1):
+        task = take()
+        if task is None:
+            break
+        helper = threading.Thread(target=run, args=(task,))
+        helper.start()
+        helpers.append(helper)
+    run(first)
     for helper in helpers:
-        total += helper.result()
+        helper.join()
     if errors:
         raise errors[min(errors)]
-    return total
+    return sum(totals)
 
 
 def empirical_nearest_ccdf(

@@ -26,19 +26,6 @@ def rayleigh() -> ChannelParams:
 
 @pytest.fixture
 def set_workers(monkeypatch):
-    """Call with n: the Monte-Carlo pool then sees n usable CPUs and is
-    made afresh, with n - 1 workers beside each calling thread, on its
-    next use. Pools made this way are shut down at the end of the test."""
-    original = montecarlo._pool
-
-    def shut_down_ours():
-        if montecarlo._pool is not None and montecarlo._pool is not original:
-            montecarlo._pool.shutdown()
-
-    def set_workers(cpus: int) -> None:
-        shut_down_ours()
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(montecarlo, "_pool", None)
-
-    yield set_workers
-    shut_down_ours()
+    """Call with n: each Monte-Carlo pass then sees n usable CPUs and
+    starts at most n - 1 helper threads beside its calling thread."""
+    return lambda cpus: monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)

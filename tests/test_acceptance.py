@@ -81,7 +81,7 @@ def test_criterion_9_determinism(capsys, tmp_path):
     # same seed and trial budget through the real entry point: the report
     # must come back byte for byte identical, with matching exit codes; at
     # 20,000 trials criteria 3, 4 and 6 draw several batches each, and
-    # criterion 6 spreads its batches over the pool's threads
+    # criterion 6 spreads its batches over threads
     def run(out_dir: Path, seed: int, trials: int):
         proc = subprocess.run(
             [

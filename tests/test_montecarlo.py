@@ -1011,9 +1011,23 @@ class TestCoverageEstimators:
 
 
 class TestWorkerPool:
-    """`_parallel_sum` and the estimators on the shared pool: every item
+    """`_parallel_sum` and the estimators on its threads: every item
     summed once, the same bytes at any worker count, the first exception
-    in item order, and no batch left running when a pass raises."""
+    in item order, no batch left running when a pass raises, and no
+    helper thread started beyond the items or left alive after the pass."""
+
+    @staticmethod
+    def spy_threads(monkeypatch) -> list:
+        """The helper threads `_parallel_sum` starts from now on."""
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(montecarlo.threading, "Thread", Spy)
+        return started
 
     def test_sums_every_item_once(self, set_workers):
         set_workers(3)
@@ -1024,12 +1038,62 @@ class TestWorkerPool:
 
         assert _parallel_sum(uneven, range(20)).tolist() == [20, sum(i * i for i in range(20))]
 
-    def test_one_thread_is_the_calling_thread(self, set_workers):
+    def test_one_thread_is_the_calling_thread(self, monkeypatch, set_workers):
         set_workers(1)
+        started = self.spy_threads(monkeypatch)
         threads = []
         assert _parallel_sum(lambda _: threads.append(threading.get_ident()) or 1, range(6)) == 6
         assert threads == [threading.get_ident()] * 6
-        assert montecarlo._pool is None
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("items", [1, 2, 5])
+    def test_starts_one_helper_per_further_item_and_cpu(self, monkeypatch, set_workers, cpus, items):
+        # the helpers' items wait for the first, which the caller runs only
+        # once it has started them, so no helper drains the items early
+        set_workers(cpus)
+        started = self.spy_threads(monkeypatch)
+        first_running = threading.Event()
+
+        def item(i):
+            if i == 0:
+                first_running.set()
+            first_running.wait(5)
+            return 1
+
+        assert _parallel_sum(item, range(items)) == items
+        assert len(started) == min(items, cpus) - 1
+
+    def test_no_thread_outlives_its_pass(self, set_workers):
+        set_workers(3)
+        before = threading.enumerate()
+        assert _parallel_sum(lambda i: time.sleep(0.01) or i, range(9)) == 36
+        assert threading.enumerate() == before
+
+        def fail(i):
+            time.sleep(0.01)
+            if i == 4:
+                raise ValueError("item 4")
+            return i
+
+        with pytest.raises(ValueError, match="item 4"):
+            _parallel_sum(fail, range(9))
+        assert threading.enumerate() == before
+
+    def test_sum_inside_an_item_completes(self, set_workers):
+        # the inner sum must not wait for threads the outer one holds; the
+        # outer sum runs on a daemon thread so that a hang fails the test
+        # instead of stalling the suite
+        set_workers(2)
+        result = []
+
+        def inner(_):
+            return _parallel_sum(lambda _: 1, range(4))
+
+        outer = threading.Thread(target=lambda: result.append(_parallel_sum(inner, range(4))), daemon=True)
+        outer.start()
+        outer.join(30)
+        assert result == [16]
 
     @staticmethod
     def spy_batches(monkeypatch, behave):
@@ -1113,13 +1177,14 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="alpha=150.0"):
             _coverage_pass(spec, (), (0.0,), McConfig(trials=4_000, seed=7, batch=500))
 
-    def test_nearest_ccdf_runs_on_the_calling_thread(self, set_workers, ref_orbit, ref_window):
+    def test_nearest_ccdf_runs_on_the_calling_thread(self, monkeypatch, set_workers, ref_orbit, ref_window):
         # its batches are small numpy calls that lose to the interpreter
-        # lock on threads, so it never makes the pool
+        # lock on threads, so it starts no helper
         set_workers(9)
+        started = self.spy_threads(monkeypatch)
         law = NearestDistanceLaw(ref_orbit, ref_window, LAM)
         empirical_nearest_ccdf(ref_orbit, ref_window, LAM, [law.d_min_km], McConfig(trials=4_000, seed=3, batch=500))
-        assert montecarlo._pool is None
+        assert started == []
 
     def test_nearest_ccdf_does_not_depend_on_the_workers(self, set_workers, ref_orbit, ref_window):
         law = NearestDistanceLaw(ref_orbit, ref_window, LAM)

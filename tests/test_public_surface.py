@@ -4,6 +4,7 @@ README example holds, and the runtime needs numpy only."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -98,22 +99,31 @@ def test_readme_example():
     assert namespace["p"] == pytest.approx(stated, abs=5e-5)
 
 
-def modules_after_importing_cli() -> list[str]:
-    """The modules a fresh interpreter holds after `import orbitcov.cli`."""
+def modules_after(code: str = "import orbitcov.cli") -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    code = "import sys, orbitcov.cli; print(' '.join(sorted(sys.modules)))"
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+    return set(done.stdout.split())
 
 
 def test_cli_imports_no_scipy():
-    assert [m for m in modules_after_importing_cli() if m.split(".")[0] == "scipy"] == []
+    assert [m for m in modules_after() if m.split(".")[0] == "scipy"] == []
 
 
-def test_cli_imports_only_what_every_verb_runs():
-    # `validate` imports the criteria, and the first simulation on more than one thread the pool
-    loaded = set(modules_after_importing_cli())
+def test_cli_imports_only_what_every_verb_runs(tmp_path):
+    # `validate` imports the criteria; a simulation on two threads starts
+    # plain threads, and so imports no executor
+    loaded = modules_after()
     assert "orbitcov.cli" in loaded
     assert loaded.isdisjoint({"orbitcov.validation", "concurrent.futures"})
+    scenario = tmp_path / "two_batches.json"
+    orbit = {"altitude_km": 500.0, "theta_deg": 90.0, "density_per_km": 0.005}
+    mc = {"trials": 2000, "seed": 3, "batch": 1000}
+    scenario.write_text(json.dumps({"scenario_id": "two_batches", "orbits": [orbit], "mc": mc}))
+    argv = ["coverage", "--config", str(scenario), "--out", str(tmp_path)]
+    code = f"from orbitcov import cli, montecarlo\nmontecarlo._usable_cpus = lambda: 2\nassert cli.main({argv!r}) == 0"
+    loaded = modules_after(code)
+    assert "orbitcov.montecarlo" in loaded and "concurrent.futures" not in loaded
