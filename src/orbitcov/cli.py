@@ -233,26 +233,17 @@ def cmd_geometry(cfg: ScenarioConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_coverage(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int:
-    lines, notices = coverage_rows(cfg, mc)
-    for notice in notices:
-        print(f"note: {notice}")
-    path = out_dir / f"{cfg.scenario_id}_coverage.csv"
-    _write_lines(path, lines)
-    print(f"wrote {len(lines)} rows to {path}")
-    return 0
-
-
-def cmd_sweep(cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int:
-    """Coverage over each value of the swept parameter, one combined file."""
-    if cfg.sweep is None:
+def cmd_coverage(verb: str, cfg: ScenarioConfig, out_dir: Path, mc: McConfig | None) -> int:
+    """Coverage of the scenario, or for `sweep` of each value of its swept
+    parameter in order, in one file named after the verb."""
+    if verb == "sweep" and cfg.sweep is None:
         raise ConfigError("sweep", "the sweep verb needs a sweep section")
-    results = [coverage_rows(variant, mc) for variant in cfg.sweep.variants]
+    results = [coverage_rows(variant, mc) for variant in ((cfg,) if verb == "coverage" else cfg.sweep.variants)]
     for _, notices in results:
         for notice in notices:
             print(f"note: {notice}")
     lines = [line for variant_lines, _ in results for line in variant_lines]
-    path = out_dir / f"{cfg.scenario_id}_sweep.csv"
+    path = out_dir / f"{cfg.scenario_id}_{verb}.csv"
     _write_lines(path, lines)
     print(f"wrote {len(lines)} rows to {path}")
     return 0
@@ -341,9 +332,7 @@ def main(argv=None) -> int:
         mc = _effective_mc(cfg, args)
         if args.verb == "geometry":
             return cmd_geometry(cfg, out_dir)
-        if args.verb == "coverage":
-            return cmd_coverage(cfg, out_dir, mc)
-        return cmd_sweep(cfg, out_dir, mc)
+        return cmd_coverage(args.verb, cfg, out_dir, mc)
     except ConfigError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -26,16 +26,18 @@ Per orbit a batch draws (1) the counts of all its trials as one
 multinomial histogram over the Poisson pmf, laid out in ascending
 order, and shuffled with `Generator.shuffle` for every orbit after a
 pass's first, (2) one uniform per occupied trial for its nearest
-offset, (3) per chunk of whole trials with at most _CHUNK_SATELLITES
-interferers, their offsets and then their fadings, and (4) the serving
-fadings of all its trials. A larger trial is drawn in pieces of that
-size, so only per-trial arrays grow with the batch or the window. Every
+offset, (3) in `_interference`, the one interferer sampler, per chunk
+of whole trials with at most _CHUNK_SATELLITES interferers, their
+offsets and then their fadings, summed by trial as they are drawn, and
+(4) the serving fadings of all its trials. A larger trial is drawn in
+pieces of that size, so only per-trial arrays grow with the batch or
+the window. Every
 estimator sums over trials, so the order of one orbit's trials changes
 nothing; only the pairing of trials across orbits does, and the shuffle
 makes that pairing uniformly random. The nearest-distance estimator
 draws (1) and (2) only; validation criterion 4 draws its own counts
-beyond a fixed serving radius, unshuffled, then the same chunks beyond
-that one cut.
+beyond a fixed serving radius, unshuffled, then its interferers through
+the same sampler, every trial cut at that radius's offset.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn, and each trial's best SIR
@@ -172,36 +174,6 @@ def _nearest_first(gen: np.random.Generator, beta: float, counts: np.ndarray):
     return closest, counts
 
 
-def _window_chunks(gen: np.random.Generator, beta: float, counts: np.ndarray, cut):
-    """Yield (trial slice, counts, starts, offsets) per chunk, counts[i]
-    offsets beta - U (beta - cut_i) for trial i, U uniform on [0, 1), so
-    uniform on (cut_i, beta] and never past beta; `cut` is one offset
-    per trial or one for all, and starts is each trial's first offset in
-    the chunk. A trial larger than a chunk comes in pieces, chunks of
-    that one trial whose sums the caller adds; a caller that draws more
-    per chunk does so before asking for the next one."""
-
-    def draw(trials: slice, sizes: np.ndarray) -> np.ndarray:
-        span = beta - cut if np.ndim(cut) == 0 else np.repeat(beta - cut[trials], sizes)
-        offsets = gen.random(int(sizes.sum()))
-        offsets *= span
-        return np.subtract(beta, offsets, out=offsets)
-
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < counts.size:
-        before = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + _CHUNK_SATELLITES, side="right")))
-        trials = slice(lo, hi)
-        if counts[lo] <= _CHUNK_SATELLITES:
-            yield trials, counts[trials], ends[trials] - counts[trials] - before, draw(trials, counts[trials])
-        else:  # one trial, in pieces
-            for done in range(0, int(counts[lo]), _CHUNK_SATELLITES):
-                piece = np.minimum(counts[trials] - done, _CHUNK_SATELLITES)
-                yield trials, piece, np.zeros(1, dtype=np.int64), draw(trials, piece)
-        lo = hi
-
-
 def _nearest_distance(orbit: OrbitGeometry, closest: np.ndarray) -> np.ndarray:
     """Nearest distance (km) per trial from its smallest offset, inf for
     an empty trial (offset inf)."""
@@ -212,21 +184,36 @@ def _nearest_distance(orbit: OrbitGeometry, closest: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _interference(orbit: OrbitGeometry, alpha: float, counts, starts, offsets, fading):
-    """Per-trial sum over the satellites at `offsets` of
-    fading * (r^2)^(-alpha/2), r in km; the caller applies units and the
-    mean interferer gain."""
-    interference = np.zeros(counts.size)
-    if offsets.size:
-        r2 = _squared_distance(orbit, offsets)
-        if alpha == 2.0:
-            weight = np.divide(fading, r2, out=r2)
-        else:
-            weight = np.power(r2, -0.5 * alpha, out=r2)
-            weight *= fading
-        occupied = counts > 0
-        interference[occupied] = np.add.reduceat(weight, starts[occupied])
-    return interference
+def _interference(gen: np.random.Generator, orbit: OrbitGeometry, alpha: float, beta: float, counts, cut, fading):
+    """Per-trial sum of fading * (r^2)^(-alpha/2), r in km, over counts[i]
+    satellites at offsets beta - U (beta - cut[i]) for trial i, U uniform
+    on [0, 1), so uniform on (cut[i], beta] and never past beta; the
+    caller applies units and the mean interferer gain. Drawn per chunk of
+    whole trials with at most _CHUNK_SATELLITES satellites, a larger
+    trial in pieces of that size: the chunk's offsets, then `fading(k)`
+    for its k satellites."""
+    sums = np.zeros(counts.size)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.size:
+        before = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + _CHUNK_SATELLITES, side="right")))
+        for done in range(0, max(int(counts[lo]), 1), _CHUNK_SATELLITES):  # one piece unless trial lo is larger
+            sizes = np.minimum(counts[lo:hi] - done, _CHUNK_SATELLITES)
+            offsets = gen.random(int(sizes.sum()))
+            offsets *= np.repeat(beta - cut[lo:hi], sizes)
+            r2 = _squared_distance(orbit, np.subtract(beta, offsets, out=offsets), out=offsets)
+            if alpha == 2.0:
+                weight = np.divide(fading(r2.size), r2, out=r2)
+            else:
+                weight = np.power(r2, -0.5 * alpha, out=r2)
+                weight *= fading(r2.size)
+            if weight.size:
+                occupied = sizes > 0
+                sizes = sizes[occupied]
+                sums[lo:hi][occupied] += np.add.reduceat(weight, np.cumsum(sizes) - sizes)
+        lo = hi
+    return sums
 
 
 def _sir_batch(
@@ -247,9 +234,7 @@ def _sir_batch(
     beta = _window_half_angle(orbit, window)
     counts = _poisson_counts(gen, 2.0 * orbit.radius_km * beta * density, n, shuffle)
     closest, others = _nearest_first(gen, beta, counts)
-    interference = np.zeros(n)
-    for trials, counts, starts, offsets in _window_chunks(gen, beta, others, closest):
-        interference[trials] += _interference(orbit, alpha, counts, starts, offsets, fading(offsets.size))
+    interference = _interference(gen, orbit, alpha, beta, others, closest, fading)
     return _nearest_distance(orbit, closest), fading(n), interference
 
 

@@ -26,13 +26,13 @@ slices next to each band edge, counts the run between the edges by
 arithmetic and skips the generator over the rest: a pair draws ten
 doubles, not its 10^7, and gets the count and leaves the stream of one
 full-size draw. Criterion 3 draws only each trial's nearest satellite,
-as the Monte-Carlo kernel does first. Criterion 4 draws its interferers
-through the kernel's chunks, in batches of _DIRECT_BATCH trials: by
-Poisson restriction the window's satellites beyond the offset of the
-serving radius are those of the leftover arc, so it draws Poisson
-counts for that arc, one histogram a batch as the kernel does, and only
-those offsets, whose kernel interference sum is the direct one, and its
-memory is that of one batch at any trial count. It draws the sums once
+as the Monte-Carlo kernel does first. Criterion 4 draws and sums its
+interferers with the kernel's interferer sampler, in batches of
+_DIRECT_BATCH trials: by Poisson restriction the window's satellites
+beyond the offset of the serving radius are those of the leftover arc,
+so it draws Poisson counts for that arc, one histogram a batch as the
+kernel does, and only those offsets, whose kernel interference sum is
+the direct one, and its memory is that of one batch at any trial count. It draws the sums once
 per serving radius and averages every transform variable s over them
 (common random numbers): its checks share their draws, and each value
 is what a run for that s alone would give.
@@ -46,6 +46,7 @@ byte-identical report text.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -80,7 +81,6 @@ from .montecarlo import (
     _coverage_pass,
     _interference,
     _poisson_counts,
-    _window_chunks,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
@@ -339,13 +339,12 @@ def _laplace_direct_average(
     beta = _window_half_angle(orbit, window)
     cut = min(float(distance_to_arc(orbit, serving_km)) / (2.0 * orbit.radius_km), beta)
     s_values = np.asarray(s_values, dtype=float)
+    fading = functools.partial(gen.gamma, channel.m, 1.0 / channel.m)
     acc = np.zeros(s_values.size)
     for done in range(0, trials, _DIRECT_BATCH):
-        sums = np.zeros(min(_DIRECT_BATCH, trials - done))
-        counts = _poisson_counts(gen, 2.0 * orbit.radius_km * (beta - cut) * density, sums.size)
-        for chunk, chunk_counts, starts, offsets in _window_chunks(gen, beta, counts, cut):
-            fading = gen.gamma(channel.m, 1.0 / channel.m, offsets.size)
-            sums[chunk] += _interference(orbit, channel.alpha, chunk_counts, starts, offsets, fading)
+        size = min(_DIRECT_BATCH, trials - done)
+        counts = _poisson_counts(gen, 2.0 * orbit.radius_km * (beta - cut) * density, size)
+        sums = _interference(gen, orbit, channel.alpha, beta, counts, np.full(size, cut), fading)
         for k, s in enumerate(s_values):
             acc[k] += float(np.exp(-s * channel.g_i_bar * sums).sum())
     return acc / trials

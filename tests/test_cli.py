@@ -412,6 +412,31 @@ class TestCoverageVerb:
         b = (out_b / "cli_test_coverage.csv").read_bytes()
         assert a == b
 
+    def test_ascending_node_changes_no_byte(self, tmp_path):
+        # the distance law reads only theta and the altitude, and the
+        # orbits are independent: phi is parsed and range-checked, and
+        # every analytic and simulated row stays as it is
+        def run(phis):
+            orbits = [
+                {"altitude_km": 500.0, "theta_deg": theta, "phi_deg": phi, "density_per_km": 0.005}
+                for theta, phi in zip((90.0, 84.0), phis)
+            ]
+            cfg = write_scenario(
+                tmp_path,
+                orbits=orbits,
+                channel={"m": 2},
+                thresholds={"start_db": -10.0, "stop_db": 30.0, "step_db": 5.0},
+                budget={},
+                mc={"trials": 4000, "seed": 13, "batch": 1000},
+            )
+            out = tmp_path / f"phi-{phis[1]}"
+            assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 0
+            return (out / "cli_test_coverage.csv").read_bytes()
+
+        flat = run((0.0, 0.0))
+        assert len(flat.splitlines()) == 1 + 63
+        assert run((37.5, 211.0)) == flat
+
     def test_seeded_reruns_in_separate_processes_match(self, tmp_path):
         # a budget on two orbits: fresh interpreters draw the same streams
         # for maxSIR, maxSNR and maxSINR and write the same bytes

@@ -1,5 +1,6 @@
 """Simulation kernels: snapshots, nearest-distance and coverage estimators."""
 
+import functools
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from orbitcov import (
     VisibilityWindow,
     coverage_conditional,
     db_to_linear,
+    distance_to_arc,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
@@ -37,7 +39,7 @@ from orbitcov import (
     visible_arc_length,
 )
 from orbitcov.distance import NearestDistanceLaw
-from orbitcov.geometry import TWO_PI, EarthConstants, _window_half_angle
+from orbitcov.geometry import TWO_PI, EarthConstants, _squared_distance, _window_half_angle
 from orbitcov import montecarlo
 from orbitcov.montecarlo import (
     _batches,
@@ -50,7 +52,6 @@ from orbitcov.montecarlo import (
     _poisson_table,
     _sir_batch,
     _wilson_bounds,
-    _window_chunks,
 )
 from reference_forms import (
     orbit_plane_basis,
@@ -64,21 +65,20 @@ from reference_forms import (
 LAM = 0.005
 
 
-def cumsum_starts(counts):
-    """Each trial's first satellite in a run of trials laid end to end."""
-    return np.cumsum(counts) - counts
-
-
 class FixedCounts:
     """A generator whose draws come from a seeded generator, each logged
-    as (method, copy of the array) in `draws`, with the kernel's count
-    draw patched to return (a copy of) fixed counts in their order."""
+    as (method, copy of the array) in `draws`. Given `monkeypatch`, the
+    kernel's count draw is patched to return (a copy of) fixed counts in
+    their order; given `plant`, each uniform draw passes through it, in
+    place, before it is logged and used."""
 
-    def __init__(self, counts, seed, monkeypatch):
+    def __init__(self, counts, seed, monkeypatch=None, plant=None):
         self.counts = np.asarray(counts, dtype=np.int64)
         self.gen = np.random.default_rng(seed)
         self.draws = []
-        monkeypatch.setattr(montecarlo, "_poisson_counts", self.poisson_counts)
+        self.plant = plant
+        if monkeypatch is not None:
+            monkeypatch.setattr(montecarlo, "_poisson_counts", self.poisson_counts)
 
     def poisson_counts(self, gen, mean, n, shuffle=False):
         assert gen is self and n == self.counts.size
@@ -87,28 +87,57 @@ class FixedCounts:
     def __getattr__(self, name):
         def draw(*args):
             values = getattr(self.gen, name)(*args)
+            if name == "random" and self.plant is not None:
+                self.plant(values)
             self.draws.append((name, values.copy()))
             return values
 
         return draw
 
+    def sizes(self, name="random"):
+        """The sizes of the logged draws of one method, in order."""
+        return [values.size for method, values in self.draws if method == name]
 
-def kernel_draw(orbit, window, gen, density, n):
+
+def drawn_offsets(beta, counts, cut, draws):
+    """Each interferer's offset, trial by trial, from the uniform draws
+    `_interference` logged: chunks come in trial order, so those draws
+    laid end to end hold each trial's offsets in turn, beta - U (beta -
+    cut_i), the kernel's float ops."""
+    u = np.concatenate([values for name, values in draws if name == "random"])
+    return beta - (beta - np.repeat(cut, counts)) * u
+
+
+def kernel_draw(orbit, window, seed, density, n):
     """A batch's satellites as the SIR kernel draws them: each trial's
-    nearest offset (inf when empty), then per chunk its other offsets."""
+    nearest offset (inf when empty), its count of others, their offsets
+    as one array per trial, and the satellite count of each chunk."""
+    gen = FixedCounts((), seed)
     beta = _window_half_angle(orbit, window)
     counts = _poisson_counts(gen, 2.0 * orbit.radius_km * beta * density, n)
     closest, others = _nearest_first(gen, beta, counts)
-    return closest, others, list(_window_chunks(gen, beta, others, closest))
+    logged = len(gen.draws)
+    _interference(gen, orbit, 2.0, beta, others, closest, np.ones)
+    offsets = drawn_offsets(beta, others, closest, gen.draws[logged:])
+    return closest, others, np.split(offsets, np.cumsum(others)[:-1]), gen.sizes()[1:]
 
 
-def per_trial(chunks, n):
-    """Each trial's offsets gathered from the chunks, split trials whole."""
-    offsets = [[] for _ in range(n)]
-    for trials, counts, starts, chunk_offsets in chunks:
-        for i, start, count in zip(range(trials.start, trials.stop), starts, counts):
-            offsets[i].append(chunk_offsets[start : start + count])
-    return [np.concatenate(o) if o else np.empty(0) for o in offsets]
+def chunk_sizes(counts, limit):
+    """The satellite count of each chunk, by the rule of the kernel:
+    whole trials together while they fit in `limit`, a larger trial alone
+    in pieces of `limit` and what is left of it."""
+    sizes, run = [], None
+    for count in map(int, counts):
+        if run is not None and run + count <= limit:
+            run += count
+            continue
+        if run is not None:
+            sizes.append(run)
+        run = count
+        if count > limit:
+            sizes += [limit] * (count // limit) + [count % limit] * (count % limit > 0)
+            run = None
+    return sizes if run is None else [*sizes, run]
 
 
 def single(theta=math.pi / 2, lam=LAM, m=1.0, alpha=2.0):
@@ -216,8 +245,8 @@ class TestVisibleWindow:
     def test_mean_visible_count(self, ref_window, theta):
         orbit = OrbitGeometry(500.0, theta)
         n = 200_000
-        closest, _, chunks = kernel_draw(orbit, ref_window, np.random.default_rng(22), LAM, n)
-        offsets = np.concatenate([closest[np.isfinite(closest)], *(offsets for _, _, _, offsets in chunks)])
+        closest, _, others, _ = kernel_draw(orbit, ref_window, 22, LAM, n)
+        offsets = np.concatenate([closest[np.isfinite(closest)], *others])
         r_vis = satellite_distances(orbit, ref_window, offsets)
         mean = LAM * visible_arc_length(orbit, ref_window)
         assert np.count_nonzero(np.isfinite(r_vis)) / n == pytest.approx(mean, abs=5.0 * math.sqrt(mean / n))
@@ -225,25 +254,31 @@ class TestVisibleWindow:
     def test_lowest_offset_draws_only_beyond_it(self, ref_orbit, ref_window):
         # each trial's offsets beta - U (beta - cut), uniform on
         # (cut, beta] and never past beta, for one cut and for a cut per
-        # trial; a cut of 0 is the whole window's draw down from beta, bit
-        # for bit, and a cut on beta puts every offset there
+        # trial. One satellite per trial at unit fading and alpha 2 sums
+        # to 1 / r^2, from which distance_to_arc recovers its offset; a
+        # cut of 0 is the whole window's draw down from beta, bit for
+        # bit, and a cut on beta puts every offset there
         beta = _window_half_angle(ref_orbit, ref_window)
-        counts = np.random.default_rng(36).poisson(2.0 * ref_orbit.radius_km * beta * LAM, 50_000)
+        n = 50_000
 
         def draw(cut):
-            chunks = _window_chunks(np.random.default_rng(37), beta, counts, cut)
-            return np.concatenate([o for _, _, _, o in chunks])
+            cuts = np.broadcast_to(cut, n)
+            return _interference(np.random.default_rng(37), ref_orbit, 2.0, beta, np.ones(n, dtype=np.int64), cuts, np.ones)
 
-        assert np.array_equal(draw(0.0), beta - beta * np.random.default_rng(37).random(counts.sum()))
-        offsets = draw(0.5 * beta)
-        assert offsets.min() >= 0.5 * beta and offsets.max() <= beta
+        def recovered(cut):
+            return distance_to_arc(ref_orbit, np.sqrt(1.0 / draw(cut))) / (2.0 * ref_orbit.radius_km)
+
+        u = np.random.default_rng(37).random(n)
+        assert np.array_equal(draw(0.0), 1.0 / _squared_distance(ref_orbit, beta - beta * u))
+        offsets = recovered(0.5 * beta)
+        assert offsets.min() >= 0.5 * beta * (1.0 - 1e-9) and offsets.max() <= beta * (1.0 + 1e-9)
         assert stats.kstest(offsets, stats.uniform(0.5 * beta, 0.5 * beta).cdf).pvalue > 1e-3
-        cuts = np.random.default_rng(38).uniform(0.0, beta, counts.size)
-        low = np.repeat(cuts, counts)
-        offsets = draw(cuts)
-        assert np.all(offsets >= low) and offsets.max() <= beta
-        assert stats.kstest((offsets - low) / (beta - low), stats.uniform().cdf).pvalue > 1e-3
-        assert np.all(draw(beta) == beta)
+        cuts = np.random.default_rng(38).uniform(0.0, beta, n)
+        offsets = recovered(cuts)
+        # arccos near the top of the orbit keeps about half the digits
+        assert np.all(offsets >= cuts - 1e-7) and offsets.max() <= beta * (1.0 + 1e-9)
+        assert stats.kstest((offsets - cuts) / (beta - cuts), stats.uniform().cdf).pvalue > 1e-3
+        assert np.all(draw(beta) == 1.0 / _squared_distance(ref_orbit, np.array([beta])))
 
     def test_nearest_agrees_with_snapshots(self, ref_window):
         # whole-circle 3-D snapshots with the elevation test against the
@@ -287,8 +322,7 @@ class TestVisibleWindow:
         n = 20_000
         # about 3 satellites per trial, so most trials have others
         density = 3.0 / visible_arc_length(orbit, window)
-        closest, _, chunks = kernel_draw(orbit, window, np.random.default_rng(29), density, n)
-        others = per_trial(chunks, n)
+        closest, _, others, _ = kernel_draw(orbit, window, 29, density, n)
         expected = np.full(n, np.inf)
         for i in np.flatnonzero(np.isfinite(closest)):
             expected[i] = satellite_distances(orbit, window, np.append(others[i], closest[i])).min()
@@ -332,47 +366,55 @@ class TestVisibleWindow:
 
 class TestChunkedKernel:
     @staticmethod
-    def _fixed_trials(orbit, window, seed):
-        # empty trials, one trial larger than a chunk, and satellites on
-        # the window's rim, beta itself among them, all of them visible
-        gen = np.random.default_rng(seed)
-        beta = _window_half_angle(orbit, window)
-        counts = np.concatenate([gen.poisson(3.0, 300), [0, 0, montecarlo._CHUNK_SATELLITES + 3_000, 0, 1, 0]])
-        offsets = gen.uniform(0.0, beta, int(counts.sum()))
-        rim = beta - np.arange(50) * np.spacing(beta)
-        offsets[gen.choice(offsets.size, rim.size, replace=False)] = rim
-        return counts, offsets, gen.gamma(2.0, 0.5, offsets.size)
+    def _rim(u):
+        # every 41st uniform planted within 50 ulps of 0: an interferer
+        # U = 0 lies on the window's rim at beta itself, and a nearest
+        # offset at 0 on the top of the orbit
+        u[::41] = np.arange(u[::41].size) % 50 * 2.0**-53
 
     @pytest.mark.parametrize("alpha", [2.0, 3.5])
     @pytest.mark.parametrize("sliver", [False, True])
     @pytest.mark.parametrize("cut", ["nearest", "mid-window"])
-    def test_score_matches_the_per_satellite_form(self, ref_window, alpha, sliver, cut):
+    def test_score_matches_the_per_satellite_form(self, monkeypatch, ref_window, alpha, sliver, cut):
         # half-angle squared-distance weights against the cosine form's
-        # sqrt, then r^-alpha, on the same fixed arrays; the sliver sits
-        # 1e-12 of the band inside its edge, where the window is a few
-        # meters wide. The kernel is handed the interferers: those beyond
-        # each trial's own nearest offset, as in the SIR kernel, or beyond
-        # half the window, as in a fixed serving radius's transform
+        # sqrt, then r^-alpha, on the satellites the kernel draws, rebuilt
+        # from its logged draws; the sliver sits 1e-12 of the band inside
+        # its edge, where the window is a few meters wide. The trials hold
+        # runs of empty ones and one larger than a chunk, and the
+        # interferers lie beyond each trial's own nearest offset, as in
+        # the SIR kernel, or beyond half the window, as in a fixed serving
+        # radius's transform
         theta = math.pi / 2
         if sliver:
             theta += math.acos(ref_window.cap_base_km / OrbitGeometry(500.0, theta).radius_km) * (1.0 - 1e-12)
         orbit = OrbitGeometry(500.0, theta)
-        counts, offsets, fading = self._fixed_trials(orbit, ref_window, 31)
-        closest = np.full(counts.size, np.inf)
-        beyond = np.zeros(offsets.size, dtype=bool)
-        for i, start in enumerate(cumsum_starts(counts)):
-            seg = slice(start, start + counts[i])
-            if counts[i]:
-                closest[i] = offsets[seg].min()
-                beyond[seg] = np.arange(counts[i]) != np.argmin(offsets[seg])
-        nearest = _nearest_distance(orbit, closest)
+        beta = _window_half_angle(orbit, ref_window)
+        trials = np.random.default_rng(31).poisson(3.0, 300)
+        counts = np.concatenate([trials, [0, 0, montecarlo._CHUNK_SATELLITES + 3_000, 0, 1, 0]])
+        gen = FixedCounts(counts, 31, monkeypatch, self._rim)
         if cut == "nearest":
-            reference_cuts = None
+            nearest, _, interference = _sir_batch(orbit, ref_window, gen, LAM, 2.0, alpha, counts.size)
+            (_, u), *draws, _ = gen.draws
+            cuts = np.full(counts.size, np.inf)
+            cuts[counts > 0] = -beta * np.expm1(np.log1p(-u) / counts[counts > 0])
+            others, reference_cuts = counts - (counts > 0), None
         else:
-            reference_cuts = np.full(counts.size, 0.5 * _window_half_angle(orbit, ref_window))
-            beyond = offsets > np.repeat(reference_cuts, counts)
-        kept = np.bincount(np.repeat(np.arange(counts.size), counts)[beyond], minlength=counts.size)
-        interference = _interference(orbit, alpha, kept, cumsum_starts(kept), offsets[beyond], fading[beyond])
+            reference_cuts = np.full(counts.size, 0.5 * beta)
+            fading = functools.partial(gen.gamma, 2.0, 0.5)
+            interference = _interference(gen, orbit, alpha, beta, counts, reference_cuts, fading)
+            draws, cuts, others = gen.draws, reference_cuts, counts
+        assert max(gen.sizes()) == montecarlo._CHUNK_SATELLITES
+        edges = np.cumsum(others)[:-1]
+        offsets = np.split(drawn_offsets(beta, others, cuts, draws), edges)
+        fading = np.split(np.concatenate([v for name, v in draws if name == "gamma"]), edges)
+        if cut == "nearest":
+            # each trial's nearest first, at a fading the form leaves out
+            offsets = [np.append(c, o) if n else o for c, o, n in zip(cuts, offsets, counts)]
+            fading = [np.append(1.0, f) if n else f for f, n in zip(fading, counts)]
+        else:
+            nearest = _nearest_distance(orbit, np.array([o.min() if o.size else np.inf for o in offsets]))
+        offsets, fading = np.concatenate(offsets), np.concatenate(fading)
+        assert np.count_nonzero(offsets == beta) > 0
         expected_nearest, expected_interference = score_per_satellite(
             orbit, ref_window, alpha, counts, offsets, fading, reference_cuts
         )
@@ -387,18 +429,13 @@ class TestChunkedKernel:
     def test_chunks_tile_the_batch(self, ref_orbit, ref_window, density):
         # whole trials together up to _CHUNK_SATELLITES satellites, and a
         # larger trial in pieces: at 10 per km each of the 4 trials has
-        # ~33,700 satellites beyond its nearest
+        # ~33,700 satellites beyond its nearest. After the draw of the
+        # nearest offsets each uniform draw is one chunk
         n = 3_000 if density < 1.0 else 4
-        _, others, chunks = kernel_draw(ref_orbit, ref_window, np.random.default_rng(32), density, n)
-        trials = list(dict.fromkeys((chunk[0].start, chunk[0].stop) for chunk in chunks))
-        assert [start for start, _ in trials] == [0] + [stop for _, stop in trials[:-1]]
-        assert trials[-1][1] == n
-        for trial, counts, starts, offsets in chunks:
-            assert counts.size == trial.stop - trial.start
-            assert np.array_equal(starts, cumsum_starts(counts))
-            assert offsets.size == counts.sum() <= montecarlo._CHUNK_SATELLITES
-        assert [o.size for o in per_trial(chunks, n)] == others.tolist()
-        assert len(chunks) > 1
+        _, others, _, sizes = kernel_draw(ref_orbit, ref_window, 32, density, n)
+        assert sizes == chunk_sizes(others, montecarlo._CHUNK_SATELLITES)
+        assert max(sizes) <= montecarlo._CHUNK_SATELLITES and sum(sizes) == others.sum()
+        assert len(sizes) > 1
 
     def test_small_chunks_keep_the_law(self, monkeypatch):
         # chunks of 64 satellites hold about four trials each, so a batch
@@ -562,56 +599,77 @@ class TestWholeWindowLaw:
         assert reference[0] > n // 4
 
 
-class TestChunkStarts:
+class TestInterferenceDraws:
+    """`_interference` on fixed counts, its draws logged: chunks of whole
+    trials in trial order, a larger trial in pieces, and per chunk its
+    offsets and then its fadings."""
+
     @staticmethod
-    def _chunks(counts, seed=34):
-        return list(_window_chunks(np.random.default_rng(seed), 0.2, np.asarray(counts, dtype=np.int64), 0.0))
+    def _draw(orbit, window, counts, seed=34, cut=0.0):
+        """The per-trial sums at alpha 2 and gamma(2, 1/2) fadings, one
+        cut for all trials, and the logging generator."""
+        gen = FixedCounts((), seed)
+        counts = np.asarray(counts, dtype=np.int64)
+        beta = _window_half_angle(orbit, window)
+        fading = functools.partial(gen.gamma, 2.0, 0.5)
+        return _interference(gen, orbit, 2.0, beta, counts, np.full(counts.size, cut), fading), gen
 
-    def test_offsets(self):
-        ((_, _, starts, _),) = self._chunks([3, 0, 2, 5])
-        assert np.array_equal(starts, np.array([0, 3, 3, 5]))
+    @staticmethod
+    def _expected(orbit, window, counts, gen):
+        """The per-satellite form's sums over the logged satellites."""
+        cuts = np.zeros(len(counts))
+        offsets = drawn_offsets(_window_half_angle(orbit, window), counts, cuts, gen.draws)
+        fading = np.concatenate([v for name, v in gen.draws if name == "gamma"])
+        return score_per_satellite(orbit, window, 2.0, counts, offsets, fading, cuts)[1]
 
-    def test_empty(self):
-        assert self._chunks([]) == []
-        ((_, counts, starts, offsets),) = self._chunks([0, 0, 0])
-        assert np.array_equal(starts, np.zeros(3))
-        assert offsets.size == 0
+    def test_each_trial_sums_its_own_satellites(self, ref_orbit, ref_window):
+        counts = [3, 0, 2, 5]
+        sums, gen = self._draw(ref_orbit, ref_window, counts)
+        assert gen.sizes() == [10]
+        assert sums[1] == 0.0
+        assert np.allclose(sums, self._expected(ref_orbit, ref_window, counts, gen), rtol=1e-12, atol=0.0)
 
-    def test_starts_are_the_cumulative_counts(self):
+    def test_empty(self, ref_orbit, ref_window):
+        # no trials draw nothing; empty trials draw one empty chunk
+        sums, gen = self._draw(ref_orbit, ref_window, [])
+        assert sums.size == 0 and gen.draws == []
+        sums, gen = self._draw(ref_orbit, ref_window, [0, 0, 0])
+        assert np.array_equal(sums, np.zeros(3))
+        assert [(name, values.size) for name, values in gen.draws] == [("random", 0), ("gamma", 0)]
+
+    def test_chunks_hold_whole_trials(self, ref_orbit, ref_window):
         # runs of empty trials, one trial larger than a chunk between
         # them, which comes in pieces, and chunk edges wherever the counts
-        # put them
+        # put them: the sizes of the uniform draws are the chunks, and
+        # every trial sums its own satellites across them
         gen = np.random.default_rng(35)
-        large = 2 * montecarlo._CHUNK_SATELLITES + 3_000
+        limit = montecarlo._CHUNK_SATELLITES
+        large = 2 * limit + 3_000
         counts = np.concatenate([[0, 0], gen.poisson(3.0, 8_000), [0, large, 0, 0], gen.poisson(0.5, 300), [0]])
-        chunks = self._chunks(counts)
-        assert len(chunks) > 4
-        before = 0
-        drawn = np.zeros_like(counts)
-        for trials, chunk_counts, starts, offsets in chunks:
-            assert np.array_equal(starts, cumsum_starts(chunk_counts))
-            assert np.array_equal(starts + before, cumsum_starts(counts)[trials] + drawn[trials])
-            assert offsets.size == chunk_counts.sum() <= montecarlo._CHUNK_SATELLITES
-            drawn[trials] += chunk_counts
-            before += offsets.size
-        assert np.array_equal(drawn, counts)
-        pieces = [c[0] for t, c, _, _ in chunks if counts[t.start] == large]
-        assert pieces == [montecarlo._CHUNK_SATELLITES] * 2 + [3_000]
+        sums, log = self._draw(ref_orbit, ref_window, counts)
+        sizes = log.sizes()
+        assert sizes == chunk_sizes(counts, limit)
+        assert len(sizes) > 4 and max(sizes) <= limit
+        assert any(sizes[i : i + 3] == [limit, limit, 3_000] for i in range(len(sizes)))
+        expected = self._expected(ref_orbit, ref_window, counts, log)
+        assert np.array_equal(sums == 0.0, expected == 0.0)
+        assert np.allclose(sums, expected, rtol=1e-12, atol=0.0)
 
-    def test_one_cut_draws_down_from_beta(self):
+    def test_one_cut_draws_down_from_beta(self, ref_orbit, ref_window):
         # validation criterion 4's draws: one cut for all trials and a
-        # gamma fading draw after each chunk's offsets. Each chunk's
-        # offsets are beta - (beta - cut) gen.random(k) on the same
-        # stream, bit for bit
-        beta, cut = 0.2, 0.07
-        counts = np.random.default_rng(40).poisson(8.0, 6_000)
-        gen, twin = np.random.default_rng(41), np.random.default_rng(41)
-        chunks = 0
-        for _, _, _, offsets in _window_chunks(gen, beta, counts, cut):
-            assert np.array_equal(offsets, beta - (beta - cut) * twin.random(offsets.size))
-            assert np.array_equal(gen.gamma(2.0, 0.5, offsets.size), twin.gamma(2.0, 0.5, offsets.size))
-            chunks += 1
-        assert chunks > 1
+        # gamma fading draw after each chunk's offsets, on one stream.
+        # With one satellite per trial each sum at alpha 2 is its fading
+        # over r^2 at the offset beta - (beta - cut) U, bit for bit
+        beta = _window_half_angle(ref_orbit, ref_window)
+        cut = 0.35 * beta
+        ones = np.ones(2 * montecarlo._CHUNK_SATELLITES + 5_000, dtype=np.int64)
+        sums, gen = self._draw(ref_orbit, ref_window, ones, seed=41, cut=cut)
+        assert [name for name, _ in gen.draws] == ["random", "gamma"] * 3
+        twin = np.random.default_rng(41)
+        for name, values in gen.draws:
+            assert np.array_equal(values, twin.random(values.size) if name == "random" else twin.gamma(2.0, 0.5, values.size))
+        u, fading = (np.concatenate([v for n, v in gen.draws if n == name]) for name in ("random", "gamma"))
+        assert np.array_equal(sums, fading / _squared_distance(ref_orbit, beta - (beta - cut) * u))
 
 
 class TestPoissonCounts:
