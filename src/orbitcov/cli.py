@@ -74,11 +74,12 @@ RESULT_HEADER = ",".join(RESULT_FIELDS)
 
 def _cell(value) -> str:
     """The one cell rule of every result file: empty for None, repr for a
-    float (so reading it back is exact), str for the rest."""
+    float, numpy's float64 included (so reading it back is exact), str
+    for the rest."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -159,11 +160,13 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[str], 
 
     Curves are the unconditional coverage probabilities through the best
     visible satellite: SIR, plus SNR and SINR when the scenario has a
-    link budget. Kinds carry a `max` prefix when there are several orbits.
-    The library exposes the visibility-conditioned variants. Analytic
-    curves need an integer Nakagami figure, otherwise the run downgrades
-    to simulation only and says so. Each line is one row of the result
-    file, as `write_result_rows` would write it.
+    link budget. This is the one place curve kinds are named: the
+    quantity, with a `max` prefix when there are several orbits, and a
+    `-analytic`, `-MC` or `-delta` suffix. The library's curves carry
+    numbers only and expose the visibility-conditioned variants too.
+    Analytic curves need an integer Nakagami figure, otherwise the run
+    downgrades to simulation only and says so. Each line is one row of
+    the result file, as `write_result_rows` would write it.
     """
     constellation = cfg.constellation()
     analytic_ok = float(constellation.channel.m).is_integer()
@@ -180,18 +183,18 @@ def coverage_rows(cfg: ScenarioConfig, mc: McConfig | None) -> tuple[list[str], 
     analytic: dict[str, CoverageCurve] = {}
     if analytic_ok:
         for quantity, budget in quantities.items():
-            kind = f"{prefix}{quantity}"
-            analytic[kind] = _coverage_curve(constellation, cfg.thresholds_db, f"{kind}-analytic", budget)
+            analytic[prefix + quantity] = _coverage_curve(constellation, cfg.thresholds_db, budget)
     simulated: dict[str, CoverageCurve] = {}
     if mc is not None:
-        (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc, prefix)
-        for curve in (joint, *(c for _, snr, _, sinr in per_budget for c in (snr, sinr))):
-            simulated[curve.kind.removesuffix("-MC")] = curve
+        _, (_, joint, _), per_budget = _coverage_pass(constellation, budgets, cfg.thresholds_db, mc)
+        simulated[prefix + "SIR"] = joint
+        for _, snr, _, sinr in per_budget:
+            simulated[prefix + "SNR"], simulated[prefix + "SINR"] = snr, sinr
     lines = []
-    for curve in analytic.values():
-        lines += _curve_lines(cfg, curve.kind, curve.thresholds_db, curve.values, None)
-    for curve in simulated.values():
-        lines += _curve_lines(cfg, curve.kind, curve.thresholds_db, curve.values, mc.seed, curve.ci_low, curve.ci_high)
+    for key, curve in analytic.items():
+        lines += _curve_lines(cfg, f"{key}-analytic", curve.thresholds_db, curve.values, None)
+    for key, curve in simulated.items():
+        lines += _curve_lines(cfg, f"{key}-MC", curve.thresholds_db, curve.values, mc.seed, curve.ci_low, curve.ci_high)
     for key, curve in analytic.items():
         if key in simulated:
             sim = simulated[key]

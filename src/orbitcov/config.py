@@ -205,17 +205,12 @@ class ScenarioConfig:
             for row in self.orbit_rows
         )
 
-    def densities(self) -> tuple[float, ...]:
-        return tuple(row.density_per_km for row in self.orbit_rows)
-
-    def window(self) -> VisibilityWindow:
-        return VisibilityWindow.from_min_elevation(math.radians(self.omega_min_deg), self.orbits()[0])
-
     def constellation(self) -> ConstellationSpec:
+        orbits = self.orbits()
         return ConstellationSpec(
-            orbits=self.orbits(),
-            densities_per_km=self.densities(),
-            window=self.window(),
+            orbits=orbits,
+            densities_per_km=tuple(row.density_per_km for row in self.orbit_rows),
+            window=VisibilityWindow.from_min_elevation(math.radians(self.omega_min_deg), orbits[0]),
             channel=self.channel,
         )
 

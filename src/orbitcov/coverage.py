@@ -33,7 +33,8 @@ unconditional `CoverageCurve`, the unclipped conditional value times
 the joint visibility probability. Both check m and the thresholds
 before visibility; then, when any orbit never enters the window, the
 curve is 0 while `coverage_conditional` raises, as it conditions on an
-impossible event.
+impossible event. A curve holds numbers only: the kind a result file
+names it by is spelled in `cli.coverage_rows` alone.
 
 A whole grid runs on one fixed tensor Gauss-Legendre rule: graded
 panels over tau, and for every tau one rule over the interferer arc
@@ -46,7 +47,7 @@ of thresholds. A non-finite value, or one off [0, 1] beyond rounding, raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -65,7 +66,6 @@ __all__ = [
     "LinkBudget",
     "ConstellationSpec",
     "CoverageCurve",
-    "CURVE_KINDS",
     "db_to_linear",
     "threshold_grid_db",
     "coverage_conditional",
@@ -73,21 +73,6 @@ __all__ = [
     "snr_coverage_curve",
     "max_sir_coverage_curve",
 ]
-
-CURVE_KINDS = frozenset(
-    {
-        "SIR-analytic",
-        "SNR-analytic",
-        "maxSIR-analytic",
-        "maxSNR-analytic",
-        "SIR-MC",
-        "SNR-MC",
-        "SINR-MC",
-        "maxSIR-MC",
-        "maxSNR-MC",
-        "maxSINR-MC",
-    }
-)
 
 # tensor nodes (thresholds x serving x interferer) per tile of the SIR
 # kernel. A curve allocates one workspace of five tile-sized rows (load,
@@ -192,22 +177,18 @@ class CoverageCurve:
     """Coverage probability sampled on a dB threshold grid.
 
     ci_low / ci_high are per-point confidence bounds for Monte-Carlo
-    curves and None for analytic ones; metadata records how the curve
-    was produced (conditioning, parameters, trial counts).
+    curves and None for analytic ones. The curve does not name itself:
+    its kind in a result file is spelled by `cli.coverage_rows`.
     """
 
     thresholds_db: tuple[float, ...]
     values: tuple[float, ...]
-    kind: str
-    metadata: dict = field(default_factory=dict)
     ci_low: tuple[float, ...] | None = None
     ci_high: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds_db", tuple(float(x) for x in self.thresholds_db))
         object.__setattr__(self, "values", tuple(float(x) for x in self.values))
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
         if len(self.thresholds_db) != len(self.values):
             raise ValueError("thresholds and values must have the same length")
         if any(not 0.0 <= v <= 1.0 for v in self.values):
@@ -374,18 +355,10 @@ def _coverage(constellation: ConstellationSpec, gammas, budget: LinkBudget | Non
     return _unit(_best_conditional(constellation, m, gammas, budget) * vis)
 
 
-def _coverage_curve(
-    constellation: ConstellationSpec, thresholds_db, kind: str, budget: LinkBudget | None = None
-) -> CoverageCurve:
-    """`_coverage` on a dB threshold grid as a curve of the given kind:
-    trials with any invisible orbit count as uncovered, as in the
-    empirical estimators."""
-    values = _coverage(constellation, [db_to_linear(g) for g in thresholds_db], budget)
-    channel = constellation.channel
-    meta = {"n_orbits": constellation.n_orbits, "alpha": channel.alpha, "m": channel.m, "conditioning": "none"}
-    if budget is not None:
-        meta["snr_scale_db"] = budget.snr_scale_db
-    return CoverageCurve(thresholds_db, values, kind, meta)
+def _coverage_curve(constellation: ConstellationSpec, thresholds_db, budget: LinkBudget | None = None) -> CoverageCurve:
+    """`_coverage` on a dB threshold grid as a curve: trials with any
+    invisible orbit count as uncovered, as in the empirical estimators."""
+    return CoverageCurve(thresholds_db, _coverage(constellation, [db_to_linear(g) for g in thresholds_db], budget))
 
 
 def _single(orbit, window, density_per_km, channel) -> ConstellationSpec:
@@ -402,7 +375,7 @@ def sir_coverage_curve(
     """Unconditional SIR coverage on a dB threshold grid: the conditional
     coverage times the visibility probability, zero for an orbit that
     never enters the window."""
-    return _coverage_curve(_single(orbit, window, density_per_km, channel), thresholds_db, "SIR-analytic")
+    return _coverage_curve(_single(orbit, window, density_per_km, channel), thresholds_db)
 
 
 def snr_coverage_curve(
@@ -415,7 +388,7 @@ def snr_coverage_curve(
 ) -> CoverageCurve:
     """Unconditional SNR coverage on a dB threshold grid, zero for an
     orbit that never enters the window."""
-    return _coverage_curve(_single(orbit, window, density_per_km, channel), thresholds_db, "SNR-analytic", budget)
+    return _coverage_curve(_single(orbit, window, density_per_km, channel), thresholds_db, budget)
 
 
 def sir_coverage(orbit, window, density_per_km, channel, gamma: float) -> float:
@@ -436,4 +409,4 @@ def max_sir_coverage_curve(constellation: ConstellationSpec, thresholds_db) -> C
     constellation's orbits: the conditional combiner times
     prod_n P(orbit n visible), zero when some orbit never enters the
     window."""
-    return _coverage_curve(constellation, thresholds_db, "maxSIR-analytic")
+    return _coverage_curve(constellation, thresholds_db)

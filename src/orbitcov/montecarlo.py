@@ -348,9 +348,7 @@ def _covered(vis: np.ndarray, score: np.ndarray, gammas: np.ndarray) -> np.ndarr
     return np.array([np.count_nonzero(vis & (score > gamma)) for gamma in gammas], dtype=np.int64)
 
 
-def _curve(
-    thresholds_db, covered: np.ndarray, trials: int, kind: str, cfg: McConfig, conditioning: str, **extra
-) -> CoverageCurve:
+def _curve(thresholds_db, covered: np.ndarray, trials: int) -> CoverageCurve:
     """Success counts over `trials` as a curve with Wilson bounds; over
     no trials at all the values are 0 and the bounds the unit interval."""
     if trials:
@@ -359,40 +357,34 @@ def _curve(
     else:
         values = lo = np.zeros(covered.size)
         hi = np.ones(covered.size)
-    meta = {"trials": cfg.trials, "seed": cfg.seed, "batch": cfg.batch, "conditioning": conditioning, **extra}
-    return CoverageCurve(thresholds_db, values, kind, meta, lo, hi)
-
-
-def _conditioned(curve: CoverageCurve) -> CoverageCurve:
-    """The conditional curve of a pass, if enough trials survived the
-    conditioning to estimate it from."""
-    _require_survivors(curve.metadata["survivors"], curve.metadata["trials"], "survived conditioning")
-    return curve
+    return CoverageCurve(thresholds_db, values, lo, hi)
 
 
 def _coverage_pass(
-    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig, prefix: str = ""
-) -> tuple[tuple[CoverageCurve, CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
+    constellation: ConstellationSpec, budgets, thresholds_db, cfg: McConfig
+) -> tuple[int, tuple[CoverageCurve, CoverageCurve, CoverageCurve], list[tuple[CoverageCurve, ...]]]:
     """Best-satellite SIR coverage and, per link budget, best-satellite
     SNR and SINR coverage, all scored on the same draws: per batch, one
     kernel call per orbit in orbit order, each trial keeping its best
     value of every quantity over the visible orbits. Interference is
     counted within the serving satellite's orbit, as in the SIR model.
 
-    Returns the SIR triple (conditional on every orbit visible, the same
-    successes over all trials, any-visible over all trials) and one
-    (snr conditional, snr unconditional, sinr conditional, sinr
-    unconditional) tuple per budget; curve kinds carry `prefix`. A budget
-    only rescales the noise term, and shared draws make SINR <= SIR and
-    SINR <= SNR hold trial by trial, orbit by orbit and so for the best.
-    Distances enter the SNR path loss in meters. The batches run on
-    `_parallel_sum`, whose thread count the curves do not depend on.
+    Returns the number of trials with every orbit visible, the SIR
+    triple (conditional on every orbit visible, the same successes over
+    all trials, any-visible over all trials) and one (snr conditional,
+    snr unconditional, sinr conditional, sinr unconditional) tuple per
+    budget. The curves carry numbers only; `cli.coverage_rows` names
+    them in a result file. A budget only rescales the noise term, and
+    shared draws make SINR <= SIR and SINR <= SNR hold trial by trial,
+    orbit by orbit and so for the best. Distances enter the SNR path
+    loss in meters. The batches run on `_parallel_sum`, whose thread
+    count the curves do not depend on.
 
-    The pass never raises for a thin sample: the conditional curves carry
-    their survivor count in the metadata, and each view that returns one
-    checks it with `_conditioned`. The curves over all trials stay well
-    defined when nothing survives, as for an orbit that never enters the
-    window, where they are 0.
+    The pass never raises for a thin sample: each view that returns a
+    conditional curve checks the survivor count with
+    `_require_survivors`. The curves over all trials stay well defined
+    when nothing survives, as for an orbit that never enters the window,
+    where they are 0.
 
     Raises ValueError when alpha is so steep that a visible trial's
     serving path loss (r in km) underflows the smallest normal double:
@@ -449,22 +441,12 @@ def _coverage_pass(
     covered_all, covered_any = covered[:2]
     snr_cond, sinr_cond = covered[2 : 2 + len(budgets)], covered[2 + len(budgets) :]
 
-    meta = {"n_orbits": constellation.n_orbits}
+    def pair(covered):
+        return _curve(thresholds_db, covered, survivors), _curve(thresholds_db, covered, cfg.trials)
 
-    def pair(covered, quantity, **extra):
-        kind = f"{prefix}{quantity}-MC"
-        return (
-            _curve(thresholds_db, covered, survivors, kind, cfg, "visible", survivors=survivors, **meta, **extra),
-            _curve(thresholds_db, covered, cfg.trials, kind, cfg, "none", **meta, **extra),
-        )
-
-    any_visible = _curve(thresholds_db, covered_any, cfg.trials, f"{prefix}SIR-MC", cfg, "any-visible", **meta)
-    sir = (*pair(covered_all, "SIR"), any_visible)
-    per_budget = []
-    for j, budget in enumerate(budgets):
-        extra = {"snr_scale_db": budget.snr_scale_db}
-        per_budget.append((*pair(snr_cond[j], "SNR", **extra), *pair(sinr_cond[j], "SINR", **extra)))
-    return sir, per_budget
+    sir = (*pair(covered_all), _curve(thresholds_db, covered_any, cfg.trials))
+    per_budget = [(*pair(snr_cond[j]), *pair(sinr_cond[j])) for j in range(len(budgets))]
+    return survivors, sir, per_budget
 
 
 def empirical_sir_coverage(
@@ -477,8 +459,9 @@ def empirical_sir_coverage(
     figure may be any real m >= 0.5 here; only the analytic path needs
     integers.
     """
-    (conditional, unconditional, _), _ = _coverage_pass(constellation, (), thresholds_db, cfg)
-    return _conditioned(conditional), unconditional
+    survivors, (conditional, unconditional, _), _ = _coverage_pass(constellation, (), thresholds_db, cfg)
+    _require_survivors(survivors, cfg.trials, "survived conditioning")
+    return conditional, unconditional
 
 
 def empirical_snr_sinr_coverage(
@@ -490,8 +473,9 @@ def empirical_snr_sinr_coverage(
     Returns (snr conditional, snr unconditional, sinr conditional,
     sinr unconditional). Distances enter the path loss in meters.
     """
-    _, ((snr_c, snr_u, sinr_c, sinr_u),) = _coverage_pass(constellation, (budget,), thresholds_db, cfg)
-    return _conditioned(snr_c), snr_u, _conditioned(sinr_c), sinr_u
+    survivors, _, (curves,) = _coverage_pass(constellation, (budget,), thresholds_db, cfg)
+    _require_survivors(survivors, cfg.trials, "survived conditioning")
+    return curves
 
 
 def empirical_max_sir_coverage(
@@ -509,6 +493,6 @@ def empirical_max_sir_coverage(
     of orbit n and p_n the `coverage_conditional` of its one-orbit
     constellation. For one orbit the any-visible curve is the joint one.
     """
-    sir, _ = _coverage_pass(constellation, (), thresholds_db, cfg, "max")
-    conditional, unconditional, any_visible = sir
-    return _conditioned(conditional), unconditional, any_visible
+    survivors, sir, _ = _coverage_pass(constellation, (), thresholds_db, cfg)
+    _require_survivors(survivors, cfg.trials, "survived conditioning")
+    return sir

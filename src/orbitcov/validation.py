@@ -77,10 +77,10 @@ from .geometry import (
 from .interference import ChannelParams, _point_terms
 from .montecarlo import (
     McConfig,
-    _conditioned,
     _coverage_pass,
     _interference,
     _poisson_counts,
+    _require_survivors,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
     empirical_sir_coverage,
@@ -433,8 +433,8 @@ def criterion_snr_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
     spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, 2.0, 1.0)
     cfg = McConfig(trials=trials, seed=seed + 71, batch=10_000)
     budgets = tuple(LinkBudget(bandwidth_hz=bandwidth) for bandwidth in (1.0e7, 1.0e8, 1.0e9))
-    (sir_conditional, _, _), per_budget = _coverage_pass(spec, budgets, GAMMA_GRID_DB, cfg)
-    _conditioned(sir_conditional)  # one orbit: every curve shares its survivors
+    survivors, (sir_conditional, _, _), per_budget = _coverage_pass(spec, budgets, GAMMA_GRID_DB, cfg)
+    _require_survivors(survivors, cfg.trials, "survived conditioning")
     ok = True
     previous_sinr = None
     for budget, (snr_c, _, sinr_c, _) in zip(budgets, per_budget):

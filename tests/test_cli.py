@@ -104,6 +104,29 @@ class TestResultFile:
         write_result_rows(path, [row])
         assert read_result_rows(path)[0].value == value
 
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        # under numpy >= 2 repr(np.float64(0.5)) is 'np.float64(0.5)', a
+        # cell no reader parses; the writer writes the float's own repr
+        row = ResultRow(
+            scenario_id="x",
+            curve_kind="SIR-MC",
+            gamma_db=np.float64(-10.0),
+            value=np.float64(0.1) + np.float64(0.2),
+            ci_low=np.float64(0.0),
+            ci_high=np.float64(1.0),
+            theta_deg=np.float64(90.0),
+            lambda_per_km=np.float64(0.005),
+            alpha=np.float64(2.0),
+            m=np.float64(1.0),
+            n_orbits=np.int64(3),
+            seed=np.int64(1729),
+        )
+        path = tmp_path / "rows.csv"
+        write_result_rows(path, [row])
+        (back,) = read_result_rows(path)
+        assert back == row
+        assert all(type(getattr(back, name)) in (str, float, int) for name in cli.RESULT_FIELDS)
+
     @pytest.mark.parametrize(
         "verb,extra",
         [

@@ -147,7 +147,8 @@ class TestRejection:
         data = minimal(channel={"m": 10}, mc={"batch": 1_000_000})
         data["orbits"][0].update(altitude_km=35786.0, density_per_km=10.0)
         cfg = parse_scenario(data)
-        assert (cfg.channel.m, cfg.orbit_rows[0].altitude_km, cfg.densities()) == (10.0, 35786.0, (10.0,))
+        densities = cfg.constellation().densities_per_km
+        assert (cfg.channel.m, cfg.orbit_rows[0].altitude_km, densities) == (10.0, 35786.0, (10.0,))
         assert cfg.mc.batch == 1_000_000
 
     def test_budget_on_several_orbits_parses(self):

@@ -390,7 +390,7 @@ class TestConstellation:
         budget = LinkBudget(tx_power_dbm=0.0)
         grid = tuple(range(-10, 31, 5))
         spec = ConstellationSpec((ref_orbit,), (LAM,), ref_window, rayleigh)
-        curve = coverage._coverage_curve(spec, grid, "maxSNR-analytic", budget)
+        curve = coverage._coverage_curve(spec, grid, budget)
         assert curve.values == snr_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, budget, grid).values
         assert max_sir_coverage_curve(spec, grid).values == sir_coverage_curve(
             ref_orbit, ref_window, LAM, rayleigh, grid
@@ -439,7 +439,7 @@ class TestCurves:
     def test_sir_curve_matches_pointwise(self, ref_orbit, ref_window, rayleigh):
         grid = (-5.0, 0.0, 5.0)
         curve = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, grid)
-        assert curve.kind == "SIR-analytic"
+        assert (curve.ci_low, curve.ci_high) == (None, None)
         assert len(curve) == 3
         for g_db, v in zip(curve.thresholds_db, curve.values):
             (direct,) = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (g_db,)).values
@@ -469,39 +469,29 @@ class TestCurves:
         with pytest.raises(ValueError, match="SNR threshold"):
             coverage.snr_coverage(hidden, ref_window, LAM, rayleigh, budget, -1.0)
 
-    def test_conditional_flag_in_metadata(self, ref_orbit, ref_window, rayleigh):
-        # curves are unconditional; the conditioned values come from
-        # coverage_conditional
-        u = sir_coverage_curve(ref_orbit, ref_window, LAM, rayleigh, (0.0,))
-        assert u.metadata["conditioning"] == "none"
-        assert coverage_conditional(one_orbit(ref_orbit, ref_window, LAM, rayleigh), 1.0) > u.values[0]
-
     def test_snr_curve(self, ref_orbit, ref_window, rayleigh):
         curve = snr_coverage_curve(
             ref_orbit, ref_window, LAM, rayleigh, LinkBudget(), (0.0, 10.0)
         )
-        assert curve.kind == "SNR-analytic"
+        assert curve.ci_low is None
         assert curve.values[0] > curve.values[1]
 
     def test_max_sir_curve(self):
         helper = TestConstellation()
         spec = helper.make([math.pi / 2, math.pi / 2])
         curve = max_sir_coverage_curve(spec, (0.0, 10.0))
-        assert curve.kind == "maxSIR-analytic"
+        assert curve.ci_low is None
         assert all(0.0 <= v <= 1.0 for v in curve.values)
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            CoverageCurve(thresholds_db=(0.0,), values=(0.5, 0.6), kind="SIR-analytic")
+            CoverageCurve(thresholds_db=(0.0,), values=(0.5, 0.6))
         with pytest.raises(ValueError):
-            CoverageCurve(thresholds_db=(0.0,), values=(0.5,), kind="nonsense")
-        with pytest.raises(ValueError):
-            CoverageCurve(thresholds_db=(0.0,), values=(1.5,), kind="SIR-analytic")
+            CoverageCurve(thresholds_db=(0.0,), values=(1.5,))
         with pytest.raises(ValueError):
             CoverageCurve(
                 thresholds_db=(0.0,),
                 values=(0.5,),
-                kind="SIR-MC",
                 ci_low=(0.4,),
                 ci_high=None,
             )
@@ -511,7 +501,7 @@ class TestCurves:
         # analytic values reach a curve through _unit and MC values are
         # k/n, so anything outside [0, 1] is a defect, never clipped
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            CoverageCurve(thresholds_db=(0.0,), values=(value,), kind="SIR-analytic")
+            CoverageCurve(thresholds_db=(0.0,), values=(value,))
 
 
 def band_edge_theta(altitude_km, omega_min_deg, fraction):
