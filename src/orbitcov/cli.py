@@ -218,18 +218,8 @@ def cmd_geometry(cfg: ScenarioConfig, out_dir: Path) -> int:
             )
             arc = visible_arc_length(orbit, window)
             duration = visible_time(orbit, window)
-            lines.append(
-                ",".join(
-                    (
-                        cfg.scenario_id,
-                        repr(float(omega_deg)),
-                        repr(float(theta_deg)),
-                        repr(arc),
-                        repr(duration),
-                        repr(speed),
-                    )
-                )
-            )
+            cells = (cfg.scenario_id, float(omega_deg), float(theta_deg), arc, duration, speed)
+            lines.append(",".join(map(_cell, cells)))
     path = out_dir / f"{cfg.scenario_id}_geometry.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 1} rows to {path}")

@@ -1,7 +1,13 @@
 """Self-validation: every analytic result checked against an independent
 estimate at stated tolerances.
 
-Nine criteria, each a function returning a `CriterionResult`:
+Nine criteria, each a function `(result, seed, scale)` that makes its
+checks on the `CriterionResult` it is given: `result.near` (within a
+tolerance of a target), `result.below` (at most a bound) and
+`result.holds` (a yes/no fact). Those methods write every report line
+and clear `passed` on a miss. The table `_CRITERIA` gives each
+criterion its index, its name and its function, and `run_criterion`
+builds the result, times the call and returns it:
 
 1. closed-form geometry anchors (frozen reference values)
 2. visible arc length vs brute-force circle sampling
@@ -126,26 +132,37 @@ _DIRECT_BATCH = 10_000
 # float noise in the height blurs an edge by ~2e-8 rad at the band edge
 _ARC_EDGE_RAD = 1e-6
 
-CRITERION_NAMES = {
-    1: "closed-form geometry anchors",
-    2: "visible arc vs brute-force circle sampling",
-    3: "nearest-distance law vs simulation",
-    4: "interference transform vs direct averaging",
-    5: "SIR coverage vs simulation",
-    6: "SNR and SINR coverage vs simulation",
-    7: "orbit diversity combiner",
-    8: "parameter-trend orderings",
-    9: "seeded rerun determinism",
-}
-
 
 @dataclass
 class CriterionResult:
+    """One criterion's outcome. Its check methods write every report line
+    and clear `passed` on a miss, so a criterion only makes checks."""
+
     index: int
     name: str
-    passed: bool
+    passed: bool = True
     lines: list[str] = field(default_factory=list)
     elapsed_s: float = 0.0
+
+    def near(self, label: str, value: float, target: float, tol: float) -> None:
+        """Check |value - target| <= tol."""
+        diff = abs(value - target)
+        self._record(
+            diff <= tol, f"{label}: value={_fmt(value)} target={_fmt(target)} |diff|={_fmt(diff)} tol={_fmt(tol)}"
+        )
+
+    def below(self, label: str, value: float, bound: float) -> None:
+        """Check value <= bound."""
+        self._record(value <= bound, f"{label}: value={_fmt(value)} bound={_fmt(bound)}")
+
+    def holds(self, label: str, ok: bool) -> None:
+        """Check a yes/no fact, reported as yes or NO."""
+        self.lines.append(f"  {label}: {'yes' if ok else 'NO'}")
+        self.passed = self.passed and bool(ok)
+
+    def _record(self, ok: bool, text: str) -> None:
+        self.lines.append(f"  {text} [{'ok' if ok else 'FAIL'}]")
+        self.passed = self.passed and bool(ok)
 
 
 @dataclass
@@ -171,21 +188,6 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _check(lines: list[str], label: str, value: float, target: float, tol: float) -> bool:
-    ok = abs(value - target) <= tol
-    lines.append(
-        f"  {label}: value={_fmt(value)} target={_fmt(target)} |diff|={_fmt(abs(value - target))}"
-        f" tol={_fmt(tol)} [{'ok' if ok else 'FAIL'}]"
-    )
-    return ok
-
-
-def _check_bound(lines: list[str], label: str, value: float, bound: float) -> bool:
-    ok = value <= bound
-    lines.append(f"  {label}: value={_fmt(value)} bound={_fmt(bound)} [{'ok' if ok else 'FAIL'}]")
-    return ok
-
-
 def _scaled_tol(tol: float, default_trials: int, actual_trials: int) -> float:
     if actual_trials >= default_trials:
         return tol
@@ -196,22 +198,19 @@ def _scaled_count(default: int, scale: float, floor: int) -> int:
     return max(floor, int(round(default * scale)))
 
 
-def criterion_geometry_anchors() -> CriterionResult:
+def criterion_geometry_anchors(result: CriterionResult, seed: int, scale: float) -> None:
     """Frozen closed-form values for the reference shell."""
-    lines: list[str] = []
     orbit = _orbit()
     window = _window(orbit)
-    ok = True
-    ok &= _check(lines, "max slant range d_max (km)", window.d_max_km, 1694.6, 0.05)
-    ok &= _check(lines, "cap base height (km)", window.cap_base_km, 6665.3, 0.05)
+    result.near("max slant range d_max (km)", window.d_max_km, 1694.6, 0.05)
+    result.near("cap base height (km)", window.cap_base_km, 6665.3, 0.05)
     arc = visible_arc_length(orbit, window)
-    ok &= _check(lines, "visible arc length (km)", arc, 3371.4, 0.05)
-    ok &= _check(lines, "orbital speed (m/s)", orbital_speed(orbit), 7616.5, 0.05)
-    ok &= _check(lines, "visible time per pass (s)", visible_time(orbit, window), 442.64, 0.005)
+    result.near("visible arc length (km)", arc, 3371.4, 0.05)
+    result.near("orbital speed (m/s)", orbital_speed(orbit), 7616.5, 0.05)
+    result.near("visible time per pass (s)", visible_time(orbit, window), 442.64, 0.005)
     zero_omega = _window(orbit, 0.0)
-    ok &= _check(lines, "horizon visible arc (km)", visible_arc_length(orbit, zero_omega), 5274.8, 0.05)
-    ok &= _check(lines, "closest approach d_min (km)", d_min(orbit), 500.0, 1e-9)
-    return CriterionResult(1, CRITERION_NAMES[1], bool(ok), lines)
+    result.near("horizon visible arc (km)", visible_arc_length(orbit, zero_omega), 5274.8, 0.05)
+    result.near("closest approach d_min (km)", d_min(orbit), 500.0, 1e-9)
 
 
 def _arc_length_bruteforce(orbit: OrbitGeometry, window: VisibilityWindow, points: int, gen) -> float:
@@ -268,12 +267,10 @@ def _arc_length_bruteforce(orbit: OrbitGeometry, window: VisibilityWindow, point
     return inside / points * TWO_PI * orbit.radius_km
 
 
-def criterion_arc_bruteforce(seed: int, scale: float = 1.0) -> CriterionResult:
+def criterion_arc_bruteforce(result: CriterionResult, seed: int, scale: float) -> None:
     """Random (elevation, inclination) pairs vs indicator counting."""
-    lines: list[str] = []
     points = _scaled_count(10_000_000, scale, 500_000)
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    ok = True
     worst = 0.0
     for _ in range(20):
         omega = gen.uniform(0.0, math.radians(45.0))
@@ -287,15 +284,12 @@ def criterion_arc_bruteforce(seed: int, scale: float = 1.0) -> CriterionResult:
         worst = max(worst, abs(analytic - brute) / analytic)
     # agreement to three significant figures
     tol = 5e-4 * max(1.0, math.sqrt(10_000_000 / points))
-    ok &= _check_bound(lines, f"worst relative error over 20 pairs ({points} points each)", worst, tol)
-    return CriterionResult(2, CRITERION_NAMES[2], bool(ok), lines)
+    result.below(f"worst relative error over 20 pairs ({points} points each)", worst, tol)
 
 
-def criterion_nearest_distance(seed: int, scale: float = 1.0) -> CriterionResult:
+def criterion_nearest_distance(result: CriterionResult, seed: int, scale: float) -> None:
     """Sup-norm CCDF agreement on the inclination/density grid."""
-    lines: list[str] = []
     target = _scaled_count(1_000_000, scale, 2_000)
-    ok = True
     combo = 0
     for theta in THETA_GRID:
         for density in DENSITY_GRID:
@@ -309,14 +303,9 @@ def criterion_nearest_distance(seed: int, scale: float = 1.0) -> CriterionResult
             empirical, survivors = empirical_nearest_ccdf(orbit, window, density, grid, cfg)
             sup = float(np.max(np.abs(empirical - nearest_ccdf(law, grid))))
             tol = _scaled_tol(0.004, 1_000_000, survivors)
-            ok &= _check_bound(
-                lines,
-                f"sup|ccdf diff| theta={_fmt(theta)} density={_fmt(density)} survivors={survivors}",
-                sup,
-                tol,
-            )
+            label = f"sup|ccdf diff| theta={_fmt(theta)} density={_fmt(density)} survivors={survivors}"
+            result.below(label, sup, tol)
             combo += 1
-    return CriterionResult(3, CRITERION_NAMES[3], bool(ok), lines)
 
 
 def _laplace_direct_average(
@@ -350,15 +339,13 @@ def _laplace_direct_average(
     return acc / trials
 
 
-def criterion_laplace(seed: int, scale: float = 1.0) -> CriterionResult:
+def criterion_laplace(result: CriterionResult, seed: int, scale: float) -> None:
     """Transform values vs direct averaging; derivatives vs differences."""
-    lines: list[str] = []
     trials = _scaled_count(1_000_000, scale, 2_000)
     orbit = _orbit()
     window = _window(orbit)
     channel = ChannelParams(alpha=2.0, m=1.0)
     gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
-    ok = True
     lo = d_min(orbit)
     mid = 0.5 * (lo + window.d_max_km)
     tol = _scaled_tol(0.005, 1_000_000, trials)
@@ -369,9 +356,7 @@ def criterion_laplace(seed: int, scale: float = 1.0) -> CriterionResult:
         directs = _laplace_direct_average(orbit, window, DENSITY_PER_KM, channel, serving, scales, trials, gen)
         for s, direct in zip(scales, directs):
             analytic = _point_terms(orbit, window, DENSITY_PER_KM, channel, serving, s)[0]
-            ok &= _check(
-                lines, f"transform r={_fmt(serving)} s={_fmt(s)}", analytic, direct, tol
-            )
+            result.near(f"transform r={_fmt(serving)} s={_fmt(s)}", analytic, direct, tol)
     # the kernel's derivative L^(t) = t! c_t / (-s)^t, t = m - 1, against
     # finite differences of its transform c_0: the first at m = 2 (central
     # difference), the third at m = 4 (five-point stencil)
@@ -393,8 +378,7 @@ def criterion_laplace(seed: int, scale: float = 1.0) -> CriterionResult:
                 - 2 * transform(ch, s0 + h)
                 + transform(ch, s0 + 2 * h)
             ) / (2.0 * h**3)
-        ok &= _check_bound(lines, f"order-{t} derivative rel error (m={m})", abs(deriv - fd) / abs(fd), bound)
-    return CriterionResult(4, CRITERION_NAMES[4], bool(ok), lines)
+        result.below(f"order-{t} derivative rel error (m={m})", abs(deriv - fd) / abs(fd), bound)
 
 
 def _reference_constellation(
@@ -409,25 +393,21 @@ def _reference_constellation(
     )
 
 
-def criterion_sir_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
+def criterion_sir_coverage(result: CriterionResult, seed: int, scale: float) -> None:
     """Conditional SIR coverage vs simulation on the (alpha, m) grid."""
-    lines: list[str] = []
     trials = _scaled_count(100_000, scale, 2_000)
     tol = _scaled_tol(0.015, 100_000, trials)
-    ok = True
     for index, (alpha, m) in enumerate(ALPHA_M_COMBOS):
         spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, alpha, float(m))
         cfg = McConfig(trials=trials, seed=seed + 53 * index, batch=10_000)
         conditional, _ = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
         analytic = coverage_conditional(spec, GAMMAS)
         worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
-        ok &= _check_bound(lines, f"max|coverage diff| alpha={_fmt(alpha)} m={m}", worst, tol)
-    return CriterionResult(5, CRITERION_NAMES[5], bool(ok), lines)
+        result.below(f"max|coverage diff| alpha={_fmt(alpha)} m={m}", worst, tol)
 
 
-def criterion_snr_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
+def criterion_snr_coverage(result: CriterionResult, seed: int, scale: float) -> None:
     """SNR curves vs simulation per bandwidth, plus exact orderings."""
-    lines: list[str] = []
     trials = _scaled_count(1_000_000, scale, 2_000)
     tol = _scaled_tol(0.01, 1_000_000, trials)
     spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, 2.0, 1.0)
@@ -435,35 +415,31 @@ def criterion_snr_coverage(seed: int, scale: float = 1.0) -> CriterionResult:
     budgets = tuple(LinkBudget(bandwidth_hz=bandwidth) for bandwidth in (1.0e7, 1.0e8, 1.0e9))
     survivors, (sir_conditional, _, _), per_budget = _coverage_pass(spec, budgets, GAMMA_GRID_DB, cfg)
     _require_survivors(survivors, cfg.trials, "survived conditioning")
-    ok = True
     previous_sinr = None
     for budget, (snr_c, _, sinr_c, _) in zip(budgets, per_budget):
         bandwidth = budget.bandwidth_hz
         analytic = coverage_conditional(spec, GAMMAS, budget)
         worst = max(abs(a - s) for a, s in zip(analytic, snr_c.values))
-        ok &= _check_bound(lines, f"max|SNR diff| bandwidth={_fmt(bandwidth)}", worst, tol)
+        result.below(f"max|SNR diff| bandwidth={_fmt(bandwidth)}", worst, tol)
         # one pass scores all curves on the same draws, so these orderings
         # are exact, not statistical
         sir_floor = min(s - x for s, x in zip(sir_conditional.values, sinr_c.values))
-        ok &= _check_bound(lines, f"SINR above SIR by (bandwidth={_fmt(bandwidth)})", -sir_floor, 0.0)
+        result.below(f"SINR above SIR by (bandwidth={_fmt(bandwidth)})", -sir_floor, 0.0)
         snr_floor = min(s - x for s, x in zip(snr_c.values, sinr_c.values))
-        ok &= _check_bound(lines, f"SINR above SNR by (bandwidth={_fmt(bandwidth)})", -snr_floor, 0.0)
+        result.below(f"SINR above SNR by (bandwidth={_fmt(bandwidth)})", -snr_floor, 0.0)
         if previous_sinr is not None:
             widen = min(p - c for p, c in zip(previous_sinr, sinr_c.values))
-            ok &= _check_bound(lines, f"noise gap shrank at bandwidth={_fmt(bandwidth)}", -widen, 0.0)
+            result.below(f"noise gap shrank at bandwidth={_fmt(bandwidth)}", -widen, 0.0)
         previous_sinr = sinr_c.values
-    return CriterionResult(6, CRITERION_NAMES[6], bool(ok), lines)
 
 
-def criterion_orbit_diversity(seed: int, scale: float = 1.0) -> CriterionResult:
+def criterion_orbit_diversity(result: CriterionResult, seed: int, scale: float) -> None:
     """Best-satellite combiner: N = 1 identity, simulation, monotonicity."""
-    lines: list[str] = []
     trials = _scaled_count(100_000, scale, 2_000)
     tol = _scaled_tol(0.015, 100_000, trials)
     channel = ChannelParams(alpha=2.0, m=1.0)
     base = _orbit()
     window = _window(base)
-    ok = True
 
     def constellation(count: int, theta: float = math.pi / 2) -> ConstellationSpec:
         orbits = tuple(
@@ -474,7 +450,7 @@ def criterion_orbit_diversity(seed: int, scale: float = 1.0) -> CriterionResult:
     combined = max_sir_coverage_curve(constellation(1), GAMMA_GRID_DB).values
     direct = sir_coverage_curve(base, window, DENSITY_PER_KM, channel, GAMMA_GRID_DB).values
     worst = max(abs(c - d) for c, d in zip(combined, direct))
-    ok &= _check_bound(lines, "single-orbit combiner identity", worst, 1e-12)
+    result.below("single-orbit combiner identity", worst, 1e-12)
     previous = None
     for count in (2, 3, 4):
         spec = constellation(count)
@@ -482,22 +458,19 @@ def criterion_orbit_diversity(seed: int, scale: float = 1.0) -> CriterionResult:
         conditional, _, _ = empirical_max_sir_coverage(spec, GAMMA_GRID_DB, cfg)
         analytic = coverage_conditional(spec, GAMMAS)
         worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
-        ok &= _check_bound(lines, f"max|coverage diff| orbits={count}", worst, tol)
+        result.below(f"max|coverage diff| orbits={count}", worst, tol)
         if previous is not None:
             drop = min(a - p for a, p in zip(analytic, previous))
-            ok &= _check_bound(lines, f"conditional coverage fell adding orbit {count}", -drop, 0.0)
+            result.below(f"conditional coverage fell adding orbit {count}", -drop, 0.0)
         previous = analytic
     # three tilted orbits beat one overhead orbit at the 10 dB threshold
     tilted = constellation(3, theta=math.pi / 2 + math.pi / 18)
     gain = max_sir_coverage_curve(tilted, (10.0,)).values[0] - direct[GAMMA_GRID_DB.index(10.0)]
-    ok &= _check_bound(lines, "tilted trio behind single overhead orbit by", -gain, 0.0)
-    return CriterionResult(7, CRITERION_NAMES[7], bool(ok), lines)
+    result.below("tilted trio behind single overhead orbit by", -gain, 0.0)
 
 
-def criterion_trends() -> CriterionResult:
+def criterion_trends(result: CriterionResult, seed: int, scale: float) -> None:
     """Orderings the closed forms imply across parameters."""
-    lines: list[str] = []
-    ok = True
     base = _orbit()
     # visible arc: symmetric in the tilt, peaked overhead, shrinking with
     # elevation floor, zero outside the band
@@ -508,52 +481,35 @@ def criterion_trends() -> CriterionResult:
         arcs[omega_deg] = np.array([visible_arc_length(_orbit(t), window) for t in thetas])
     for omega_deg, values in arcs.items():
         asym = float(np.max(np.abs(values - values[::-1])))
-        ok &= _check_bound(lines, f"arc symmetry misfit omega={_fmt(omega_deg)}", asym, 1e-9)
+        result.below(f"arc symmetry misfit omega={_fmt(omega_deg)}", asym, 1e-9)
         peak_off = float(values.max() - values[90])
-        ok &= _check_bound(lines, f"arc peak away from overhead omega={_fmt(omega_deg)}", peak_off, 1e-9)
-    ok &= _check_bound(
-        lines, "arc grew when elevation floor rose 10->20", float(np.max(arcs[20.0] - arcs[10.0])), 0.0
-    )
-    ok &= _check_bound(
-        lines, "arc grew when elevation floor rose 20->30", float(np.max(arcs[30.0] - arcs[20.0])), 0.0
-    )
+        result.below(f"arc peak away from overhead omega={_fmt(omega_deg)}", peak_off, 1e-9)
+    result.below("arc grew when elevation floor rose 10->20", float(np.max(arcs[20.0] - arcs[10.0])), 0.0)
+    result.below("arc grew when elevation floor rose 20->30", float(np.max(arcs[30.0] - arcs[20.0])), 0.0)
     window = _window(base)
     band = math.acos(window.cap_base_km / base.radius_km)
     outside = [t for t in thetas if abs(t - math.pi / 2) > band * 1.001]
     worst_outside = max(visible_arc_length(_orbit(t), window) for t in outside)
-    ok &= _check_bound(lines, "arc outside the visibility band", worst_outside, 0.0)
+    result.below("arc outside the visibility band", worst_outside, 0.0)
     # nearest-distance CCDF: denser orbits pull the nearest satellite in
     laws = {d: NearestDistanceLaw(base, window, d) for d in DENSITY_GRID}
     grid = np.linspace(laws[0.01].d_min_km, laws[0.01].d_max_km, 102)[1:-1]
-    ok &= _check_bound(
-        lines,
-        "ccdf rose with density 0.001->0.01",
-        float(np.max(nearest_ccdf(laws[0.01], grid) - nearest_ccdf(laws[0.001], grid))),
-        0.0,
-    )
-    ok &= _check_bound(
-        lines,
-        "ccdf rose with density 0.0001->0.001",
-        float(np.max(nearest_ccdf(laws[0.001], grid) - nearest_ccdf(laws[0.0001], grid))),
-        0.0,
-    )
+    ccdfs = {d: nearest_ccdf(law, grid) for d, law in laws.items()}
+    result.below("ccdf rose with density 0.001->0.01", float(np.max(ccdfs[0.01] - ccdfs[0.001])), 0.0)
+    result.below("ccdf rose with density 0.0001->0.001", float(np.max(ccdfs[0.001] - ccdfs[0.0001])), 0.0)
     # a tilted orbit keeps satellites farther out than the overhead one
     tilted_orbit = _orbit(math.pi / 2 + math.pi / 18)
     tilted = NearestDistanceLaw(tilted_orbit, window, 0.001)
     shared = np.linspace(tilted.d_min_km, tilted.d_max_km, 102)[1:-1]
-    ok &= _check_bound(
-        lines,
-        "overhead ccdf above tilted ccdf",
-        float(np.max(nearest_ccdf(laws[0.001], shared) - nearest_ccdf(tilted, shared))),
-        0.0,
-    )
+    gap = float(np.max(nearest_ccdf(laws[0.001], shared) - nearest_ccdf(tilted, shared)))
+    result.below("overhead ccdf above tilted ccdf", gap, 0.0)
     # interference transform: more satellites, smaller transform
     channel = ChannelParams(alpha=2.0, m=1.0)
     lo = d_min(base)
     for s in (1.0e4, 1.0e5, 1.0e6):
         sparse = math.log(_point_terms(base, window, 0.005, channel, lo, s)[0])
         dense = math.log(_point_terms(base, window, 0.01, channel, lo, s)[0])
-        ok &= _check_bound(lines, f"transform rose with density at s={_fmt(s)}", dense - sparse, 0.0)
+        result.below(f"transform rose with density at s={_fmt(s)}", dense - sparse, 0.0)
     # coverage at 10 dB: improves with steeper path loss, sparser orbits,
     # lower shells, overhead inclination; symmetric in the tilt sign
     gamma = db_to_linear(10.0)
@@ -562,62 +518,65 @@ def criterion_trends() -> CriterionResult:
         return coverage_conditional(_reference_constellation(theta, density, alpha, 1.0, altitude_km), gamma)
 
     by_alpha = [conditional(alpha=a) for a in (2.0, 3.0, 4.0)]
-    ok &= _check_bound(lines, "coverage fell from alpha=2 to 3", by_alpha[0] - by_alpha[1], 0.0)
-    ok &= _check_bound(lines, "coverage fell from alpha=3 to 4", by_alpha[1] - by_alpha[2], 0.0)
+    result.below("coverage fell from alpha=2 to 3", by_alpha[0] - by_alpha[1], 0.0)
+    result.below("coverage fell from alpha=3 to 4", by_alpha[1] - by_alpha[2], 0.0)
     sparse = conditional(density=0.001)
     dense = conditional(density=0.01)
-    ok &= _check_bound(lines, "coverage rose with density at 10 dB", dense - sparse, 0.0)
+    result.below("coverage rose with density at 10 dB", dense - sparse, 0.0)
     by_altitude = [conditional(altitude_km=altitude) for altitude in (500.0, 1000.0, 1500.0)]
-    ok &= _check_bound(lines, "coverage rose with altitude 500->1000", by_altitude[1] - by_altitude[0], 0.0)
-    ok &= _check_bound(lines, "coverage rose with altitude 1000->1500", by_altitude[2] - by_altitude[1], 0.0)
+    result.below("coverage rose with altitude 500->1000", by_altitude[1] - by_altitude[0], 0.0)
+    result.below("coverage rose with altitude 1000->1500", by_altitude[2] - by_altitude[1], 0.0)
     overhead = conditional()
     up = conditional(math.pi / 2 + math.pi / 18)
     down = conditional(math.pi / 2 - math.pi / 18)
-    ok &= _check_bound(lines, "tilted orbit beat overhead at 10 dB", max(up, down) - overhead, 0.0)
-    ok &= _check_bound(lines, "tilt-sign asymmetry", abs(up - down), 1e-9)
-    return CriterionResult(8, CRITERION_NAMES[8], bool(ok), lines)
+    result.below("tilted orbit beat overhead at 10 dB", max(up, down) - overhead, 0.0)
+    result.below("tilt-sign asymmetry", abs(up - down), 1e-9)
 
 
-def criterion_determinism(seed: int) -> CriterionResult:
+def criterion_determinism(result: CriterionResult, seed: int, scale: float) -> None:
     """Identical seeds must reproduce results bit for bit."""
-    lines: list[str] = []
     spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, 2.0, 1.0)
     cfg = McConfig(trials=2_000, seed=seed + 11, batch=500)
     first, first_u = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
     second, second_u = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
     same = first.values == second.values and first_u.values == second_u.values
-    lines.append(f"  repeated run identical: {'yes' if same else 'NO'}")
+    result.holds("repeated run identical", same)
     child_a = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,))).random(8)
     child_b = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,))).random(8)
-    streams = bool(np.all(child_a == child_b))
-    lines.append(f"  child streams identical: {'yes' if streams else 'NO'}")
-    return CriterionResult(9, CRITERION_NAMES[9], bool(same and streams), lines)
+    result.holds("child streams identical", bool(np.all(child_a == child_b)))
+
+
+# each criterion's index, its name in the report, and the function that
+# makes its checks
+_CRITERIA = {
+    1: ("closed-form geometry anchors", criterion_geometry_anchors),
+    2: ("visible arc vs brute-force circle sampling", criterion_arc_bruteforce),
+    3: ("nearest-distance law vs simulation", criterion_nearest_distance),
+    4: ("interference transform vs direct averaging", criterion_laplace),
+    5: ("SIR coverage vs simulation", criterion_sir_coverage),
+    6: ("SNR and SINR coverage vs simulation", criterion_snr_coverage),
+    7: ("orbit diversity combiner", criterion_orbit_diversity),
+    8: ("parameter-trend orderings", criterion_trends),
+    9: ("seeded rerun determinism", criterion_determinism),
+}
+CRITERION_NAMES = {index: name for index, (name, _) in _CRITERIA.items()}
 
 
 def run_criterion(index: int, seed: int = DEFAULT_SEED, trials_scale: float = 1.0) -> CriterionResult:
     """Run one criterion by index with timing attached."""
-    runners = {
-        1: lambda: criterion_geometry_anchors(),
-        2: lambda: criterion_arc_bruteforce(seed, trials_scale),
-        3: lambda: criterion_nearest_distance(seed, trials_scale),
-        4: lambda: criterion_laplace(seed, trials_scale),
-        5: lambda: criterion_sir_coverage(seed, trials_scale),
-        6: lambda: criterion_snr_coverage(seed, trials_scale),
-        7: lambda: criterion_orbit_diversity(seed, trials_scale),
-        8: lambda: criterion_trends(),
-        9: lambda: criterion_determinism(seed),
-    }
-    if index not in runners:
+    if index not in _CRITERIA:
         raise ValueError(f"no criterion {index}")
+    name, make_checks = _CRITERIA[index]
+    result = CriterionResult(index, name)
     start = time.perf_counter()
-    result = runners[index]()
+    make_checks(result, seed, trials_scale)
     result.elapsed_s = time.perf_counter() - start
     return result
 
 
 def run_all(seed: int = DEFAULT_SEED, trials_scale: float = 1.0) -> ValidationReport:
     """Run all nine criteria in index order and report them."""
-    results = [run_criterion(index, seed, trials_scale) for index in sorted(CRITERION_NAMES)]
+    results = [run_criterion(index, seed, trials_scale) for index in _CRITERIA]
     return ValidationReport(seed=seed, trials_scale=trials_scale, results=results)
 
 

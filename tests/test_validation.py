@@ -10,14 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orbitcov import ChannelParams, OrbitGeometry, VisibilityWindow, d_min
+from orbitcov import ChannelParams, OrbitGeometry, VisibilityWindow, cli, d_min
 from orbitcov import validation
 from orbitcov.validation import (
     CriterionResult,
     ValidationReport,
     _arc_length_bruteforce,
     _laplace_direct_average,
-    criterion_arc_bruteforce,
     render_report,
     run_all,
     run_criterion,
@@ -107,7 +106,7 @@ class TestArcBruteforce:
         ],
     )
     def test_report_lines_are_pinned(self, seed, scale, line):
-        result = criterion_arc_bruteforce(seed, scale)
+        result = run_criterion(2, seed, scale)
         assert result.passed
         assert result.lines == [f"  worst relative error over 20 pairs {line} [ok]"]
 
@@ -125,7 +124,7 @@ class TestSeedStreams:
 
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", recording)
-        criterion_arc_bruteforce(7, SCALE)
+        run_criterion(2, 7, SCALE)
         assert len(seeds) == 1
         assert default_rng(seeds[0]).bit_generator.random_raw(4).tolist() == [
             11659158256815307285,
@@ -226,3 +225,45 @@ class TestRunAll:
         monkeypatch.setattr(validation, "run_criterion", run_criterion)
         with pytest.raises(ZeroDivisionError, match="criterion 4"):
             run_all(7, SCALE)
+
+
+class TestFailingGate:
+    """A missed check fails its criterion, the report and the CLI's exit
+    code, and leaves every other line as it was."""
+
+    @pytest.fixture
+    def wrong_speed(self, monkeypatch):
+        monkeypatch.setattr(validation, "orbital_speed", lambda orbit: 7000.0)
+
+    def test_missed_near_fails_its_criterion(self, wrong_speed):
+        result = run_criterion(1, 7, SCALE)
+        assert not result.passed
+        failed = [line for line in result.lines if line.endswith("[FAIL]")]
+        assert len(failed) == 1
+        assert failed[0].startswith("  orbital speed (m/s): value=7000 target=7616.5 ")
+        assert all(line.endswith("[ok]") for line in result.lines if line not in failed)
+        assert len(result.lines) == 7
+
+    def test_missed_near_fails_the_report(self, wrong_speed):
+        assert render_report(run_all(7, SCALE)).endswith("\nresult: FAIL (8/9)\n")
+
+    def test_missed_near_fails_the_cli(self, wrong_speed, tmp_path, capsys):
+        assert cli.main(["validate", "--trials", "2000", "--seed", "7", "--out", str(tmp_path)]) == 1
+        report = (tmp_path / "validate_report.txt").read_text(encoding="utf-8")
+        assert "criterion 1 (closed-form geometry anchors): FAIL" in report
+        assert report.endswith("\nresult: FAIL (8/9)\n")
+        assert report in capsys.readouterr().out
+
+    def test_missed_bound_fails_its_criterion(self, monkeypatch):
+        arc = validation.visible_arc_length
+        monkeypatch.setattr(validation, "visible_arc_length", lambda orbit, window: 1.01 * arc(orbit, window))
+        result = run_criterion(2, 7, SCALE)
+        assert not result.passed
+        assert len(result.lines) == 1
+        assert result.lines[0].startswith("  worst relative error over 20 pairs (500000 points each): value=0.0099")
+        assert result.lines[0].endswith(" bound=0.00223606798 [FAIL]")
+
+    @pytest.mark.parametrize("index", [0, 10])
+    def test_unknown_criterion_is_refused(self, index):
+        with pytest.raises(ValueError, match=f"^no criterion {index}$"):
+            run_criterion(index)
