@@ -52,6 +52,7 @@ from functools import partial
 
 import numpy as np
 
+from .distance import NearestDistanceLaw
 from .geometry import (
     KM_IN_M,
     OrbitGeometry,
@@ -59,8 +60,8 @@ from .geometry import (
     arc_to_distance,
     visible_arc_length,
 )
-from .interference import ChannelParams, _taylor_integrals, _taylor_terms
-from .numerics import ARC_NODES, PANEL_NODES, _legendre, exponential_panels, gauss_legendre
+from .interference import ChannelParams, _interferer_rule, _taylor_integrals, _taylor_terms
+from .numerics import ARC_NODES, PANEL_NODES, exponential_panels
 
 __all__ = [
     "LinkBudget",
@@ -258,9 +259,7 @@ def _sir_conditional(orbit, window, density_per_km, channel, m, gammas) -> np.nd
     orbit, one threshold over a run of serving nodes.
     """
     tau, weights, arc = _serving_rule(orbit, window, density_per_km)
-    t, _ = gauss_legendre(tau, arc, ARC_NODES)
-    ratio = (arc_to_distance(orbit, tau)[:, None] / arc_to_distance(orbit, t)) ** channel.alpha
-    _, unit = _legendre(ARC_NODES)
+    ratio, unit, half = _interferer_rule(orbit, channel.alpha, tau, arc)
     rows = _BLOCK // ARC_NODES
     tau_step = min(tau.size, rows)
     gamma_step = max(1, rows // tau.size)
@@ -282,8 +281,7 @@ def _sir_conditional(orbit, window, density_per_km, channel, m, gammas) -> np.nd
                 start = (i - g) * tau.size + j
                 _taylor_integrals(tile[0], unit, m, integrals[:, start : start + n], tile[1:])
         scaled = integrals[:, : (end - g) * tau.size].reshape(m, end - g, tau.size)
-        # the rule on [tau, L] is the standard rule times its half-length
-        scaled *= density_per_km * 0.5 * (arc - tau)
+        scaled *= density_per_km * half
         given_tau[g:end] = sum(_taylor_terms(scaled, m))
     return given_tau @ weights
 
@@ -348,10 +346,11 @@ def _coverage(constellation: ConstellationSpec, gammas, budget: LinkBudget | Non
     satellite) or, once m and the thresholds are checked, zero when some
     orbit never enters the window. SIR, or SNR under a link budget."""
     m, gammas = _checked(constellation.channel, gammas, budget)
-    arcs = [visible_arc_length(orbit, constellation.window) for orbit in constellation.orbits]
-    if min(arcs) <= 0.0:
+    window = constellation.window
+    if any(visible_arc_length(orbit, window) <= 0.0 for orbit in constellation.orbits):
         return np.zeros(gammas.size)
-    vis = math.prod(-math.expm1(-lam * arc) for lam, arc in zip(constellation.densities_per_km, arcs))
+    pairs = zip(constellation.orbits, constellation.densities_per_km)
+    vis = math.prod(NearestDistanceLaw(orbit, window, lam).visibility_probability for orbit, lam in pairs)
     return _unit(_best_conditional(constellation, m, gammas, budget) * vis)
 
 

@@ -11,7 +11,8 @@ g_i_bar, the probability generating functional gives
 
 with u(t) the arc-to-distance map. Everything is integrated in the arc
 coordinate, where the integrand is smooth, on one fixed Gauss-Legendre
-rule mapped onto [ell(r), L]; the test suite evaluates the same
+rule mapped onto [ell(r), L], whose loads `_interferer_rule` builds for
+coverage and `_point_terms` alike; the test suite evaluates the same
 quantity in the distance domain (with its integrable
 inverse-square-root endpoint weight) as an independent cross-check.
 
@@ -57,7 +58,7 @@ from .geometry import (
     distance_to_arc,
     visible_arc_length,
 )
-from .numerics import ARC_NODES, gauss_legendre
+from .numerics import ARC_NODES, _legendre, gauss_legendre
 
 __all__ = ["ChannelParams"]
 
@@ -107,10 +108,14 @@ def _serving_arc(orbit: OrbitGeometry, window: VisibilityWindow, serving_distanc
     return min(ell, arc), arc
 
 
-def _interferer_load(orbit: OrbitGeometry, channel: ChannelParams, ell0: float, arc: float):
-    """a(t) = g_i_bar u(t)^-alpha / m and the weights of the inner rule on [ell0, arc]."""
-    t, weights = gauss_legendre(ell0, arc, ARC_NODES)
-    return channel.g_i_bar * arc_to_distance(orbit, t) ** -channel.alpha / channel.m, weights
+def _interferer_rule(orbit: OrbitGeometry, alpha: float, ell0, arc: float):
+    """For lower ends ell0 (a scalar, or the serving nodes tau): the ratios
+    (u(ell0) / u(t))^alpha at the inner rule's nodes t on [ell0, arc], in a
+    trailing axis, the standard rule's weights and the half-lengths. The
+    load s a(t) is the ratio times s g_i_bar / (m u(ell0)^alpha)."""
+    t, _ = gauss_legendre(ell0, arc, ARC_NODES)
+    ratio = (np.asarray(arc_to_distance(orbit, ell0))[..., None] / arc_to_distance(orbit, t)) ** alpha
+    return ratio, _legendre(ARC_NODES)[1], 0.5 * (arc - ell0)
 
 
 def _taylor_integrals(load: np.ndarray, weights: np.ndarray, m: int, out: np.ndarray, work: np.ndarray) -> None:
@@ -166,11 +171,11 @@ def _point_terms(orbit, window, density_per_km, channel, serving_distance_km, s)
     one transform variable s >= 0 (km^alpha), for integer m."""
     m = channel.integer_m
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    a, weights = _interferer_load(orbit, channel, ell0, arc)
-    load = (s * a)[None, :]
+    ratio, unit, half = _interferer_rule(orbit, channel.alpha, ell0, arc)
+    load = ratio[None, :] * (s * channel.g_i_bar / (m * arc_to_distance(orbit, ell0) ** channel.alpha))
     integrals = np.empty((m, 1))
-    _taylor_integrals(load, weights, m, integrals, np.empty((4,) + load.shape))
-    return [float(c[0]) for c in _taylor_terms(density_per_km * integrals, m)]
+    _taylor_integrals(load, unit, m, integrals, np.empty((4,) + load.shape))
+    return [float(c[0]) for c in _taylor_terms(density_per_km * half * integrals, m)]
 
 
 def laplace_derivatives(
@@ -201,8 +206,10 @@ def laplace_derivatives(
     if not (density_per_km > 0 and math.isfinite(density_per_km)):
         raise ValueError("satellite density must be positive and finite")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    a, weights = _interferer_load(orbit, channel, ell0, arc)
+    ratio, unit, half = _interferer_rule(orbit, channel.alpha, ell0, arc)
     m = channel.m
+    a = ratio * (channel.g_i_bar / (m * arc_to_distance(orbit, ell0) ** channel.alpha))
+    weights = half * unit
     derivs = [math.exp(density_per_km * np.sum(weights * np.expm1(-m * np.log1p(s * a))))]
     # phi^(k) = -g_k, g_k = (-1)^(k+1) lambda m (m+1) ... (m+k-1)
     #           * int a^k (1 + s a)^(-m-k) dt

@@ -35,9 +35,9 @@ the window. Every
 estimator sums over trials, so the order of one orbit's trials changes
 nothing; only the pairing of trials across orbits does, and the shuffle
 makes that pairing uniformly random. The nearest-distance estimator
-draws (1) and (2) only; validation criterion 4 draws its own counts
-beyond a fixed serving radius, unshuffled, then its interferers through
-the same sampler, every trial cut at that radius's offset.
+draws (1) and (2) only; `_laplace_direct`, criterion 4's transform
+average, draws on the same batch streams the counts beyond a fixed
+serving radius, unshuffled, then (3), each trial cut at its offset.
 
 Every coverage estimator is one scoring pass over a constellation: per
 batch the kernel draws each orbit in turn, and each trial's best SIR
@@ -60,6 +60,7 @@ size is a module constant, not an option.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import ConstellationSpec, CoverageCurve, LinkBudget, db_to_linear
-from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _squared_distance, _window_half_angle
+from .geometry import KM_IN_M, OrbitGeometry, VisibilityWindow, _squared_distance, _window_half_angle, distance_to_arc
 
 __all__ = [
     "McConfig",
@@ -216,6 +217,12 @@ def _interference(gen: np.random.Generator, orbit: OrbitGeometry, alpha: float, 
     return sums
 
 
+def _fading(gen: np.random.Generator, m: float):
+    """The sampler fading(n) of n unit-mean gamma(m) powers that every fading
+    draw uses; at m = 1 the standard exponential, gamma(1, 1)'s draws, faster."""
+    return gen.standard_exponential if m == 1.0 else functools.partial(gen.gamma, m, 1.0 / m)
+
+
 def _sir_batch(
     orbit: OrbitGeometry,
     window: VisibilityWindow,
@@ -229,8 +236,7 @@ def _sir_batch(
     """Per-trial (nearest_km, serving fading power, interference sum) of
     n trials, drawn in the order the module docstring gives, the counts
     shuffled when `shuffle`."""
-    # Gamma(1, 1) is the standard exponential: the same draws, sampled faster
-    fading = gen.standard_exponential if m == 1.0 else lambda size: gen.gamma(m, 1.0 / m, size)
+    fading = _fading(gen, m)
     beta = _window_half_angle(orbit, window)
     counts = _poisson_counts(gen, 2.0 * orbit.radius_km * beta * density, n, shuffle)
     closest, others = _nearest_first(gen, beta, counts)
@@ -341,6 +347,22 @@ def empirical_nearest_ccdf(
         exceed += finite.size - np.searchsorted(finite, grid, side="right")
     _require_survivors(survivors, cfg.trials, "had a visible satellite")
     return exceed / survivors, survivors
+
+
+def _laplace_direct(orbit, window, density_per_km, channel, serving_km, s_values, cfg: McConfig) -> np.ndarray:
+    """E[exp(-s I)] for each s, with the serving satellite at `serving_km`:
+    per batch, the counts of the arc beyond its offset, which by Poisson
+    restriction hold its interferers, then their sums from `_interference`.
+    Every s averages the same sums, so each reads as a run for it alone."""
+    beta = _window_half_angle(orbit, window)
+    cut = min(float(distance_to_arc(orbit, serving_km)) / (2.0 * orbit.radius_km), beta)
+    mean = 2.0 * orbit.radius_km * (beta - cut) * density_per_km
+    acc = np.zeros(len(s_values))
+    for gen, size in _batches(cfg):
+        counts = _poisson_counts(gen, mean, size)
+        sums = _interference(gen, orbit, channel.alpha, beta, counts, np.full(size, cut), _fading(gen, channel.m))
+        acc += [np.exp(-s * channel.g_i_bar * sums).sum() for s in s_values]
+    return acc / cfg.trials
 
 
 def _covered(vis: np.ndarray, score: np.ndarray, gammas: np.ndarray) -> np.ndarray:

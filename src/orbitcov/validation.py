@@ -32,14 +32,14 @@ slices next to each band edge, counts the run between the edges by
 arithmetic and skips the generator over the rest: a pair draws ten
 doubles, not its 10^7, and gets the count and leaves the stream of one
 full-size draw. Criterion 3 draws only each trial's nearest satellite,
-as the Monte-Carlo kernel does first. Criterion 4 draws and sums its
-interferers with the kernel's interferer sampler, in batches of
-_DIRECT_BATCH trials: by Poisson restriction the window's satellites
-beyond the offset of the serving radius are those of the leftover arc,
-so it draws Poisson counts for that arc, one histogram a batch as the
-kernel does, and only those offsets, whose kernel interference sum is
-the direct one, and its memory is that of one batch at any trial count. It draws the sums once
-per serving radius and averages every transform variable s over them
+as the Monte-Carlo kernel does first. Criterion 4 reads the analytic
+transform from `_point_terms`, on the loads and kernel coverage runs,
+and its direct average from `montecarlo._laplace_direct`, which draws on
+the batch streams of an `McConfig` with the simulator's count, interferer
+and fading samplers: by Poisson restriction the satellites beyond the
+serving radius are those of the leftover arc, so it draws only those.
+It draws the sums once per serving radius, on a seed offset no other
+criterion uses, and averages every transform variable s over them
 (common random numbers): its checks share their draws, and each value
 is what a run for that s alone would give.
 
@@ -52,7 +52,6 @@ byte-identical report text.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -73,9 +72,7 @@ from .geometry import (
     TWO_PI,
     OrbitGeometry,
     VisibilityWindow,
-    _window_half_angle,
     d_min,
-    distance_to_arc,
     orbital_speed,
     visible_arc_length,
     visible_time,
@@ -84,8 +81,7 @@ from .interference import ChannelParams, _point_terms
 from .montecarlo import (
     McConfig,
     _coverage_pass,
-    _interference,
-    _poisson_counts,
+    _laplace_direct,
     _require_survivors,
     empirical_max_sir_coverage,
     empirical_nearest_ccdf,
@@ -123,10 +119,6 @@ THETA_GRID = (
     math.pi / 2 + math.pi / 18,
 )
 DENSITY_GRID = (0.01, 0.001, 0.0001)
-
-# trials per batch of criterion 4's direct average: its per-trial sums
-# stay small next to the kernel's chunks
-_DIRECT_BATCH = 10_000
 
 # least reach of the brute-force arc count's edge windows past each edge:
 # float noise in the height blurs an edge by ~2e-8 rad at the band edge
@@ -308,52 +300,21 @@ def criterion_nearest_distance(result: CriterionResult, seed: int, scale: float)
             combo += 1
 
 
-def _laplace_direct_average(
-    orbit: OrbitGeometry,
-    window: VisibilityWindow,
-    density: float,
-    channel: ChannelParams,
-    serving_km: float,
-    s_values,
-    trials: int,
-    gen,
-) -> np.ndarray:
-    """E[exp(-s I)] for each s by simulating the interferers with the
-    Monte-Carlo kernel: each batch draws its trials' Poisson counts for
-    the leftover arc beyond the serving radius's offset ell0 / 2R, and
-    each trial only the offsets there, which by Poisson restriction are
-    exactly its satellites. Every s is averaged over the same
-    interference sums (common random numbers), drawn in batches of
-    _DIRECT_BATCH trials, so memory stays that of one batch."""
-    beta = _window_half_angle(orbit, window)
-    cut = min(float(distance_to_arc(orbit, serving_km)) / (2.0 * orbit.radius_km), beta)
-    s_values = np.asarray(s_values, dtype=float)
-    fading = functools.partial(gen.gamma, channel.m, 1.0 / channel.m)
-    acc = np.zeros(s_values.size)
-    for done in range(0, trials, _DIRECT_BATCH):
-        size = min(_DIRECT_BATCH, trials - done)
-        counts = _poisson_counts(gen, 2.0 * orbit.radius_km * (beta - cut) * density, size)
-        sums = _interference(gen, orbit, channel.alpha, beta, counts, np.full(size, cut), fading)
-        for k, s in enumerate(s_values):
-            acc[k] += float(np.exp(-s * channel.g_i_bar * sums).sum())
-    return acc / trials
-
-
 def criterion_laplace(result: CriterionResult, seed: int, scale: float) -> None:
     """Transform values vs direct averaging; derivatives vs differences."""
     trials = _scaled_count(1_000_000, scale, 2_000)
     orbit = _orbit()
     window = _window(orbit)
     channel = ChannelParams(alpha=2.0, m=1.0)
-    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     lo = d_min(orbit)
     mid = 0.5 * (lo + window.d_max_km)
     tol = _scaled_tol(0.005, 1_000_000, trials)
-    for serving in (lo, mid):
+    for k, serving in enumerate((lo, mid)):
         # raw transform-variable probes plus values on the coverage scale
         # s = m gamma r^alpha, where the transform actually gets used
         scales = [0.1, 1.0, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
-        directs = _laplace_direct_average(orbit, window, DENSITY_PER_KM, channel, serving, scales, trials, gen)
+        cfg = McConfig(trials=trials, seed=seed + 43 * (k + 1), batch=10_000)
+        directs = _laplace_direct(orbit, window, DENSITY_PER_KM, channel, serving, scales, cfg)
         for s, direct in zip(scales, directs):
             analytic = _point_terms(orbit, window, DENSITY_PER_KM, channel, serving, s)[0]
             result.near(f"transform r={_fmt(serving)} s={_fmt(s)}", analytic, direct, tol)

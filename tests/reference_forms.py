@@ -12,7 +12,9 @@ serving arc coordinate, inner integrals over the interferer arc, and the
 alternating derivative series sum (-s)^t / t! L^(t)(s). `nearest_pdf`
 is the nearest-distance density in the arc coordinate, the library's
 CCDF differentiated through d ell / d r; the library needs only the
-CCDF. `log_laplace` is the interference transform in the log1p form for
+CCDF. `interferer_load` builds the load a(t) on the library's inner
+rule from its nodes, not from the library's path-loss ratios;
+`log_laplace` is the interference transform on it in the log1p form for
 real m, and `snr_conditional_log_tail` the SNR coverage with its gamma
 tail summed in logs; the library runs both through its Taylor recursion.
 The distance-domain forms evaluate the nearest-distance law and
@@ -53,7 +55,8 @@ from orbitcov import (
 )
 from orbitcov.geometry import KM_IN_M, TWO_PI, _window_half_angle
 from orbitcov.coverage import _serving_rule
-from orbitcov.interference import _interferer_load, _serving_arc
+from orbitcov.interference import _serving_arc
+from orbitcov.numerics import ARC_NODES, gauss_legendre
 
 # band-edge rounding window of eta, never real overshoot
 _CLAMP_TOL = 1e-12
@@ -269,6 +272,15 @@ def nearest_pdf_distance_form(law: NearestDistanceLaw, r: float) -> float:
     )
 
 
+def interferer_load(orbit: OrbitGeometry, channel: ChannelParams, ell0: float, arc: float):
+    """a(t) = g_i_bar u(t)^-alpha / m at the nodes of the library's inner
+    rule on [ell0, arc], and the rule's weights there, built straight from
+    the rule and the arc-to-distance map rather than from the path-loss
+    ratios the library scales."""
+    t, weights = gauss_legendre(ell0, arc, ARC_NODES)
+    return channel.g_i_bar * arc_to_distance(orbit, t) ** -channel.alpha / channel.m, weights
+
+
 def log_laplace(
     orbit: OrbitGeometry,
     window: VisibilityWindow,
@@ -290,7 +302,7 @@ def log_laplace(
     if not (density_per_km > 0 and math.isfinite(density_per_km)):
         raise ValueError("satellite density must be positive and finite")
     ell0, arc = _serving_arc(orbit, window, serving_distance_km)
-    a, weights = _interferer_load(orbit, channel, ell0, arc)
+    a, weights = interferer_load(orbit, channel, ell0, arc)
     return float(density_per_km * np.sum(weights * np.expm1(-channel.m * np.log1p(s * a))))
 
 

@@ -729,6 +729,15 @@ class TestExitCodes:
         assert [row.curve_kind for row in rows] == ["SIR-analytic"] * 3
         assert rows[0].value == pytest.approx(0.9988, abs=1e-4)
 
+    def test_unwritable_output_directory_is_one(self, tmp_path, capsys):
+        # --out below a regular file cannot be created
+        cfg = write_scenario(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["geometry", "--config", str(cfg), "--out", str(blocker / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot create output directory: ") and err.count("\n") == 1
+
     def test_config_error_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"orbits": []}))

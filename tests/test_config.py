@@ -230,6 +230,27 @@ class TestRejection:
         with pytest.raises(ConfigError, match="stop_db"):
             parse_scenario(minimal(thresholds={"start_db": 10.0, "stop_db": 0.0}))
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (
+                {"orbits": [{"altitude_km": 500.0, "density_per_km": 0.005}]},
+                "orbits[0].theta_deg: missing required value",
+            ),
+            ({"mc": {"trials": 0}}, "mc.trials: must be >= 1"),
+            (
+                {"geometry": {"theta_start_deg": 100.0, "theta_stop_deg": 90.0}},
+                "geometry.theta_stop_deg: must be >= theta_start_deg",
+            ),
+            ({"geometry": {"omega_min_deg": []}}, "geometry.omega_min_deg: expected a non-empty array"),
+            ({"sweep": {"parameter": "alpha", "values": []}}, "sweep.values: expected a non-empty array"),
+        ],
+    )
+    def test_error_names_the_field(self, extra, message):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario(minimal(**extra))
+        assert str(caught.value) == message
+
     def test_non_mapping_input(self):
         with pytest.raises(ConfigError):
             parse_scenario([1, 2, 3])
@@ -257,11 +278,19 @@ class TestDecibelBounds:
             parse_scenario(minimal(**{section: {key: value}}))
         assert caught.value.path == f"{section}.{key}"
 
-    def test_link_budget_ratio_out_of_range(self):
-        # each field is in range, but a 1e-300 Hz bandwidth puts
-        # P G / sigma^2 at 3233 dB
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            # each field is in range, but a 1e-300 Hz bandwidth puts
+            # P G / sigma^2 at 3233 dB, past what a linear double holds
+            {"bandwidth_hz": 1e-300},
+            # a finite linear ratio, but 2093 dB is past the +/-1000 dB domain
+            {"tx_power_dbm": 1000.0, "serving_gain_db": 1000.0},
+        ],
+    )
+    def test_link_budget_ratio_out_of_range(self, budget):
         with pytest.raises(ConfigError) as caught:
-            parse_scenario(minimal(budget={"bandwidth_hz": 1e-300}))
+            parse_scenario(minimal(budget=budget))
         assert caught.value.path == "budget"
 
     def test_grid_size_is_capped(self):

@@ -31,7 +31,6 @@ from orbitcov import (
 )
 import orbitcov.coverage as coverage
 from orbitcov.interference import (
-    _interferer_load,
     _point_terms,
     _serving_arc,
     _taylor_integrals,
@@ -41,6 +40,7 @@ from orbitcov.interference import (
 from orbitcov.numerics import ARC_NODES, gauss_legendre
 from reference_forms import (
     adaptive,
+    interferer_load,
     laplace_derivatives_adaptive,
     sir_coverage_adaptive,
     snr_conditional_log_tail,
@@ -495,6 +495,8 @@ class TestCurves:
                 ci_low=(0.4,),
                 ci_high=None,
             )
+        with pytest.raises(ValueError, match="confidence bounds must match the grid length"):
+            CoverageCurve(thresholds_db=(0.0, 1.0), values=(0.5, 0.6), ci_low=(0.4,), ci_high=(0.6,))
 
     @pytest.mark.parametrize("value", [1.0 + 5e-10, -5e-10, math.nan])
     def test_curve_rejects_rounding_noise(self, value):
@@ -674,7 +676,7 @@ class TestTaylorSeries:
         derivs = laplace_derivatives(ref_orbit, ref_window, LAM, ch, serving_km, s, m - 1)
         alternating = sum((-s) ** t / math.factorial(t) * d for t, d in enumerate(derivs))
         ell0, arc = _serving_arc(ref_orbit, ref_window, serving_km)
-        load, weights = _interferer_load(ref_orbit, ch, ell0, arc)
+        load, weights = interferer_load(ref_orbit, ch, ell0, arc)
         assert taylor_sum(s * load, weights, LAM, m) == pytest.approx(alternating, rel=1e-9)
 
     def test_non_finite_value_raises(self, ref_orbit, ref_window, monkeypatch):
@@ -715,7 +717,7 @@ class TestKernelAgainstMpmath:
     def test_inner_rule_loads(self, ref_orbit, ref_window, m, top):
         ch = ChannelParams(alpha=2.0, m=float(m))
         ell0, arc = _serving_arc(ref_orbit, ref_window, 600.0)
-        a, weights = _interferer_load(ref_orbit, ch, ell0, arc)
+        a, weights = interferer_load(ref_orbit, ch, ell0, arc)
         load = a * (top / a.max())
         density = 1.0 / float(np.sum(weights * load / (1.0 + load)))
         value = taylor_sum(load, weights, density, m)

@@ -165,6 +165,9 @@ class TestArcDistanceMaps:
             distance_to_arc(ref_orbit, d_min(ref_orbit) - 1.0)
         with pytest.raises(ValueError):
             distance_to_arc(ref_orbit, ref_orbit.radius_km + ref_orbit.earth.radius_km + 1.0)
+        # an orbit whose plane is normal to the zenith has no window offset
+        with pytest.raises(ValueError, match=r"undefined for sin\(theta\) = 0"):
+            distance_to_arc(OrbitGeometry(500.0, 0.0), 600.0)
 
     def test_scalar_in_scalar_out(self, ref_orbit):
         out = arc_to_distance(ref_orbit, 100.0)
@@ -296,11 +299,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             OrbitGeometry(-100.0, math.pi / 2)
 
-    def test_window_rejects_bad_elevation(self, ref_orbit):
+    def test_window_rejects_bad_elevation(self, ref_orbit, ref_window):
         with pytest.raises(ValueError):
             VisibilityWindow.from_min_elevation(math.pi / 2, ref_orbit)
         with pytest.raises(ValueError):
             VisibilityWindow.from_min_elevation(-0.1, ref_orbit)
+        # built directly, not through from_min_elevation
+        with pytest.raises(ValueError, match=r"minimum elevation must lie in \[0, pi/2\)"):
+            VisibilityWindow(math.pi / 2, ref_window.cap_base_km, ref_window.d_max_km)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_orbit_rejects_non_finite_altitude(self, value):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orbitcov import ChannelParams, OrbitGeometry
-from orbitcov.interference import laplace_derivatives
+from orbitcov.interference import _point_terms, laplace_derivatives
 from reference_forms import log_laplace, log_laplace_distance_form
 
 
@@ -157,6 +157,17 @@ class TestDerivatives:
         for bad in (0.0, -0.005):
             with pytest.raises(ValueError, match="density"):
                 laplace_derivatives(orbit, window, bad, ch, 700.0, 1.0, t_max=2)
+
+    def test_negative_s_rejected(self, setup):
+        orbit, window, lam, ch = setup
+        with pytest.raises(ValueError, match="transform variable must be nonnegative"):
+            laplace_derivatives(orbit, window, lam, ch, 700.0, -1.0, t_max=1)
+
+    def test_orbit_outside_the_window_rejected(self, ref_window, rayleigh):
+        # an orbit whose plane is normal to the zenith never rises above
+        # the horizon, so it has no serving satellite to condition on
+        with pytest.raises(ValueError, match="orbit never enters the visibility window"):
+            _point_terms(OrbitGeometry(500.0, 0.0), ref_window, 0.005, rayleigh, 700.0, 1.0)
 
 
 class TestChannelParams:

@@ -27,6 +27,7 @@ from orbitcov import (
     OrbitGeometry,
     VisibilityWindow,
     coverage_conditional,
+    d_min,
     db_to_linear,
     distance_to_arc,
     empirical_max_sir_coverage,
@@ -44,7 +45,9 @@ from orbitcov import montecarlo
 from orbitcov.montecarlo import (
     _batches,
     _coverage_pass,
+    _fading,
     _interference,
+    _laplace_direct,
     _nearest_distance,
     _nearest_first,
     _parallel_sum,
@@ -678,6 +681,74 @@ class TestInterferenceDraws:
             assert np.array_equal(values, twin.random(values.size) if name == "random" else twin.gamma(2.0, 0.5, values.size))
         u, fading = (np.concatenate([v for n, v in gen.draws if n == name]) for name in ("random", "gamma"))
         assert np.array_equal(sums, fading / _squared_distance(ref_orbit, beta - (beta - cut) * u))
+
+
+class TestFading:
+    """The one fading sampler, shared by the SIR kernel and the direct
+    transform average.
+
+    The law test runs 4 KS tests of 2e5 draws against
+    `scipy.stats.gamma(m, scale=1/m)`. A false failure of at most 1e-6 per
+    run leaves 1e-6 / 4 = 2.5e-7 to each (Bonferroni); a correct sampler's
+    KS p-value is uniform (to the asymptotic form scipy uses at this size),
+    so it falls below that level with that chance. At that level 2e5 draws
+    flag a CDF off by more than sqrt(ln(2 / 2.5e-7) / (2 * 2e5)) = 0.0063.
+    """
+
+    def test_m1_is_gamma_one_on_the_same_stream(self):
+        # the standard exponential draws gamma(1, 1)'s values and leaves
+        # the stream where gamma(1, 1) does, so switching between them
+        # moves no seeded result
+        gen, twin = np.random.default_rng(61), np.random.default_rng(61)
+        assert np.array_equal(_fading(gen, 1.0)(50_000), twin.gamma(1.0, 1.0, 50_000))
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert gen.random() == twin.random()
+
+    M_VALUES = (0.5, 1.0, 2.5, 10.0)
+    LEVEL = 1e-6 / len(M_VALUES)
+
+    @pytest.mark.parametrize("m", M_VALUES)
+    def test_law_is_unit_mean_gamma(self, m):
+        draws = _fading(np.random.default_rng(62 + self.M_VALUES.index(m)), m)(200_000)
+        assert stats.kstest(draws, stats.gamma(m, scale=1.0 / m).cdf).pvalue >= self.LEVEL
+
+
+class TestLaplaceDirect:
+    """Validation criterion 4's direct transform average, drawn on the
+    batch streams of an `McConfig`."""
+
+    @staticmethod
+    def _scales(serving):
+        return [0.1, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
+
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_shared_draws_match_one_s_at_a_time(self, ref_orbit, ref_window, m):
+        # every s sees the sums a one-s run on the same streams would draw:
+        # sharing the draws only correlates the checks
+        channel = ChannelParams(alpha=2.0, m=m)
+        serving = d_min(ref_orbit)
+        scales = self._scales(serving)
+        cfg = McConfig(trials=210_000, seed=33, batch=10_000)  # more than one batch
+        shared = _laplace_direct(ref_orbit, ref_window, 0.001, channel, serving, scales, cfg)
+        assert shared.shape == (len(scales),)
+        for s, value in zip(scales, shared):
+            alone = _laplace_direct(ref_orbit, ref_window, 0.001, channel, serving, [s], cfg)
+            assert value == pytest.approx(alone[0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("trials", [210_000, 1_000_000])
+    def test_memory_is_that_of_one_batch(self, ref_orbit, ref_window, trials):
+        # the sums are drawn batch by batch and chunk by chunk through the
+        # Monte-Carlo kernel, so the peak does not grow with the trials
+        serving = d_min(ref_orbit)
+        channel = ChannelParams(alpha=2.0, m=1.0)
+        cfg = McConfig(trials=trials, seed=34, batch=10_000)
+        tracemalloc.start()
+        try:
+            _laplace_direct(ref_orbit, ref_window, 0.001, channel, serving, self._scales(serving), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestPoissonCounts:

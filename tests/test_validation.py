@@ -1,22 +1,20 @@
-"""Validation internals: the brute-force arc count and the direct
-transform average, against the forms they replace, and `run_all`, which
-runs the criteria one after another on the calling thread."""
+"""Validation internals: the brute-force arc count, against the form it
+replaces, and `run_all`, which runs the criteria one after another on
+the calling thread."""
 
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from orbitcov import ChannelParams, OrbitGeometry, VisibilityWindow, cli, d_min
+from orbitcov import McConfig, OrbitGeometry, VisibilityWindow, cli
 from orbitcov import validation
 from orbitcov.validation import (
     CriterionResult,
     ValidationReport,
     _arc_length_bruteforce,
-    _laplace_direct_average,
     render_report,
     run_all,
     run_criterion,
@@ -133,42 +131,20 @@ class TestSeedStreams:
             12509314781568160963,
         ]
 
+    def test_criterion_4_draws_streams_no_other_criterion_draws(self, monkeypatch):
+        # each Monte-Carlo run draws the batch streams of its McConfig
+        # seed; criterion 4's direct averages take seeds of their own
+        seeds = {}
 
-class TestLaplaceDirectAverage:
-    @pytest.mark.parametrize("m", [1.0, 2.0])
-    def test_shared_draws_match_one_s_at_a_time(self, m):
-        # every s sees the sums a one-s run on the same stream would draw:
-        # sharing the draws only correlates the checks
-        orbit, window = _shell(10.0, math.pi / 2)
-        channel = ChannelParams(alpha=2.0, m=m)
-        serving = d_min(orbit)
-        scales = [0.1, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
-        trials = 210_000  # more than one batch
-        shared = _laplace_direct_average(
-            orbit, window, 0.001, channel, serving, scales, trials, np.random.default_rng(33)
-        )
-        assert shared.shape == (len(scales),)
-        for s, value in zip(scales, shared):
-            alone = _laplace_direct_average(
-                orbit, window, 0.001, channel, serving, [s], trials, np.random.default_rng(33)
-            )
-            assert value == pytest.approx(alone[0], rel=1e-15, abs=0.0)
+        def recording(**kwargs):
+            seeds.setdefault(index, set()).add(kwargs["seed"])
+            return McConfig(**kwargs)
 
-    @pytest.mark.parametrize("trials", [210_000, 1_000_000])
-    def test_memory_is_that_of_one_batch(self, trials):
-        # the sums are drawn batch by batch and chunk by chunk through the
-        # Monte-Carlo kernel, so the peak does not grow with the trials
-        orbit, window = _shell(10.0, math.pi / 2)
-        serving = d_min(orbit)
-        scales = [0.1, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
-        gen = np.random.default_rng(34)
-        tracemalloc.start()
-        try:
-            _laplace_direct_average(orbit, window, 0.001, ChannelParams(alpha=2.0, m=1.0), serving, scales, trials, gen)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        monkeypatch.setattr(validation, "McConfig", recording)
+        for index in range(1, 10):
+            run_criterion(index, 7, SCALE)
+        others = set().union(*(drawn for k, drawn in seeds.items() if k != 4))
+        assert len(seeds[4]) == 2 and not seeds[4] & others
 
 
 SCALE = 0.002
