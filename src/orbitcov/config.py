@@ -4,8 +4,9 @@ A scenario bundles everything one run needs: orbits, visibility window,
 channel, optional link budget, the threshold grid, optional Monte-Carlo
 settings and optional geometry/sweep sections. Validation is strict on
 purpose: unknown keys and out-of-range values raise `ConfigError` with
-the dotted path of the offending field, because a silently ignored typo
-in a scenario file is a corrupted study, not a convenience. A section
+the dotted path of the offending field, and a key given twice raises it
+by name, because a silently ignored typo in a scenario file is a
+corrupted study, not a convenience. A section
 of numbers is one table of keys and bounds, read by `_given`: a key left
 out of `earth`, `channel`, `budget` or `mc` takes its type's default.
 
@@ -390,13 +391,23 @@ def parse_scenario(data) -> ScenarioConfig:
     return config
 
 
+def _members(pairs: list) -> dict:
+    """A decoded JSON object, refusing a key given twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError("", f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Read and validate a scenario file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_members)
     except OSError as exc:
         raise ConfigError("", f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from None
     return parse_scenario(data)

@@ -27,21 +27,22 @@ builds the result, times the call and returns it:
 only their coverage passes spread batches over one thread per CPU in
 the process's affinity, and the report does not depend on how many.
 
-Criterion 2 draws and scores only the brute-force points in the few
-slices next to each band edge, counts the run between the edges by
-arithmetic and skips the generator over the rest: a pair draws ten
-doubles, not its 10^7, and gets the count and leaves the stream of one
-full-size draw. Criterion 3 draws only each trial's nearest satellite,
+Every Monte-Carlo run of a criterion, and each of criterion 2's pairs,
+draws from the seed `_run_seed` gives its (gate seed, criterion, run),
+so no two checks share a stream. Criterion 2 draws and scores only the
+brute-force points in the few slices next to each band edge, skipping
+its generator to them, and counts the run between the edges by
+arithmetic: a pair draws ten doubles, not its 10^7, and gets the count
+of one full-size draw. Criterion 3 draws only each trial's nearest satellite,
 as the Monte-Carlo kernel does first. Criterion 4 reads the analytic
 transform from `_point_terms`, on the loads and kernel coverage runs,
 and its direct average from `montecarlo._laplace_direct`, which draws on
 the batch streams of an `McConfig` with the simulator's count, interferer
 and fading samplers: by Poisson restriction the satellites beyond the
 serving radius are those of the leftover arc, so it draws only those.
-It draws the sums once per serving radius, on a seed offset no other
-criterion uses, and averages every transform variable s over them
-(common random numbers): its checks share their draws, and each value
-is what a run for that s alone would give.
+It draws the sums once per serving radius and averages every transform
+variable s over them (common random numbers): its checks share their
+draws, and each value is what a run for that s alone would give.
 
 Monte-Carlo tolerances are stated for the default trial counts; when a
 run is scaled down the tolerances widen by sqrt(default / actual), so a
@@ -52,6 +53,7 @@ byte-identical report text.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -190,6 +192,14 @@ def _scaled_count(default: int, scale: float, floor: int) -> int:
     return max(floor, int(round(default * scale)))
 
 
+def _run_seed(seed: int, criterion: int, run: int) -> int:
+    """The seed of one Monte-Carlo run's streams: `run` numbers a
+    criterion's runs from 0 and stays below 100, so distinct (gate seed,
+    criterion, run) triples get distinct seeds, and since a run's batch
+    streams derive from its seed alone, no two runs draw one stream."""
+    return 1000 * seed + 100 * criterion + run
+
+
 def criterion_geometry_anchors(result: CriterionResult, seed: int, scale: float) -> None:
     """Frozen closed-form values for the reference shell."""
     orbit = _orbit()
@@ -211,33 +221,29 @@ def _arc_length_bruteforce(orbit: OrbitGeometry, window: VisibilityWindow, point
     circle, counted where the height reach * cos(psi_i) clears the cap.
 
     `gen` must be a PCG64 `Generator`: it spends one 64-bit word per
-    double, so `bit_generator.advance(k)` skips k draws. The count, and
-    the state `gen` is left in, are those of drawing all `points` angles
-    at once, so the pairs drawn after this one see the same stream.
+    double, so `bit_generator.advance(k)` skips k draws. The count is
+    that of drawing all `points` angles at once.
 
     Only the slices next to the band edges psi = a and 2 pi - a, with
     a = acos(cap / reach), depend on their draw: every slice further in
     is inside and every slice further out is outside. So the slices
     within a margin of each edge are drawn and scored with the float ops
-    of a full draw, the run between the two windows is counted by
-    arithmetic and the rest of the stream is skipped. The margin is two
-    slices, widened to _ARC_EDGE_RAD above ~1.26e7 points, where two
-    slices span less than that. Beyond the margin (in rad) the height is
-    off the cap by at least |reach| * margin^2 / 2 even where sin a -> 0
-    at the band edge: 8e-13 of |reach| for two slices at 10^7 points, some
-    7,000 ulps of cos, against a float error of a few ulps per slice.
-    Rounding cap / reach moves a by at most ~1.5e-8 rad in that same
-    worst case, 0.024 slice at 10^7 points.
+    of a full draw, and the run between the two windows is counted by
+    arithmetic. The margin is two slices, widened to _ARC_EDGE_RAD above
+    ~1.26e7 points, where two slices span less than that. Beyond the
+    margin (in rad) the height is off the cap by at least
+    |reach| * margin^2 / 2 even where sin a -> 0 at the band edge:
+    8e-13 of |reach| for two slices at 10^7 points, some 7,000 ulps of
+    cos, against a float error of a few ulps per slice. Rounding
+    cap / reach moves a by at most ~1.5e-8 rad in that same worst case,
+    0.024 slice at 10^7 points.
     """
     step = TWO_PI / points
     # theta in [0, pi] makes reach <= 0: the inside run is around psi = pi
     reach = -orbit.radius_km * math.sin(orbit.theta_rad)
     cap = window.cap_base_km
-    bits = gen.bit_generator
     if -reach <= cap:
-        # |height| <= |reach| <= cap at every angle
-        bits.advance(points)
-        return 0.0
+        return 0.0  # |height| <= |reach| <= cap at every angle
     edge = math.acos(cap / reach)
     margin = max(2, math.ceil(_ARC_EDGE_RAD / step))
     first, last = int(edge / step), int((TWO_PI - edge) / step)
@@ -251,20 +257,19 @@ def _arc_length_bruteforce(orbit: OrbitGeometry, window: VisibilityWindow, point
         inside = 0
     drawn = 0
     for start, stop in windows:
-        bits.advance(start - drawn)
+        gen.bit_generator.advance(start - drawn)
         z = np.cos((gen.random(stop - start) + np.arange(start, stop)) * step) * reach
         inside += int(np.count_nonzero(z > cap))
         drawn = stop
-    bits.advance(points - drawn)
     return inside / points * TWO_PI * orbit.radius_km
 
 
 def criterion_arc_bruteforce(result: CriterionResult, seed: int, scale: float) -> None:
     """Random (elevation, inclination) pairs vs indicator counting."""
     points = _scaled_count(10_000_000, scale, 500_000)
-    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     worst = 0.0
-    for _ in range(20):
+    for pair in range(20):
+        gen = np.random.default_rng(_run_seed(seed, 2, pair))
         omega = gen.uniform(0.0, math.radians(45.0))
         orbit_ref = _orbit()
         window = _window(orbit_ref, omega)
@@ -282,22 +287,19 @@ def criterion_arc_bruteforce(result: CriterionResult, seed: int, scale: float) -
 def criterion_nearest_distance(result: CriterionResult, seed: int, scale: float) -> None:
     """Sup-norm CCDF agreement on the inclination/density grid."""
     target = _scaled_count(1_000_000, scale, 2_000)
-    combo = 0
-    for theta in THETA_GRID:
-        for density in DENSITY_GRID:
-            orbit = _orbit(theta)
-            window = _window(orbit)
-            law = NearestDistanceLaw(orbit, window, density)
-            # oversize the raw run so the conditioned sample hits the target
-            raw = int(math.ceil(1.05 * target / law.visibility_probability))
-            grid = np.linspace(law.d_min_km, law.d_max_km, 202)[1:-1]
-            cfg = McConfig(trials=raw, seed=seed + 31 * combo, batch=5_000)
-            empirical, survivors = empirical_nearest_ccdf(orbit, window, density, grid, cfg)
-            sup = float(np.max(np.abs(empirical - nearest_ccdf(law, grid))))
-            tol = _scaled_tol(0.004, 1_000_000, survivors)
-            label = f"sup|ccdf diff| theta={_fmt(theta)} density={_fmt(density)} survivors={survivors}"
-            result.below(label, sup, tol)
-            combo += 1
+    for combo, (theta, density) in enumerate(itertools.product(THETA_GRID, DENSITY_GRID)):
+        orbit = _orbit(theta)
+        window = _window(orbit)
+        law = NearestDistanceLaw(orbit, window, density)
+        # oversize the raw run so the conditioned sample hits the target
+        raw = int(math.ceil(1.05 * target / law.visibility_probability))
+        grid = np.linspace(law.d_min_km, law.d_max_km, 202)[1:-1]
+        cfg = McConfig(trials=raw, seed=_run_seed(seed, 3, combo), batch=5_000)
+        empirical, survivors = empirical_nearest_ccdf(orbit, window, density, grid, cfg)
+        sup = float(np.max(np.abs(empirical - nearest_ccdf(law, grid))))
+        tol = _scaled_tol(0.004, 1_000_000, survivors)
+        label = f"sup|ccdf diff| theta={_fmt(theta)} density={_fmt(density)} survivors={survivors}"
+        result.below(label, sup, tol)
 
 
 def criterion_laplace(result: CriterionResult, seed: int, scale: float) -> None:
@@ -313,7 +315,7 @@ def criterion_laplace(result: CriterionResult, seed: int, scale: float) -> None:
         # raw transform-variable probes plus values on the coverage scale
         # s = m gamma r^alpha, where the transform actually gets used
         scales = [0.1, 1.0, 10.0] + [g * serving**2 for g in (0.1, 1.0, 10.0)]
-        cfg = McConfig(trials=trials, seed=seed + 43 * (k + 1), batch=10_000)
+        cfg = McConfig(trials=trials, seed=_run_seed(seed, 4, k), batch=10_000)
         directs = _laplace_direct(orbit, window, DENSITY_PER_KM, channel, serving, scales, cfg)
         for s, direct in zip(scales, directs):
             analytic = _point_terms(orbit, window, DENSITY_PER_KM, channel, serving, s)[0]
@@ -360,7 +362,7 @@ def criterion_sir_coverage(result: CriterionResult, seed: int, scale: float) -> 
     tol = _scaled_tol(0.015, 100_000, trials)
     for index, (alpha, m) in enumerate(ALPHA_M_COMBOS):
         spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, alpha, float(m))
-        cfg = McConfig(trials=trials, seed=seed + 53 * index, batch=10_000)
+        cfg = McConfig(trials=trials, seed=_run_seed(seed, 5, index), batch=10_000)
         conditional, _ = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
         analytic = coverage_conditional(spec, GAMMAS)
         worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
@@ -372,7 +374,7 @@ def criterion_snr_coverage(result: CriterionResult, seed: int, scale: float) -> 
     trials = _scaled_count(1_000_000, scale, 2_000)
     tol = _scaled_tol(0.01, 1_000_000, trials)
     spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, 2.0, 1.0)
-    cfg = McConfig(trials=trials, seed=seed + 71, batch=10_000)
+    cfg = McConfig(trials=trials, seed=_run_seed(seed, 6, 0), batch=10_000)
     budgets = tuple(LinkBudget(bandwidth_hz=bandwidth) for bandwidth in (1.0e7, 1.0e8, 1.0e9))
     survivors, (sir_conditional, _, _), per_budget = _coverage_pass(spec, budgets, GAMMA_GRID_DB, cfg)
     _require_survivors(survivors, cfg.trials, "survived conditioning")
@@ -415,7 +417,7 @@ def criterion_orbit_diversity(result: CriterionResult, seed: int, scale: float) 
     previous = None
     for count in (2, 3, 4):
         spec = constellation(count)
-        cfg = McConfig(trials=trials, seed=seed + 97 * count, batch=10_000)
+        cfg = McConfig(trials=trials, seed=_run_seed(seed, 7, count), batch=10_000)
         conditional, _, _ = empirical_max_sir_coverage(spec, GAMMA_GRID_DB, cfg)
         analytic = coverage_conditional(spec, GAMMAS)
         worst = max(abs(a - s) for a, s in zip(analytic, conditional.values))
@@ -497,13 +499,13 @@ def criterion_trends(result: CriterionResult, seed: int, scale: float) -> None:
 def criterion_determinism(result: CriterionResult, seed: int, scale: float) -> None:
     """Identical seeds must reproduce results bit for bit."""
     spec = _reference_constellation(math.pi / 2, DENSITY_PER_KM, 2.0, 1.0)
-    cfg = McConfig(trials=2_000, seed=seed + 11, batch=500)
+    cfg = McConfig(trials=2_000, seed=_run_seed(seed, 9, 0), batch=500)
     first, first_u = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
     second, second_u = empirical_sir_coverage(spec, GAMMA_GRID_DB, cfg)
     same = first.values == second.values and first_u.values == second_u.values
     result.holds("repeated run identical", same)
-    child_a = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,))).random(8)
-    child_b = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,))).random(8)
+    child_a = np.random.default_rng(_run_seed(seed, 9, 1)).random(8)
+    child_b = np.random.default_rng(_run_seed(seed, 9, 1)).random(8)
     result.holds("child streams identical", bool(np.all(child_a == child_b)))
 
 

@@ -738,6 +738,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("cannot create output directory: ") and err.count("\n") == 1
 
+    def test_closed_stdout_ends_the_verb_without_a_traceback(self, tmp_path):
+        # a verb writes its stdout in one piece once it has its exit code;
+        # here the pipe's reader is gone before that write, as `head -1`'s
+        # is once it has read its line
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "orbitcov.cli", "validate", "--trials", "2000", "--out", str(tmp_path)],
+                env=env,
+                stdout=writer,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "validate_report.txt").read_text(encoding="utf-8").endswith("\nresult: PASS (9/9)\n")
+
     def test_config_error_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"orbits": []}))

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from orbitcov import ChannelParams, EarthConstants, LinkBudget, McConfig
+from orbitcov import ChannelParams, EarthConstants, LinkBudget, McConfig, cli
 from orbitcov.config import ConfigError, load_scenario, parse_scenario
 
 
@@ -453,3 +453,18 @@ class TestLoad:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ((json.dumps(minimal())[:-1] + ', "channel": {"m": 1, "m": 3}}').encode(), "duplicate key 'm'"),
+            (b'{"scenario_id": "\xff"}', "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ],
+        ids=["duplicate-key", "not-utf-8", "nested-too-deep"],
+    )
+    def test_malformed_file_is_a_scenario_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert cli.main(["coverage", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"scenario error: {message}")
