@@ -13,12 +13,12 @@ Four verbs:
   thread. ``--jobs`` is accepted and has no effect.
 
 Exit codes: 0 success, 1 computation or validation failure, 2 bad
-scenario file, 3 usage error; a verb's stdout is written once it has
-its code, and a reader that closed the pipe early does not change it.
-Output files are deterministic byte for byte for a fixed scenario and
-seed, whatever the thread count: one per CPU in the process's affinity.
-Floats are written with repr so parsing them back loses nothing. Each verb imports only what it runs:
-``validation`` loads inside ``validate``.
+scenario file, 3 usage error; stdout is written when the verb ends, and
+a reader closing the pipe early does not change the code. Output files
+are deterministic byte for byte for a fixed scenario and seed, whatever
+the thread count: one per CPU in the process's affinity. Floats are
+written with repr so parsing them back loses nothing. Each verb imports
+only what it runs: ``validation`` loads inside ``validate``.
 """
 
 from __future__ import annotations
@@ -322,31 +322,27 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 1
-    said = io.StringIO()  # the verb's stdout, passed on once it has its exit code
-    with contextlib.redirect_stdout(said):
-        code = _run_verb(args, out_dir)
+    said = io.StringIO()  # the verb's stdout, passed on when it ends
     try:
-        print(said.getvalue(), end="", flush=True)
-    except BrokenPipeError:  # the reader left early: devnull takes the rest, as Python's signal docs do
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
-
-
-def _run_verb(args: argparse.Namespace, out_dir: Path) -> int:
-    try:
-        if args.verb == "validate":
-            return cmd_validate(out_dir, args.seed, args.trials)
-        cfg = load_scenario(args.config)
-        mc = _effective_mc(cfg, args)
-        if args.verb == "geometry":
-            return cmd_geometry(cfg, out_dir)
-        return cmd_coverage(args.verb, cfg, out_dir, mc)
+        with contextlib.redirect_stdout(said):
+            if args.verb == "validate":
+                return cmd_validate(out_dir, args.seed, args.trials)
+            cfg = load_scenario(args.config)
+            mc = _effective_mc(cfg, args)
+            if args.verb == "geometry":
+                return cmd_geometry(cfg, out_dir)
+            return cmd_coverage(args.verb, cfg, out_dir, mc)
     except ConfigError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        try:
+            print(said.getvalue(), end="", flush=True)
+        except BrokenPipeError:  # the reader left: devnull takes the rest, as in Python's signal docs
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -3,11 +3,10 @@
 A scenario bundles everything one run needs: orbits, visibility window,
 channel, optional link budget, the threshold grid, optional Monte-Carlo
 settings and optional geometry/sweep sections. Validation is strict on
-purpose: unknown keys and out-of-range values raise `ConfigError` with
-the dotted path of the offending field, and a key given twice raises it
-by name, because a silently ignored typo in a scenario file is a
-corrupted study, not a convenience. A section
-of numbers is one table of keys and bounds, read by `_given`: a key left
+purpose: unknown keys, keys given twice and out-of-range values raise
+`ConfigError` naming the field, because a silently ignored typo in a
+scenario file is a corrupted study, not a convenience. A section of
+numbers is one table of keys and bounds, read by `_given`: a key left
 out of `earth`, `channel`, `budget` or `mc` takes its type's default.
 
 This module is the only one that knows what a scenario file means. It

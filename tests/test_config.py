@@ -459,7 +459,7 @@ class TestLoad:
         [
             ((json.dumps(minimal())[:-1] + ', "channel": {"m": 1, "m": 3}}').encode(), "duplicate key 'm'"),
             (b'{"scenario_id": "\xff"}', "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
-            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+            (b"[" * 100_000, "invalid JSON:"),
         ],
         ids=["duplicate-key", "not-utf-8", "nested-too-deep"],
     )

@@ -2,6 +2,7 @@
 replaces, and `run_all`, which runs the criteria one after another on
 the calling thread."""
 
+import collections
 import math
 import sys
 import threading
@@ -130,33 +131,32 @@ class TestSeedStreams:
         ]
 
     def test_no_two_checks_draw_one_stream(self, monkeypatch):
-        # a run's streams, named (entropy, spawn key): an McConfig's batch
-        # streams SeedSequence(seed, spawn_key=(i,)), or the one stream of
-        # a seed validation hands default_rng itself; criterion 9's rerun
-        # of one seed is one run
-        runs = {}
+        # one entry per run: its criterion and its streams, named (entropy,
+        # spawn key): an McConfig's batch streams SeedSequence(seed,
+        # spawn_key=(i,)), or the one stream of a seed validation hands
+        # default_rng itself; criterion 9's rerun of one seed is one run
+        runs = []
         default_rng = np.random.default_rng
 
         def config(**kwargs):
             cfg = McConfig(**kwargs)
-            runs[index, cfg] = {(cfg.seed, (i,)) for i in range(-(-cfg.trials // cfg.batch))}
+            runs.append((index, frozenset((cfg.seed, (i,)) for i in range(-(-cfg.trials // cfg.batch)))))
             return cfg
 
         def rng(seed):
             if sys._getframe(1).f_globals["__name__"] == validation.__name__:
                 seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-                stream = (seq.entropy, tuple(seq.spawn_key))
-                runs[index, stream] = {stream}
+                runs.append((index, frozenset({(seq.entropy, tuple(seq.spawn_key))})))
             return default_rng(seed)
 
         monkeypatch.setattr(validation, "McConfig", config)
         monkeypatch.setattr(np.random, "default_rng", rng)
         for index in range(1, 10):
             run_criterion(index, 7, SCALE)
-        assert {k for k, _ in runs} == {2, 3, 4, 5, 6, 7, 9}
-        drawn = [stream for streams in runs.values() for stream in streams]
+        runs = [run for run in runs if run[0] != 9] + list(set(run for run in runs if run[0] == 9))
+        assert collections.Counter(k for k, _ in runs) == {2: 20, 3: 15, 4: 2, 5: 5, 6: 1, 7: 3, 9: 2}
+        drawn = [stream for _, streams in runs for stream in streams]
         assert len(drawn) == len(set(drawn))
-
 
 SCALE = 0.002
 
